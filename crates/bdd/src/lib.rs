@@ -25,17 +25,17 @@
 //!   unique table and invalidates the lossy operation caches.  Live
 //!   handles are never renumbered, so cube enumeration, DOT export and
 //!   every `TestPlan` built on top are byte-identical with collection on
-//!   or off.  A watermark armed via [`BddManager::set_auto_gc`] triggers
-//!   collection automatically at operation entry;
+//!   or off.  Collection runs only where the caller asks for it
+//!   ([`BddManager::gc`], [`BddManager::gc_if_above`], sifting), never
+//!   inside a Boolean operation;
 //! * **dynamic variable reordering** — the global order is a permutation
 //!   (`var` ↔ level) maintained beside the arena, so [`VarId`]s are never
 //!   renumbered.  Adjacent-level swap ([`BddManager::try_swap_adjacent`])
 //!   rewrites the affected nodes in place (handles stay valid) and
 //!   sifting ([`BddManager::try_sift`]) walks every variable to a locally
 //!   optimal level under a growth cap, governed by the same budget and
-//!   cancellation machinery.  A [`DvoSchedule`] armed via
-//!   [`BddManager::set_dvo`] reorders automatically at the auto-GC safe
-//!   points; see [`reorder`] for the swap mechanics on complement edges;
+//!   cancellation machinery; see [`reorder`] for the swap mechanics on
+//!   complement edges;
 //!
 //! and the performance plumbing carried over from the arena overhaul:
 //!
@@ -52,7 +52,7 @@
 //!
 //! Operations are `O(|f|·|g|)` as usual for reduced OBDDs; complement
 //! edges change the constants (and `not` to O(1)), not the asymptotics —
-//! see `BENCH_kernels.json` and the `bdd_ops` bench.
+//! see `BENCH_kernels.json`.
 //!
 //! # Resource governance
 //!
@@ -116,5 +116,5 @@ pub use dot::{to_dot, to_text_tree};
 pub use expr::Expr;
 pub use manager::{BddManager, BddStats, CacheStats, GcReport};
 pub use node::{Bdd, VarId};
-pub use reorder::{DvoSchedule, SiftReport};
+pub use reorder::SiftReport;
 pub use store::{export_bdd, import_bdd, BddStoreError};

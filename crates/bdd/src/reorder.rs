@@ -5,8 +5,8 @@
 //! (`var2level` / `level2var`) beside the arena, so reordering never
 //! renumbers a [`VarId`] and never invalidates a handle: an adjacent-level
 //! swap rewrites the affected nodes *in place*, which means every
-//! protected root, every pinned operand and every handle a caller holds
-//! keeps denoting exactly the same Boolean function before and after.
+//! protected root and every handle a caller holds keeps denoting exactly
+//! the same Boolean function before and after.
 //!
 //! ## Swap mechanics on complement edges
 //!
@@ -31,16 +31,12 @@
 //! canonicity rules out before the swap).  After the in-place rewrites the
 //! unique table is rebuilt wholesale and the memo caches are dropped.
 //!
-//! ## Schedules and governance
+//! ## When and under what governance
 //!
-//! [`DvoSchedule`] picks *when* reordering runs.  `Never` (the default)
-//! keeps the declaration order.  `UntilConvergence` is the schedule of the
-//! construction-time drivers in `msatpg-core`: sift repeatedly right after
-//! a symbolic build, at a point where every kept function is a protected
-//! root.  `SizeTriggered(watermark)` arms the manager's own auto-GC safe
-//! points ([`BddManager::set_dvo`]): entry to a public Boolean operation
-//! sifts once the live-node count reaches the watermark, then raises the
-//! trigger so a build that genuinely needs the nodes does not thrash.
+//! The manager never reorders on its own.  Callers sift at a safe point
+//! of their choosing: the construction-time drivers in `msatpg-core` call
+//! [`BddManager::try_sift_until_convergence`] right after a symbolic
+//! build, at a point where every kept function is a protected root.
 //!
 //! Sifting is governed like every other operation: each rewritten node
 //! charges one [`crate::BddBudget`] step (polling the `CancelToken` on the
@@ -57,25 +53,6 @@ use crate::node::{Bdd, Node, VarId};
 /// Upper bound on [`BddManager::try_sift_until_convergence`] passes — a
 /// safety stop far above the two or three passes real workloads need.
 const MAX_SIFT_PASSES: usize = 8;
-
-/// When (if ever) the manager reorders variables on its own.
-///
-/// See the [module docs](self) for the semantics of each schedule and the
-/// handle contract while one is armed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DvoSchedule {
-    /// Never reorder: the declaration order is kept verbatim (default).
-    #[default]
-    Never,
-    /// Sift repeatedly until a pass stops shrinking the arena.  This is a
-    /// construction-time schedule: drivers apply it once, right after a
-    /// symbolic build, while every kept function is a protected root.
-    UntilConvergence,
-    /// Sift at the auto-GC safe points once the live-node count reaches
-    /// the watermark; after each triggered sift the watermark is raised to
-    /// at least twice the surviving population.
-    SizeTriggered(usize),
-}
 
 /// Outcome of one [`BddManager::try_sift`] /
 /// [`BddManager::try_sift_until_convergence`] call.
@@ -194,10 +171,10 @@ impl BddManager {
     /// and settled at the position where the arena was smallest, with a 2x
     /// growth cap per direction.
     ///
-    /// The pass garbage-collects on entry and after every swap, so — like
-    /// [`BddManager::set_auto_gc`] — every handle held across the call
-    /// must be protected (or reachable from a protected root).  Handles
-    /// are never renumbered; only unprotected garbage is reclaimed.
+    /// The pass garbage-collects on entry and after every swap, so every
+    /// handle held across the call must be protected (or reachable from a
+    /// protected root).  Handles are never renumbered; only unprotected
+    /// garbage is reclaimed.
     ///
     /// On error (budget, cancellation) the manager is left fully
     /// consistent at whatever order the walk had reached.
@@ -539,44 +516,5 @@ mod tests {
         m.check_invariants()
             .expect("invariants after interrupted sift");
         assert_eq!(truth_table(&m, f, 2 * n), table_before);
-    }
-
-    #[test]
-    fn size_triggered_schedule_fires_at_the_safe_point() {
-        let mut m = BddManager::new();
-        let n = 6u32;
-        for i in 0..n {
-            m.var_id(&format!("a{i}"));
-            m.var_id(&format!("b{i}"));
-        }
-        m.set_dvo(DvoSchedule::SizeTriggered(8));
-        assert_eq!(m.dvo(), DvoSchedule::SizeTriggered(8));
-        let mut f = m.zero();
-        for i in 0..n {
-            // The schedule may GC and reorder at any operation entry, so
-            // only protected handles (and the operands of the current
-            // call) survive: rebuild the literals per iteration and keep
-            // the accumulator protected.
-            let ai = m.var(&format!("a{i}"));
-            let bi = m.var(&format!("b{i}"));
-            let pair = m.and(ai, bi);
-            m.protect(pair);
-            let next = m.or(f, pair);
-            m.unprotect(pair);
-            if !f.is_terminal() {
-                m.unprotect(f);
-            }
-            f = next;
-            m.protect(f);
-        }
-        m.check_invariants()
-            .expect("invariants under SizeTriggered");
-        // The trigger was raised past the initial watermark.
-        match m.dvo() {
-            DvoSchedule::SizeTriggered(w) => assert!(w >= 8),
-            other => panic!("schedule changed to {other:?}"),
-        }
-        let expected = (1u128 << (2 * n)) - 3u128.pow(n);
-        assert_eq!(m.sat_count(f), expected);
     }
 }

@@ -114,8 +114,8 @@ struct WideFaultSimReport {
 /// the floor.
 const WIDE_SPEEDUP_FLOOR: f64 = 2.0;
 
-/// Throughput of the widened PPSFP blocks: the same campaign at W = 1, 4
-/// and 8 lanes (64/256/512 patterns per cone walk).  Fault dropping is
+/// Throughput of the widened PPSFP blocks: the same campaign at W = 1 and
+/// 8 lanes (64/512 patterns per cone walk).  Fault dropping is
 /// disabled so every width performs the identical maximal propagation work
 /// and the rows isolate the widening, not drop timing.
 fn bench_fault_sim_wide(name: &str, pattern_count: usize) -> WideFaultSimReport {
@@ -126,11 +126,7 @@ fn bench_fault_sim_wide(name: &str, pattern_count: usize) -> WideFaultSimReport 
     let patterns: Vec<Vec<bool>> = (0..pattern_count)
         .map(|_| (0..width).map(|_| rng.bool()).collect())
         .collect();
-    let widths = [
-        (WordWidth::W1, 1usize),
-        (WordWidth::W4, 4),
-        (WordWidth::W8, 8),
-    ];
+    let widths = [(WordWidth::W1, 1usize), (WordWidth::W8, 8)];
     // Cones are a per-campaign precomputation (width-invariant, reused
     // across every block and restart — see `FaultSimulator::run_with_cones`),
     // so they stay outside the timed region: the row measures pattern

@@ -285,14 +285,12 @@ impl<const W: usize> WideCoverage<W> {
 /// instantiation per supported lane count).
 enum Dropping {
     W1(WideCoverage<1>),
-    W4(WideCoverage<4>),
     W8(WideCoverage<8>),
 }
 
 impl Dropping {
     fn new(netlist: &Netlist, faults: &FaultList, width: WordWidth) -> Self {
         match width.lanes() {
-            4 => Dropping::W4(WideCoverage::new(netlist, faults)),
             8 => Dropping::W8(WideCoverage::new(netlist, faults)),
             _ => Dropping::W1(WideCoverage::new(netlist, faults)),
         }
@@ -340,7 +338,6 @@ impl<'n> ReplayState<'n> {
         match &mut self.dropping {
             None => false,
             Some(Dropping::W1(c)) => c.covered(self.netlist, fault),
-            Some(Dropping::W4(c)) => c.covered(self.netlist, fault),
             Some(Dropping::W8(c)) => c.covered(self.netlist, fault),
         }
     }
@@ -378,7 +375,6 @@ impl<'n> ReplayState<'n> {
             let pattern = vector.concretize(false);
             match dropping {
                 Dropping::W1(c) => c.absorb(self.netlist, pattern)?,
-                Dropping::W4(c) => c.absorb(self.netlist, pattern)?,
                 Dropping::W8(c) => c.absorb(self.netlist, pattern)?,
             }
         }
@@ -1057,8 +1053,8 @@ impl<'a> DigitalAtpg<'a> {
 
     /// Inline generation with the panic policy applied: under
     /// [`PanicPolicy::Isolate`] a panic is caught and confined to this
-    /// fault (the manager may retain a few pinned transient nodes from the
-    /// interrupted recursion — safe, at worst a small arena leak).
+    /// fault (the interrupted recursion leaves only unreferenced transient
+    /// nodes, reclaimed by the next collection).
     fn guarded_generate(&mut self, fault: StuckAtFault) -> Result<TestOutcome, GenFailure> {
         if self.panic_policy == PanicPolicy::Isolate {
             match catch_unwind(AssertUnwindSafe(|| self.try_generate(fault))) {
@@ -1119,7 +1115,6 @@ impl<'a> DigitalAtpg<'a> {
             return Ok(None);
         }
         match self.width.lanes() {
-            4 => self.degrade_verify::<4>(fault, &candidates),
             8 => self.degrade_verify::<8>(fault, &candidates),
             _ => self.degrade_verify::<1>(fault, &candidates),
         }

@@ -42,7 +42,7 @@
 //! ## Wide blocks
 //!
 //! The pattern word generalizes from a single `u64` to a block of `W`
-//! lanes (`[u64; W]`, W ∈ {1, 4, 8}) selected by [`WordWidth`]: one cone
+//! lanes (`[u64; W]`, W ∈ {1, 8}) selected by [`WordWidth`]: one cone
 //! walk then decides up to `64 * W` patterns, the good circuit is batched
 //! the same way ([`crate::sim::Simulator::run_parallel_blocks`]), and the
 //! lane loops are plain array iterations that auto-vectorize to 256/512-bit
@@ -345,9 +345,8 @@ pub fn block_mask<const W: usize>(count: usize) -> [u64; W] {
     mask
 }
 
-/// Environment variable consulted by [`WordWidth::Auto`]; accepts `1`, `4`
-/// or `8` lanes (64/256/512 patterns per block).  Any other value is
-/// ignored.
+/// Environment variable consulted by [`WordWidth::Auto`]; accepts `1` or
+/// `8` lanes (64/512 patterns per block).  Any other value is ignored.
 pub const WIDTH_ENV_VAR: &str = "MSATPG_WORD_WIDTH";
 
 /// PPSFP block width: how many 64-pattern lanes one cone walk covers.
@@ -359,24 +358,21 @@ pub const WIDTH_ENV_VAR: &str = "MSATPG_WORD_WIDTH";
 /// default stays at one lane unless the knob opts in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum WordWidth {
-    /// Honor [`WIDTH_ENV_VAR`] (`MSATPG_WORD_WIDTH=1/4/8`); one lane when
+    /// Honor [`WIDTH_ENV_VAR`] (`MSATPG_WORD_WIDTH=1/8`); one lane when
     /// unset or malformed.  This is the default.
     #[default]
     Auto,
     /// One `u64` lane — 64 patterns per block, the pre-wide behavior.
     W1,
-    /// Four lanes — 256 patterns per block (256-bit SIMD at `--release`).
-    W4,
     /// Eight lanes — 512 patterns per block (512-bit SIMD where available).
     W8,
 }
 
 impl WordWidth {
-    /// Number of 64-pattern lanes per block (1, 4 or 8).
+    /// Number of 64-pattern lanes per block (1 or 8).
     pub fn lanes(self) -> usize {
         match self {
             WordWidth::W1 => 1,
-            WordWidth::W4 => 4,
             WordWidth::W8 => 8,
             WordWidth::Auto => std::env::var(WIDTH_ENV_VAR)
                 .ok()
@@ -384,22 +380,16 @@ impl WordWidth {
                 .unwrap_or(1),
         }
     }
-
-    /// Number of patterns per block (`64 * lanes`).
-    pub fn patterns(self) -> usize {
-        64 * self.lanes()
-    }
 }
 
-/// Parses a [`WIDTH_ENV_VAR`] override: only the literal lane counts `1`,
-/// `4` and `8` (surrounding whitespace allowed) are accepted — anything
-/// else yields `None` and [`WordWidth::Auto`] falls back to one lane, so a
+/// Parses a [`WIDTH_ENV_VAR`] override: only the literal lane counts `1`
+/// and `8` (surrounding whitespace allowed) are accepted — anything else
+/// yields `None` and [`WordWidth::Auto`] falls back to one lane, so a
 /// malformed value never panics and never silently picks a width the
 /// engine has no kernel for.
 pub fn parse_width_override(value: &str) -> Option<usize> {
     match value.trim() {
         "1" => Some(1),
-        "4" => Some(4),
         "8" => Some(8),
         _ => None,
     }
@@ -830,7 +820,6 @@ impl<'a> FaultSimulator<'a> {
         // One monomorphized campaign loop per supported lane count; the
         // width knob only selects which instantiation runs.
         match self.width.lanes() {
-            4 => self.run_blocks_on::<4>(pool, faults, patterns, cones),
             8 => self.run_blocks_on::<8>(pool, faults, patterns, cones),
             _ => self.run_blocks_on::<1>(pool, faults, patterns, cones),
         }
@@ -1430,32 +1419,31 @@ mod tests {
 
     #[test]
     fn wide_widths_match_w1_byte_for_byte() {
-        // W = 4 / W = 8 must reproduce the W = 1 detected vector exactly —
-        // order included — on every policy, with and without dropping.
-        // 300 patterns: five narrow blocks, two W = 4 blocks, one W = 8
-        // block, so cross-sub-block first-detection ordering is exercised.
+        // W = 8 must reproduce the W = 1 detected vector exactly — order
+        // included — on every policy, with and without dropping.  600
+        // patterns: ten narrow blocks, two W = 8 blocks (the second one
+        // partial), so cross-lane and cross-block first-detection ordering
+        // are both exercised.
         let n = benchmarks::by_name("c432").unwrap();
         let faults = FaultList::collapsed(&n);
-        let patterns = random_patterns(n.primary_inputs().len(), 300, 0x51AD);
+        let patterns = random_patterns(n.primary_inputs().len(), 600, 0x51AD);
         for dropping in [true, false] {
             let reference = FaultSimulator::new(&n)
                 .with_word_width(WordWidth::W1)
                 .with_fault_dropping(dropping)
                 .run(&faults, &patterns)
                 .unwrap();
-            for width in [WordWidth::W4, WordWidth::W8] {
-                for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
-                    let wide = FaultSimulator::new(&n)
-                        .with_word_width(width)
-                        .with_fault_dropping(dropping)
-                        .with_policy(policy)
-                        .run(&faults, &patterns)
-                        .unwrap();
-                    let tag = format!("{width:?} {policy:?} dropping={dropping}");
-                    assert_eq!(wide.detected(), reference.detected(), "{tag}");
-                    assert_eq!(wide.undetected(), reference.undetected(), "{tag}");
-                    assert_eq!(wide.patterns_used(), reference.patterns_used(), "{tag}");
-                }
+            for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
+                let wide = FaultSimulator::new(&n)
+                    .with_word_width(WordWidth::W8)
+                    .with_fault_dropping(dropping)
+                    .with_policy(policy)
+                    .run(&faults, &patterns)
+                    .unwrap();
+                let tag = format!("{policy:?} dropping={dropping}");
+                assert_eq!(wide.detected(), reference.detected(), "{tag}");
+                assert_eq!(wide.undetected(), reference.undetected(), "{tag}");
+                assert_eq!(wide.patterns_used(), reference.patterns_used(), "{tag}");
             }
         }
     }
@@ -1466,11 +1454,12 @@ mod tests {
         let faults = FaultList::collapsed(&n);
         let cones = FaultCones::build(&n, faults.faults().iter().map(|f| f.signal));
         let sim = Simulator::new(&n);
-        // 200 patterns: three full 64-lanes and one partial 8-pattern lane.
+        // 200 patterns: three full 64-lanes, one partial 8-pattern lane and
+        // four empty lanes.
         let patterns = random_patterns(n.primary_inputs().len(), 200, 0xB10C);
-        let good_wide = sim.run_parallel_blocks::<4>(&patterns).unwrap();
-        let wide_mask = block_mask::<4>(patterns.len());
-        let mut wide: PpsfpScratch<4> = PpsfpScratch::new(&n);
+        let good_wide = sim.run_parallel_blocks::<8>(&patterns).unwrap();
+        let wide_mask = block_mask::<8>(patterns.len());
+        let mut wide: PpsfpScratch<8> = PpsfpScratch::new(&n);
         let mut narrow: PpsfpScratch = PpsfpScratch::new(&n);
         for &fault in faults.faults() {
             let block = wide.detection_block(&n, &cones, fault, &good_wide, wide_mask);
@@ -1501,14 +1490,12 @@ mod tests {
     #[test]
     fn width_knob_parsing_and_block_masks() {
         assert_eq!(parse_width_override("1"), Some(1));
-        assert_eq!(parse_width_override(" 4 "), Some(4));
-        assert_eq!(parse_width_override("8"), Some(8));
-        assert_eq!(parse_width_override("2"), None);
+        assert_eq!(parse_width_override(" 8 "), Some(8));
+        assert_eq!(parse_width_override("4"), None);
         assert_eq!(parse_width_override("wide"), None);
         assert_eq!(parse_width_override(""), None);
         assert_eq!(WordWidth::W1.lanes(), 1);
-        assert_eq!(WordWidth::W4.patterns(), 256);
-        assert_eq!(WordWidth::W8.patterns(), 512);
+        assert_eq!(WordWidth::W8.lanes(), 8);
         assert_eq!(WordWidth::default(), WordWidth::Auto);
         assert_eq!(block_mask::<1>(13), [word_mask(13)]);
         assert_eq!(block_mask::<4>(130), [u64::MAX, u64::MAX, word_mask(2), 0]);

@@ -120,10 +120,10 @@ fn interrupted_c432_campaign_resumes_byte_identically() {
 
     // The resume grid crosses thread policies with pattern-block widths:
     // the checkpoint was written by a default-width campaign, and replaying
-    // it under 256/512-bit PPSFP verification must not move a single byte.
+    // it under 512-bit PPSFP verification must not move a single byte.
     for (policy, width) in [
         (ExecPolicy::Serial, WordWidth::W8),
-        (ExecPolicy::Threads(2), WordWidth::W4),
+        (ExecPolicy::Threads(2), WordWidth::W8),
         (ExecPolicy::Threads(8), WordWidth::W1),
         (ExecPolicy::Auto, WordWidth::Auto),
     ] {
@@ -148,8 +148,8 @@ fn interrupted_c432_campaign_resumes_byte_identically() {
 }
 
 /// The pattern-block width is invisible on disk: the same campaign
-/// checkpointed at W = 1, 4 and 8 leaves byte-identical snapshot files
-/// behind (outcomes are width-independent and no timing is journaled).
+/// checkpointed at W = 1 and 8 leaves byte-identical snapshot files behind
+/// (outcomes are width-independent and no timing is journaled).
 #[test]
 fn checkpoint_files_are_byte_identical_across_word_widths() {
     let circuit = circuits::adder4();
@@ -165,14 +165,11 @@ fn checkpoint_files_are_byte_identical_across_word_widths() {
         std::fs::remove_file(&path).ok();
         bytes
     };
-    let reference = campaign(WordWidth::W1);
-    for width in [WordWidth::W4, WordWidth::W8] {
-        assert_eq!(
-            campaign(width),
-            reference,
-            "{width:?}: checkpoint bytes differ from the one-lane campaign"
-        );
-    }
+    assert_eq!(
+        campaign(WordWidth::W8),
+        campaign(WordWidth::W1),
+        "checkpoint bytes at 8 lanes differ from the one-lane campaign"
+    );
 }
 
 /// A resume snapshot is validated against the campaign it claims to

@@ -700,7 +700,7 @@ fn parallel_ppsfp_is_byte_identical_to_serial() {
     }
 }
 
-/// The widened PPSFP blocks (256- and 512-bit) are byte-identical to the
+/// The widened PPSFP blocks (512-bit) are byte-identical to the
 /// one-lane engine on random netlists — same detected *vector* (order
 /// included), same undetected list, same pattern count — across pattern
 /// batches that straddle the wide block boundaries, with and without fault
@@ -737,20 +737,17 @@ fn wide_ppsfp_is_byte_identical_to_one_lane_on_random_netlists() {
                 set, serial_set,
                 "case {case} dropping={dropping}: word engine vs serial"
             );
-            for width in [WordWidth::W4, WordWidth::W8] {
-                for policy in [ExecPolicy::Threads(1), ExecPolicy::Threads(3)] {
-                    let wide = FaultSimulator::new(&n)
-                        .with_fault_dropping(dropping)
-                        .with_word_width(width)
-                        .with_policy(policy)
-                        .run(&faults, &patterns)
-                        .unwrap();
-                    let tag =
-                        format!("case {case} dropping={dropping} {width:?} policy={policy:?}");
-                    assert_eq!(wide.detected(), reference.detected(), "{tag}");
-                    assert_eq!(wide.undetected(), reference.undetected(), "{tag}");
-                    assert_eq!(wide.patterns_used(), reference.patterns_used(), "{tag}");
-                }
+            for policy in [ExecPolicy::Threads(1), ExecPolicy::Threads(3)] {
+                let wide = FaultSimulator::new(&n)
+                    .with_fault_dropping(dropping)
+                    .with_word_width(WordWidth::W8)
+                    .with_policy(policy)
+                    .run(&faults, &patterns)
+                    .unwrap();
+                let tag = format!("case {case} dropping={dropping} policy={policy:?}");
+                assert_eq!(wide.detected(), reference.detected(), "{tag}");
+                assert_eq!(wide.undetected(), reference.undetected(), "{tag}");
+                assert_eq!(wide.patterns_used(), reference.patterns_used(), "{tag}");
             }
         }
     }
@@ -980,7 +977,7 @@ fn governed_atpg_reports_are_byte_identical_across_word_widths() {
                 .with_panic_policy(PanicPolicy::Isolate)
                 .with_degradation(DegradePolicy {
                     seed,
-                    // Three 64-bit words, under one 256-bit block: the wide
+                    // Three 64-bit words, under one 512-bit block: the wide
                     // verifier must still pick the same first detecting
                     // pattern the narrow one finds.
                     patterns: 192,
@@ -992,7 +989,7 @@ fn governed_atpg_reports_are_byte_identical_across_word_widths() {
             !reference.degraded.is_empty(),
             "seed={seed:#x}: the chaos rates must actually degrade faults"
         );
-        for width in [WordWidth::W1, WordWidth::W4, WordWidth::W8] {
+        for width in [WordWidth::W1, WordWidth::W8] {
             for policy in determinism_policies() {
                 let report = build(width).with_policy(policy).run(&faults).unwrap();
                 assert_reports_identical(
