@@ -124,16 +124,9 @@ impl LuFactor {
     }
 
     /// Returns `true` if the holder currently contains a valid
-    /// factorization (i.e. the last [`LuFactor::refactor`] succeeded and
-    /// [`LuFactor::invalidate`] has not been called since).
+    /// factorization (i.e. the last [`LuFactor::refactor`] succeeded).
     pub fn is_factored(&self) -> bool {
         self.factored
-    }
-
-    /// Marks the stored factorization as stale (e.g. because the matrix it
-    /// was computed from has been patched); the next solve must refactor.
-    pub fn invalidate(&mut self) {
-        self.factored = false;
     }
 
     /// Factors `matrix`, reusing this holder's storage.
@@ -157,10 +150,19 @@ impl LuFactor {
 
     /// Factors a row-major `n × n` slice, reusing this holder's storage.
     pub(crate) fn refactor_slice(&mut self, data: &[Complex]) -> Result<(), AnalogError> {
+        assert_eq!(data.len(), self.n * self.n, "matrix size mismatch");
+        self.refactor_with(|a| a.copy_from_slice(data))
+    }
+
+    /// Lets `fill` write the row-major `n × n` matrix straight into this
+    /// holder's storage, then factors it in place (no intermediate copy).
+    pub(crate) fn refactor_with(
+        &mut self,
+        fill: impl FnOnce(&mut [Complex]),
+    ) -> Result<(), AnalogError> {
         let n = self.n;
-        assert_eq!(data.len(), n * n, "matrix size mismatch");
         self.factored = false;
-        self.lu.copy_from_slice(data);
+        fill(&mut self.lu);
         let a = &mut self.lu;
         for col in 0..n {
             // Pivot search.
@@ -189,7 +191,7 @@ impl LuFactor {
             for row in (col + 1)..n {
                 let factor = a[row * n + col] / pivot;
                 a[row * n + col] = factor; // store the L multiplier in place
-                if factor.abs() == 0.0 {
+                if factor == Complex::ZERO {
                     continue;
                 }
                 for j in (col + 1)..n {
@@ -223,7 +225,7 @@ impl LuFactor {
         }
         for col in 0..n {
             let xv = b[col];
-            if xv.abs() == 0.0 {
+            if xv == Complex::ZERO {
                 continue;
             }
             for row in (col + 1)..n {

@@ -5,21 +5,32 @@
 //! Every stamp of the MNA system is linear in the complex frequency, so the
 //! engine splits the system as `A(s) = G + s·C` with **real** matrices `G`
 //! and `C`.  [`Mna::new`] walks the circuit **once**, recording for every
-//! element the list of `(matrix, row, col, coefficient)` entries it
-//! contributes — the *structural stamp pattern* — and assembles `G` and `C`
-//! from it.  After that:
+//! element its structural stamp pattern, and assembles the *nominal* `G`
+//! and `C` from the circuit's values.  Those matrices never change again:
 //!
-//! * a solve at frequency `f` assembles `A = G + j·2πf·C` into a cached
-//!   per-frequency system, LU-factors it once ([`crate::matrix::LuFactor`],
-//!   storage reused), and answers any number of right-hand sides (drives)
-//!   against the same factorization — repeated sweeps over the same grid
-//!   (peak search, −3 dB bisection) hit the cache and skip both assembly and
-//!   factorization;
-//! * a parameter deviation ([`Mna::set_value`] / [`Mna::scale_value`])
-//!   patches only the few `G`/`C` entries its element touches — including
-//!   inside every cached per-frequency system — instead of re-stamping the
-//!   whole matrix, so a deviation analysis re-uses all structural work
-//!   across its thousands of probe solves.
+//! * a solve at frequency `f` assembles `A₀ = G + j·2πf·C` straight into a
+//!   cached per-frequency LU factorization ([`crate::matrix::LuFactor`]) and
+//!   answers any number of right-hand sides against it.  The cache holds up
+//!   to 512 frequencies with least-recently-used eviction in O(1); at
+//!   capacity a new frequency re-uses the evicted factor's storage, so it
+//!   allocates nothing;
+//! * a deviated element ([`Mna::set_value`] / [`Mna::scale_value`]) is only
+//!   recorded.  Every value-dependent stamp — resistor conductance,
+//!   capacitance, inductance, VCVS gain, finite op-amp gain `a0` — is a
+//!   rank-1 term `s(v)·p·qᵀ` with `s(v) = v` (or `1/v` for a conductance),
+//!   so `k` deviated elements change `A₀` by `P·D·Qᵀ` with
+//!   `D = diag(δ₁ … δ_k)`, `δ = s(v) − s(v₀)` (times `s` for `C` terms).  The
+//!   solve answers the deviated system from the nominal factorization by the
+//!   Sherman–Morrison–Woodbury identity: with `Z = A₀⁻¹·P` and the `k × k`
+//!   capacitance matrix `K = I + D·Qᵀ·Z`,
+//!   `x = x₀ − Z·K⁻¹·D·Qᵀ·x₀` where `x₀ = A₀⁻¹·b` — `O(k·n²)` per solve
+//!   instead of an `O(n³)` refactorization.  A deviation analysis deviates
+//!   one element at a time (`k = 1`).
+//!
+//! Because the factored system is always the nominal one, a solve is a pure
+//! function of the current element values and the frequency: no sequence of
+//! `set_value` calls leaves any trace, and one engine can serve any number
+//! of deviation probes in any order.
 //!
 //! The single-pole op-amp model `A(s) = a0/(1 + s/ω)` is folded into the
 //! `G + s·C` form by multiplying its constraint row through by the
@@ -28,7 +39,7 @@
 //! Voltage sources, VCVSs, op-amps and inductors contribute branch-current
 //! unknowns.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::f64::consts::TAU;
 
@@ -80,19 +91,20 @@ impl Solution {
     }
 }
 
-/// Counters exposing how much work the sweep-reuse machinery avoided.
+/// Counters exposing how much work the factorization cache avoided.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Total linear solves performed.
     pub solves: u64,
-    /// Full `G + sC` assemblies (one per distinct frequency since the last
-    /// cache clear; everything else was served from the system cache).
+    /// Nominal `G + sC` assemblies (one per frequency newly cached since the
+    /// last cache clear; everything else was served from the cache).
     pub assemblies: u64,
-    /// LU factorizations performed (re-done after a value patch, reused for
-    /// repeated solves at an unchanged frequency).
+    /// LU factorizations performed (one per assembly: deviated solves
+    /// re-use the nominal factorization).
     pub factorizations: u64,
-    /// Element-value patches applied.
-    pub patches: u64,
+    /// Solves answered by a low-rank update of the nominal factorization
+    /// because some element value differed from nominal.
+    pub updates: u64,
 }
 
 /// Which of the two real matrices an entry belongs to.
@@ -102,35 +114,57 @@ enum Target {
     C,
 }
 
-/// How a stamp entry's numeric contribution derives from the element value.
-#[derive(Clone, Copy, Debug)]
-enum Dep {
-    /// `factor` (independent of the element value).
-    Const,
-    /// `factor · value` (capacitors, inductor impedance, gains).
-    Value,
-    /// `factor / value` (resistor conductance).
-    Inverse,
-}
-
-/// One `(matrix, row, col)` entry of an element's structural stamp pattern.
+/// One constant `(matrix, row, col)` entry of an element's stamp pattern.
 #[derive(Clone, Copy, Debug)]
 struct Stamp {
     target: Target,
     row: u32,
     col: u32,
     factor: f64,
-    dep: Dep,
 }
 
-impl Stamp {
-    #[inline]
-    fn contribution(&self, value: f64) -> f64 {
-        match self.dep {
-            Dep::Const => self.factor,
-            Dep::Value => self.factor * value,
-            Dep::Inverse => self.factor / value,
+/// The value-dependent part of an element's stamp: `s(v)·p·qᵀ` in `G` or
+/// `C`, with `p` and `q` sparse `±1` vectors (empty for sources and ideal
+/// op-amps, whose value never enters the matrix).
+#[derive(Clone, Debug)]
+struct ValueStamp {
+    target: Target,
+    /// `s(v) = 1/v` (resistor conductance) instead of `s(v) = v`.
+    inverse: bool,
+    p: Vec<(u32, f64)>,
+    q: Vec<(u32, f64)>,
+}
+
+impl ValueStamp {
+    fn none() -> Self {
+        ValueStamp {
+            target: Target::G,
+            inverse: false,
+            p: Vec::new(),
+            q: Vec::new(),
         }
+    }
+
+    /// Whether the element's value enters the matrix at all.
+    fn is_active(&self) -> bool {
+        !self.p.is_empty() && !self.q.is_empty()
+    }
+
+    #[inline]
+    fn scale(&self, value: f64) -> f64 {
+        if self.inverse {
+            1.0 / value
+        } else {
+            value
+        }
+    }
+
+    /// `qᵀ·x`.
+    #[inline]
+    fn q_dot(&self, x: &[Complex]) -> Complex {
+        self.q
+            .iter()
+            .fold(Complex::ZERO, |acc, &(i, qi)| acc + x[i as usize] * qi)
     }
 }
 
@@ -146,38 +180,137 @@ enum RhsStamp {
     },
 }
 
-/// A fully assembled system at one frequency; `lu.is_factored()` says
-/// whether the stored factorization still matches `a`.
-struct CachedSystem {
-    /// `G + s·C`, row-major.
-    a: Vec<Complex>,
-    lu: LuFactor,
-    /// Engine tick of the most recent solve at this frequency (drives LRU
-    /// eviction).
-    last_used: u64,
+/// [`Drive`] with the active source resolved to its element id.
+#[derive(Clone, Copy, Debug)]
+enum ActiveDrive {
+    AllDc,
+    AllAc,
+    Single(ElementId, f64),
 }
 
-/// Bound on the number of per-frequency systems kept alive.  When a new
-/// frequency arrives at capacity, the least-recently-used system is evicted
-/// — fine-grid bisection searches keep their warm working set cached while
-/// memory stays bounded.
+/// Bound on the number of per-frequency factorizations kept alive.  When a
+/// new frequency arrives at capacity, the least-recently-used one is
+/// evicted — fine-grid bisection searches keep their warm working set
+/// cached while memory stays bounded.
 const MAX_CACHED_SYSTEMS: usize = 512;
 
+/// End-of-list marker of the cache's recency list.
+const NIL: u32 = u32::MAX;
+
+/// One cached nominal factorization, linked into the recency list.
+struct CachedLu {
+    key: u64,
+    lu: LuFactor,
+    newer: u32,
+    older: u32,
+}
+
+/// Per-frequency nominal factorizations with O(1) least-recently-used
+/// eviction: a slab of factors threaded on a doubly linked recency list.
+#[derive(Default)]
+struct SystemCache {
+    slots: Vec<CachedLu>,
+    index: HashMap<u64, u32>,
+    newest: u32,
+    oldest: u32,
+}
+
+impl SystemCache {
+    fn new() -> Self {
+        SystemCache {
+            newest: NIL,
+            oldest: NIL,
+            ..SystemCache::default()
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn clear(&mut self) {
+        *self = SystemCache::new();
+    }
+
+    /// The slot holding frequency `key`, marked most recently used, and
+    /// whether it was claimed just now (its factor does not hold `key`'s
+    /// system yet).  At capacity the least-recently-used slot is re-used.
+    fn claim(&mut self, key: u64, n: usize) -> (usize, bool) {
+        if let Some(&slot) = self.index.get(&key) {
+            self.unlink(slot);
+            self.push_newest(slot);
+            return (slot as usize, false);
+        }
+        let slot = if self.slots.len() < MAX_CACHED_SYSTEMS {
+            self.slots.push(CachedLu {
+                key,
+                lu: LuFactor::new(n),
+                newer: NIL,
+                older: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        } else {
+            let slot = self.oldest;
+            self.unlink(slot);
+            self.index.remove(&self.slots[slot as usize].key);
+            self.slots[slot as usize].key = key;
+            slot
+        };
+        self.index.insert(key, slot);
+        self.push_newest(slot);
+        (slot as usize, true)
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let CachedLu { newer, older, .. } = self.slots[slot as usize];
+        match newer {
+            NIL => self.newest = older,
+            s => self.slots[s as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            s => self.slots[s as usize].newer = newer,
+        }
+    }
+
+    fn push_newest(&mut self, slot: u32) {
+        let entry = &mut self.slots[slot as usize];
+        entry.newer = NIL;
+        entry.older = self.newest;
+        match self.newest {
+            NIL => self.oldest = slot,
+            s => self.slots[s as usize].newer = slot,
+        }
+        self.newest = slot;
+    }
+}
+
+/// Reusable buffers of the low-rank update; they grow to the largest number
+/// of simultaneously deviated elements and are never shrunk.
+struct UpdateScratch {
+    /// `(element index, δ)` of every deviated element with `δ ≠ 0`.
+    terms: Vec<(usize, Complex)>,
+    /// `Z = A₀⁻¹·P`, one column of `n` entries per term.
+    z: Vec<Complex>,
+    /// The `k × k` capacitance matrix `K = I + D·Qᵀ·Z`.
+    capacitance: Vec<Complex>,
+    /// `D·Qᵀ·x₀`, solved in place into `K⁻¹·D·Qᵀ·x₀`.
+    weights: Vec<Complex>,
+    /// Factor of `K`, re-allocated only when `k` changes.
+    capacitance_lu: LuFactor,
+}
+
+/// The mutable state behind an [`Mna`]'s shared reference.
 struct Engine {
-    /// Real part (conductance) matrix, row-major `n × n`.
-    g: Vec<f64>,
-    /// Frequency-proportional (susceptance) matrix, row-major `n × n`.
-    c: Vec<f64>,
-    /// Current (possibly patched) scalar value per element.
+    /// Current scalar value per element.
     values: Vec<f64>,
-    /// Nominal values from the circuit, for [`Mna::reset_values`].
-    nominal: Vec<f64>,
-    /// Per-frequency assembled systems, keyed by `f64::to_bits(freq_hz)`.
-    systems: HashMap<u64, CachedSystem>,
+    /// Indices of the elements with an active value stamp whose current
+    /// value differs from nominal, ascending.
+    deviated: Vec<usize>,
+    systems: SystemCache,
     /// Reusable right-hand-side / solution buffer.
     rhs: Vec<Complex>,
-    /// Monotone solve counter used as the LRU clock of `systems`.
-    tick: u64,
+    scratch: UpdateScratch,
     stats: SolverStats,
 }
 
@@ -201,7 +334,7 @@ struct Engine {
 /// assert!((dc.voltage(vout).abs() - 0.0).abs() < 1e-9); // DC value of source is 0
 /// let ac = mna.solve_ac(1.0).unwrap();
 /// assert!((ac.voltage(vout).abs() - 1.0).abs() < 1e-3); // passband
-/// // Parameter deviations patch the stamped system instead of rebuilding it:
+/// // A deviation is a low-rank update of the nominal factorization:
 /// mna.scale_value(cap, 10.0);
 /// let shifted = mna.solve_ac(1.0e4).unwrap();
 /// mna.reset_values();
@@ -215,8 +348,14 @@ pub struct Mna<'a> {
     n_nodes: usize,
     /// Total unknowns.
     n: usize,
-    /// Structural stamp pattern, indexed by element id.
-    element_stamps: Vec<Vec<Stamp>>,
+    /// Nominal conductance matrix, row-major `n × n`.
+    g: Vec<f64>,
+    /// Nominal frequency-proportional (susceptance) matrix, row-major.
+    c: Vec<f64>,
+    /// Nominal (circuit) value per element.
+    nominal: Vec<f64>,
+    /// Value-dependent stamp per element.
+    value_stamps: Vec<ValueStamp>,
     /// Right-hand-side pattern: `(element, stamp, dc_value)` per source.
     rhs_stamps: Vec<(ElementId, RhsStamp, f64)>,
     engine: RefCell<Engine>,
@@ -224,8 +363,8 @@ pub struct Mna<'a> {
 
 impl<'a> Mna<'a> {
     /// Prepares the MNA engine for `circuit`: derives the structural stamp
-    /// pattern of every element and assembles the real `G` and `C` matrices
-    /// once.
+    /// pattern of every element and assembles the nominal `G` and `C`
+    /// matrices once.
     pub fn new(circuit: &'a Circuit) -> Self {
         let branch_elements: Vec<ElementId> = circuit
             .iter()
@@ -256,110 +395,66 @@ impl<'a> Mna<'a> {
             .enumerate()
             .map(|(i, &id)| (id, (n_nodes + i) as u32))
             .collect();
+        // `±1` at the rows of two nodes: the incidence vector `e_a − e_b`
+        // of a two-terminal element (or a control port, `e_b − e_a`).
+        let incidence = |plus: NodeId, minus: NodeId| -> Vec<(u32, f64)> {
+            row(plus)
+                .map(|i| (i, 1.0))
+                .into_iter()
+                .chain(row(minus).map(|j| (j, -1.0)))
+                .collect()
+        };
+        let g_stamp = |row: u32, col: u32, factor: f64| Stamp {
+            target: Target::G,
+            row,
+            col,
+            factor,
+        };
 
-        let mut element_stamps: Vec<Vec<Stamp>> = Vec::with_capacity(circuit.element_count());
+        let mut stamps: Vec<Vec<Stamp>> = Vec::with_capacity(circuit.element_count());
+        let mut value_stamps = Vec::with_capacity(circuit.element_count());
         let mut rhs_stamps = Vec::new();
         for (id, e) in circuit.iter() {
-            let mut stamps = Vec::new();
-            // Conductance-style two-terminal pattern: ±y at (i,i), (j,j),
-            // (i,j), (j,i).
-            let admittance = |stamps: &mut Vec<Stamp>, target: Target, dep: Dep| {
-                let (na, nb) = (row(e.nodes[0]), row(e.nodes[1]));
-                if let Some(i) = na {
-                    stamps.push(Stamp {
-                        target,
-                        row: i,
-                        col: i,
-                        factor: 1.0,
-                        dep,
-                    });
-                    if let Some(j) = nb {
-                        stamps.push(Stamp {
-                            target,
-                            row: i,
-                            col: j,
-                            factor: -1.0,
-                            dep,
-                        });
-                    }
-                }
-                if let Some(j) = nb {
-                    stamps.push(Stamp {
-                        target,
-                        row: j,
-                        col: j,
-                        factor: 1.0,
-                        dep,
-                    });
-                    if let Some(i) = na {
-                        stamps.push(Stamp {
-                            target,
-                            row: j,
-                            col: i,
-                            factor: -1.0,
-                            dep,
-                        });
-                    }
-                }
-            };
+            let mut constant = Vec::new();
             // Branch-voltage coupling pattern: ±1 at (i,k), (k,i), (j,k), (k,j).
-            let branch_coupling = |stamps: &mut Vec<Stamp>, k: u32, np: NodeId, nn: NodeId| {
+            let branch_coupling = |constant: &mut Vec<Stamp>, k: u32, np: NodeId, nn: NodeId| {
                 if let Some(i) = row(np) {
-                    stamps.push(Stamp {
-                        target: Target::G,
-                        row: i,
-                        col: k,
-                        factor: 1.0,
-                        dep: Dep::Const,
-                    });
-                    stamps.push(Stamp {
-                        target: Target::G,
-                        row: k,
-                        col: i,
-                        factor: 1.0,
-                        dep: Dep::Const,
-                    });
+                    constant.push(g_stamp(i, k, 1.0));
+                    constant.push(g_stamp(k, i, 1.0));
                 }
                 if let Some(j) = row(nn) {
-                    stamps.push(Stamp {
-                        target: Target::G,
-                        row: j,
-                        col: k,
-                        factor: -1.0,
-                        dep: Dep::Const,
-                    });
-                    stamps.push(Stamp {
-                        target: Target::G,
-                        row: k,
-                        col: j,
-                        factor: -1.0,
-                        dep: Dep::Const,
-                    });
+                    constant.push(g_stamp(j, k, -1.0));
+                    constant.push(g_stamp(k, j, -1.0));
                 }
             };
-            match e.kind {
-                ElementKind::Resistor { .. } => {
-                    admittance(&mut stamps, Target::G, Dep::Inverse);
-                }
-                ElementKind::Capacitor { .. } => {
-                    admittance(&mut stamps, Target::C, Dep::Value);
+            let value_stamp = match e.kind {
+                ElementKind::Resistor { .. } | ElementKind::Capacitor { .. } => {
+                    // Admittance `y·(e_a − e_b)(e_a − e_b)ᵀ`.
+                    let u = incidence(e.nodes[0], e.nodes[1]);
+                    let resistor = matches!(e.kind, ElementKind::Resistor { .. });
+                    ValueStamp {
+                        target: if resistor { Target::G } else { Target::C },
+                        inverse: resistor,
+                        p: u.clone(),
+                        q: u,
+                    }
                 }
                 ElementKind::Inductor { .. } => {
                     // Branch formulation: V(a) − V(b) − s·L·I = 0
                     let k = branch_row[&id];
-                    branch_coupling(&mut stamps, k, e.nodes[0], e.nodes[1]);
-                    stamps.push(Stamp {
+                    branch_coupling(&mut constant, k, e.nodes[0], e.nodes[1]);
+                    ValueStamp {
                         target: Target::C,
-                        row: k,
-                        col: k,
-                        factor: -1.0,
-                        dep: Dep::Value,
-                    });
+                        inverse: false,
+                        p: vec![(k, 1.0)],
+                        q: vec![(k, -1.0)],
+                    }
                 }
                 ElementKind::VoltageSource { dc, .. } => {
                     let k = branch_row[&id];
-                    branch_coupling(&mut stamps, k, e.nodes[0], e.nodes[1]);
+                    branch_coupling(&mut constant, k, e.nodes[0], e.nodes[1]);
                     rhs_stamps.push((id, RhsStamp::Branch { row: k }, dc));
+                    ValueStamp::none()
                 }
                 ElementKind::CurrentSource { dc, .. } => {
                     rhs_stamps.push((
@@ -370,28 +465,17 @@ impl<'a> Mna<'a> {
                         },
                         dc,
                     ));
+                    ValueStamp::none()
                 }
                 ElementKind::Vcvs { .. } => {
                     // V(p) − V(n) − gain·(V(cp) − V(cn)) = 0
                     let k = branch_row[&id];
-                    branch_coupling(&mut stamps, k, e.nodes[0], e.nodes[1]);
-                    if let Some(i) = row(e.nodes[2]) {
-                        stamps.push(Stamp {
-                            target: Target::G,
-                            row: k,
-                            col: i,
-                            factor: -1.0,
-                            dep: Dep::Value,
-                        });
-                    }
-                    if let Some(j) = row(e.nodes[3]) {
-                        stamps.push(Stamp {
-                            target: Target::G,
-                            row: k,
-                            col: j,
-                            factor: 1.0,
-                            dep: Dep::Value,
-                        });
+                    branch_coupling(&mut constant, k, e.nodes[0], e.nodes[1]);
+                    ValueStamp {
+                        target: Target::G,
+                        inverse: false,
+                        p: vec![(k, 1.0)],
+                        q: incidence(e.nodes[3], e.nodes[2]),
                     }
                 }
                 ElementKind::OpAmp { model } => {
@@ -399,35 +483,15 @@ impl<'a> Mna<'a> {
                     let k = branch_row[&id];
                     let (inp, inn, out) = (e.nodes[0], e.nodes[1], e.nodes[2]);
                     if let Some(o) = row(out) {
-                        stamps.push(Stamp {
-                            target: Target::G,
-                            row: o,
-                            col: k,
-                            factor: 1.0,
-                            dep: Dep::Const,
-                        });
+                        constant.push(g_stamp(o, k, 1.0));
                     }
                     match model {
                         OpAmpModel::Ideal => {
                             // Constraint: V(in+) − V(in−) = 0
-                            if let Some(i) = row(inp) {
-                                stamps.push(Stamp {
-                                    target: Target::G,
-                                    row: k,
-                                    col: i,
-                                    factor: 1.0,
-                                    dep: Dep::Const,
-                                });
+                            for (i, factor) in incidence(inp, inn) {
+                                constant.push(g_stamp(k, i, factor));
                             }
-                            if let Some(j) = row(inn) {
-                                stamps.push(Stamp {
-                                    target: Target::G,
-                                    row: k,
-                                    col: j,
-                                    factor: -1.0,
-                                    dep: Dep::Const,
-                                });
-                            }
+                            ValueStamp::none()
                         }
                         OpAmpModel::FiniteGain { pole_hz, .. } => {
                             // V(out) = A(s)·(V(in+) − V(in−)) with
@@ -436,67 +500,62 @@ impl<'a> Mna<'a> {
                             // G + s·C form without changing the solution:
                             // (1 + s/ω)·V(out) − a0·(V(in+) − V(in−)) = 0.
                             if let Some(o) = row(out) {
-                                stamps.push(Stamp {
-                                    target: Target::G,
-                                    row: k,
-                                    col: o,
-                                    factor: 1.0,
-                                    dep: Dep::Const,
-                                });
-                                stamps.push(Stamp {
+                                constant.push(g_stamp(k, o, 1.0));
+                                constant.push(Stamp {
                                     target: Target::C,
                                     row: k,
                                     col: o,
                                     factor: 1.0 / (TAU * pole_hz),
-                                    dep: Dep::Const,
                                 });
                             }
                             // The element "value" is a0 (see ElementKind::value).
-                            if let Some(i) = row(inp) {
-                                stamps.push(Stamp {
-                                    target: Target::G,
-                                    row: k,
-                                    col: i,
-                                    factor: -1.0,
-                                    dep: Dep::Value,
-                                });
-                            }
-                            if let Some(j) = row(inn) {
-                                stamps.push(Stamp {
-                                    target: Target::G,
-                                    row: k,
-                                    col: j,
-                                    factor: 1.0,
-                                    dep: Dep::Value,
-                                });
+                            ValueStamp {
+                                target: Target::G,
+                                inverse: false,
+                                p: vec![(k, 1.0)],
+                                q: incidence(inn, inp),
                             }
                         }
                     }
                 }
-            }
-            element_stamps.push(stamps);
+            };
+            stamps.push(constant);
+            value_stamps.push(value_stamp);
         }
 
-        let values: Vec<f64> = circuit.iter().map(|(id, _)| circuit.value(id)).collect();
+        let nominal: Vec<f64> = circuit.iter().map(|(id, _)| circuit.value(id)).collect();
         let mut g = vec![0.0; n * n];
         let mut c = vec![0.0; n * n];
-        for (stamps, &value) in element_stamps.iter().zip(&values) {
-            for stamp in stamps {
-                let slot = stamp.row as usize * n + stamp.col as usize;
-                match stamp.target {
-                    Target::G => g[slot] += stamp.contribution(value),
-                    Target::C => c[slot] += stamp.contribution(value),
+        for ((constant, stamp), &value) in stamps.iter().zip(&value_stamps).zip(&nominal) {
+            let mut add = |target: Target, row: u32, col: u32, x: f64| {
+                let slot = row as usize * n + col as usize;
+                match target {
+                    Target::G => g[slot] += x,
+                    Target::C => c[slot] += x,
+                }
+            };
+            for s in constant {
+                add(s.target, s.row, s.col, s.factor);
+            }
+            let scale = stamp.scale(value);
+            for &(i, pi) in &stamp.p {
+                for &(j, qj) in &stamp.q {
+                    add(stamp.target, i, j, pi * qj * scale);
                 }
             }
         }
         let engine = Engine {
-            g,
-            c,
-            values: values.clone(),
-            nominal: values,
-            systems: HashMap::new(),
+            values: nominal.clone(),
+            deviated: Vec::new(),
+            systems: SystemCache::new(),
             rhs: vec![Complex::ZERO; n],
-            tick: 0,
+            scratch: UpdateScratch {
+                terms: Vec::new(),
+                z: Vec::new(),
+                capacitance: Vec::new(),
+                weights: Vec::new(),
+                capacitance_lu: LuFactor::new(0),
+            },
             stats: SolverStats::default(),
         };
 
@@ -505,7 +564,10 @@ impl<'a> Mna<'a> {
             branch_elements,
             n_nodes,
             n,
-            element_stamps,
+            g,
+            c,
+            nominal,
+            value_stamps,
             rhs_stamps,
             engine: RefCell::new(engine),
         }
@@ -521,91 +583,42 @@ impl<'a> Mna<'a> {
         self.n
     }
 
-    /// Current (possibly patched) scalar value of an element.
+    /// Current (possibly deviated) scalar value of an element.
     pub fn value(&self, element: ElementId) -> f64 {
         self.engine.borrow().values[element.index()]
     }
 
-    /// Replaces the scalar value of an element, patching only the `G`/`C`
-    /// entries of its stamp pattern (and every cached per-frequency system)
-    /// instead of re-stamping the matrices.  The bound circuit is never
-    /// modified.
+    /// Replaces the scalar value of an element.  Only the value is
+    /// recorded: the nominal matrices and their cached factorizations are
+    /// never touched, and later solves answer the deviated system as a
+    /// low-rank update of the nominal one (see the [module docs](self)).
+    /// The bound circuit is never modified, and the engine's answers depend
+    /// only on the current values — never on the order in which they were
+    /// set.
     ///
-    /// A value whose contribution is not finite (e.g. a resistor set to
-    /// exactly `0.0`, whose conductance is infinite) cannot be expressed as
-    /// an incremental delta; such transitions fall back to an exact rebuild
-    /// of the matrices so the engine recovers fully once a finite value is
-    /// restored.  Solving *while* such a value is in place reports the
-    /// system as singular.
+    /// A value whose stamp is not finite (a resistor set to exactly `0.0`
+    /// has infinite conductance), or a deviation that makes the update's
+    /// capacitance matrix singular, makes solves report
+    /// [`AnalogError::SingularMatrix`] until another value is set.  Since
+    /// every solve starts from the nominal factorization, a circuit whose
+    /// nominal system is singular stays singular whatever values are set.
     pub fn set_value(&self, element: ElementId, new_value: f64) {
         let idx = element.index();
         let mut engine = self.engine.borrow_mut();
-        let engine = &mut *engine;
-        let old_value = engine.values[idx];
-        if old_value == new_value {
-            return;
-        }
         engine.values[idx] = new_value;
-        engine.stats.patches += 1;
-        let n = self.n;
-        // First pass: a non-finite delta (value passing through zero on an
-        // inverse-dependent stamp) would poison the matrices permanently if
-        // accumulated, so rebuild exactly instead.
-        let all_finite = self.element_stamps[idx].iter().all(|stamp| {
-            matches!(stamp.dep, Dep::Const)
-                || (stamp.contribution(new_value) - stamp.contribution(old_value)).is_finite()
-        });
-        if !all_finite {
-            self.rebuild_matrices(engine);
+        if !self.value_stamps[idx].is_active() {
             return;
         }
-        for stamp in &self.element_stamps[idx] {
-            if matches!(stamp.dep, Dep::Const) {
-                continue;
+        match (
+            engine.deviated.binary_search(&idx),
+            new_value == self.nominal[idx],
+        ) {
+            (Ok(pos), true) => {
+                engine.deviated.remove(pos);
             }
-            let delta = stamp.contribution(new_value) - stamp.contribution(old_value);
-            let slot = stamp.row as usize * n + stamp.col as usize;
-            match stamp.target {
-                Target::G => {
-                    engine.g[slot] += delta;
-                    for system in engine.systems.values_mut() {
-                        system.a[slot] += Complex::from_real(delta);
-                        system.lu.invalidate();
-                    }
-                }
-                Target::C => {
-                    engine.c[slot] += delta;
-                    for (&key, system) in engine.systems.iter_mut() {
-                        // s·Δ is purely imaginary; at DC (and for Δ so small
-                        // that ω·Δ underflows to zero) the cached system is
-                        // bit-identical, so keep its factorization warm.
-                        let imag = TAU * f64::from_bits(key) * delta;
-                        if imag != 0.0 {
-                            system.a[slot] += Complex::new(0.0, imag);
-                            system.lu.invalidate();
-                        }
-                    }
-                }
-            }
+            (Err(pos), false) => engine.deviated.insert(pos, idx),
+            _ => {}
         }
-    }
-
-    /// Re-stamps `G` and `C` from the pattern and the current values, and
-    /// drops the per-frequency cache.
-    fn rebuild_matrices(&self, engine: &mut Engine) {
-        engine.g.iter_mut().for_each(|x| *x = 0.0);
-        engine.c.iter_mut().for_each(|x| *x = 0.0);
-        let n = self.n;
-        for (stamps, &value) in self.element_stamps.iter().zip(engine.values.iter()) {
-            for stamp in stamps {
-                let slot = stamp.row as usize * n + stamp.col as usize;
-                match stamp.target {
-                    Target::G => engine.g[slot] += stamp.contribution(value),
-                    Target::C => engine.c[slot] += stamp.contribution(value),
-                }
-            }
-        }
-        engine.systems.clear();
     }
 
     /// Multiplies the scalar value of an element by `factor` (see
@@ -614,30 +627,26 @@ impl<'a> Mna<'a> {
         self.set_value(element, self.value(element) * factor);
     }
 
-    /// Restores every element to its nominal (circuit) value.  The matrices
-    /// are rebuilt from the stamp pattern, clearing any numerical drift
-    /// accumulated by long patch sequences, and the system cache is dropped.
+    /// Restores every element to its nominal (circuit) value.
     pub fn reset_values(&self) {
         let mut engine = self.engine.borrow_mut();
-        let engine = &mut *engine;
-        let (values, nominal) = (&mut engine.values, &engine.nominal);
-        values.copy_from_slice(nominal);
-        self.rebuild_matrices(engine);
+        engine.values.copy_from_slice(&self.nominal);
+        engine.deviated.clear();
     }
 
-    /// Counters for solves, assemblies, factorizations and patches since the
-    /// engine was built.
+    /// Counters for solves, assemblies, factorizations and low-rank updates
+    /// since the engine was built.
     pub fn solver_stats(&self) -> SolverStats {
         self.engine.borrow().stats
     }
 
-    /// Number of per-frequency systems currently cached.
+    /// Number of per-frequency factorizations currently cached.
     pub fn cached_system_count(&self) -> usize {
         self.engine.borrow().systems.len()
     }
 
-    /// Drops all cached per-frequency systems (bounding memory for very long
-    /// sweeps; they are rebuilt on demand).
+    /// Drops all cached per-frequency factorizations (they are rebuilt on
+    /// demand).
     pub fn clear_system_cache(&self) {
         self.engine.borrow_mut().systems.clear();
     }
@@ -676,11 +685,6 @@ impl<'a> Mna<'a> {
         magnitude: f64,
         freq_hz: f64,
     ) -> Result<Solution, AnalogError> {
-        if self.circuit.find_element(source).is_none() {
-            return Err(AnalogError::UnknownElement {
-                name: source.to_owned(),
-            });
-        }
         self.solve(
             freq_hz,
             &Drive::Single {
@@ -702,8 +706,12 @@ impl<'a> Mna<'a> {
         output: NodeId,
         freq_hz: f64,
     ) -> Result<Complex, AnalogError> {
-        let sol = self.solve_single_source(source, 1.0, freq_hz)?;
-        Ok(sol.voltage(output))
+        let id = self.source_id(source)?;
+        let engine = self.solve_into(freq_hz, ActiveDrive::Single(id, 1.0))?;
+        Ok(match output.index() {
+            0 => Complex::ZERO,
+            node => engine.rhs[node - 1],
+        })
     }
 
     /// Gain magnitude `|V(output) / stimulus|` at `freq_hz`.
@@ -715,102 +723,26 @@ impl<'a> Mna<'a> {
         Ok(self.transfer(source, output, freq_hz)?.abs())
     }
 
-    fn source_value(&self, id: ElementId, dc: f64, ac: f64, drive: &Drive) -> f64 {
-        match drive {
-            Drive::AllDc => dc,
-            Drive::AllAc => ac,
-            Drive::Single { source, magnitude } => {
-                if self.circuit.element(id).name == *source {
-                    *magnitude
-                } else {
-                    0.0
-                }
-            }
-        }
+    fn source_id(&self, source: &str) -> Result<ElementId, AnalogError> {
+        self.circuit
+            .find_element(source)
+            .ok_or_else(|| AnalogError::UnknownElement {
+                name: source.to_owned(),
+            })
     }
 
     fn solve(&self, freq_hz: f64, drive: &Drive) -> Result<Solution, AnalogError> {
-        let n = self.n;
-        if n == 0 {
-            return Ok(Solution {
-                voltages: vec![Complex::ZERO; 1],
-                branch_currents: HashMap::new(),
-            });
-        }
-        let mut engine = self.engine.borrow_mut();
-        let engine = &mut *engine;
-        engine.stats.solves += 1;
-
-        let key = freq_hz.to_bits();
-        engine.tick += 1;
-        let tick = engine.tick;
-        if !engine.systems.contains_key(&key) {
-            // Bound memory only when a genuinely new frequency arrives, and
-            // evict the least-recently-used system rather than clearing
-            // wholesale: a bisection search oscillating over a fine grid
-            // keeps its entire warm working set factored.
-            if engine.systems.len() >= MAX_CACHED_SYSTEMS {
-                let coldest = engine
-                    .systems
-                    .iter()
-                    .min_by_key(|(_, s)| s.last_used)
-                    .map(|(&k, _)| k)
-                    .expect("cache at capacity is non-empty");
-                engine.systems.remove(&coldest);
+        let drive = match drive {
+            Drive::AllDc => ActiveDrive::AllDc,
+            Drive::AllAc => ActiveDrive::AllAc,
+            Drive::Single { source, magnitude } => {
+                ActiveDrive::Single(self.source_id(source)?, *magnitude)
             }
-            engine.stats.assemblies += 1;
-            let omega = TAU * freq_hz;
-            let a = engine
-                .g
-                .iter()
-                .zip(&engine.c)
-                .map(|(&g, &c)| Complex::new(g, omega * c))
-                .collect();
-            engine.systems.insert(
-                key,
-                CachedSystem {
-                    a,
-                    lu: LuFactor::new(n),
-                    last_used: tick,
-                },
-            );
-        }
-        let system = engine
-            .systems
-            .get_mut(&key)
-            .expect("system was just inserted");
-        system.last_used = tick;
-        if !system.lu.is_factored() {
-            engine.stats.factorizations += 1;
-            system.lu.refactor_slice(&system.a)?;
-        }
-
-        // Right-hand side from the source pattern (reusing the buffer).
-        engine.rhs.iter_mut().for_each(|x| *x = Complex::ZERO);
-        for &(id, stamp, dc) in &self.rhs_stamps {
-            let ac = engine.values[id.index()];
-            let value = self.source_value(id, dc, ac, drive);
-            match stamp {
-                RhsStamp::Branch { row } => {
-                    engine.rhs[row as usize] = Complex::from_real(value);
-                }
-                RhsStamp::Nodal { plus, minus } => {
-                    if let Some(i) = plus {
-                        engine.rhs[i as usize] -= Complex::from_real(value);
-                    }
-                    if let Some(j) = minus {
-                        engine.rhs[j as usize] += Complex::from_real(value);
-                    }
-                }
-            }
-        }
-        system.lu.solve_in_place(&mut engine.rhs);
+        };
+        let engine = self.solve_into(freq_hz, drive)?;
         let x = &engine.rhs;
-
         let mut voltages = vec![Complex::ZERO; self.circuit.node_count()];
-        for node_idx in 1..self.circuit.node_count() {
-            voltages[node_idx] = x[node_idx - 1];
-        }
+        voltages[1..].copy_from_slice(&x[..self.n_nodes]);
         let branch_currents = self
             .branch_elements
             .iter()
@@ -821,6 +753,150 @@ impl<'a> Mna<'a> {
             voltages,
             branch_currents,
         })
+    }
+
+    /// Solves the current (possibly deviated) system at `freq_hz`, leaving
+    /// the solution in the returned engine's `rhs` buffer.
+    fn solve_into(
+        &self,
+        freq_hz: f64,
+        drive: ActiveDrive,
+    ) -> Result<RefMut<'_, Engine>, AnalogError> {
+        let n = self.n;
+        let mut guard = self.engine.borrow_mut();
+        if n == 0 {
+            return Ok(guard);
+        }
+        let engine = &mut *guard;
+        engine.stats.solves += 1;
+        let omega = TAU * freq_hz;
+        let (slot, claimed) = engine.systems.claim(freq_hz.to_bits(), n);
+        let lu = &mut engine.systems.slots[slot].lu;
+        if claimed || !lu.is_factored() {
+            engine.stats.assemblies += 1;
+            engine.stats.factorizations += 1;
+            lu.refactor_with(|a| {
+                for ((a, &g), &c) in a.iter_mut().zip(&self.g).zip(&self.c) {
+                    *a = Complex::new(g, omega * c);
+                }
+            })?;
+        }
+
+        // Right-hand side from the source pattern (reusing the buffer).
+        let rhs = &mut engine.rhs;
+        rhs.fill(Complex::ZERO);
+        for &(id, stamp, dc) in &self.rhs_stamps {
+            let value = match drive {
+                ActiveDrive::AllDc => dc,
+                ActiveDrive::AllAc => engine.values[id.index()],
+                ActiveDrive::Single(source, magnitude) if source == id => magnitude,
+                ActiveDrive::Single(..) => 0.0,
+            };
+            match stamp {
+                RhsStamp::Branch { row } => {
+                    rhs[row as usize] = Complex::from_real(value);
+                }
+                RhsStamp::Nodal { plus, minus } => {
+                    if let Some(i) = plus {
+                        rhs[i as usize] -= Complex::from_real(value);
+                    }
+                    if let Some(j) = minus {
+                        rhs[j as usize] += Complex::from_real(value);
+                    }
+                }
+            }
+        }
+        lu.solve_in_place(rhs);
+        if !engine.deviated.is_empty() {
+            self.apply_update(engine, slot, omega)?;
+        }
+        Ok(guard)
+    }
+
+    /// Turns the nominal solution `x₀` in `engine.rhs` into the solution of
+    /// the deviated system (Sherman–Morrison–Woodbury, see the
+    /// [module docs](self)).
+    fn apply_update(
+        &self,
+        engine: &mut Engine,
+        slot: usize,
+        omega: f64,
+    ) -> Result<(), AnalogError> {
+        let n = self.n;
+        let Engine {
+            values,
+            deviated,
+            systems,
+            rhs: x,
+            scratch,
+            stats,
+        } = engine;
+        let lu = &systems.slots[slot].lu;
+        let stamp = |e: usize| &self.value_stamps[e];
+        // A non-finite or failed update reports the row the element's
+        // stamp lands on, where a direct elimination would have failed.
+        let singular = |e: usize| AnalogError::SingularMatrix {
+            pivot: stamp(e).p[0].0 as usize,
+        };
+        scratch.terms.clear();
+        for &e in deviated.iter() {
+            let s = stamp(e);
+            let ds = s.scale(values[e]) - s.scale(self.nominal[e]);
+            let delta = match s.target {
+                Target::G => Complex::from_real(ds),
+                Target::C => Complex::new(0.0, omega * ds),
+            };
+            if !delta.is_finite() {
+                return Err(singular(e));
+            }
+            // A `C` deviation vanishes at DC.
+            if delta != Complex::ZERO {
+                scratch.terms.push((e, delta));
+            }
+        }
+        let k = scratch.terms.len();
+        if k == 0 {
+            return Ok(());
+        }
+        stats.updates += 1;
+        scratch.z.resize(k * n, Complex::ZERO);
+        scratch.capacitance.resize(k * k, Complex::ZERO);
+        scratch.weights.resize(k, Complex::ZERO);
+        for (z, &(e, _)) in scratch.z.chunks_exact_mut(n).zip(&scratch.terms) {
+            z.fill(Complex::ZERO);
+            for &(i, pi) in &stamp(e).p {
+                z[i as usize] = Complex::from_real(pi);
+            }
+            lu.solve_in_place(z);
+        }
+        for (l, &(e, delta)) in scratch.terms.iter().enumerate() {
+            let s = stamp(e);
+            scratch.weights[l] = delta * s.q_dot(x);
+            for (m, z) in scratch.z.chunks_exact(n).enumerate() {
+                let identity = if l == m { Complex::ONE } else { Complex::ZERO };
+                scratch.capacitance[l * k + m] = identity + delta * s.q_dot(z);
+            }
+        }
+        if scratch.capacitance_lu.dim() != k {
+            scratch.capacitance_lu = LuFactor::new(k);
+        }
+        if let Err(AnalogError::SingularMatrix { pivot }) =
+            scratch.capacitance_lu.refactor_slice(&scratch.capacitance)
+        {
+            return Err(singular(scratch.terms[pivot].0));
+        }
+        scratch.capacitance_lu.solve_in_place(&mut scratch.weights);
+        for (&(e, _), w) in scratch.terms.iter().zip(&scratch.weights) {
+            if !w.is_finite() {
+                return Err(singular(e));
+            }
+        }
+        for (z, &w) in scratch.z.chunks_exact(n).zip(&scratch.weights) {
+            for (xi, &zi) in x.iter_mut().zip(z) {
+                *xi -= zi * w;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1055,6 +1131,30 @@ mod tests {
         shifted.scale_value(cap, 10.0);
         let reference = Mna::new(&shifted).gain("Vin", vout, 1000.0).unwrap();
         assert!((g_patched - reference).abs() < 1e-12);
+    }
+
+    #[test]
+    fn deviated_solves_reuse_the_nominal_factorization() {
+        let (c, vout) = rc_lowpass();
+        let r = c.find_element("R").unwrap();
+        let cap = c.find_element("C").unwrap();
+        let mna = Mna::new(&c);
+        let _ = mna.gain("Vin", vout, 1000.0).unwrap();
+        let _ = mna.gain("Vin", vout, 0.0).unwrap();
+        let warm = mna.solver_stats();
+        mna.scale_value(r, 3.0);
+        mna.scale_value(cap, 0.5);
+        let _ = mna.gain("Vin", vout, 1000.0).unwrap();
+        // At DC only the resistor deviation enters the matrix.
+        let _ = mna.gain("Vin", vout, 0.0).unwrap();
+        let stats = mna.solver_stats();
+        assert_eq!(stats.factorizations, warm.factorizations);
+        assert_eq!(stats.assemblies, warm.assemblies);
+        assert_eq!(stats.updates, warm.updates + 2);
+        // Back at nominal, solves take the plain path again.
+        mna.reset_values();
+        let _ = mna.gain("Vin", vout, 1000.0).unwrap();
+        assert_eq!(mna.solver_stats().updates, stats.updates);
     }
 
     #[test]

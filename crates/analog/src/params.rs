@@ -89,7 +89,7 @@ pub fn measure(circuit: &Circuit, spec: &ParameterSpec) -> Result<f64, AnalogErr
     measure_with_mna(&mna, spec)
 }
 
-/// Measures a parameter through an existing (possibly patched) MNA engine,
+/// Measures a parameter through an existing (possibly deviated) MNA engine,
 /// reusing its stamp pattern and cached per-frequency factorizations.  This
 /// is the hot path of the deviation analysis, which measures the same
 /// parameters thousands of times under different element values.

@@ -67,7 +67,7 @@ impl FrequencyResponse {
         Self::sweep_with_mna(&mna, source, output, config)
     }
 
-    /// Samples the response using an existing (possibly patched) MNA engine,
+    /// Samples the response using an existing (possibly deviated) MNA engine,
     /// reusing its stamp pattern, per-frequency systems and factorizations.
     ///
     /// # Errors
@@ -227,8 +227,8 @@ impl FrequencyResponse {
 }
 
 /// The MNA engine an analyzer works on: its own, or one shared with other
-/// analyzers / a deviation analysis (so cached systems and value patches are
-/// shared too).
+/// analyzers / a deviation analysis (so cached factorizations and deviated
+/// element values are shared too).
 enum MnaHandle<'a> {
     Owned(Box<Mna<'a>>),
     Shared(&'a Mna<'a>),
@@ -256,8 +256,8 @@ impl<'a> ResponseAnalyzer<'a> {
     }
 
     /// Creates an analyzer on a shared MNA engine.  All of the engine's
-    /// cached per-frequency systems — and any value patches applied through
-    /// [`Mna::set_value`] — are visible to the analyzer, which is how the
+    /// cached per-frequency factorizations — and any element values set
+    /// through [`Mna::set_value`] — are visible to the analyzer, which is how the
     /// deviation analysis measures parameters of a perturbed circuit without
     /// rebuilding anything.
     pub fn from_mna(mna: &'a Mna<'a>, source: &str, output: NodeId) -> Self {
@@ -411,16 +411,19 @@ impl<'a> ResponseAnalyzer<'a> {
         let (mut a, mut b) = bracket.ok_or(AnalogError::ParameterNotFound {
             what: "-3 dB crossing".to_owned(),
         })?;
+        // Up to 80 bisection steps, stopping early once the bracket no
+        // longer changes at f64 resolution (every later step would re-solve
+        // the same midpoint).
         for _ in 0..80 {
             let mid = (a.ln() + b.ln()) / 2.0;
             let f = mid.exp();
             let g = self.gain_at(f)?;
             let below = g < threshold;
-            if rising == below {
-                a = f;
-            } else {
-                b = f;
+            let next = if rising == below { (f, b) } else { (a, f) };
+            if next == (a, b) {
+                break;
             }
+            (a, b) = next;
         }
         Ok((a * b).sqrt())
     }

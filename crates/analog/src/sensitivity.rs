@@ -7,14 +7,45 @@
 //! other (fault-free) elements are allowed to sit anywhere inside their own
 //! tolerance, partially masking the fault, exactly as the paper's
 //! "worst element tolerance" computation.
+//!
+//! ## Threshold search
+//!
+//! Each *(parameter, element)* row searches both deviation directions.
+//! Each direction first brackets its threshold: deviations
+//! `1 %, 1.6 %, 2.56 %, …` up to the search cap (−99.9 % downwards) are
+//! probed until one leaves the box.  The row reports the larger of the two
+//! directional thresholds, so a direction is refined only while its
+//! bracket can still decide that maximum.  Refinement is a safeguarded
+//! Illinois (modified regula falsi) iteration on `effect(d) − threshold`.
+//! It keeps a bracket `(a, b]` with `a` inside the box and `b` outside.  A
+//! step takes the secant point of the bracket ends, halving the retained
+//! end's value when the same end is kept twice in a row.  It bisects
+//! instead when the secant point is not strictly inside the bracket or
+//! when two steps in a row failed to halve the bracket.  It stops once
+//! `b − a ≤ 10⁻¹⁰·b` ([`THRESHOLD_RELATIVE_TOLERANCE`], far below the
+//! 0.1 % the tables print) and keeps `b`, a deviation on the detecting
+//! side.  The row reports the larger `b` times `1 + 10⁻¹⁰`.  That
+//! one-tolerance guard band keeps the verdict at the reported deviation
+//! clear of round-off: the iteration can end with `b` within 10⁻¹⁶ of the
+//! crossing, where a differently factored solve of the same circuit may
+//! land on either side.
 
 use msatpg_exec::{ExecPolicy, WorkerPool};
 
 use crate::mna::Mna;
 use crate::netlist::{Circuit, ElementId};
-use crate::params::{measure_with_mna, ParameterSpec};
+use crate::params::{measure, measure_with_mna, ParameterSpec};
 use crate::tolerance::{relative_deviation, Tolerance};
 use crate::AnalogError;
+
+/// Relative width at which the threshold refinement stops: the refined
+/// bracket `(a, b]` satisfies `b − a ≤ 10⁻¹⁰·b`, with `a` inside the box
+/// and `b` outside; the reported deviation is `b·(1 + 10⁻¹⁰)`.
+pub const THRESHOLD_RELATIVE_TOLERANCE: f64 = 1e-10;
+
+/// Relative gap below which [`DeviationReport::ranked_rows`] treats two
+/// detectable deviations as the same threshold.
+pub const RANKING_TIE_TOLERANCE: f64 = 1e-6;
 
 /// Normalized sensitivity `S = (∂T/T) / (∂x/x)` of a parameter with respect
 /// to an element value, estimated by central finite differences.
@@ -33,7 +64,7 @@ pub fn normalized_sensitivity(
 }
 
 /// Like [`normalized_sensitivity`], but probes an existing MNA engine by
-/// patching the element value up and down instead of cloning and re-stamping
+/// setting the element value up and down instead of cloning and re-stamping
 /// the circuit twice.  The engine is restored to its current value on
 /// return.
 ///
@@ -106,6 +137,36 @@ impl DeviationReport {
             .iter()
             .find(|r| r.parameter == parameter && r.element == element)
             .and_then(|r| r.detectable_deviation)
+    }
+
+    /// The rows whose parameter detects `element`, most sensitive first
+    /// (smallest detectable deviation).  Deviations within
+    /// [`RANKING_TIE_TOLERANCE`] of the smallest one of their group count as
+    /// the same threshold and keep parameter order, so numerical noise
+    /// never decides which parameter ranks first.
+    pub fn ranked_rows(&self, element: &str) -> Vec<&DeviationRow> {
+        let mut ranked: Vec<(usize, f64)> = self
+            .rows
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.element == element)
+            .filter_map(|(i, r)| r.detectable_deviation.map(|d| (i, d)))
+            .collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        // Rows are stored in parameter order, so within a tied group the
+        // row index is the parameter order.
+        let mut rest = &mut ranked[..];
+        while let Some(&(_, least)) = rest.first() {
+            let tied = rest
+                .iter()
+                .take_while(|&&(_, d)| d - least <= RANKING_TIE_TOLERANCE * least.abs())
+                .count()
+                .max(1);
+            let (group, tail) = rest.split_at_mut(tied);
+            group.sort_by_key(|&(i, _)| i);
+            rest = tail;
+        }
+        ranked.iter().map(|&(i, _)| &self.rows[i]).collect()
     }
 
     /// The element coverage: for each element, the minimum detectable
@@ -199,10 +260,11 @@ impl<'a> WorstCaseAnalysis<'a> {
     }
 
     /// Sets the execution policy: deviation rows are independent, so they
-    /// are distributed over the worker pool.  Each unit of work probes its
-    /// own freshly stamped MNA engine, which makes the report a pure
-    /// function of the inputs — `Threads(n)` output is byte-identical to
-    /// `Serial` for every `n` (asserted by the determinism suite).
+    /// are distributed over the worker pool.  An MNA engine's answers depend
+    /// only on the element values it currently holds, so every row is a
+    /// pure function of the inputs whichever worker's engine probes it —
+    /// `Threads(n)` output is byte-identical to `Serial` for every `n`
+    /// (asserted by the determinism suite).
     pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = policy;
         self
@@ -242,22 +304,24 @@ impl<'a> WorstCaseAnalysis<'a> {
 
     /// Runs the analysis.
     ///
-    /// Each unit of work — one element's sensitivity, one element's
-    /// threshold search — probes its own freshly stamped MNA engine
-    /// ([`Mna::new`] is one linear pass; the thousands of solves a row
-    /// performs dwarf it), patching the faulty element's value and reusing
-    /// the engine's per-frequency factorization cache across the bracketing
-    /// and bisection probes.  Rows are independent, so they run on the
-    /// worker pool under the configured [`ExecPolicy`] and are merged back
-    /// in `(parameter, element)` order; because every unit starts from a
-    /// fresh engine the report does not depend on the policy or on the
-    /// scheduling order.  The worst-case masking sensitivities are computed
-    /// once per parameter and shared across all faulty-element rows.
+    /// The parameters' nominal values are measured first.  Then every
+    /// *(parameter, element)* pair gets its masking sensitivity (worst-case
+    /// mode only) and, in a second pass, its row's threshold search (see the
+    /// [module docs](self)).  Both passes run on the worker pool under the
+    /// configured [`ExecPolicy`], one pair per work unit, with one MNA
+    /// engine per worker.  That engine serves every pair the worker claims,
+    /// so its cached nominal factorizations are shared by all rows and
+    /// parameters.  An engine's answers depend only on the element values it
+    /// currently holds, so the report does not depend on the policy or on
+    /// the scheduling order.  Results merge back in `(parameter, element)`
+    /// order.
     ///
     /// # Errors
     ///
     /// Propagates measurement errors (singular matrices, unknown nodes,
-    /// missing response features).
+    /// missing response features): the first failing nominal measurement,
+    /// else the first failing sensitivity, else the first failing row, in
+    /// `(parameter, element)` order.
     pub fn run(&self) -> Result<DeviationReport, AnalogError> {
         self.run_on(&WorkerPool::new(self.policy))
     }
@@ -268,8 +332,7 @@ impl<'a> WorstCaseAnalysis<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates measurement errors (singular matrices, unknown nodes,
-    /// missing response features).
+    /// Same conditions as [`WorstCaseAnalysis::run`].
     pub fn run_on(&self, pool: &WorkerPool) -> Result<DeviationReport, AnalogError> {
         let elements = match &self.elements {
             Some(e) => e.clone(),
@@ -279,72 +342,44 @@ impl<'a> WorstCaseAnalysis<'a> {
             .iter()
             .map(|&id| (id, self.circuit.element(id).name.clone()))
             .collect();
-        let mut rows = Vec::new();
-        for spec in self.parameters {
-            let nominal = measure_with_mna(&Mna::new(self.circuit), spec)?;
-            // First-order masking margins contributed by fault-free
-            // elements: Σ_{j≠faulty} |S_j| · tol_element.  The sensitivities
-            // depend only on (parameter, element), so compute each once and
-            // derive every row's margin from the shared total.
-            let sensitivities: Vec<f64> = if self.worst_case && nominal != 0.0 {
-                let per_element = pool.run_chunks(
-                    &elements,
-                    1,
-                    || (),
-                    |(), _, _, chunk| {
-                        let mna = Mna::new(self.circuit);
-                        chunk
-                            .iter()
-                            .map(|&e| normalized_sensitivity_with_mna(&mna, spec, e, 0.01))
-                            .collect::<Result<Vec<f64>, AnalogError>>()
-                    },
-                );
-                let mut flat = Vec::with_capacity(elements.len());
-                for chunk in per_element {
-                    flat.extend(chunk?);
+        let nominals = self
+            .parameters
+            .iter()
+            .map(|spec| measure(self.circuit, spec))
+            .collect::<Result<Vec<f64>, AnalogError>>()?;
+        let pairs: Vec<(usize, usize)> = (0..self.parameters.len())
+            .flat_map(|p| (0..elements.len()).map(move |e| (p, e)))
+            .collect();
+        // First-order masking margins contributed by fault-free elements:
+        // Σ_{j≠faulty} |S_j| · tol_element.  The sensitivities depend only
+        // on (parameter, element), so compute each once and derive every
+        // row's margin from the parameter's shared total.
+        let sensitivities = if self.worst_case {
+            self.per_pair(pool, &pairs, |mna, p, e| {
+                if nominals[p] == 0.0 {
+                    return Ok(0.0);
                 }
-                flat
-            } else {
-                vec![0.0; elements.len()]
-            };
-            let total_abs: f64 = sensitivities.iter().map(|s| s.abs()).sum();
-            // Chunk size 1 (fresh engine per element) is deliberate, not an
-            // oversight: value patches update the stamped matrices by
-            // *delta* (`g += Δ`, restored by the inverse delta), which is
-            // not bit-exact, so an engine shared across rows accumulates
-            // history-dependent last-ulp drift.  A per-worker engine would
-            // therefore make the report depend on which rows a worker
-            // happened to claim — breaking the byte-identity guarantee.
-            // The per-row engine build is one linear stamping pass, dwarfed
-            // by the row's bracketing/bisection solves.
-            let row_chunks = pool.run_chunks(
-                &elements,
-                1,
-                || (),
-                |(), _, offset, chunk| {
-                    let mna = Mna::new(self.circuit);
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &element)| {
-                            let mask = (total_abs - sensitivities[offset + k].abs())
-                                * self.element_tolerance.fraction();
-                            let detectable = self
-                                .minimum_detectable_deviation(&mna, spec, element, nominal, mask)?;
-                            Ok(DeviationRow {
-                                parameter: spec.name.clone(),
-                                element: self.circuit.element(element).name.clone(),
-                                element_id: element,
-                                detectable_deviation: detectable,
-                            })
-                        })
-                        .collect::<Result<Vec<DeviationRow>, AnalogError>>()
-                },
-            );
-            for chunk in row_chunks {
-                rows.extend(chunk?);
-            }
-        }
+                normalized_sensitivity_with_mna(mna, &self.parameters[p], elements[e], 0.01)
+            })?
+        } else {
+            vec![0.0; pairs.len()]
+        };
+        let sensitivity = |p: usize, e: usize| sensitivities[p * elements.len() + e].abs();
+        let totals: Vec<f64> = (0..self.parameters.len())
+            .map(|p| (0..elements.len()).map(|e| sensitivity(p, e)).sum())
+            .collect();
+        let rows = self.per_pair(pool, &pairs, |mna, p, e| {
+            let spec = &self.parameters[p];
+            let mask = (totals[p] - sensitivity(p, e)) * self.element_tolerance.fraction();
+            let detectable =
+                self.minimum_detectable_deviation(mna, spec, elements[e], nominals[p], mask)?;
+            Ok(DeviationRow {
+                parameter: spec.name.clone(),
+                element: element_names[e].1.clone(),
+                element_id: elements[e],
+                detectable_deviation: detectable,
+            })
+        })?;
         Ok(DeviationReport {
             rows,
             parameters: self.parameters.iter().map(|p| p.name.clone()).collect(),
@@ -352,11 +387,39 @@ impl<'a> WorstCaseAnalysis<'a> {
         })
     }
 
+    /// Evaluates `f(engine, parameter, element)` for every pair on the pool,
+    /// one pair per work unit and one MNA engine per worker, and returns the
+    /// results in pair order (or the first error in that order).
+    fn per_pair<R: Send>(
+        &self,
+        pool: &WorkerPool,
+        pairs: &[(usize, usize)],
+        f: impl Fn(&Mna<'_>, usize, usize) -> Result<R, AnalogError> + Sync,
+    ) -> Result<Vec<R>, AnalogError> {
+        let chunks = pool.run_chunks(
+            pairs,
+            1,
+            || Mna::new(self.circuit),
+            |mna, _, _, chunk| {
+                chunk
+                    .iter()
+                    .map(|&(p, e)| f(mna, p, e))
+                    .collect::<Result<Vec<R>, AnalogError>>()
+            },
+        );
+        let mut out = Vec::with_capacity(pairs.len());
+        for chunk in chunks {
+            out.extend(chunk?);
+        }
+        Ok(out)
+    }
+
     /// Finds the smallest deviation (searched in both directions) whose
     /// effect on the parameter exceeds `tolerance + mask`.  Returns the
     /// *larger* of the two directional thresholds so that any deviation of
     /// that magnitude is detectable regardless of sign; `None` when either
-    /// direction stays inside the box up to the cap.
+    /// direction stays inside the box up to the cap.  Only the brackets
+    /// that can decide the maximum are refined.
     fn minimum_detectable_deviation(
         &self,
         mna: &Mna<'_>,
@@ -366,64 +429,132 @@ impl<'a> WorstCaseAnalysis<'a> {
         mask: f64,
     ) -> Result<Option<f64>, AnalogError> {
         let threshold = self.parameter_tolerance.fraction() + mask;
-        let up = self.directional_threshold(mna, spec, element, nominal, threshold, 1.0)?;
-        let down = self.directional_threshold(mna, spec, element, nominal, threshold, -1.0)?;
-        Ok(match (up, down) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        })
-    }
-
-    fn directional_threshold(
-        &self,
-        mna: &Mna<'_>,
-        spec: &ParameterSpec,
-        element: ElementId,
-        nominal: f64,
-        threshold: f64,
-        sign: f64,
-    ) -> Result<Option<f64>, AnalogError> {
         let base = mna.value(element);
-        let effect = |deviation: f64| -> Result<f64, AnalogError> {
-            mna.set_value(element, base * (1.0 + sign * deviation));
+        // How far the parameter lands outside the box (> 0: detected) under
+        // a signed relative deviation of the element.
+        let excess = |deviation: f64| -> Result<f64, AnalogError> {
+            mna.set_value(element, base * (1.0 + deviation));
             let value = measure_with_mna(mna, spec);
             mna.set_value(element, base);
-            Ok(relative_deviation(value?, nominal).abs())
+            Ok(relative_deviation(value?, nominal).abs() - threshold)
         };
-        // Exponential bracketing.
-        let mut lo = 0.0f64;
+        let Some(up) = self.bracket(&excess, 1.0, threshold)? else {
+            return Ok(None);
+        };
+        let Some(down) = self.bracket(&excess, -1.0, threshold)? else {
+            return Ok(None);
+        };
+        let (first, second) = if down.hi > up.hi {
+            (down, up)
+        } else {
+            (up, down)
+        };
+        let mut t = refine(&excess, first)?;
+        // The second threshold lies in (lo, hi]: only a bracket reaching
+        // past `t` can raise the maximum.
+        if second.hi > t {
+            t = t.max(refine(&excess, second)?);
+        }
+        // One tolerance of guard band (see the module docs).
+        Ok(Some(t * (1.0 + THRESHOLD_RELATIVE_TOLERANCE)))
+    }
+
+    /// Exponential bracketing of one direction's threshold: probes
+    /// deviations `1 %, 1.6 %, 2.56 %, …` up to the search cap and returns
+    /// the first step that leaves the box, or `None` if none does.
+    fn bracket(
+        &self,
+        excess: &impl Fn(f64) -> Result<f64, AnalogError>,
+        sign: f64,
+        threshold: f64,
+    ) -> Result<Option<Bracket>, AnalogError> {
+        // The undeviated element sits exactly on the nominal value.
+        let (mut lo, mut excess_lo) = (0.0f64, -threshold);
         let mut hi = 0.01f64;
-        let mut found = false;
         while hi <= self.max_deviation {
             // Negative deviations cannot exceed -100 % (element value would
             // go non-positive); clamp the search there.
-            if sign < 0.0 && hi >= 0.999 {
+            let last = sign < 0.0 && hi >= 0.999;
+            if last {
                 hi = 0.999;
             }
-            if effect(hi)? > threshold {
-                found = true;
+            let excess_hi = excess(sign * hi)?;
+            if excess_hi > 0.0 {
+                return Ok(Some(Bracket {
+                    sign,
+                    lo,
+                    excess_lo,
+                    hi,
+                    excess_hi,
+                }));
+            }
+            if last {
                 break;
             }
-            if sign < 0.0 && hi >= 0.999 {
-                break;
-            }
-            lo = hi;
+            (lo, excess_lo) = (hi, excess_hi);
             hi *= 1.6;
         }
-        if !found {
-            return Ok(None);
-        }
-        // Bisection refinement.
-        for _ in 0..50 {
-            let mid = 0.5 * (lo + hi);
-            if effect(mid)? > threshold {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Ok(Some(hi))
+        Ok(None)
     }
+}
+
+/// One direction's threshold bracket `(lo, hi]` (deviation magnitudes):
+/// `lo` stays inside the box, `hi` leaves it; `excess_*` are the measured
+/// excesses over the box at the two ends.
+#[derive(Clone, Copy, Debug)]
+struct Bracket {
+    sign: f64,
+    lo: f64,
+    excess_lo: f64,
+    hi: f64,
+    excess_hi: f64,
+}
+
+/// Safeguarded Illinois refinement of a bracket down to
+/// [`THRESHOLD_RELATIVE_TOLERANCE`]; returns the detecting end `b`.
+fn refine(
+    excess: &impl Fn(f64) -> Result<f64, AnalogError>,
+    bracket: Bracket,
+) -> Result<f64, AnalogError> {
+    let Bracket {
+        sign,
+        lo: mut a,
+        excess_lo: mut fa,
+        hi: mut b,
+        excess_hi: mut fb,
+    } = bracket;
+    // Which end the previous step replaced (+1: `b`, −1: `a`, 0: none).
+    let mut replaced = 0i8;
+    // Steps since the bracket last halved, and its width then.
+    let (mut stalled, mut halved_width) = (0u32, b - a);
+    while b - a > THRESHOLD_RELATIVE_TOLERANCE * b {
+        let secant = b - fb * (b - a) / (fb - fa);
+        let c = if stalled < 2 && secant > a && secant < b {
+            secant
+        } else {
+            0.5 * (a + b)
+        };
+        let fc = excess(sign * c)?;
+        if fc > 0.0 {
+            (b, fb) = (c, fc);
+            if replaced == 1 {
+                fa *= 0.5;
+            }
+            replaced = 1;
+        } else {
+            (a, fa) = (c, fc);
+            if replaced == -1 {
+                fb *= 0.5;
+            }
+            replaced = -1;
+        }
+        if b - a <= 0.5 * halved_width {
+            (stalled, halved_width) = (0, b - a);
+        } else {
+            stalled += 1;
+        }
+    }
+    Ok(b)
 }
 
 #[cfg(test)]
@@ -534,6 +665,36 @@ mod tests {
             assert_eq!(parallel.parameters(), reference.parameters());
             assert_eq!(parallel.elements(), reference.elements());
         }
+    }
+
+    #[test]
+    fn ranking_breaks_near_ties_by_parameter_order() {
+        let element = ElementId(0);
+        let row = |parameter: &str, d: Option<f64>| DeviationRow {
+            parameter: parameter.to_owned(),
+            element: "R1".to_owned(),
+            element_id: element,
+            detectable_deviation: d,
+        };
+        let report = DeviationReport {
+            rows: vec![
+                row("A", Some(0.2)),
+                row("B", Some(0.1 + 1e-15)),
+                row("C", None),
+                row("D", Some(0.1)),
+                row("E", Some(0.1 * (1.0 + 1e-3))),
+                row("F", Some(0.1 * (1.0 + 5e-7))),
+            ],
+            parameters: ["A", "B", "C", "D", "E", "F"].map(String::from).to_vec(),
+            elements: vec![(element, "R1".to_owned())],
+        };
+        let ranked: Vec<&str> = report
+            .ranked_rows("R1")
+            .iter()
+            .map(|r| r.parameter.as_str())
+            .collect();
+        assert_eq!(ranked, ["B", "D", "F", "E", "A"]);
+        assert!(report.ranked_rows("R2").is_empty());
     }
 
     #[test]

@@ -45,13 +45,9 @@ fn main() {
     for (_, element) in report.elements() {
         let best = graph.best_deviation(element);
         let best_parameter = report
-            .rows()
-            .iter()
-            .filter(|r| &r.element == element)
-            .filter_map(|r| r.detectable_deviation.map(|d| (r.parameter.clone(), d)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(p, _)| p)
-            .unwrap_or_else(|| "-".to_owned());
+            .ranked_rows(element)
+            .first()
+            .map_or_else(|| "-".to_owned(), |row| row.parameter.clone());
         let entry = analog_tests.iter().find(|e| &e.element == element);
         let (case2, status) = match entry {
             Some(e) if e.outcome.is_tested() => (best, "tested"),

@@ -328,20 +328,14 @@ impl MixedSignalAtpg {
             // Rank the parameters for this element by detectable deviation
             // (the paper tests "the parameter that is the most sensitive to a
             // deviation in the element" first).
-            let mut ranked: Vec<(String, f64)> = deviations
-                .rows()
-                .iter()
-                .filter(|r| &r.element == element_name)
-                .filter_map(|r| r.detectable_deviation.map(|d| (r.parameter.clone(), d)))
-                .collect();
-            ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            let ranking: Vec<_> = ranked
-                .iter()
-                .filter_map(|(name, _)| {
+            let ranking: Vec<_> = deviations
+                .ranked_rows(element_name)
+                .into_iter()
+                .filter_map(|row| {
                     analog
                         .parameters()
                         .iter()
-                        .find(|p| &p.name == name)
+                        .find(|p| p.name == row.parameter)
                         .cloned()
                 })
                 .collect();

@@ -53,6 +53,13 @@ for triple in 1:8:never 8:1:until-convergence; do
         cargo run -q --release --example checkpoint_resume
 done
 
+echo "==> paper tables (release) against the committed goldens in crates/bench/expected/"
+for bin in table_example1 table3_chebyshev table8_state_variable; do
+    echo "    ${bin}"
+    cargo run -q --release -p msatpg-bench --bin "${bin}" \
+        | diff -u "crates/bench/expected/${bin}.txt" -
+done
+
 echo "==> perf-regression smoke (bench_kernels --check)"
 cargo run --release -p msatpg-bench --bin bench_kernels -- --check
 

@@ -634,6 +634,279 @@ fn patched_mna_matches_rebuilt_circuit() {
     }
 }
 
+/// A random linear circuit: its non-ground nodes and its deviable elements,
+/// one of each kind first (`[R, C, L, VCVS, op-amp, …]`).
+struct RandomAnalogCircuit {
+    circuit: msatpg::analog::netlist::Circuit,
+    nodes: Vec<msatpg::analog::netlist::NodeId>,
+    deviable: Vec<msatpg::analog::netlist::ElementId>,
+}
+
+/// A random circuit driven by `Vin` at node `n1`: a resistor tree over
+/// `n1..nK` with random loads and capacitors, one inductor to ground, a
+/// VCVS buffer and a finite-gain inverting op-amp stage feeding back into
+/// the tree.
+fn random_analog_circuit(rng: &mut SplitMix64) -> RandomAnalogCircuit {
+    use msatpg::analog::netlist::{Circuit, OpAmpModel};
+    let mut c = Circuit::new();
+    let value = |rng: &mut SplitMix64, base: f64| base * (0.2 + 5.0 * rng.f64());
+    let nodes: Vec<_> = (1..=3 + rng.below(4))
+        .map(|i| c.node(&format!("n{i}")))
+        .collect();
+    c.voltage_source("Vin", nodes[0], Circuit::GROUND, 1.0, 1.0);
+    let mut resistors = Vec::new();
+    let mut capacitors = Vec::new();
+    for i in 1..nodes.len() {
+        let parent = nodes[rng.below(i)];
+        resistors.push(c.resistor(&format!("Rt{i}"), parent, nodes[i], value(rng, 1.0e3)));
+        if rng.below(2) == 0 {
+            let load = value(rng, 10.0e3);
+            resistors.push(c.resistor(&format!("Rl{i}"), nodes[i], Circuit::GROUND, load));
+        }
+        let other = match rng.below(nodes.len()) {
+            j if j == i => Circuit::GROUND,
+            j => nodes[j],
+        };
+        capacitors.push(c.capacitor(&format!("C{i}"), nodes[i], other, value(rng, 10.0e-9)));
+    }
+    // The inductor never touches `n1`, which would short the source at DC.
+    let tap = nodes[1 + rng.below(nodes.len() - 1)];
+    let inductor = c.inductor("L1", tap, Circuit::GROUND, value(rng, 0.1));
+    let buffered = c.node("e_out");
+    let vcvs = c.vcvs(
+        "E1",
+        buffered,
+        Circuit::GROUND,
+        nodes[rng.below(nodes.len())],
+        Circuit::GROUND,
+        value(rng, 1.0),
+    );
+    let feedback = nodes[1 + rng.below(nodes.len() - 1)];
+    resistors.push(c.resistor("Re", buffered, feedback, value(rng, 10.0e3)));
+    let minus = c.node("a_minus");
+    let out = c.node("a_out");
+    resistors.push(c.resistor(
+        "Rin",
+        nodes[rng.below(nodes.len())],
+        minus,
+        value(rng, 1.0e3),
+    ));
+    resistors.push(c.resistor("Rf", minus, out, value(rng, 10.0e3)));
+    resistors.push(c.resistor("Rb", out, feedback, value(rng, 10.0e3)));
+    let opamp = c.opamp(
+        "A1",
+        Circuit::GROUND,
+        minus,
+        out,
+        OpAmpModel::FiniteGain {
+            a0: value(rng, 1.0e5),
+            pole_hz: value(rng, 10.0),
+        },
+    );
+    let mut deviable = vec![resistors[0], capacitors[0], inductor, vcvs, opamp];
+    deviable.extend(&resistors[1..]);
+    deviable.extend(&capacitors[1..]);
+    let mut all_nodes = nodes;
+    all_nodes.extend([buffered, minus, out]);
+    RandomAnalogCircuit {
+        circuit: c,
+        nodes: all_nodes,
+        deviable,
+    }
+}
+
+/// The transfer from `Vin` to every node at `freq`.
+fn node_transfers(
+    mna: &msatpg::analog::mna::Mna<'_>,
+    nodes: &[msatpg::analog::netlist::NodeId],
+    freq: f64,
+) -> Result<Vec<msatpg::analog::Complex>, msatpg::analog::AnalogError> {
+    nodes
+        .iter()
+        .map(|&node| mna.transfer("Vin", node, freq))
+        .collect()
+}
+
+/// Frequencies the low-rank properties probe, DC included.
+const PROBE_FREQUENCIES: [f64; 5] = [0.0, 1.0, 159.0, 1.0e4, 1.0e6];
+
+/// A deviated solve — a Sherman–Morrison(–Woodbury) update of the nominal
+/// factorization — matches a freshly stamped engine of the deviated circuit
+/// to 1e-9 relative, for every element kind (R, C, L, VCVS gain,
+/// finite op-amp gain), deviations across [−99.9 %, +500 %], one to four
+/// elements deviated at once, and frequencies from DC up.
+#[test]
+fn low_rank_solve_matches_fresh_stamping_on_random_circuits() {
+    use msatpg::analog::mna::Mna;
+    let mut rng = SplitMix64::new(0x5EED_0A0A);
+    for case in 0..CASES {
+        let random = random_analog_circuit(&mut rng);
+        let mna = Mna::new(&random.circuit);
+        // One element at a time (k = 1, the search's case): each kind at
+        // both ends of the range and once in between, a few more elements
+        // once each; then two to four elements at once.
+        let mut deviation_sets: Vec<Vec<_>> = Vec::new();
+        for (i, &element) in random.deviable.iter().take(8).enumerate() {
+            if i < 5 {
+                deviation_sets.push(vec![(element, -0.999)]);
+                deviation_sets.push(vec![(element, 5.0)]);
+            }
+            deviation_sets.push(vec![(element, -0.999 + 5.999 * rng.f64())]);
+        }
+        for k in 2..=4 {
+            deviation_sets.push(
+                random.deviable[..k]
+                    .iter()
+                    .map(|&element| (element, -0.9 + 3.0 * rng.f64()))
+                    .collect(),
+            );
+        }
+        for set in &deviation_sets {
+            let mut deviated = random.circuit.clone();
+            for &(element, deviation) in set {
+                let value = random.circuit.value(element) * (1.0 + deviation);
+                mna.set_value(element, value);
+                deviated.set_value(element, value);
+            }
+            let reference = Mna::new(&deviated);
+            for freq in PROBE_FREQUENCIES {
+                let fast = node_transfers(&mna, &random.nodes, freq).unwrap();
+                let fresh = node_transfers(&reference, &random.nodes, freq).unwrap();
+                // Relative to the node's own voltage, floored at 1 % of the
+                // largest one: on a node the circuit pins to zero (an
+                // inductor tap at DC) either solve carries only round-off of
+                // the solution's scale.
+                let scale = fresh.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                for (a, b) in fast.iter().zip(&fresh) {
+                    let rel = (*a - *b).abs() / b.abs().max(1e-2 * scale);
+                    assert!(
+                        rel <= 1e-9,
+                        "case {case}, deviations {set:?}, {freq} Hz: \
+                         low-rank {a} vs fresh {b} (relative {rel:e})"
+                    );
+                }
+            }
+            mna.reset_values();
+        }
+    }
+}
+
+/// The engine keeps no history: after any sequence of `set_value` calls
+/// (including a resistor through exactly zero and element values put back
+/// to nominal) interleaved with solves, every solve is bit-identical to a
+/// freshly built engine holding the same values.
+#[test]
+fn mna_solves_are_independent_of_set_value_history() {
+    use msatpg::analog::mna::Mna;
+    let mut rng = SplitMix64::new(0xB1_7E57);
+    for case in 0..CASES / 4 {
+        let random = random_analog_circuit(&mut rng);
+        let circuit = &random.circuit;
+        let mna = Mna::new(circuit);
+        for step in 0..12 {
+            let element = random.deviable[rng.below(random.deviable.len())];
+            let nominal = circuit.value(element);
+            let value = match rng.below(6) {
+                0 => nominal,
+                1 if element == random.deviable[0] => 0.0,
+                _ => nominal * (0.001 + 5.0 * rng.f64()),
+            };
+            mna.set_value(element, value);
+            let fresh = Mna::new(circuit);
+            for &e in &random.deviable {
+                fresh.set_value(e, mna.value(e));
+            }
+            for freq in PROBE_FREQUENCIES {
+                let bits = |mna: &Mna<'_>| {
+                    node_transfers(mna, &random.nodes, freq).map(|v| {
+                        v.iter()
+                            .map(|x| (x.re.to_bits(), x.im.to_bits()))
+                            .collect::<Vec<_>>()
+                    })
+                };
+                assert_eq!(
+                    bits(&mna),
+                    bits(&fresh),
+                    "case {case}, step {step}, {freq} Hz"
+                );
+            }
+        }
+    }
+}
+
+/// Threshold certificate: every detected row of the worst-case analysis of
+/// the board and the band-pass — except the center-frequency rows, whose
+/// golden-section search has a noise floor above 1e-9 — is bracketed by
+/// direct solves of freshly stamped circuits: in the direction that decided
+/// the row, the parameter leaves its tolerance box (widened by the row's
+/// masking margin) at the reported deviation `d` and stays inside at
+/// `d·(1 − 1e-9)`.
+#[test]
+fn deviation_thresholds_are_certified_by_fresh_solves() {
+    use msatpg::analog::filters;
+    use msatpg::analog::params::{measure, ParameterKind};
+    use msatpg::analog::sensitivity::{normalized_sensitivity, WorstCaseAnalysis};
+    use msatpg::analog::tolerance::relative_deviation;
+    for filter in [
+        filters::state_variable_filter(),
+        filters::second_order_band_pass(),
+    ] {
+        let circuit = filter.circuit();
+        let elements = circuit.passive_elements();
+        let report = WorstCaseAnalysis::new(circuit, filter.parameters())
+            .run()
+            .unwrap();
+        let mut certified = 0;
+        for spec in filter.parameters() {
+            if spec.kind == ParameterKind::CenterFrequency {
+                continue;
+            }
+            let nominal = measure(circuit, spec).unwrap();
+            let sensitivities: Vec<f64> = elements
+                .iter()
+                .map(|&e| {
+                    normalized_sensitivity(circuit, spec, e, 0.01)
+                        .unwrap()
+                        .abs()
+                })
+                .collect();
+            let total: f64 = sensitivities.iter().sum();
+            for (row, sensitivity) in report
+                .rows()
+                .iter()
+                .filter(|r| r.parameter == spec.name)
+                .zip(&sensitivities)
+            {
+                let Some(d) = row.detectable_deviation else {
+                    continue;
+                };
+                let threshold = 0.05 + (total - sensitivity) * 0.05;
+                let outside = |deviation: f64| {
+                    let mut deviated = circuit.clone();
+                    deviated.scale_value(row.element_id, 1.0 + deviation);
+                    let value = measure(&deviated, spec).unwrap();
+                    relative_deviation(value, nominal).abs() > threshold
+                };
+                let context = format!(
+                    "{}: {} via {} at {d}",
+                    filter.name(),
+                    row.element,
+                    spec.name
+                );
+                let inner = d * (1.0 - 1e-9);
+                assert!(
+                    [1.0, -1.0]
+                        .iter()
+                        .any(|&sign| outside(sign * d) && !outside(sign * inner)),
+                    "{context}: no direction leaves the box at d and stays inside at {inner}"
+                );
+                certified += 1;
+            }
+        }
+        assert!(certified >= 10, "{}: {certified} rows", filter.name());
+    }
+}
+
 /// The worker pool must be invisible in every output: whatever the thread
 /// count, a parallel run is byte-identical to the serial run.  `cpu` is the
 /// only [`AtpgReport`] field allowed to differ (wall-clock is inherently
