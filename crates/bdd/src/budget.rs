@@ -57,6 +57,16 @@ pub struct BddBudget {
     /// Ceiling on recursion steps counted across every fallible operation
     /// since the last [`crate::BddManager::reset_steps`]; exceeding it
     /// fails with [`BddError::StepBudgetExceeded`].
+    ///
+    /// A step is one *memoized* recursion step: apply, ITE, restriction
+    /// and the Boolean difference all probe the operation caches, and a
+    /// hit ends the descent, so a cofactoring operation costs at most one
+    /// step per node of its operand rather than one per path.  A fixed
+    /// quota therefore admits more work than a path-counting engine would:
+    /// under a tight quota a governed fault may be `Detected` where a
+    /// path-counting build was `Degraded` or `Aborted`.  Outcomes stay
+    /// deterministic — step counts remain pure functions of the operation
+    /// sequence.
     pub max_steps: Option<u64>,
 }
 

@@ -25,7 +25,11 @@
 //!   lossy caches: a colliding entry simply overwrites the previous one.
 //!   This bounds cache memory for arbitrarily long ATPG runs while keeping
 //!   the hit rate high for the clustered access patterns of `apply`/`ite`
-//!   recursions.  Hit/miss counters are exposed through
+//!   recursions.  Restriction ([`BddManager::restrict`], and through it
+//!   composition and quantification) and the one-pass Boolean difference
+//!   ([`BddManager::boolean_difference`]) share the apply cache under
+//!   their own op codes, so every cofactoring recursion visits each node
+//!   once instead of each path.  Hit/miss counters are exposed through
 //!   [`BddManager::stats`]; the caches are invalidated wholesale by
 //!   [`BddManager::gc`] (freed node indices may be reused) and can be reset
 //!   manually with [`BddManager::clear_caches`].
@@ -53,24 +57,27 @@ use crate::budget::{BddBudget, BddError};
 use crate::cube::{Assignment, Cube, CubeIter};
 use crate::node::{Bdd, Node, VarId};
 
-/// Binary operation codes used as keys of the apply cache.
+/// Operation codes used as keys of the apply cache.
 ///
 /// `Or` is not in the list: with complement edges it is derived as
 /// `!(AND(!f, !g))` for free, so conjunction and disjunction share one set
-/// of cache entries.
+/// of cache entries.  `Restrict` and `Diff` are unary in `f`; their second
+/// key word encodes the variable (`(var << 1) | value` for a restriction,
+/// `var` for a Boolean difference).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Op {
     And,
     Xor,
+    Restrict,
+    Diff,
 }
 
 /// How [`BddManager::cofactor_combine`] merges the two cofactors (the shared
-/// body of `forall` / `exists` / `boolean_difference`).
+/// body of `forall` / `exists`).
 #[derive(Clone, Copy)]
 enum CofactorOp {
     And,
     Or,
-    Xor,
 }
 
 /// log2 of the number of slots in the apply cache.
@@ -1046,6 +1053,34 @@ impl BddManager {
         self.ite_rec(f, g, h)
     }
 
+    /// Probes the apply cache for the key `(op, f, g)`: `Ok` with the
+    /// memoized result on a hit, `Err` with the slot to fill on a miss.
+    #[inline]
+    fn apply_probe(&mut self, op: Op, f: u32, g: u32) -> Result<Bdd, usize> {
+        let op = op as u8;
+        let slot = (fnv_mix([f, g, u32::from(op)]) as usize) & (self.apply_cache.len() - 1);
+        self.apply_stats.lookups += 1;
+        let entry = self.apply_cache[slot];
+        if entry.f == f && entry.g == g && entry.op == op {
+            self.apply_stats.hits += 1;
+            return Ok(Bdd(entry.result));
+        }
+        Err(slot)
+    }
+
+    /// Memoizes `result` for `(op, f, g)` in the slot [`Self::apply_probe`]
+    /// returned.  Direct-mapped and lossy: colliding keys overwrite each
+    /// other.
+    #[inline]
+    fn apply_store(&mut self, slot: usize, op: Op, f: u32, g: u32, result: Bdd) {
+        self.apply_cache[slot] = ApplyEntry {
+            f,
+            g,
+            op: op as u8,
+            result: result.0,
+        };
+    }
+
     fn and_rec(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, BddError> {
         // Terminal short-circuits, including the complement-edge rule
         // f AND !f = 0 that needs no recursion at all.
@@ -1061,15 +1096,10 @@ impl BddManager {
         self.step()?;
         // Commutative: normalize operand order for better cache hit rate.
         let (f, g) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let op_code = Op::And as u8;
-        let slot =
-            (fnv_mix([f.0, g.0, u32::from(op_code)]) as usize) & (self.apply_cache.len() - 1);
-        self.apply_stats.lookups += 1;
-        let entry = self.apply_cache[slot];
-        if entry.f == f.0 && entry.g == g.0 && entry.op == op_code {
-            self.apply_stats.hits += 1;
-            return Ok(Bdd(entry.result));
-        }
+        let slot = match self.apply_probe(Op::And, f.0, g.0) {
+            Ok(hit) => return Ok(hit),
+            Err(slot) => slot,
+        };
         // The split variable is the one at the shallower *level*; with a
         // reordered manager the numerically smaller VarId need not be it.
         let top = if self.root_level(f) <= self.root_level(g) {
@@ -1082,13 +1112,7 @@ impl BddManager {
         let low = self.and_rec(f0, g0)?;
         let high = self.and_rec(f1, g1)?;
         let result = self.mk_node(top, low, high)?;
-        // Direct-mapped and lossy: colliding keys overwrite each other.
-        self.apply_cache[slot] = ApplyEntry {
-            f: f.0,
-            g: g.0,
-            op: op_code,
-            result: result.0,
-        };
+        self.apply_store(slot, Op::And, f.0, g.0, result);
         Ok(result)
     }
 
@@ -1117,15 +1141,10 @@ impl BddManager {
         let parity = f.is_complement() != g.is_complement();
         let (f, g) = (f.regular(), g.regular());
         let (f, g) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let op_code = Op::Xor as u8;
-        let slot =
-            (fnv_mix([f.0, g.0, u32::from(op_code)]) as usize) & (self.apply_cache.len() - 1);
-        self.apply_stats.lookups += 1;
-        let entry = self.apply_cache[slot];
-        if entry.f == f.0 && entry.g == g.0 && entry.op == op_code {
-            self.apply_stats.hits += 1;
-            return Ok(Bdd(entry.result).toggled_if(parity));
-        }
+        let slot = match self.apply_probe(Op::Xor, f.0, g.0) {
+            Ok(hit) => return Ok(hit.toggled_if(parity)),
+            Err(slot) => slot,
+        };
         let top = if self.root_level(f) <= self.root_level(g) {
             self.root_var(f)
         } else {
@@ -1136,12 +1155,7 @@ impl BddManager {
         let low = self.xor_rec(f0, g0)?;
         let high = self.xor_rec(f1, g1)?;
         let result = self.mk_node(top, low, high)?;
-        self.apply_cache[slot] = ApplyEntry {
-            f: f.0,
-            g: g.0,
-            op: op_code,
-            result: result.0,
-        };
+        self.apply_store(slot, Op::Xor, f.0, g.0, result);
         Ok(result.toggled_if(parity))
     }
 
@@ -1269,14 +1283,26 @@ impl BddManager {
         if self.var2level[node_var as usize] > target_level {
             return Ok(f);
         }
-        let (low, high) = self.children(f);
         if node_var == var {
+            let (low, high) = self.children(f);
             return Ok(if value { high } else { low });
         }
         self.step()?;
+        // Restriction commutes with complement: memoize on the regular node
+        // and let the handle's flag toggle the cached result.
+        let flip = f.is_complement();
+        let f = f.regular();
+        let key = (var << 1) | u32::from(value);
+        let slot = match self.apply_probe(Op::Restrict, f.0, key) {
+            Ok(hit) => return Ok(hit.toggled_if(flip)),
+            Err(slot) => slot,
+        };
+        let (low, high) = self.children(f);
         let low = self.restrict_rec(low, var, value)?;
         let high = self.restrict_rec(high, var, value)?;
-        self.mk_node(node_var, low, high)
+        let result = self.mk_node(node_var, low, high)?;
+        self.apply_store(slot, Op::Restrict, f.0, key, result);
+        Ok(result.toggled_if(flip))
     }
 
     /// Restriction of `f` under a partial assignment.
@@ -1347,25 +1373,57 @@ impl BddManager {
     ///
     /// The Boolean difference is `1` exactly for the input combinations under
     /// which the value of `var` is observable at `f` — the propagation
-    /// condition used by the BDD-based test generator.
+    /// condition used by the BDD-based test generator.  It is computed in
+    /// one memoized pass (linear in the size of `f`), without building the
+    /// two cofactors; an undeclared `var` yields `0`.
     pub fn boolean_difference(&mut self, f: Bdd, var: VarId) -> Bdd {
         expect_ok(self.try_boolean_difference(f, var))
     }
 
     /// Fallible Boolean difference (see [`BddManager::try_and`]).
     pub fn try_boolean_difference(&mut self, f: Bdd, var: VarId) -> Result<Bdd, BddError> {
-        self.cofactor_combine(f, var, CofactorOp::Xor)
+        self.poll_cancel()?;
+        match self.var2level.get(var as usize) {
+            Some(&level) => self.diff_rec(f.regular(), var, level),
+            // An undeclared variable is tested nowhere: nothing observes it.
+            None => Ok(Bdd::ZERO),
+        }
     }
 
-    /// Shared body of the quantifiers and the Boolean difference: both
-    /// cofactors of `f` at `var`, combined with `op`.
+    /// One-pass Boolean difference of the *regular* edge `f` (`∂(¬f) = ∂f`)
+    /// at `var`, which sits at `level`: the XOR of the two children at each
+    /// node of `var`, rebuilt above it, with no full cofactor intermediates.
+    fn diff_rec(&mut self, f: Bdd, var: VarId, level: u32) -> Result<Bdd, BddError> {
+        if f.is_terminal() {
+            return Ok(Bdd::ZERO);
+        }
+        let node = self.nodes[f.index() as usize];
+        if self.var2level[node.var as usize] > level {
+            return Ok(Bdd::ZERO);
+        }
+        if node.var == var {
+            return self.xor_rec(node.low, node.high);
+        }
+        self.step()?;
+        let slot = match self.apply_probe(Op::Diff, f.0, var) {
+            Ok(hit) => return Ok(hit),
+            Err(slot) => slot,
+        };
+        let low = self.diff_rec(node.low.regular(), var, level)?;
+        let high = self.diff_rec(node.high, var, level)?;
+        let result = self.mk_node(node.var, low, high)?;
+        self.apply_store(slot, Op::Diff, f.0, var, result);
+        Ok(result)
+    }
+
+    /// Shared body of the quantifiers: both cofactors of `f` at `var`,
+    /// combined with `op`.
     fn cofactor_combine(&mut self, f: Bdd, var: VarId, op: CofactorOp) -> Result<Bdd, BddError> {
         let f0 = self.try_restrict(f, var, false)?;
         let f1 = self.try_restrict(f, var, true)?;
         match op {
             CofactorOp::And => self.try_and(f0, f1),
             CofactorOp::Or => self.try_or(f0, f1),
-            CofactorOp::Xor => self.try_xor(f0, f1),
         }
     }
 

@@ -79,6 +79,6 @@ fn main() {
         "expected shape (paper): adding the conversion-block constraints increases the\n\
          number of untestable faults and the CPU time for every circuit, and usually the\n\
          vector count as well.  Absolute numbers differ because the digital blocks are\n\
-         synthetic ISCAS85 stand-ins (see DESIGN.md)."
+         synthetic ISCAS85 stand-ins (see the msatpg_digital::benchmarks module docs)."
     );
 }

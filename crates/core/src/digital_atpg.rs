@@ -17,7 +17,6 @@
 //! produce.  Any path to `1` in `S` is a test vector; `S = ∅` for every
 //! output means the fault is untestable under the constraints.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -1324,14 +1323,12 @@ impl<'a> DigitalAtpg<'a> {
     fn functions_with_free_line(&mut self, line: SignalId) -> Result<Vec<Bdd>, BddError> {
         let mut values = self.signal_bdds.clone();
         values[line.index()] = self.manager.literal(self.d_var, true);
-        let cone: HashMap<usize, ()> = self
-            .netlist
-            .fanout_cone(line)
-            .into_iter()
-            .map(|s| (s.index(), ()))
-            .collect();
+        let mut in_cone = vec![false; values.len()];
+        for s in self.netlist.fanout_cone(line) {
+            in_cone[s.index()] = true;
+        }
         for gate in self.netlist.gates() {
-            if gate.output == line || !cone.contains_key(&gate.output.index()) {
+            if gate.output == line || !in_cone[gate.output.index()] {
                 continue;
             }
             let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| values[i.index()]).collect();

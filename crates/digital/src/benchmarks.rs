@@ -9,9 +9,10 @@
 //! generation stays tractable — the property the real ISCAS85 circuits also
 //! have.
 //!
-//! The substitution is documented in `DESIGN.md` and `EXPERIMENTS.md`; every
-//! generated circuit is reproducible (fixed seed, no dependence on external
-//! randomness).
+//! This module is where the substitution is documented (the workspace map
+//! in `docs/ARCHITECTURE.md`, section "`msatpg-digital`", points here);
+//! every generated circuit is reproducible (fixed seed, no dependence on
+//! external randomness).
 
 use crate::gate::GateKind;
 use crate::netlist::{Netlist, SignalId};

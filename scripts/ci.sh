@@ -14,6 +14,9 @@ cargo test -q
 echo "==> fmt check"
 cargo fmt --all --check
 
+echo "==> compiler warnings are errors (all targets)"
+RUSTFLAGS="-D warnings" cargo check --all-targets
+
 echo "==> panic-site ratchet (lint_unwrap)"
 ./scripts/lint_unwrap.sh
 

@@ -419,6 +419,146 @@ fn bdd_shannon_expansion() {
     }
 }
 
+/// Checks `boolean_difference` and `restrict` of `f` (built from
+/// `formula` over `x0..x{DIFF_VARS-1}`) for every declared variable and one
+/// undeclared `VarId`: the one-pass difference equals the XOR of the two
+/// restrictions, ignores the root's complement flag, and agrees with
+/// exhaustive evaluation of the formula; each restriction commutes with
+/// complement and matches the formula with that variable fixed.  Returns
+/// the difference handles, one per checked variable.
+fn check_boolean_difference(
+    m: &mut BddManager,
+    formula: &Formula,
+    f: msatpg::bdd::Bdd,
+    context: &str,
+) -> Vec<msatpg::bdd::Bdd> {
+    const UNDECLARED: u32 = 1000;
+    let vars: Vec<u32> = (0..m.var_count() as u32)
+        .chain(std::iter::once(UNDECLARED))
+        .collect();
+    let mut diffs = Vec::with_capacity(vars.len());
+    for &v in &vars {
+        let diff = m.boolean_difference(f, v);
+        let f0 = m.restrict(f, v, false);
+        let f1 = m.restrict(f, v, true);
+        let reference = m.xor(f0, f1);
+        assert_eq!(diff, reference, "{context}: df/dx{v} vs cofactor XOR");
+        assert_eq!(
+            m.boolean_difference(!f, v),
+            diff,
+            "{context}: d(!f)/dx{v} must equal df/dx{v}"
+        );
+        assert_eq!(m.restrict(!f, v, false), !f0, "{context}: !f|x{v}=0");
+        assert_eq!(m.restrict(!f, v, true), !f1, "{context}: !f|x{v}=1");
+        for bits in 0..1u32 << DIFF_VARS {
+            let mut inputs: Vec<bool> = (0..DIFF_VARS).map(|b| (bits >> b) & 1 == 1).collect();
+            let mut asg = Assignment::new();
+            for (i, &value) in inputs.iter().enumerate() {
+                asg.set(i as u32, value);
+            }
+            let expected = match inputs.get_mut(v as usize) {
+                Some(slot) => {
+                    *slot = false;
+                    let low = formula.eval(&inputs);
+                    inputs[v as usize] = true;
+                    let high = formula.eval(&inputs);
+                    assert_eq!(m.eval(f0, &asg), low, "{context}: f|x{v}=0 at {bits:08b}");
+                    assert_eq!(m.eval(f1, &asg), high, "{context}: f|x{v}=1 at {bits:08b}");
+                    low ^ high
+                }
+                // Outside the formula's variables (declared but unused, or
+                // undeclared): nothing observes it.
+                None => false,
+            };
+            assert_eq!(
+                m.eval(diff, &asg),
+                expected,
+                "{context}: df/dx{v} at {bits:08b}"
+            );
+        }
+        diffs.push(diff);
+    }
+    diffs
+}
+
+const DIFF_VARS: usize = 8;
+
+/// The one-pass Boolean difference is the XOR of the two cofactors, for
+/// every variable of random formulas over 8 inputs (≤ 2^8 assignments
+/// checked exhaustively), a declared variable outside the support, an
+/// undeclared `VarId` and complemented roots — before and after sifting
+/// permutes the order, and across a garbage collection, where the
+/// recomputed results must be the very same handles.
+#[test]
+fn bdd_boolean_difference_matches_cofactor_xor() {
+    let mut rng = SplitMix64::new(0xD1FF);
+    let mut reordered = 0;
+    for case in 0..CASES {
+        let formula = random_formula(&mut rng, DIFF_VARS, 5);
+        let mut m = BddManager::new();
+        // One more variable than the formula uses: always outside the
+        // support.
+        for i in 0..=DIFF_VARS {
+            m.var(&format!("x{i}"));
+        }
+        let f = formula.build(&mut m);
+        let before = check_boolean_difference(&mut m, &formula, f, &format!("case {case}"));
+        m.protect(f);
+        for &d in &before {
+            m.protect(d);
+        }
+        let order: Vec<u32> = m.var_order().to_vec();
+        m.sift();
+        if m.var_order() != order.as_slice() {
+            reordered += 1;
+        }
+        let sifted = check_boolean_difference(&mut m, &formula, f, &format!("case {case} sifted"));
+        assert_eq!(sifted, before, "case {case}: handles drifted across sift");
+        m.gc();
+        let collected =
+            check_boolean_difference(&mut m, &formula, f, &format!("case {case} after gc"));
+        assert_eq!(collected, before, "case {case}: handles drifted across gc");
+    }
+    assert!(reordered > 0, "sifting must have permuted some order");
+}
+
+/// Cofactoring is linear in BDD size, not in paths: on a 40-input parity
+/// chain with `D` at the bottom level (2^40 paths through ~40 complement-
+/// edged nodes), the Boolean difference and both restrictions at `D`
+/// finish within a step quota of four steps per node.
+#[test]
+fn bdd_cofactoring_is_linear_in_nodes_not_paths() {
+    use msatpg::bdd::BddBudget;
+    const INPUTS: usize = 40;
+    let mut m = BddManager::new();
+    let xs: Vec<_> = (0..INPUTS).map(|i| m.var(&format!("x{i}"))).collect();
+    let d = m.var_id("D");
+    let d_lit = m.literal(d, true);
+    let mut f = d_lit;
+    for &x in xs.iter().rev() {
+        f = m.xor(x, f);
+    }
+    let size = m.size(f);
+    assert!(size > INPUTS && size <= 2 * (INPUTS + 1), "size {size}");
+    let budget = BddBudget::UNLIMITED.with_max_steps(4 * size as u64);
+    for root in [f, !f] {
+        m.clear_caches();
+        m.set_budget(budget);
+        let diff = m.try_boolean_difference(root, d);
+        assert_eq!(diff, Ok(m.one()), "d(parity)/dD is constant 1");
+        for value in [false, true] {
+            m.clear_caches();
+            m.set_budget(budget);
+            let cofactor = m
+                .try_restrict(root, d, value)
+                .expect("restriction at the bottom level within 4 steps per node");
+            m.set_budget(BddBudget::UNLIMITED);
+            assert_eq!(m.size(cofactor), INPUTS);
+            assert_eq!(m.xor(cofactor, root), if value { !d_lit } else { d_lit });
+        }
+    }
+}
+
 /// The 4-bit adder circuit computes a + b + cin for all operands.
 #[test]
 fn adder_matches_arithmetic() {
