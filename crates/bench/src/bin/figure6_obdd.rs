@@ -48,9 +48,9 @@ fn main() {
 
     // Cross-check with the propagation engine on the actual netlist, for the
     // single-composite case the engine supports (D on l2, l0 fixed to 1).
-    let engine = PropagationEngine::new(&circuit);
     let l0_sig = circuit.find_signal("l0").unwrap();
     let l2_sig = circuit.find_signal("l2").unwrap();
+    let mut engine = PropagationEngine::new(&circuit, &[l0_sig, l2_sig]);
     let mut fixed = HashMap::new();
     fixed.insert(l0_sig, true);
     match engine

@@ -2,6 +2,11 @@
 //! comparators can an analog fault *not* be propagated to a primary output,
 //! for amplitude deviations below and above the tolerance.
 //!
+//! The two columns always agree: a comparator deviating the other way flips
+//! its line to `D̄` instead of `D`, and whether an output depends on that
+//! line does not depend on the polarity (`∂g(¬D)/∂D = ∂g(D)/∂D`).  The study
+//! asks once per comparator; both columns are printed, as in the paper.
+//!
 //! Run with `cargo run --release -p msatpg-bench --bin table5_propagation`.
 
 use std::time::Instant;

@@ -18,8 +18,11 @@ pub struct LadderDeviationCell {
     pub resistor: usize,
     /// Comparator / tap index (1-based).
     pub comparator: usize,
-    /// Smallest detectable relative deviation (fraction), or `None` when no
-    /// deviation up to the search cap is detectable at this comparator.
+    /// Smallest relative deviation (fraction) detectable at this comparator
+    /// in both directions: the larger of the growth and the shrink
+    /// threshold.  `None` when either direction is undetectable within its
+    /// cap — growth up to the largest `0.01·1.5ⁿ ≤ max_deviation` (49.87
+    /// for 50), shrink up to 99.9 % (see [`ladder_coverage`]).
     pub detectable_deviation: Option<f64>,
 }
 
@@ -122,6 +125,17 @@ impl LadderCoverage {
 /// (fraction, the paper uses 5 %); deviations are searched up to
 /// `max_deviation` (fraction, e.g. `20.0` = 2000 %).
 ///
+/// Each cell is solved in closed form.  Deviating resistor `r` by `x`
+/// moves tap `k` by `|ΔV_k| = V·c·|x| / (S·(S + R_r·x))`, with `S` the
+/// total resistance, `S_k` the resistance below tap `k` and
+/// `c = R_r·|[r ≤ k]·S − S_k|`; the shift grows with `|x|` in both
+/// directions, so each signed threshold is the root of a linear equation.
+/// The caps are those of a geometric search probing `0.01·1.5ⁿ`: a growth
+/// is detectable only up to the largest such probe within `max_deviation`
+/// (49.87 for 50), a shrink only up to 99.9 % (or that probe, when
+/// smaller).  The reported value is the larger of the two signed
+/// thresholds, `None` if either direction is undetectable within its cap.
+///
 /// # Errors
 ///
 /// Propagates ladder errors (cannot occur for a well-formed ladder).
@@ -132,24 +146,50 @@ pub fn ladder_coverage(
 ) -> Result<LadderCoverage, ConversionError> {
     let nominal_taps = ladder.tap_voltages();
     let v_ref = ladder.v_ref();
+    let resistors = ladder.resistors();
+    let total: f64 = resistors.iter().sum();
+    let grow_cap = probe_cap(max_deviation, f64::INFINITY);
+    let shrink_cap = probe_cap(max_deviation, 0.999);
     let mut cells = Vec::new();
-    for resistor in 1..=ladder.resistor_count() {
-        for comparator in 1..=ladder.tap_count() {
-            let nominal = nominal_taps[comparator - 1];
+    for (r, &r_value) in resistors.iter().enumerate() {
+        let mut below = 0.0;
+        for (k, &nominal) in nominal_taps.iter().enumerate() {
+            below += resistors[k];
             // Accuracy requirement relative to the nearest rail.
             let scale = nominal.min(v_ref - nominal).max(1e-12);
-            let threshold = tolerance * scale;
-            let detectable = minimum_detectable(
-                ladder,
-                resistor,
-                comparator,
-                nominal,
-                threshold,
-                max_deviation,
-            )?;
+            let t = tolerance * scale;
+            let gain = v_ref.abs() * r_value * (if r <= k { total } else { 0.0 } - below).abs();
+            // The detecting side is judged by the ladder model itself.
+            let shift = |x: f64| -> Result<f64, ConversionError> {
+                let faulty = ladder.with_deviation(r + 1, x)?;
+                Ok((faulty.tap_voltage(k + 1)? - nominal).abs())
+            };
+            // The smallest magnitude `y ≤ cap` with `shift(sign·y) > t`.
+            let threshold = |sign: f64, cap: Option<f64>| -> Result<Option<f64>, ConversionError> {
+                let Some(cap) = cap else { return Ok(None) };
+                if shift(sign * cap)? <= t {
+                    return Ok(None);
+                }
+                // gain·y = t·S·(S + sign·R_r·y), linear in y.
+                let root = t * total * total / (gain - sign * t * total * r_value);
+                let mut y = root.clamp(0.0, cap);
+                let mut step = y.next_up() - y;
+                for _ in 0..NUDGE_STEPS {
+                    if shift(sign * y)? > t {
+                        break;
+                    }
+                    y += step;
+                    step *= 2.0;
+                }
+                Ok(Some(y.min(cap)))
+            };
+            let detectable = match threshold(1.0, grow_cap)? {
+                Some(grow) => threshold(-1.0, shrink_cap)?.map(|shrink| grow.max(shrink)),
+                None => None,
+            };
             cells.push(LadderDeviationCell {
-                resistor,
-                comparator,
+                resistor: r + 1,
+                comparator: k + 1,
                 detectable_deviation: detectable,
             });
         }
@@ -161,57 +201,27 @@ pub fn ladder_coverage(
     })
 }
 
-fn minimum_detectable(
-    ladder: &ResistorLadder,
-    resistor: usize,
-    comparator: usize,
-    nominal: f64,
-    threshold: f64,
-    max_deviation: f64,
-) -> Result<Option<f64>, ConversionError> {
-    let shift = |x: f64| -> Result<f64, ConversionError> {
-        let faulty = ladder.with_deviation(resistor, x)?;
-        Ok((faulty.tap_voltage(comparator)? - nominal).abs())
-    };
-    let mut result: Option<f64> = None;
-    for sign in [1.0, -1.0] {
-        let mut lo = 0.0f64;
-        let mut hi = 0.01f64;
-        let mut found = false;
-        while hi <= max_deviation {
-            let mut probe = hi;
-            if sign < 0.0 && probe >= 0.999 {
-                probe = 0.999;
-            }
-            if shift(sign * probe)? > threshold {
-                hi = probe;
-                found = true;
-                break;
-            }
-            if sign < 0.0 && probe >= 0.999 {
-                break;
-            }
-            lo = hi;
-            hi *= 1.5;
+/// The largest probe `0.01·1.5ⁿ ≤ max_deviation` of a geometric bracket
+/// search, with probes at or above `limit` clipped to `limit`; `None` when
+/// not even the first probe fits.
+fn probe_cap(max_deviation: f64, limit: f64) -> Option<f64> {
+    let mut cap = None;
+    let mut probe = 0.01f64;
+    while probe <= max_deviation {
+        if probe >= limit {
+            return Some(limit);
         }
-        if !found {
-            return Ok(None);
-        }
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if shift(sign * mid)? > threshold {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        result = Some(match result {
-            None => hi,
-            Some(prev) => prev.max(hi),
-        });
+        cap = Some(probe);
+        probe *= 1.5;
     }
-    Ok(result)
+    cap
 }
+
+/// Upper bound on the steps that move a closed-form root onto the detecting
+/// side of the ladder model.  The steps start at one ulp and double: where
+/// `|ΔV_k|` is a difference of nearly equal tap voltages, the model's own
+/// rounding can sit a thousand ulps of `x` past the exact root.
+const NUDGE_STEPS: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -219,6 +229,118 @@ mod tests {
 
     fn paper_ladder() -> ResistorLadder {
         ResistorLadder::uniform(16, 4.0).unwrap()
+    }
+
+    /// `|ΔV_k|` of a deviated ladder, through the ladder model itself.
+    fn ladder_shift(ladder: &ResistorLadder, resistor: usize, comparator: usize, x: f64) -> f64 {
+        let nominal = ladder.tap_voltage(comparator).unwrap();
+        let faulty = ladder.with_deviation(resistor, x).unwrap();
+        (faulty.tap_voltage(comparator).unwrap() - nominal).abs()
+    }
+
+    /// The bracket-and-bisect search the closed form replaced: grow the
+    /// probe geometrically from 1 % until the tap moves by more than the
+    /// threshold, then bisect 60 times.  Returns the (growth, shrink)
+    /// thresholds, `None` if either direction is never detected.
+    fn bisection_oracle(
+        ladder: &ResistorLadder,
+        resistor: usize,
+        comparator: usize,
+        threshold: f64,
+        max_deviation: f64,
+    ) -> Option<(f64, f64)> {
+        let shift = |x: f64| ladder_shift(ladder, resistor, comparator, x);
+        let mut result = Vec::new();
+        for sign in [1.0, -1.0] {
+            let mut lo = 0.0f64;
+            let mut hi = 0.01f64;
+            let mut found = false;
+            while hi <= max_deviation {
+                let mut probe = hi;
+                if sign < 0.0 && probe >= 0.999 {
+                    probe = 0.999;
+                }
+                if shift(sign * probe) > threshold {
+                    hi = probe;
+                    found = true;
+                    break;
+                }
+                if sign < 0.0 && probe >= 0.999 {
+                    break;
+                }
+                lo = hi;
+                hi *= 1.5;
+            }
+            if !found {
+                return None;
+            }
+            for _ in 0..60 {
+                let mid = 0.5 * (lo + hi);
+                if shift(sign * mid) > threshold {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            result.push(hi);
+        }
+        Some((result[0], result[1]))
+    }
+
+    #[test]
+    fn closed_form_matches_the_bisection_search() {
+        let mut ladders = Vec::new();
+        for n in [4usize, 8, 16] {
+            ladders.push(ResistorLadder::uniform(n, 4.0).unwrap());
+            let skewed = (0..n)
+                .map(|i| 500.0 + 370.0 * ((i * 7) % 5) as f64)
+                .collect();
+            ladders.push(ResistorLadder::new(skewed, 3.3).unwrap());
+        }
+        let (mut cells, mut undetectable) = (0, 0);
+        for ladder in &ladders {
+            let taps = ladder.tap_voltages();
+            for tolerance in [0.01, 0.05, 0.2] {
+                for max_deviation in [50.0, 20.0, 0.5] {
+                    let coverage = ladder_coverage(ladder, tolerance, max_deviation).unwrap();
+                    for cell in coverage.cells() {
+                        let (r, k) = (cell.resistor, cell.comparator);
+                        let nominal = taps[k - 1];
+                        let t = tolerance * nominal.min(ladder.v_ref() - nominal);
+                        let expected = bisection_oracle(ladder, r, k, t, max_deviation);
+                        let context = format!("R{r}/Vt{k} tol {tolerance} cap {max_deviation}");
+                        cells += 1;
+                        match (cell.detectable_deviation, expected) {
+                            (Some(x), Some((grow, shrink))) => {
+                                let b = grow.max(shrink);
+                                assert!((x - b).abs() <= 1e-9 * b, "{context}: {x} vs {b}");
+                                // Detected at x in the deciding direction,
+                                // and not just below it.
+                                let sign = if grow >= shrink { 1.0 } else { -1.0 };
+                                let shift = |d: f64| ladder_shift(ladder, r, k, sign * d);
+                                assert!(shift(x) > t, "{context}: {x} does not detect");
+                                assert!(t >= shift(x * (1.0 - 1e-9)), "{context}: {x} not minimal");
+                            }
+                            (None, None) => undetectable += 1,
+                            (got, want) => panic!("{context}: {got:?} vs {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            undetectable > 0 && undetectable < cells,
+            "{undetectable} of {cells}"
+        );
+    }
+
+    #[test]
+    fn zero_tolerance_terminates() {
+        let coverage = ladder_coverage(&paper_ladder(), 0.0, 50.0).unwrap();
+        assert_eq!(coverage.cells().len(), 16 * 15);
+        assert!(coverage.cells().iter().all(|c| c
+            .detectable_deviation
+            .is_some_and(|d| (0.0..1e-9).contains(&d))));
     }
 
     #[test]

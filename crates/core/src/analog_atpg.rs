@@ -133,6 +133,25 @@ impl<'a> AnalogAtpg<'a> {
         deviation: f64,
         parameter: &ParameterSpec,
     ) -> Result<AnalogTestOutcome, CoreError> {
+        self.test_deviation_with(&mut None, element, deviation, parameter)
+    }
+
+    /// The propagation engine of the digital block, with the lines the
+    /// conversion block drives as its constrained lines.
+    fn engine(&self) -> PropagationEngine<'a> {
+        PropagationEngine::new(self.circuit.digital(), &self.circuit.constrained_inputs())
+    }
+
+    /// [`AnalogAtpg::test_element_deviation`] on a caller-held engine slot,
+    /// filled by the first attempt that activates a comparator and reused
+    /// by every later one.
+    fn test_deviation_with(
+        &self,
+        engine: &mut Option<PropagationEngine<'a>>,
+        element: ElementId,
+        deviation: f64,
+        parameter: &ParameterSpec,
+    ) -> Result<AnalogTestOutcome, CoreError> {
         // The sign of the element deviation does not determine the sign of
         // the parameter deviation (it depends on the sensitivity), so both
         // tolerance bounds are tried, exactly as the paper tests the upper
@@ -199,7 +218,7 @@ impl<'a> AnalogAtpg<'a> {
                         fixed.insert(other_line, code_good[other_output]);
                     }
                 }
-                let engine = PropagationEngine::new(self.circuit.digital());
+                let engine = engine.get_or_insert_with(|| self.engine());
                 if let Some(prop) = engine.find_propagating_assignment(&fixed, line, composite)? {
                     return Ok(AnalogTestOutcome::Tested(AnalogTestVector {
                         stimulus: plan.stimulus,
@@ -232,6 +251,18 @@ impl<'a> AnalogAtpg<'a> {
         deviation: f64,
         ranking: &[ParameterSpec],
     ) -> Result<AnalogTestEntry, CoreError> {
+        self.test_element_with(&mut None, element, deviation, ranking)
+    }
+
+    /// [`AnalogAtpg::test_element`] on a caller-held engine slot (see
+    /// [`AnalogAtpg::test_deviation_with`]).
+    fn test_element_with(
+        &self,
+        engine: &mut Option<PropagationEngine<'a>>,
+        element: ElementId,
+        deviation: f64,
+        ranking: &[ParameterSpec],
+    ) -> Result<AnalogTestEntry, CoreError> {
         let element_name = self
             .circuit
             .analog()
@@ -246,7 +277,7 @@ impl<'a> AnalogAtpg<'a> {
         };
         let mut last_failure = AnalogTestOutcome::Failed(AnalogTestFailure::ActivationFailed);
         for parameter in ranking {
-            let outcome = self.test_element_deviation(element, deviation, parameter)?;
+            let outcome = self.test_deviation_with(engine, element, deviation, parameter)?;
             if outcome.is_tested() {
                 return Ok(AnalogTestEntry {
                     element: element_name,
@@ -271,10 +302,10 @@ impl<'a> AnalogAtpg<'a> {
     }
 
     /// Tests a batch of element deviations on a worker pool, one element per
-    /// work unit (elements are independent:
-    /// [`AnalogAtpg::test_element_deviation`] builds its own faulty circuit
-    /// and propagation engine per attempt).  Entries — and the first error,
-    /// if any — come back **in request order**, so the result is
+    /// work unit (elements are independent: each builds its own faulty
+    /// circuit, and each worker builds the propagation engine once, on its
+    /// first activated comparator).  Entries — and the first error, if
+    /// any — come back **in request order**, so the result is
     /// byte-identical to calling [`AnalogAtpg::test_element`] in a serial
     /// loop under any [`msatpg_exec::ExecPolicy`].
     ///
@@ -289,10 +320,10 @@ impl<'a> AnalogAtpg<'a> {
         pool.run_chunks(
             requests,
             1,
-            || (),
-            |(), _ci, _offset, chunk| {
+            || None,
+            |engine, _ci, _offset, chunk| {
                 let request = &chunk[0];
-                self.test_element(request.element, request.deviation, &request.ranking)
+                self.test_element_with(engine, request.element, request.deviation, &request.ranking)
             },
         )
         .into_iter()
@@ -306,68 +337,49 @@ impl<'a> AnalogAtpg<'a> {
     /// deviation below the reference (`deviation less than x%` in the
     /// paper), `D̄` to one above it.
     ///
+    /// The two columns are equal by construction, since
+    /// `∂g(¬D)/∂D = ∂g(D)/∂D`; each comparator is asked once.  The whole
+    /// study is one OBDD build of the digital block plus one
+    /// restrict-then-differentiate query per comparator.
+    ///
     /// # Errors
     ///
     /// Propagates propagation-engine errors.
     pub fn comparator_propagation_study(&self) -> Result<Vec<(bool, bool)>, CoreError> {
         let connections = self.circuit.connections();
-        let engine = PropagationEngine::new(self.circuit.digital());
+        let mut engine = self.engine();
         (0..connections.len())
-            .map(|idx| self.connection_study(&engine, &connections, idx))
+            .map(|idx| {
+                // Fault-free code: thermometer with `idx + 1` ones (the input
+                // amplitude sits just above this comparator's reference), so
+                // lines below the flipped comparator are 1, above are 0.
+                let fixed: HashMap<SignalId, bool> = connections
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != idx)
+                    .map(|(j, &(_, other_line))| (other_line, j < idx))
+                    .collect();
+                let propagates = engine
+                    .find_propagating_assignment(&fixed, connections[idx].1, Logic::D)?
+                    .is_some();
+                Ok((propagates, propagates))
+            })
             .collect()
     }
 
-    /// [`AnalogAtpg::comparator_propagation_study`] on a worker pool:
-    /// comparators are independent (the propagation engine builds a fresh
-    /// OBDD per query), so each connection is one work unit; results merge
-    /// in connection order, byte-identical to the serial study.
+    /// [`AnalogAtpg::comparator_propagation_study`] with a pool argument
+    /// kept for callers that thread one pool through every stage.  The
+    /// study runs on the calling thread: one OBDD build serves every
+    /// comparator, so there are no independent work units left to spread.
     ///
     /// # Errors
     ///
-    /// Propagates the first propagation-engine error in connection order.
+    /// Propagates propagation-engine errors.
     pub fn comparator_propagation_study_on(
         &self,
-        pool: &WorkerPool,
+        _pool: &WorkerPool,
     ) -> Result<Vec<(bool, bool)>, CoreError> {
-        let connections = self.circuit.connections();
-        pool.run_chunks(
-            &connections,
-            1,
-            || PropagationEngine::new(self.circuit.digital()),
-            |engine, _ci, offset, _chunk| self.connection_study(engine, &connections, offset),
-        )
-        .into_iter()
-        .collect()
-    }
-
-    /// One row of the Table-5 study: can comparator `idx`'s flip be
-    /// propagated, with the other lines held at the adjacent thermometer
-    /// code?
-    fn connection_study(
-        &self,
-        engine: &PropagationEngine<'_>,
-        connections: &[(usize, SignalId)],
-        idx: usize,
-    ) -> Result<(bool, bool), CoreError> {
-        let line = connections[idx].1;
-        // Fault-free code: thermometer with `idx + 1` ones (the input
-        // amplitude sits just above this comparator's reference).
-        let mut fixed: HashMap<SignalId, bool> = HashMap::new();
-        for (j, &(_, other_line)) in connections.iter().enumerate() {
-            if j == idx {
-                continue;
-            }
-            // Lines below the flipped comparator are 1, above are 0, for
-            // both composite polarities.
-            fixed.insert(other_line, j < idx);
-        }
-        let d_ok = engine
-            .find_propagating_assignment(&fixed, line, Logic::D)?
-            .is_some();
-        let dbar_ok = engine
-            .find_propagating_assignment(&fixed, line, Logic::Dbar)?
-            .is_some();
-        Ok((d_ok, dbar_ok))
+        self.comparator_propagation_study()
     }
 }
 

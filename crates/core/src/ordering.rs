@@ -1,7 +1,7 @@
 //! Variable-ordering policy for the digital OBDD engines: static
-//! construction orders computed from the netlist, and the dynamic
-//! reordering (sifting) knob threaded through [`DigitalAtpg`] and
-//! [`PropagationEngine`].
+//! construction orders computed from the netlist (for [`DigitalAtpg`]), and
+//! the dynamic reordering (sifting) knob threaded through [`DigitalAtpg`]
+//! and honoured by [`PropagationEngine`].
 //!
 //! OBDD size is notoriously order-sensitive — the paper's backtrack-free
 //! generator inherits whatever order the primary inputs were declared in,
@@ -23,9 +23,10 @@
 //!   environment variable, mirroring the `MSATPG_WORD_WIDTH` knob.
 //!
 //! Both defenses preserve the paper's contract that the composite variable
-//! `D` sits *last* in the order: static orders only permute the external
-//! primary inputs (declared before `D`), and sifting happens before any
-//! per-fault work consumes the order.
+//! `D` sits *last* in the construction order: static orders only permute
+//! the external primary inputs (declared before `D`, and before the
+//! constrained lines the propagation engine declares last), and sifting
+//! happens before any per-fault work consumes the order.
 //!
 //! [`DigitalAtpg`]: crate::DigitalAtpg
 //! [`PropagationEngine`]: crate::PropagationEngine

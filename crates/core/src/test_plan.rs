@@ -384,9 +384,11 @@ impl MixedSignalAtpg {
         self.conversion_tests_on(&WorkerPool::new(self.options.exec))
     }
 
-    /// [`MixedSignalAtpg::conversion_tests`] on a shared worker pool: the
-    /// per-comparator propagation studies are independent OBDD builds and
-    /// run one comparator per work unit.
+    /// [`MixedSignalAtpg::conversion_tests`] with the shared worker pool of
+    /// the other `_on` stages.  The stage runs on the calling thread: the
+    /// comparator study is one OBDD build of the digital block queried once
+    /// per comparator (no longer one build per comparator), and the ladder
+    /// thresholds are solved in closed form.
     ///
     /// # Errors
     ///
@@ -423,9 +425,9 @@ impl MixedSignalAtpg {
     /// Runs the complete flow and assembles the [`TestPlan`].
     ///
     /// One [`WorkerPool`] is threaded through every stage — the digital
-    /// ATPG pipelines on it, and the analog element tests, deviation rows
-    /// and conversion-block comparator studies ride the same pool — so its
-    /// [`msatpg_exec::PoolStats`] describe the entire mixed-signal run.
+    /// ATPG pipelines on it, and the analog element tests and deviation
+    /// rows ride the same pool — so its [`msatpg_exec::PoolStats`] describe
+    /// the entire mixed-signal run (the conversion stage is serial).
     ///
     /// # Errors
     ///

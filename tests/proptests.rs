@@ -1428,6 +1428,18 @@ fn scratch_file(tag: &str, case: usize) -> std::path::PathBuf {
 /// followed by gates drawing from every already-defined signal, with a
 /// random subset of gates (always at least the last) marked as outputs.
 fn random_netlist(rng: &mut SplitMix64, case: usize) -> msatpg::digital::netlist::Netlist {
+    let inputs = 2 + rng.below(5);
+    let gates = 1 + rng.below(12);
+    random_netlist_sized(rng, case, inputs, gates)
+}
+
+/// [`random_netlist`] with the input and gate counts given.
+fn random_netlist_sized(
+    rng: &mut SplitMix64,
+    case: usize,
+    inputs: usize,
+    gates: usize,
+) -> msatpg::digital::netlist::Netlist {
     use msatpg::digital::gate::GateKind;
     use msatpg::digital::netlist::Netlist;
     const BINARY: [GateKind; 6] = [
@@ -1439,12 +1451,10 @@ fn random_netlist(rng: &mut SplitMix64, case: usize) -> msatpg::digital::netlist
         GateKind::Xnor,
     ];
     let mut n = Netlist::new(&format!("rand{case}"));
-    let inputs = 2 + rng.below(5);
     let mut signals = Vec::new();
     for i in 0..inputs {
         signals.push(n.input(&format!("i{i}")));
     }
-    let gates = 1 + rng.below(12);
     let mut gate_ids = Vec::new();
     for g in 0..gates {
         let name = format!("g{g}");
@@ -1472,6 +1482,89 @@ fn random_netlist(rng: &mut SplitMix64, case: usize) -> msatpg::digital::netlist
         }
     }
     n
+}
+
+/// The Table-5 comparator study (one OBDD build per circuit, one
+/// restrict-then-differentiate query per comparator) agrees with an
+/// exhaustive five-valued sweep: comparator `i` propagates iff, with the
+/// other lines at the thermometer code of `i + 1` ones and a `D` (or `D̄`)
+/// forced on its own line, some external-input assignment drives a fault
+/// effect to a primary output.  Both polarities give the same answer, so the
+/// two Table-5 columns are equal.  Figure 4 plus random netlists with up to
+/// 12 external inputs.
+#[test]
+fn comparator_study_matches_exhaustive_composite_simulation() {
+    use msatpg::analog::filters;
+    use msatpg::core::{AnalogAtpg, ConverterBlock};
+    use msatpg::MixedCircuit;
+
+    let mixed = |netlist: msatpg::digital::netlist::Netlist, lines: &[String]| {
+        let adc = FlashAdc::uniform(lines.len(), 3.0).unwrap();
+        let name = netlist.name().to_owned();
+        let analog = filters::second_order_band_pass();
+        let mut mixed = MixedCircuit::new(&name, analog, ConverterBlock::Flash(adc), netlist);
+        let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+        mixed.connect_in_order(&lines).unwrap();
+        mixed
+    };
+    let mut circuits = vec![mixed(
+        circuits::figure3_circuit(),
+        &["l0".into(), "l2".into()],
+    )];
+    let mut rng = SplitMix64::new(0x7AB5);
+    for case in 0..CASES {
+        let comparators = 1 + rng.below(4);
+        let inputs = comparators + 1 + rng.below(12);
+        let gates = 1 + rng.below(24);
+        let netlist = random_netlist_sized(&mut rng, case, inputs, gates);
+        // Distinct random primary inputs, in random order, as the lines.
+        let mut pis: Vec<usize> = (0..inputs).collect();
+        for i in (1..inputs).rev() {
+            pis.swap(i, rng.below(i + 1));
+        }
+        let lines: Vec<String> = pis[..comparators].iter().map(|i| format!("i{i}")).collect();
+        circuits.push(mixed(netlist, &lines));
+    }
+    let (mut propagating, mut blocked) = (0, 0);
+    for mixed in &circuits {
+        let study = AnalogAtpg::new(mixed)
+            .comparator_propagation_study()
+            .unwrap();
+        let netlist = mixed.digital();
+        let connections = mixed.connections();
+        let externals = mixed.external_inputs();
+        assert_eq!(study.len(), connections.len());
+        for (idx, &(_, line)) in connections.iter().enumerate() {
+            let exhaustive = |composite: Logic| {
+                let mut sim = CompositeSimulator::new(netlist);
+                sim.force(line, composite);
+                (0..1u32 << externals.len()).any(|bits| {
+                    let inputs: Vec<Logic> = netlist
+                        .primary_inputs()
+                        .iter()
+                        .map(|pi| {
+                            if let Some(j) = connections.iter().position(|&(_, l)| l == *pi) {
+                                Logic::from(j < idx)
+                            } else {
+                                let e = externals.iter().position(|x| x == pi).unwrap();
+                                Logic::from((bits >> e) & 1 == 1)
+                            }
+                        })
+                        .collect();
+                    sim.propagates_fault(&inputs).unwrap()
+                })
+            };
+            let expected = (exhaustive(Logic::D), exhaustive(Logic::Dbar));
+            assert_eq!(study[idx], expected, "{} comparator {idx}", mixed.name());
+            assert_eq!(expected.0, expected.1, "{} comparator {idx}", mixed.name());
+            if expected.0 {
+                propagating += 1;
+            } else {
+                blocked += 1;
+            }
+        }
+    }
+    assert!(propagating > 0 && blocked > 0, "{propagating} vs {blocked}");
 }
 
 /// Random netlists survive the crash-consistent store round trip with
