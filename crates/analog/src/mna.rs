@@ -11,7 +11,7 @@
 //! * a solve at frequency `f` assembles `A₀ = G + j·2πf·C` straight into a
 //!   cached per-frequency LU factorization ([`crate::matrix::LuFactor`]) and
 //!   answers any number of right-hand sides against it.  The cache holds up
-//!   to 512 frequencies with least-recently-used eviction in O(1); at
+//!   to 448 frequencies with least-recently-used eviction in O(1); at
 //!   capacity a new frequency re-uses the evicted factor's storage, so it
 //!   allocates nothing;
 //! * a deviated element ([`Mna::set_value`] / [`Mna::scale_value`]) is only
@@ -26,6 +26,30 @@
 //!   `x = x₀ − Z·K⁻¹·D·Qᵀ·x₀` where `x₀ = A₀⁻¹·b` — `O(k·n²)` per solve
 //!   instead of an `O(n³)` refactorization.  A deviation analysis deviates
 //!   one element at a time (`k = 1`).
+//!
+//! ## Rank-1 memo
+//!
+//! A deviation probe re-solves the same sweep grid with the same source and
+//! the same deviated element, only the value changes.  So every cached
+//! factor also keeps the two ingredients of the update that do not depend
+//! on the value:
+//!
+//! * `x₀ = A₀⁻¹·b` of the last single-source drive ([`Drive::Single`],
+//!   [`Mna::transfer`]), keyed by the source's element id and the bits of
+//!   its magnitude.  That drive's right-hand side is a function of those
+//!   two alone, so the key identifies it without storing a copy of it.
+//!   `AllDc`/`AllAc` drives are never memoized: `AllAc` reads source values
+//!   that [`Mna::set_value`] may change;
+//! * the columns `Z = A₀⁻¹·P`, keyed by the indices of the deviated
+//!   elements they belong to.
+//!
+//! Both keys are reset whenever the slot is claimed for another frequency
+//! or refactored.  A solve at an already-factored frequency then costs
+//! `O(n)` (a copy of `x₀` and the update) instead of `k + 1` LU solves of
+//! `O(n²)` each.  The memo holds the exact output of the same `solve_in_place`
+//! on the same factor and the same input, so a solve answered from it is
+//! **bit-identical** to one that re-solves: the memo is invisible in every
+//! result, only [`SolverStats::memo_hits`] counts it.
 //!
 //! Because the factored system is always the nominal one, a solve is a pure
 //! function of the current element values and the frequency: no sequence of
@@ -105,6 +129,9 @@ pub struct SolverStats {
     /// Solves answered by a low-rank update of the nominal factorization
     /// because some element value differed from nominal.
     pub updates: u64,
+    /// Solves whose nominal solution `x₀` came from the factor's memo
+    /// instead of two triangular solves (see the [module docs](self)).
+    pub memo_hits: u64,
 }
 
 /// Which of the two real matrices an entry belongs to.
@@ -191,8 +218,12 @@ enum ActiveDrive {
 /// Bound on the number of per-frequency factorizations kept alive.  When a
 /// new frequency arrives at capacity, the least-recently-used one is
 /// evicted — fine-grid bisection searches keep their warm working set
-/// cached while memory stays bounded.
-const MAX_CACHED_SYSTEMS: usize = 512;
+/// cached while memory stays bounded.  One parameter measurement touches
+/// its sweep grid (181–211 points for the paper's filters), ≈ 62
+/// golden-section points and ≤ 80 bisection points; 448 slots hold that
+/// working set with room to spare, and 448 factors with their rank-1 memo
+/// take the memory of 512 bare factors of the 15-unknown board.
+const MAX_CACHED_SYSTEMS: usize = 448;
 
 /// End-of-list marker of the cache's recency list.
 const NIL: u32 = u32::MAX;
@@ -201,8 +232,23 @@ const NIL: u32 = u32::MAX;
 struct CachedLu {
     key: u64,
     lu: LuFactor,
+    memo: RankOneMemo,
     newer: u32,
     older: u32,
+}
+
+/// The value-independent solves against one cached factor (see the
+/// [module docs](self)).  The buffers are sized with the slot and keep
+/// their capacity when it is refactored; only the keys are reset.
+struct RankOneMemo {
+    /// `(source, magnitude bits)` of the single-source drive whose
+    /// `A₀⁻¹·b` is in `x0`.
+    drive: Option<(ElementId, u64)>,
+    x0: Vec<Complex>,
+    /// Indices of the deviated elements whose columns `A₀⁻¹·p` are in `z`.
+    elements: Vec<usize>,
+    /// `Z = A₀⁻¹·P`, one column of `n` entries per element.
+    z: Vec<Complex>,
 }
 
 /// Per-frequency nominal factorizations with O(1) least-recently-used
@@ -245,6 +291,12 @@ impl SystemCache {
             self.slots.push(CachedLu {
                 key,
                 lu: LuFactor::new(n),
+                memo: RankOneMemo {
+                    drive: None,
+                    x0: Vec::with_capacity(n),
+                    elements: Vec::with_capacity(1),
+                    z: Vec::with_capacity(n),
+                },
                 newer: NIL,
                 older: NIL,
             });
@@ -290,8 +342,6 @@ impl SystemCache {
 struct UpdateScratch {
     /// `(element index, δ)` of every deviated element with `δ ≠ 0`.
     terms: Vec<(usize, Complex)>,
-    /// `Z = A₀⁻¹·P`, one column of `n` entries per term.
-    z: Vec<Complex>,
     /// The `k × k` capacitance matrix `K = I + D·Qᵀ·Z`.
     capacitance: Vec<Complex>,
     /// `D·Qᵀ·x₀`, solved in place into `K⁻¹·D·Qᵀ·x₀`.
@@ -551,7 +601,6 @@ impl<'a> Mna<'a> {
             rhs: vec![Complex::ZERO; n],
             scratch: UpdateScratch {
                 terms: Vec::new(),
-                z: Vec::new(),
                 capacitance: Vec::new(),
                 weights: Vec::new(),
                 capacitance_lu: LuFactor::new(0),
@@ -771,10 +820,12 @@ impl<'a> Mna<'a> {
         engine.stats.solves += 1;
         let omega = TAU * freq_hz;
         let (slot, claimed) = engine.systems.claim(freq_hz.to_bits(), n);
-        let lu = &mut engine.systems.slots[slot].lu;
+        let CachedLu { lu, memo, .. } = &mut engine.systems.slots[slot];
         if claimed || !lu.is_factored() {
             engine.stats.assemblies += 1;
             engine.stats.factorizations += 1;
+            memo.drive = None;
+            memo.elements.clear();
             lu.refactor_with(|a| {
                 for ((a, &g), &c) in a.iter_mut().zip(&self.g).zip(&self.c) {
                     *a = Complex::new(g, omega * c);
@@ -782,31 +833,45 @@ impl<'a> Mna<'a> {
             })?;
         }
 
-        // Right-hand side from the source pattern (reusing the buffer).
         let rhs = &mut engine.rhs;
-        rhs.fill(Complex::ZERO);
-        for &(id, stamp, dc) in &self.rhs_stamps {
-            let value = match drive {
-                ActiveDrive::AllDc => dc,
-                ActiveDrive::AllAc => engine.values[id.index()],
-                ActiveDrive::Single(source, magnitude) if source == id => magnitude,
-                ActiveDrive::Single(..) => 0.0,
-            };
-            match stamp {
-                RhsStamp::Branch { row } => {
-                    rhs[row as usize] = Complex::from_real(value);
-                }
-                RhsStamp::Nodal { plus, minus } => {
-                    if let Some(i) = plus {
-                        rhs[i as usize] -= Complex::from_real(value);
+        let single = match drive {
+            ActiveDrive::Single(source, magnitude) => Some((source, magnitude.to_bits())),
+            ActiveDrive::AllDc | ActiveDrive::AllAc => None,
+        };
+        if single.is_some() && memo.drive == single {
+            engine.stats.memo_hits += 1;
+            rhs.copy_from_slice(&memo.x0);
+        } else {
+            // Right-hand side from the source pattern (reusing the buffer).
+            rhs.fill(Complex::ZERO);
+            for &(id, stamp, dc) in &self.rhs_stamps {
+                let value = match drive {
+                    ActiveDrive::AllDc => dc,
+                    ActiveDrive::AllAc => engine.values[id.index()],
+                    ActiveDrive::Single(source, magnitude) if source == id => magnitude,
+                    ActiveDrive::Single(..) => 0.0,
+                };
+                match stamp {
+                    RhsStamp::Branch { row } => {
+                        rhs[row as usize] = Complex::from_real(value);
                     }
-                    if let Some(j) = minus {
-                        rhs[j as usize] += Complex::from_real(value);
+                    RhsStamp::Nodal { plus, minus } => {
+                        if let Some(i) = plus {
+                            rhs[i as usize] -= Complex::from_real(value);
+                        }
+                        if let Some(j) = minus {
+                            rhs[j as usize] += Complex::from_real(value);
+                        }
                     }
                 }
             }
+            lu.solve_in_place(rhs);
+            if single.is_some() {
+                memo.drive = single;
+                memo.x0.clear();
+                memo.x0.extend_from_slice(rhs);
+            }
         }
-        lu.solve_in_place(rhs);
         if !engine.deviated.is_empty() {
             self.apply_update(engine, slot, omega)?;
         }
@@ -815,7 +880,8 @@ impl<'a> Mna<'a> {
 
     /// Turns the nominal solution `x₀` in `engine.rhs` into the solution of
     /// the deviated system (Sherman–Morrison–Woodbury, see the
-    /// [module docs](self)).
+    /// [module docs](self)).  The columns `Z = A₀⁻¹·P` come from the slot's
+    /// memo, solved into it only when the deviated set changed.
     fn apply_update(
         &self,
         engine: &mut Engine,
@@ -831,7 +897,7 @@ impl<'a> Mna<'a> {
             scratch,
             stats,
         } = engine;
-        let lu = &systems.slots[slot].lu;
+        let CachedLu { lu, memo, .. } = &mut systems.slots[slot];
         let stamp = |e: usize| &self.value_stamps[e];
         // A non-finite or failed update reports the row the element's
         // stamp lands on, where a direct elimination would have failed.
@@ -859,20 +925,26 @@ impl<'a> Mna<'a> {
             return Ok(());
         }
         stats.updates += 1;
-        scratch.z.resize(k * n, Complex::ZERO);
+        let elements = || scratch.terms.iter().map(|&(e, _)| e);
+        if !memo.elements.iter().copied().eq(elements()) {
+            memo.elements.clear();
+            memo.elements.extend(elements());
+            memo.z.resize(k * n, Complex::ZERO);
+            for (z, e) in memo.z.chunks_exact_mut(n).zip(elements()) {
+                z.fill(Complex::ZERO);
+                for &(i, pi) in &stamp(e).p {
+                    z[i as usize] = Complex::from_real(pi);
+                }
+                lu.solve_in_place(z);
+            }
+        }
+        let z = &memo.z[..k * n];
         scratch.capacitance.resize(k * k, Complex::ZERO);
         scratch.weights.resize(k, Complex::ZERO);
-        for (z, &(e, _)) in scratch.z.chunks_exact_mut(n).zip(&scratch.terms) {
-            z.fill(Complex::ZERO);
-            for &(i, pi) in &stamp(e).p {
-                z[i as usize] = Complex::from_real(pi);
-            }
-            lu.solve_in_place(z);
-        }
         for (l, &(e, delta)) in scratch.terms.iter().enumerate() {
             let s = stamp(e);
             scratch.weights[l] = delta * s.q_dot(x);
-            for (m, z) in scratch.z.chunks_exact(n).enumerate() {
+            for (m, z) in z.chunks_exact(n).enumerate() {
                 let identity = if l == m { Complex::ONE } else { Complex::ZERO };
                 scratch.capacitance[l * k + m] = identity + delta * s.q_dot(z);
             }
@@ -891,7 +963,7 @@ impl<'a> Mna<'a> {
                 return Err(singular(e));
             }
         }
-        for (z, &w) in scratch.z.chunks_exact(n).zip(&scratch.weights) {
+        for (z, &w) in z.chunks_exact(n).zip(&scratch.weights) {
             for (xi, &zi) in x.iter_mut().zip(z) {
                 *xi -= zi * w;
             }
@@ -1155,6 +1227,45 @@ mod tests {
         mna.reset_values();
         let _ = mna.gain("Vin", vout, 1000.0).unwrap();
         assert_eq!(mna.solver_stats().updates, stats.updates);
+    }
+
+    #[test]
+    fn repeated_probes_at_cached_frequencies_hit_the_memo() {
+        let (c, vout) = rc_lowpass();
+        let cap = c.find_element("C").unwrap();
+        let mna = Mna::new(&c);
+        let freqs = [10.0, 1000.0, 1.0e5];
+        // The first solve per frequency factors and fills the memo.
+        for f in freqs {
+            let _ = mna.gain("Vin", vout, f).unwrap();
+        }
+        let warm = mna.solver_stats();
+        assert_eq!(warm.factorizations, 3);
+        assert_eq!(warm.memo_hits, 0);
+        let probes = [0.5, 1.7, 3.0, 0.9];
+        for factor in probes {
+            mna.set_value(cap, c.value(cap) * factor);
+            for f in freqs {
+                let fast = mna.gain("Vin", vout, f).unwrap();
+                let mut deviated = c.clone();
+                deviated.set_value(cap, c.value(cap) * factor);
+                let fresh = Mna::new(&deviated).gain("Vin", vout, f).unwrap();
+                assert!((fast - fresh).abs() < 1e-12 * fresh, "{factor} at {f} Hz");
+            }
+        }
+        mna.reset_values();
+        let stats = mna.solver_stats();
+        let solves = (probes.len() * freqs.len()) as u64;
+        assert_eq!(stats.factorizations, warm.factorizations);
+        assert_eq!(stats.solves, warm.solves + solves);
+        assert_eq!(stats.memo_hits, warm.memo_hits + solves);
+        assert_eq!(stats.updates, warm.updates + solves);
+        // Another drive misses the memo once, then hits it again.
+        let _ = mna.solve_single_source("Vin", 2.0, 1000.0).unwrap();
+        let _ = mna.solve_single_source("Vin", 2.0, 1000.0).unwrap();
+        // All-source drives are never memoized.
+        let _ = mna.solve_ac(1000.0).unwrap();
+        assert_eq!(mna.solver_stats().memo_hits, stats.memo_hits + 1);
     }
 
     #[test]

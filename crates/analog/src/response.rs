@@ -1,15 +1,12 @@
 //! Frequency-response extraction: sweeps, peak search and cut-off frequencies.
 
-use msatpg_exec::{par_map_chunks, CancelToken, ExecPolicy};
-
 use crate::mna::Mna;
 use crate::netlist::{Circuit, NodeId};
 use crate::AnalogError;
 
-/// Number of sweep points per parallel work unit: large enough to amortize
-/// the per-chunk engine stamping, small enough to balance a default sweep
-/// (~211 points) across a handful of workers.
-const SWEEP_CHUNK: usize = 32;
+/// Golden-section steps of [`ResponseAnalyzer::peak`]: each shrinks the
+/// log-frequency bracket by `1/φ`, 60 of them by ≈ 3·10⁻¹³.
+const GOLDEN_STEPS: usize = 60;
 
 /// Configuration of the logarithmic frequency sweep used when extracting
 /// response parameters.
@@ -83,114 +80,6 @@ impl FrequencyResponse {
         for f in config.frequencies() {
             let gain = mna.gain(source, output, f)?;
             points.push((f, gain));
-        }
-        Ok(FrequencyResponse { points })
-    }
-
-    /// [`FrequencyResponse::sweep_with_mna`] under a cooperative
-    /// [`CancelToken`]: one unit of the token's step quota is charged per
-    /// sweep frequency, so a step-quota token interrupts the sweep after a
-    /// deterministic number of points (a wall-clock deadline interrupts at
-    /// the first point past it).  The partial sweep is discarded.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalogError::Cancelled`] when the token fires mid-sweep; otherwise
-    /// solver errors (singular MNA matrix, unknown source).
-    pub fn sweep_with_mna_cancellable(
-        mna: &Mna<'_>,
-        source: &str,
-        output: NodeId,
-        config: &SweepConfig,
-        cancel: &CancelToken,
-    ) -> Result<Self, AnalogError> {
-        let mut points = Vec::new();
-        for f in config.frequencies() {
-            if !cancel.charge(1) {
-                return Err(AnalogError::Cancelled);
-            }
-            let gain = mna.gain(source, output, f)?;
-            points.push((f, gain));
-        }
-        Ok(FrequencyResponse { points })
-    }
-
-    /// Samples the response with the sweep's frequency grid split into
-    /// chunks executed on the worker pool; each chunk stamps its own MNA
-    /// engine.  A solve at one frequency is a pure function of the circuit,
-    /// so the sampled points are bit-identical to [`FrequencyResponse::sweep`]
-    /// under every [`ExecPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors (singular MNA matrix, unknown source).
-    pub fn sweep_policy(
-        circuit: &Circuit,
-        source: &str,
-        output: NodeId,
-        config: &SweepConfig,
-        policy: ExecPolicy,
-    ) -> Result<Self, AnalogError> {
-        if policy.is_serial() {
-            // One engine for the whole grid beats per-chunk stamping.
-            return Self::sweep(circuit, source, output, config);
-        }
-        let freqs = config.frequencies();
-        let chunks = par_map_chunks(policy, &freqs, SWEEP_CHUNK, |_, _, chunk_freqs| {
-            let mna = Mna::new(circuit);
-            chunk_freqs
-                .iter()
-                .map(|&f| mna.gain(source, output, f).map(|g| (f, g)))
-                .collect::<Result<Vec<(f64, f64)>, AnalogError>>()
-        });
-        let mut points = Vec::with_capacity(freqs.len());
-        for chunk in chunks {
-            points.extend(chunk?);
-        }
-        Ok(FrequencyResponse { points })
-    }
-
-    /// [`FrequencyResponse::sweep_policy`] under a cooperative
-    /// [`CancelToken`].  The whole grid is charged against the token's step
-    /// quota **up front** (one unit per frequency) — an all-or-nothing
-    /// decision that is deterministic under every [`ExecPolicy`] — and the
-    /// workers additionally poll [`CancelToken::is_cancelled`] at chunk
-    /// entry so an external cancel or a wall-clock deadline stops the sweep
-    /// early.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalogError::Cancelled`] when the token fires; otherwise solver
-    /// errors.
-    pub fn sweep_policy_cancellable(
-        circuit: &Circuit,
-        source: &str,
-        output: NodeId,
-        config: &SweepConfig,
-        policy: ExecPolicy,
-        cancel: &CancelToken,
-    ) -> Result<Self, AnalogError> {
-        if policy.is_serial() {
-            let mna = Mna::new(circuit);
-            return Self::sweep_with_mna_cancellable(&mna, source, output, config, cancel);
-        }
-        let freqs = config.frequencies();
-        if !cancel.charge(freqs.len() as u64) {
-            return Err(AnalogError::Cancelled);
-        }
-        let chunks = par_map_chunks(policy, &freqs, SWEEP_CHUNK, |_, _, chunk_freqs| {
-            if cancel.is_cancelled() {
-                return Err(AnalogError::Cancelled);
-            }
-            let mna = Mna::new(circuit);
-            chunk_freqs
-                .iter()
-                .map(|&f| mna.gain(source, output, f).map(|g| (f, g)))
-                .collect::<Result<Vec<(f64, f64)>, AnalogError>>()
-        });
-        let mut points = Vec::with_capacity(freqs.len());
-        for chunk in chunks {
-            points.extend(chunk?);
         }
         Ok(FrequencyResponse { points })
     }
@@ -304,41 +193,75 @@ impl<'a> ResponseAnalyzer<'a> {
     /// Maximum gain over the sweep range, refined by golden-section search,
     /// returned as `(frequency, gain)`.
     ///
+    /// The sweep grid is sampled first.  The best sample and its two grid
+    /// neighbours bracket the maximum, and 60 golden-section steps in
+    /// `ln f` narrow that bracket.  Each step keeps the surviving interior
+    /// point and its gain, so it solves at one new frequency.  The result
+    /// is the bracket's log-midpoint and the gain solved there.
+    ///
     /// # Errors
     ///
     /// Propagates solver errors.
     pub fn peak(&self) -> Result<(f64, f64), AnalogError> {
-        let freqs = self.config.frequencies();
+        let peak = self.sweep_peak()?;
+        Ok((peak.freq, peak.gain))
+    }
+
+    /// Samples the sweep grid and refines its maximum (see
+    /// [`ResponseAnalyzer::peak`]), keeping the samples for the cut-off
+    /// scans.
+    fn sweep_peak(&self) -> Result<Peak, AnalogError> {
+        let samples = self
+            .config
+            .frequencies()
+            .into_iter()
+            .map(|f| Ok((f, self.gain_at(f)?)))
+            .collect::<Result<Vec<(f64, f64)>, AnalogError>>()?;
         let mut best_i = 0usize;
         let mut best_g = -1.0;
-        for (i, &f) in freqs.iter().enumerate() {
-            let g = self.gain_at(f)?;
+        for (i, &(_, g)) in samples.iter().enumerate() {
             if g > best_g {
                 best_g = g;
                 best_i = i;
             }
         }
-        // Refine around the best sample with golden-section search in log-f.
-        let lo = freqs[best_i.saturating_sub(1)];
-        let hi = freqs[(best_i + 1).min(freqs.len() - 1)];
+        let lo = samples[best_i.saturating_sub(1)].0;
+        let hi = samples[(best_i + 1).min(samples.len() - 1)].0;
         if lo >= hi {
-            return Ok((freqs[best_i], best_g));
+            return Ok(Peak {
+                freq: samples[best_i].0,
+                gain: best_g,
+                samples,
+            });
         }
         let (mut a, mut b) = (lo.ln(), hi.ln());
         let phi = (5f64.sqrt() - 1.0) / 2.0;
-        for _ in 0..60 {
-            let c = b - phi * (b - a);
-            let d = a + phi * (b - a);
-            let gc = self.gain_at(c.exp())?;
-            let gd = self.gain_at(d.exp())?;
+        let gain = |x: f64| self.gain_at(x.exp());
+        let (mut c, mut d) = (b - phi * (b - a), a + phi * (b - a));
+        let (mut gc, mut gd) = (gain(c)?, gain(d)?);
+        for _ in 1..GOLDEN_STEPS {
             if gc > gd {
-                b = d;
+                (b, d, gd) = (d, c, gc);
+                c = b - phi * (b - a);
+                gc = gain(c)?;
             } else {
-                a = c;
+                (a, c, gc) = (c, d, gd);
+                d = a + phi * (b - a);
+                gd = gain(d)?;
             }
         }
-        let f_peak = ((a + b) / 2.0).exp();
-        Ok((f_peak, self.gain_at(f_peak)?))
+        // The last step only narrows the bracket.
+        if gc > gd {
+            b = d;
+        } else {
+            a = c;
+        }
+        let freq = ((a + b) / 2.0).exp();
+        Ok(Peak {
+            samples,
+            freq,
+            gain: self.gain_at(freq)?,
+        })
     }
 
     /// Center frequency (frequency of maximum gain).
@@ -359,9 +282,13 @@ impl<'a> ResponseAnalyzer<'a> {
     /// [`AnalogError::ParameterNotFound`] if no low-side crossing exists in
     /// the sweep range; otherwise solver errors.
     pub fn low_cutoff(&self) -> Result<f64, AnalogError> {
-        let (f_peak, g_peak) = self.peak()?;
-        let threshold = g_peak / std::f64::consts::SQRT_2;
-        self.find_crossing(self.config.start_hz, f_peak, threshold, true)
+        let peak = self.sweep_peak()?;
+        let threshold = peak.gain / std::f64::consts::SQRT_2;
+        // The grid starts at `start_hz`, so this is `start_hz`, the grid
+        // points strictly below the peak, and the peak.
+        let below = peak.samples.iter().take_while(|&&(f, _)| f < peak.freq);
+        let scan = below.copied().chain([(peak.freq, peak.gain)]);
+        self.find_crossing(scan, threshold, true)
     }
 
     /// High cut-off: the lowest frequency *above* the gain peak at which the
@@ -372,45 +299,45 @@ impl<'a> ResponseAnalyzer<'a> {
     /// [`AnalogError::ParameterNotFound`] if no high-side crossing exists in
     /// the sweep range; otherwise solver errors.
     pub fn high_cutoff(&self) -> Result<f64, AnalogError> {
-        let (f_peak, g_peak) = self.peak()?;
-        let threshold = g_peak / std::f64::consts::SQRT_2;
-        self.find_crossing(f_peak, self.config.stop_hz, threshold, false)
+        let peak = self.sweep_peak()?;
+        let threshold = peak.gain / std::f64::consts::SQRT_2;
+        // The peak, the grid points strictly above it, and the grid's end.
+        let above = peak.samples.iter().skip_while(|&&(f, _)| f <= peak.freq);
+        let scan = [(peak.freq, peak.gain)].into_iter().chain(above.copied());
+        self.find_crossing(scan, threshold, false)
     }
 
-    /// Finds the −3 dB crossing inside `[lo, hi]`.  When `rising` is true the
-    /// gain is expected to rise through the threshold as frequency increases
-    /// (low-side skirt); otherwise to fall through it (high-side skirt).
+    /// Finds the −3 dB crossing along `scan`, `(frequency, gain)` samples in
+    /// ascending frequency that were already solved (the sweep grid of
+    /// [`ResponseAnalyzer::peak`] and the peak itself), so bracketing costs
+    /// no solve.  When `rising` is true the gain is expected to rise
+    /// through the threshold as frequency increases (low-side skirt);
+    /// otherwise to fall through it (high-side skirt).  The first adjacent
+    /// pair that crosses is the bracket, and log-frequency bisection refines
+    /// it; the result is the geometric mean of the final bracket.
     fn find_crossing(
         &self,
-        lo: f64,
-        hi: f64,
+        scan: impl IntoIterator<Item = (f64, f64)>,
         threshold: f64,
         rising: bool,
     ) -> Result<f64, AnalogError> {
-        // Bracket by scanning log-spaced points.
-        let steps = 200usize;
-        let (lln, hln) = (lo.ln(), hi.ln());
-        let mut prev_f = lo;
-        let mut prev_g = self.gain_at(lo)?;
-        let mut bracket = None;
-        for i in 1..=steps {
-            let f = (lln + (hln - lln) * i as f64 / steps as f64).exp();
-            let g = self.gain_at(f)?;
-            let crossed = if rising {
-                prev_g < threshold && g >= threshold
-            } else {
-                prev_g >= threshold && g < threshold
-            };
-            if crossed {
-                bracket = Some((prev_f, f));
-                break;
-            }
-            prev_f = f;
-            prev_g = g;
-        }
-        let (mut a, mut b) = bracket.ok_or(AnalogError::ParameterNotFound {
+        let not_found = || AnalogError::ParameterNotFound {
             what: "-3 dB crossing".to_owned(),
-        })?;
+        };
+        let mut scan = scan.into_iter();
+        let (mut prev_f, mut prev_g) = scan.next().ok_or_else(not_found)?;
+        let (mut a, mut b) = scan
+            .find_map(|(f, g)| {
+                let crossed = if rising {
+                    prev_g < threshold && g >= threshold
+                } else {
+                    prev_g >= threshold && g < threshold
+                };
+                let bracket = crossed.then_some((prev_f, f));
+                (prev_f, prev_g) = (f, g);
+                bracket
+            })
+            .ok_or_else(not_found)?;
         // Up to 80 bisection steps, stopping early once the bracket no
         // longer changes at f64 resolution (every later step would re-solve
         // the same midpoint).
@@ -427,6 +354,14 @@ impl<'a> ResponseAnalyzer<'a> {
         }
         Ok((a * b).sqrt())
     }
+}
+
+/// The sampled sweep grid of a response and its refined maximum.
+struct Peak {
+    /// `(frequency, gain)` at every grid point, ascending.
+    samples: Vec<(f64, f64)>,
+    freq: f64,
+    gain: f64,
 }
 
 #[cfg(test)]
@@ -519,22 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        let (c, vout) = active_bandpass();
-        let config = SweepConfig::default();
-        let reference = FrequencyResponse::sweep(&c, "Vin", vout, &config).unwrap();
-        for policy in [
-            ExecPolicy::Serial,
-            ExecPolicy::Threads(2),
-            ExecPolicy::Threads(8),
-            ExecPolicy::Auto,
-        ] {
-            let swept = FrequencyResponse::sweep_policy(&c, "Vin", vout, &config, policy).unwrap();
-            assert_eq!(swept.points(), reference.points(), "{policy:?}");
-        }
-    }
-
-    #[test]
     fn shared_mna_analyzer_matches_owned_and_reuses_factorizations() {
         let (c, vout) = rc_lowpass(1000.0);
         let mna = Mna::new(&c);
@@ -561,51 +480,128 @@ mod tests {
         assert!(!resp.points().is_empty());
     }
 
-    #[test]
-    fn cancellable_sweep_matches_plain_when_the_quota_suffices() {
-        let (c, vout) = rc_lowpass(1000.0);
-        let config = SweepConfig::default();
-        let mna = Mna::new(&c);
-        let plain = FrequencyResponse::sweep_with_mna(&mna, "Vin", vout, &config).unwrap();
-        let token = CancelToken::new();
-        let governed =
-            FrequencyResponse::sweep_with_mna_cancellable(&mna, "Vin", vout, &config, &token)
-                .unwrap();
-        assert_eq!(governed.points(), plain.points());
-        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
-            let token = CancelToken::with_step_quota(config.frequencies().len() as u64 + 8);
-            let parallel = FrequencyResponse::sweep_policy_cancellable(
-                &c, "Vin", vout, &config, policy, &token,
-            )
+    /// An independent dense reference for [`ResponseAnalyzer::peak`] and
+    /// the cut-offs: 20,001 log-spaced samples over the sweep range, the
+    /// best one refined by ternary search between its neighbours, and each
+    /// cut-off by bisection of the first dense pair that crosses `peak/√2`
+    /// (from the start up to the peak, and from the peak up).
+    struct DenseReference {
+        peak: (f64, f64),
+        low: Option<f64>,
+        high: Option<f64>,
+    }
+
+    fn dense_reference(circuit: &Circuit, output: NodeId, config: &SweepConfig) -> DenseReference {
+        const POINTS: usize = 20_001;
+        let mna = Mna::new(circuit);
+        let gain = |f: f64| mna.gain("Vin", output, f).unwrap();
+        let (lo, hi) = (config.start_hz.ln(), config.stop_hz.ln());
+        let samples: Vec<(f64, f64)> = (0..POINTS)
+            .map(|i| (lo + (hi - lo) * i as f64 / (POINTS - 1) as f64).exp())
+            .map(|f| (f, gain(f)))
+            .collect();
+        let best = (0..POINTS)
+            .max_by(|&i, &j| samples[i].1.total_cmp(&samples[j].1))
             .unwrap();
-            assert_eq!(parallel.points(), plain.points());
+        let (mut a, mut b) = (
+            samples[best.saturating_sub(1)].0.ln(),
+            samples[(best + 1).min(POINTS - 1)].0.ln(),
+        );
+        for _ in 0..200 {
+            let (m1, m2) = (a + (b - a) / 3.0, b - (b - a) / 3.0);
+            if gain(m1.exp()) < gain(m2.exp()) {
+                a = m1;
+            } else {
+                b = m2;
+            }
+        }
+        let f_peak = ((a + b) / 2.0).exp();
+        let peak = (f_peak, gain(f_peak));
+        let threshold = peak.1 / std::f64::consts::SQRT_2;
+        let crossing = |scan: Vec<(f64, f64)>, rising: bool| {
+            let pair = scan.windows(2).find(|w| {
+                let (g0, g1) = (w[0].1, w[1].1);
+                if rising {
+                    g0 < threshold && g1 >= threshold
+                } else {
+                    g0 >= threshold && g1 < threshold
+                }
+            })?;
+            let (mut a, mut b) = (pair[0].0, pair[1].0);
+            for _ in 0..100 {
+                let mid = (a * b).sqrt();
+                if (gain(mid) < threshold) == rising {
+                    a = mid;
+                } else {
+                    b = mid;
+                }
+            }
+            Some((a * b).sqrt())
+        };
+        let below = samples.iter().copied().filter(|&(f, _)| f < f_peak);
+        let above = samples.iter().copied().filter(|&(f, _)| f > f_peak);
+        DenseReference {
+            peak,
+            low: crossing(below.chain([peak]).collect(), true),
+            high: crossing([peak].into_iter().chain(above).collect(), false),
+        }
+    }
+
+    fn assert_matches_dense_reference(circuit: &Circuit, output: NodeId, config: SweepConfig) {
+        let an = ResponseAnalyzer::new(circuit, "Vin", output).with_sweep(config);
+        let reference = dense_reference(circuit, output, &config);
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
+        let (f_peak, g_peak) = an.peak().unwrap();
+        assert!(
+            rel(g_peak, reference.peak.1) <= 1e-9,
+            "peak gain {g_peak} vs {:?}",
+            reference.peak
+        );
+        // The frequency of a smooth maximum is fixed only to about the
+        // square root of the gain's round-off.
+        assert!(
+            rel(f_peak, reference.peak.0) <= 1e-6,
+            "peak at {f_peak} vs {:?}",
+            reference.peak
+        );
+        for (side, found, expected) in [
+            ("low", an.low_cutoff().ok(), reference.low),
+            ("high", an.high_cutoff().ok(), reference.high),
+        ] {
+            match (found, expected) {
+                (Some(f), Some(r)) => assert!(rel(f, r) <= 1e-9, "{side} cut-off {f} vs {r}"),
+                (None, None) => {}
+                _ => panic!("{side} cut-off {found:?} vs dense {expected:?}"),
+            }
         }
     }
 
     #[test]
-    fn step_quota_interrupts_the_sweep_deterministically() {
+    fn peak_and_cutoffs_match_a_dense_reference() {
         let (c, vout) = rc_lowpass(1000.0);
-        let config = SweepConfig::default();
-        let grid = config.frequencies().len() as u64;
-        assert!(grid > 10, "the default grid spans many points");
-        // Serial: the quota fires mid-grid, after a deterministic number of
-        // per-frequency charges.
-        let mna = Mna::new(&c);
-        let token = CancelToken::with_step_quota(10);
-        let result =
-            FrequencyResponse::sweep_with_mna_cancellable(&mna, "Vin", vout, &config, &token);
-        assert_eq!(result, Err(AnalogError::Cancelled));
-        assert!(token.is_cancelled());
-        // Parallel: the whole grid is charged up front, all or nothing.
-        let token = CancelToken::with_step_quota(grid / 2);
-        let result = FrequencyResponse::sweep_policy_cancellable(
-            &c,
-            "Vin",
-            vout,
-            &config,
-            ExecPolicy::Threads(2),
-            &token,
-        );
-        assert_eq!(result, Err(AnalogError::Cancelled));
+        assert_matches_dense_reference(&c, vout, SweepConfig::default());
+        let (c, vout) = active_bandpass();
+        assert_matches_dense_reference(&c, vout, SweepConfig::default());
+        let chebyshev = crate::filters::fifth_order_chebyshev();
+        let sweep = chebyshev.parameters()[0].sweep;
+        assert_matches_dense_reference(chebyshev.circuit(), chebyshev.output_node(), sweep);
+    }
+
+    /// With C4 15.36 % low, a passband-ripple dip of the Chebyshev filter
+    /// falls below `peak/√2` near 877 Hz, well before the band edge: the
+    /// cut-off is that first crossing, which the sweep grid brackets.
+    #[test]
+    fn chebyshev_ripple_dip_is_the_cutoff() {
+        let mut chebyshev = crate::filters::fifth_order_chebyshev();
+        let c4 = chebyshev.circuit().find_element("C4").unwrap();
+        chebyshev.circuit_mut().scale_value(c4, 1.0 - 0.1536);
+        let sweep = chebyshev.parameters()[0].sweep;
+        let output = chebyshev.output_node();
+        let fc = ResponseAnalyzer::new(chebyshev.circuit(), "Vin", output)
+            .with_sweep(sweep)
+            .high_cutoff()
+            .unwrap();
+        assert!((fc - 876.76).abs() < 0.01, "fc = {fc}");
+        assert_matches_dense_reference(chebyshev.circuit(), output, sweep);
     }
 }

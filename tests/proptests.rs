@@ -974,13 +974,84 @@ fn mna_solves_are_independent_of_set_value_history() {
     }
 }
 
+/// The rank-1 memo of the cached factors (`x₀` per single-source drive,
+/// `Z = A₀⁻¹·P` per deviated set) is invisible: a long-lived engine that
+/// interleaves DC, all-source AC (after a `set_value` on the source),
+/// single-source and transfer solves, revisits a few frequencies under
+/// changing sets of zero to three deviated elements, and cycles through
+/// 600 distinct frequencies (more than the cache holds, so slots are
+/// evicted and re-used) answers every solve bit-identically to a freshly
+/// built engine holding the same values.
+#[test]
+fn mna_memo_is_invisible_across_drives_deviations_and_eviction() {
+    use msatpg::analog::mna::{Mna, Solution};
+    use msatpg::analog::AnalogError;
+    const DISTINCT: usize = 600;
+    let mut rng = SplitMix64::new(0x3E40_0A11);
+    for case in 0..CASES / 16 {
+        let random = random_analog_circuit(&mut rng);
+        let circuit = &random.circuit;
+        let source = circuit.find_element("Vin").unwrap();
+        let mna = Mna::new(circuit);
+        let mut next = 0usize;
+        for step in 0..3 * DISTINCT {
+            if step % 7 == 0 {
+                mna.reset_values();
+                for _ in 0..rng.below(4) {
+                    let element = random.deviable[rng.below(random.deviable.len())];
+                    let value = circuit.value(element) * (0.05 + 4.0 * rng.f64());
+                    mna.set_value(element, value);
+                }
+                mna.set_value(source, 0.5 + rng.f64());
+            }
+            let freq = if rng.bool() {
+                PROBE_FREQUENCIES[rng.below(PROBE_FREQUENCIES.len())]
+            } else {
+                next += 1;
+                10f64.powf(-1.0 + 7.0 * (next % DISTINCT) as f64 / DISTINCT as f64)
+            };
+            let fresh = Mna::new(circuit);
+            for &e in random.deviable.iter().chain([&source]) {
+                fresh.set_value(e, mna.value(e));
+            }
+            let magnitude = [1.0, 2.5][rng.below(2)];
+            let drive = rng.below(4);
+            let bits = |mna: &Mna<'_>| -> Result<Vec<(u64, u64)>, AnalogError> {
+                let voltages = |s: Solution| random.nodes.iter().map(move |&n| s.voltage(n));
+                let values: Vec<_> = match drive {
+                    0 => voltages(mna.solve_dc()?).collect(),
+                    1 => voltages(mna.solve_ac(freq)?).collect(),
+                    2 => voltages(mna.solve_single_source("Vin", magnitude, freq)?).collect(),
+                    _ => node_transfers(mna, &random.nodes, freq)?,
+                };
+                Ok(values
+                    .iter()
+                    .map(|x| (x.re.to_bits(), x.im.to_bits()))
+                    .collect())
+            };
+            assert_eq!(
+                bits(&mna),
+                bits(&fresh),
+                "case {case}, step {step}, drive {drive}, {freq} Hz"
+            );
+        }
+        // The memo answered solves, and slots were evicted and re-used.
+        let stats = mna.solver_stats();
+        assert!(stats.memo_hits > 0, "case {case}: {stats:?}");
+        assert!(
+            stats.factorizations > mna.cached_system_count() as u64 + 100,
+            "case {case}: {stats:?}"
+        );
+    }
+}
+
 /// Threshold certificate: every detected row of the worst-case analysis of
-/// the board and the band-pass — except the center-frequency rows, whose
-/// golden-section search has a noise floor above 1e-9 — is bracketed by
-/// direct solves of freshly stamped circuits: in the direction that decided
-/// the row, the parameter leaves its tolerance box (widened by the row's
-/// masking margin) at the reported deviation `d` and stays inside at
-/// `d·(1 − 1e-9)`.
+/// the board, the band-pass and the Table-3 Chebyshev filter — except the
+/// center-frequency rows, whose golden-section search has a noise floor
+/// above 1e-9 — is bracketed by direct solves of freshly stamped circuits:
+/// in the direction that decided the row, the parameter leaves its
+/// tolerance box (widened by the row's masking margin) at the reported
+/// deviation `d` and stays inside at `d·(1 − 1e-9)`.
 #[test]
 fn deviation_thresholds_are_certified_by_fresh_solves() {
     use msatpg::analog::filters;
@@ -990,6 +1061,7 @@ fn deviation_thresholds_are_certified_by_fresh_solves() {
     for filter in [
         filters::state_variable_filter(),
         filters::second_order_band_pass(),
+        filters::fifth_order_chebyshev(),
     ] {
         let circuit = filter.circuit();
         let elements = circuit.passive_elements();
