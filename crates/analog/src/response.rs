@@ -2,11 +2,8 @@
 
 use crate::mna::Mna;
 use crate::netlist::{Circuit, NodeId};
+use crate::sensitivity::{illinois, Until};
 use crate::AnalogError;
-
-/// Golden-section steps of [`ResponseAnalyzer::peak`]: each shrinks the
-/// log-frequency bracket by `1/φ`, 60 of them by ≈ 3·10⁻¹³.
-const GOLDEN_STEPS: usize = 60;
 
 /// Configuration of the logarithmic frequency sweep used when extracting
 /// response parameters.
@@ -102,17 +99,6 @@ impl FrequencyResponse {
             },
         )
     }
-
-    /// Gain at the lowest swept frequency (a proxy for the DC gain of
-    /// low-pass responses).
-    pub fn low_frequency_gain(&self) -> f64 {
-        self.points.first().map(|&(_, g)| g).unwrap_or(0.0)
-    }
-
-    /// Gain at the highest swept frequency.
-    pub fn high_frequency_gain(&self) -> f64 {
-        self.points.last().map(|&(_, g)| g).unwrap_or(0.0)
-    }
 }
 
 /// The MNA engine an analyzer works on: its own, or one shared with other
@@ -124,7 +110,7 @@ enum MnaHandle<'a> {
 }
 
 /// High-accuracy response-parameter extraction working directly on the MNA
-/// solver (sweep for bracketing, bisection for refinement).
+/// solver (sweep for bracketing, Brent and Illinois steps for refinement).
 pub struct ResponseAnalyzer<'a> {
     mna: MnaHandle<'a>,
     source: String,
@@ -190,14 +176,20 @@ impl<'a> ResponseAnalyzer<'a> {
         self.mna().gain(&self.source, self.output, 0.0)
     }
 
-    /// Maximum gain over the sweep range, refined by golden-section search,
+    /// Maximum gain over the sweep range, refined by Brent's method,
     /// returned as `(frequency, gain)`.
     ///
-    /// The sweep grid is sampled first.  The best sample and its two grid
-    /// neighbours bracket the maximum, and 60 golden-section steps in
-    /// `ln f` narrow that bracket.  Each step keeps the surviving interior
-    /// point and its gain, so it solves at one new frequency.  The result
-    /// is the bracket's log-midpoint and the gain solved there.
+    /// The sweep grid is sampled first.  When the best sample is a grid
+    /// end it is the result, with no further solve.  Otherwise its two grid
+    /// neighbours bracket the maximum, and Brent's method (parabolic steps
+    /// through the three best points so far, golden-section steps when a
+    /// parabola is not trusted) maximizes the gain over `x = ln f` in that
+    /// bracket.  It starts at the best sample, whose gain the grid already
+    /// solved, so each step costs one solve, typically 7–10 in all.  It
+    /// stops once both bracket ends lie within `2·tol` of the best point,
+    /// with `tol = 10⁻⁸·|x| + 10⁻¹²`: the `√ε` floor, below which the
+    /// gain's round-off hides where a smooth maximum lies anyway.  The
+    /// result is the best point solved and its gain.
     ///
     /// # Errors
     ///
@@ -225,42 +217,25 @@ impl<'a> ResponseAnalyzer<'a> {
                 best_i = i;
             }
         }
-        let lo = samples[best_i.saturating_sub(1)].0;
-        let hi = samples[(best_i + 1).min(samples.len() - 1)].0;
-        if lo >= hi {
+        let best_f = samples[best_i].0;
+        if best_i == 0 || best_i + 1 == samples.len() {
+            // The maximum sits at a grid end: there is no bracket around it.
             return Ok(Peak {
-                freq: samples[best_i].0,
+                freq: best_f,
                 gain: best_g,
                 samples,
             });
         }
-        let (mut a, mut b) = (lo.ln(), hi.ln());
-        let phi = (5f64.sqrt() - 1.0) / 2.0;
-        let gain = |x: f64| self.gain_at(x.exp());
-        let (mut c, mut d) = (b - phi * (b - a), a + phi * (b - a));
-        let (mut gc, mut gd) = (gain(c)?, gain(d)?);
-        for _ in 1..GOLDEN_STEPS {
-            if gc > gd {
-                (b, d, gd) = (d, c, gc);
-                c = b - phi * (b - a);
-                gc = gain(c)?;
-            } else {
-                (a, c, gc) = (c, d, gd);
-                d = a + phi * (b - a);
-                gd = gain(d)?;
-            }
-        }
-        // The last step only narrows the bracket.
-        if gc > gd {
-            b = d;
-        } else {
-            a = c;
-        }
-        let freq = ((a + b) / 2.0).exp();
+        let (lo, hi) = (samples[best_i - 1].0, samples[best_i + 1].0);
+        let (x, gain) = brent_max(
+            |x| self.gain_at(x.exp()),
+            (lo.ln(), hi.ln()),
+            (best_f.ln(), best_g),
+        )?;
         Ok(Peak {
             samples,
-            freq,
-            gain: self.gain_at(freq)?,
+            freq: x.exp(),
+            gain,
         })
     }
 
@@ -309,12 +284,17 @@ impl<'a> ResponseAnalyzer<'a> {
 
     /// Finds the −3 dB crossing along `scan`, `(frequency, gain)` samples in
     /// ascending frequency that were already solved (the sweep grid of
-    /// [`ResponseAnalyzer::peak`] and the peak itself), so bracketing costs
-    /// no solve.  When `rising` is true the gain is expected to rise
-    /// through the threshold as frequency increases (low-side skirt);
-    /// otherwise to fall through it (high-side skirt).  The first adjacent
-    /// pair that crosses is the bracket, and log-frequency bisection refines
-    /// it; the result is the geometric mean of the final bracket.
+    /// [`ResponseAnalyzer::peak`] and the peak itself).  When `rising` is
+    /// true the gain is expected to rise through the threshold as frequency
+    /// increases (low-side skirt); otherwise to fall through it (high-side
+    /// skirt).  The first adjacent pair that crosses is the bracket.  Both
+    /// of its gains are known from the scan, so the bracket costs no solve.
+    /// The safeguarded Illinois iteration of [`illinois`] then finds the
+    /// root of `h(ln f) = ±(gain − threshold)`, signed so that `h ≤ 0` at
+    /// the bracket's low end, in typically 5–12 solves.  It runs to f64
+    /// resolution of `ln f` ([`Until::Resolution`]): once a secant point
+    /// rounds onto a bracket end, the bracket collapses there and that end
+    /// is the cut-off.
     fn find_crossing(
         &self,
         scan: impl IntoIterator<Item = (f64, f64)>,
@@ -325,34 +305,112 @@ impl<'a> ResponseAnalyzer<'a> {
             what: "-3 dB crossing".to_owned(),
         };
         let mut scan = scan.into_iter();
-        let (mut prev_f, mut prev_g) = scan.next().ok_or_else(not_found)?;
-        let (mut a, mut b) = scan
-            .find_map(|(f, g)| {
+        let mut prev = scan.next().ok_or_else(not_found)?;
+        let (lo, hi) = scan
+            .find_map(|next| {
                 let crossed = if rising {
-                    prev_g < threshold && g >= threshold
+                    prev.1 < threshold && next.1 >= threshold
                 } else {
-                    prev_g >= threshold && g < threshold
+                    prev.1 >= threshold && next.1 < threshold
                 };
-                let bracket = crossed.then_some((prev_f, f));
-                (prev_f, prev_g) = (f, g);
+                let bracket = crossed.then_some((prev, next));
+                prev = next;
                 bracket
             })
             .ok_or_else(not_found)?;
-        // Up to 80 bisection steps, stopping early once the bracket no
-        // longer changes at f64 resolution (every later step would re-solve
-        // the same midpoint).
-        for _ in 0..80 {
-            let mid = (a.ln() + b.ln()) / 2.0;
-            let f = mid.exp();
-            let g = self.gain_at(f)?;
-            let below = g < threshold;
-            let next = if rising == below { (f, b) } else { (a, f) };
-            if next == (a, b) {
-                break;
-            }
-            (a, b) = next;
+        let sign = if rising { 1.0 } else { -1.0 };
+        let end = |(f, g): (f64, f64)| (f.ln(), sign * (g - threshold));
+        let root = illinois(
+            |x| Ok(sign * (self.gain_at(x.exp())? - threshold)),
+            end(lo),
+            end(hi),
+            Until::Resolution,
+        )?;
+        Ok(root.exp())
+    }
+}
+
+/// Brent's method for the maximum of `gain(x)` on `[a, b]`, started at the
+/// interior point `x0` whose gain `g0` is already known.  Returns the best
+/// point solved and its gain (see [`ResponseAnalyzer::peak`]).
+fn brent_max(
+    gain: impl Fn(f64) -> Result<f64, AnalogError>,
+    (mut a, mut b): (f64, f64),
+    (x0, g0): (f64, f64),
+) -> Result<(f64, f64), AnalogError> {
+    /// `(3 − √5)/2`: the golden-section step as a fraction of a segment.
+    const GOLDEN: f64 = 0.381_966_011_250_105_1;
+    // `x` is the best point so far, `w` the second best, `v` the previous
+    // `w`; `d` is the last step and `e` the one before it.
+    let (mut x, mut w, mut v) = (x0, x0, x0);
+    let (mut gx, mut gw, mut gv) = (g0, g0, g0);
+    let (mut d, mut e) = (0.0f64, 0.0f64);
+    loop {
+        let m = 0.5 * (a + b);
+        let tol = 1e-8 * x.abs() + 1e-12;
+        if (x - m).abs() <= 2.0 * tol - 0.5 * (b - a) {
+            return Ok((x, gx));
         }
-        Ok((a * b).sqrt())
+        // Step to the vertex `x + p/q` of the parabola through x, w, v if
+        // it lies inside the bracket and moves less than half the step
+        // before last; otherwise take a golden-section step into the
+        // larger side.
+        let mut golden = true;
+        if e.abs() > tol {
+            let r = (x - w) * (gx - gv);
+            let q = (x - v) * (gx - gw);
+            let mut p = (x - v) * q - (x - w) * r;
+            let mut q = 2.0 * (q - r);
+            if q > 0.0 {
+                p = -p;
+            }
+            q = q.abs();
+            let before_last = e;
+            e = d;
+            if p.abs() < (0.5 * q * before_last).abs() && p > q * (a - x) && p < q * (b - x) {
+                golden = false;
+                d = p / q;
+                // Within `2·tol` of a bracket end, step `tol` toward the
+                // middle instead.
+                let u = x + d;
+                if u - a < 2.0 * tol || b - u < 2.0 * tol {
+                    d = tol.copysign(m - x);
+                }
+            }
+        }
+        if golden {
+            e = if x >= m { a - x } else { b - x };
+            d = GOLDEN * e;
+        }
+        // Never solve closer than `tol` to the best point.
+        let u = if d.abs() >= tol {
+            x + d
+        } else {
+            x + tol.copysign(d)
+        };
+        let gu = gain(u)?;
+        if gu >= gx {
+            if u >= x {
+                a = x;
+            } else {
+                b = x;
+            }
+            (v, gv) = (w, gw);
+            (w, gw) = (x, gx);
+            (x, gx) = (u, gu);
+        } else {
+            if u < x {
+                a = u;
+            } else {
+                b = u;
+            }
+            if gu >= gw || w == x {
+                (v, gv) = (w, gw);
+                (w, gw) = (u, gu);
+            } else if gu >= gv || v == x || v == w {
+                (v, gv) = (u, gu);
+            }
+        }
     }
 }
 
@@ -449,8 +507,7 @@ mod tests {
         assert!(!resp.points().is_empty());
         let (f_peak, g_peak) = resp.peak();
         assert!(f_peak > 100.0 && f_peak < 10_000.0);
-        assert!(g_peak > resp.low_frequency_gain());
-        assert!(g_peak > resp.high_frequency_gain());
+        assert!(g_peak > 1.0, "peak gain {g_peak}");
     }
 
     #[test]
@@ -585,6 +642,60 @@ mod tests {
         let chebyshev = crate::filters::fifth_order_chebyshev();
         let sweep = chebyshev.parameters()[0].sweep;
         assert_matches_dense_reference(chebyshev.circuit(), chebyshev.output_node(), sweep);
+        // The board's two sweep parameters: the `v2` peak (`A2max`) and the
+        // `v1` low cut-off (`fh1`).
+        let board = crate::filters::state_variable_filter();
+        let sweep = board.parameters()[0].sweep;
+        for output in ["v2", "v1"] {
+            let node = board.circuit().find_node(output).unwrap();
+            assert_matches_dense_reference(board.circuit(), node, sweep);
+        }
+        // C1 30 % low moves the band-pass peak off the grid's log-midpoint
+        // between its neighbours, so Brent starts from a skewed bracket.
+        let mut bandpass = crate::filters::second_order_band_pass();
+        let c1 = bandpass.circuit().find_element("C1").unwrap();
+        bandpass.circuit_mut().scale_value(c1, 0.7);
+        let sweep = bandpass.parameters()[0].sweep;
+        assert_matches_dense_reference(bandpass.circuit(), bandpass.output_node(), sweep);
+    }
+
+    /// Solves `call` makes on a fresh engine.
+    fn solves(
+        circuit: &Circuit,
+        output: &str,
+        sweep: SweepConfig,
+        call: impl Fn(&ResponseAnalyzer<'_>),
+    ) -> u64 {
+        let mna = Mna::new(circuit);
+        let output = circuit.find_node(output).unwrap();
+        call(&ResponseAnalyzer::from_mna(&mna, "Vin", output).with_sweep(sweep));
+        mna.solver_stats().solves
+    }
+
+    /// Brent's peak search and the Illinois crossing start from points the
+    /// grid already solved, so each needs only a handful of solves beyond
+    /// it.
+    #[test]
+    fn peak_and_crossing_solve_counts() {
+        let board = crate::filters::state_variable_filter();
+        let sweep = board.parameters()[0].sweep;
+        let grid = sweep.frequencies().len() as u64;
+        let peak = |an: &ResponseAnalyzer<'_>| {
+            an.peak().unwrap();
+        };
+        let low_cutoff = |an: &ResponseAnalyzer<'_>| {
+            an.low_cutoff().unwrap();
+        };
+        let refinement = solves(board.circuit(), "v2", sweep, peak) - grid;
+        assert!(refinement <= 12, "{refinement} peak solves beyond the grid");
+        let v1_peak = solves(board.circuit(), "v1", sweep, peak);
+        let crossing = solves(board.circuit(), "v1", sweep, low_cutoff) - v1_peak;
+        assert!(crossing <= 10, "{crossing} crossing solves beyond the peak");
+        // The RC low-pass peaks at the grid start: no refinement at all.
+        let rc = crate::filters::rc_low_pass(1000.0);
+        let sweep = rc.parameters()[0].sweep;
+        let grid = sweep.frequencies().len() as u64;
+        assert_eq!(solves(rc.circuit(), "vout", sweep, peak), grid);
     }
 
     /// With C4 15.36 % low, a passband-ripple dip of the Chebyshev filter

@@ -16,7 +16,10 @@
 //! probed until one leaves the box.  The row reports the larger of the two
 //! directional thresholds, so a direction is refined only while its
 //! bracket can still decide that maximum.  Refinement is a safeguarded
-//! Illinois (modified regula falsi) iteration on `effect(d) − threshold`.
+//! Illinois (modified regula falsi) iteration on `effect(d) − threshold`,
+//! the crate's one root finder: `illinois` in this module, which the
+//! cut-off search of [`crate::response`] shares, run to f64 resolution of
+//! `ln f` instead of to a relative width.
 //! It keeps a bracket `(a, b]` with `a` inside the box and `b` outside.  A
 //! step takes the secant point of the bracket ends, halving the retained
 //! end's value when the same end is kept twice in a row.  It bisects
@@ -510,31 +513,68 @@ struct Bracket {
     excess_hi: f64,
 }
 
-/// Safeguarded Illinois refinement of a bracket down to
-/// [`THRESHOLD_RELATIVE_TOLERANCE`]; returns the detecting end `b`.
+/// Refines a bracket down to [`THRESHOLD_RELATIVE_TOLERANCE`] with
+/// [`illinois`] and returns the detecting end `b`.
 fn refine(
     excess: &impl Fn(f64) -> Result<f64, AnalogError>,
     bracket: Bracket,
 ) -> Result<f64, AnalogError> {
     let Bracket {
         sign,
-        lo: mut a,
-        excess_lo: mut fa,
-        hi: mut b,
-        excess_hi: mut fb,
+        lo,
+        excess_lo,
+        hi,
+        excess_hi,
     } = bracket;
+    illinois(
+        |c| excess(sign * c),
+        (lo, excess_lo),
+        (hi, excess_hi),
+        Until::Width(THRESHOLD_RELATIVE_TOLERANCE),
+    )
+}
+
+/// When [`illinois`] stops, and what it returns.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Until {
+    /// Once the bracket is no wider than this fraction of `b`; returns `b`.
+    /// A secant point that is not strictly inside the bracket is replaced
+    /// by the midpoint.
+    Width(f64),
+    /// At f64 resolution: once the secant point is not strictly inside the
+    /// bracket, it returns the end that point rounded onto.
+    Resolution,
+}
+
+/// Safeguarded Illinois (modified regula falsi) iteration for a root of `h`
+/// in the bracket `a < b`, given `fa = h(a) ≤ 0` and `fb = h(b) ≥ 0`, so
+/// the ends cost no evaluation.  Returns the root as [`Until`] says.
+///
+/// A step takes the secant point of the bracket ends, halving the retained
+/// end's value when the same end is kept twice in a row.  It bisects
+/// instead when two steps in a row failed to halve the bracket, and — with
+/// [`Until::Width`] — when the secant point is not strictly inside the
+/// bracket.  A point with `h > 0` replaces `b`, any other replaces `a`.
+pub(crate) fn illinois(
+    mut h: impl FnMut(f64) -> Result<f64, AnalogError>,
+    (mut a, mut fa): (f64, f64),
+    (mut b, mut fb): (f64, f64),
+    until: Until,
+) -> Result<f64, AnalogError> {
     // Which end the previous step replaced (+1: `b`, −1: `a`, 0: none).
     let mut replaced = 0i8;
     // Steps since the bracket last halved, and its width then.
     let (mut stalled, mut halved_width) = (0u32, b - a);
-    while b - a > THRESHOLD_RELATIVE_TOLERANCE * b {
+    loop {
         let secant = b - fb * (b - a) / (fb - fa);
-        let c = if stalled < 2 && secant > a && secant < b {
-            secant
-        } else {
-            0.5 * (a + b)
+        let inside = secant > a && secant < b;
+        let c = match until {
+            Until::Width(tolerance) if b - a <= tolerance * b => break,
+            Until::Resolution if !inside => return Ok(if secant >= b { b } else { a }),
+            _ if stalled < 2 && inside => secant,
+            _ => 0.5 * (a + b),
         };
-        let fc = excess(sign * c)?;
+        let fc = h(c)?;
         if fc > 0.0 {
             (b, fb) = (c, fc);
             if replaced == 1 {

@@ -57,7 +57,7 @@ for triple in 1:8:never 8:1:until-convergence; do
 done
 
 echo "==> paper tables (release) against the committed goldens in crates/bench/expected/"
-for bin in table_example1 table3_chebyshev table8_state_variable table6_ladder table7_ladder_mixed; do
+for bin in table_example1 table_example2 table1_rules table3_chebyshev table8_state_variable table6_ladder table7_ladder_mixed figure_responses; do
     echo "    ${bin}"
     cargo run -q --release -p msatpg-bench --bin "${bin}" \
         | diff -u "crates/bench/expected/${bin}.txt" -
