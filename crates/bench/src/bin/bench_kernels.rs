@@ -30,7 +30,7 @@ use msatpg_bench::{
 };
 use msatpg_conversion::constraints::thermometer_codes;
 use msatpg_core::constraint::{constraint_bdd, declare_input_variables};
-use msatpg_core::{pi_order, DigitalAtpg, StaticOrder};
+use msatpg_core::{pi_order, StaticOrder};
 use msatpg_digital::benchmarks;
 use msatpg_digital::fault::FaultList;
 use msatpg_digital::fault_sim::{FaultCones, FaultSimulator, WordWidth};
@@ -248,63 +248,6 @@ fn bench_ppsfp_scaling(name: &str, pattern_count: usize) -> ThreadScalingReport 
         circuit: name.to_owned(),
         faults: faults.len(),
         patterns: pattern_count,
-        host_cpus,
-        floor_enforced: host_cpus >= 4,
-        rows,
-    }
-}
-
-struct PipelinedScalingReport {
-    circuit: String,
-    faults: usize,
-    host_cpus: usize,
-    /// Whether any multi-core floor could be enforced on this host (needs
-    /// ≥4 hardware threads; a 1-CPU container records the rows but cannot
-    /// physically speed up).
-    floor_enforced: bool,
-    rows: Vec<ScalingRow>,
-}
-
-/// Thread-scaling of the whole pipelined ATPG campaign driver (covered-fault
-/// pre-screen, generation, PPSFP verification) at 1, 2 and 4 workers — the
-/// end-to-end counterpart of `ppsfp_thread_scaling`'s kernel rows.
-fn bench_pipelined_scaling(name: &str) -> PipelinedScalingReport {
-    let netlist = benchmarks::by_name(name).expect("known benchmark");
-    let faults = FaultList::collapsed(&netlist);
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // Determinism sanity before timing: the pipelined driver must report
-    // byte-identically at every worker count.
-    let reference = DigitalAtpg::new(&netlist).run(&faults).expect("campaign");
-    let mut rows = Vec::new();
-    let mut baseline = 0.0;
-    for workers in [1usize, 2, 4] {
-        let build = || DigitalAtpg::new(&netlist).with_policy(ExecPolicy::Threads(workers));
-        let check = build().run(&faults).expect("campaign");
-        assert_eq!(
-            check.detected, reference.detected,
-            "{name} at {workers} workers"
-        );
-        assert_eq!(
-            check.vectors, reference.vectors,
-            "{name} at {workers} workers"
-        );
-        let seconds = time(3, || {
-            std::hint::black_box(build().run(&faults).unwrap());
-        });
-        if workers == 1 {
-            baseline = seconds;
-        }
-        rows.push(ScalingRow {
-            workers,
-            seconds,
-            speedup: baseline / seconds,
-        });
-    }
-    PipelinedScalingReport {
-        circuit: name.to_owned(),
-        faults: faults.len(),
         host_cpus,
         floor_enforced: host_cpus >= 4,
         rows,
@@ -849,7 +792,6 @@ fn main() {
         .map(|name| bench_fault_sim_wide(name, 512))
         .collect();
     let scaling = bench_ppsfp_scaling("c1355", 256);
-    let pipelined = bench_pipelined_scaling("c432");
     let bdd = bench_bdd(24);
     let memory = bench_bdd_memory(24, "c432");
     let reorder = bench_bdd_reorder(24, "c432");
@@ -914,27 +856,6 @@ fn main() {
             row.seconds,
             row.speedup,
             if i + 1 < scaling.rows.len() { ", " } else { "" },
-        );
-    }
-    json.push_str("]},\n");
-    let _ = write!(
-        json,
-        "  \"pipelined_scaling\": {{\"circuit\": \"{}\", \"faults\": {}, \"host_cpus\": {}, \
-         \"floor_enforced\": {}, \"rows\": [",
-        pipelined.circuit, pipelined.faults, pipelined.host_cpus, pipelined.floor_enforced,
-    );
-    for (i, row) in pipelined.rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{{\"workers\": {}, \"seconds\": {:.6}, \"speedup\": {:.2}}}{}",
-            row.workers,
-            row.seconds,
-            row.speedup,
-            if i + 1 < pipelined.rows.len() {
-                ", "
-            } else {
-                ""
-            },
         );
     }
     json.push_str("]},\n");
@@ -1117,8 +1038,7 @@ fn main() {
         } else {
             eprintln!(
                 "note: host has {} hardware thread(s) (< 4); multi-core scaling floors skipped — \
-                 the ppsfp_thread_scaling and pipelined_scaling rows are recorded for reference \
-                 only, since extra workers cannot physically speed up on this host",
+                 the ppsfp_thread_scaling rows are recorded for reference only, since extra workers cannot physically speed up on this host",
                 scaling.host_cpus
             );
         }

@@ -20,7 +20,6 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use msatpg_bdd::{Bdd, BddBudget, BddError, BddManager, Cube, VarId};
@@ -34,7 +33,7 @@ use msatpg_digital::sim::Simulator;
 use msatpg_exec::{CancelToken, ChaosEvent, ChaosInjector, ExecPolicy, PanicPolicy, WorkerPool};
 
 use crate::constraint::{constraint_bdd, declare_input_variables};
-use crate::ordering::{DvoMode, StaticOrder};
+use crate::ordering::DvoMode;
 use crate::store::{self, Checkpoint, CheckpointPolicy};
 use crate::CoreError;
 
@@ -218,12 +217,9 @@ impl Default for DegradePolicy {
     }
 }
 
-/// Faults per pipeline round: while the replay consumes one round, the pool
-/// generates the next.
-const REPLAY_CHUNK: usize = 64;
-
-/// Faults per generation work unit within a round (small, so the pool's
-/// chunk stealing balances the very uneven per-fault generation cost).
+/// Faults per work unit of the parallel derivation round (small, so the
+/// pool's chunk stealing balances the very uneven per-fault derivation
+/// cost).
 const GENERATE_CHUNK: usize = 8;
 
 /// The width-generic coverage store behind [`ReplayState`]: generated
@@ -268,10 +264,9 @@ impl<const W: usize> WideCoverage<W> {
             .run_parallel_blocks::<W>(&self.open_block)
             .map_err(|e| CoreError::Digital(e.to_string()))?;
         let mask = block_mask::<W>(self.open_block.len());
-        if self.open_block.len() == 1 {
-            self.blocks.push((words, mask));
-        } else {
-            *self.blocks.last_mut().expect("open block exists") = (words, mask);
+        match self.blocks.last_mut() {
+            Some(last) if self.open_block.len() > 1 => *last = (words, mask),
+            _ => self.blocks.push((words, mask)),
         }
         if self.open_block.len() == 64 * W {
             self.open_block.clear();
@@ -298,9 +293,8 @@ impl Dropping {
 
 /// The sequential fault-dropping replay: consumes per-fault outcomes in
 /// fault-list order and maintains the word-parallel coverage blocks
-/// ([`WideCoverage`]).  Both the serial loop and the pipelined driver run
-/// exactly this state machine, which is what keeps their reports
-/// byte-identical.
+/// ([`WideCoverage`]).  Every policy runs exactly this state machine on the
+/// driver, which is what keeps reports byte-identical across thread counts.
 struct ReplayState<'n> {
     netlist: &'n Netlist,
     dropping: Option<Dropping>,
@@ -419,7 +413,6 @@ pub struct DigitalAtpg<'a> {
     degrade: DegradePolicy,
     checkpoint: Option<(CheckpointPolicy, PathBuf)>,
     resume: Option<Checkpoint>,
-    static_order: StaticOrder,
     dvo: DvoMode,
 }
 
@@ -517,23 +510,7 @@ impl<'a> DigitalAtpg<'a> {
     /// Builds the generator for a netlist without constraints (`Fc = 1`),
     /// declaring the input variables in netlist order (the paper's order).
     pub fn new(netlist: &'a Netlist) -> Self {
-        Self::new_ordered(netlist, StaticOrder::Declaration)
-    }
-
-    /// Builds the generator with the primary-input variables declared in
-    /// the order computed by the static heuristic `order` (see
-    /// [`StaticOrder`]); the composite variable `D` stays last regardless.
-    /// Everything downstream addresses variables by name, so any order
-    /// produces equivalent (though not byte-identical) results — only the
-    /// OBDD sizes change.
-    pub fn new_ordered(netlist: &'a Netlist, order: StaticOrder) -> Self {
         let mut manager = BddManager::new();
-        // Pre-declare the inputs in the heuristic's order; the by-name
-        // declaration below is then a no-op lookup that returns the
-        // literals in netlist order for the signal table.
-        for &pi in &crate::ordering::pi_order(netlist, order) {
-            manager.var_id(netlist.signal_name(pi));
-        }
         let pi_literals = declare_input_variables(&mut manager, netlist);
         // The composite variable is declared last, as prescribed by the
         // paper's ordering.
@@ -571,7 +548,6 @@ impl<'a> DigitalAtpg<'a> {
             degrade: DegradePolicy::default(),
             checkpoint: None,
             resume: None,
-            static_order: order,
             dvo: DvoMode::Never,
         }
     }
@@ -609,12 +585,19 @@ impl<'a> DigitalAtpg<'a> {
                 });
             }
         }
+        self.install_constraints(lines, codes);
+        Ok(self)
+    }
+
+    /// Builds and protects `Fc` for constraints that are already known to
+    /// be valid: [`Self::with_constraints`] after its checks, and the
+    /// worker engines, which copy the primary engine's validated spec.
+    fn install_constraints(&mut self, lines: &[SignalId], codes: &AllowedCodes) {
         self.manager.unprotect(self.fc);
         self.fc = constraint_bdd(&mut self.manager, self.netlist, lines, codes);
         self.manager.protect(self.fc);
         self.constrained = !codes.is_unconstrained();
         self.constraint_spec = Some((lines.to_vec(), codes.clone()));
-        Ok(self)
     }
 
     /// Enables or disables on-the-fly fault dropping during [`Self::run`]
@@ -624,11 +607,13 @@ impl<'a> DigitalAtpg<'a> {
         self
     }
 
-    /// Sets the execution policy of [`Self::run`].  Under `Threads(n)` the
-    /// per-fault test sets are generated speculatively in parallel (each
-    /// worker builds its own OBDD engine) and the fault-dropping pass
-    /// replays them sequentially, so the report is byte-identical to a
-    /// serial run.
+    /// Sets the execution policy of [`Self::run`].  It matters only with
+    /// fault dropping off: then `Threads(n)` derives every fault's test set
+    /// in parallel (each worker builds its own OBDD engine) before the
+    /// replay decides them in fault-list order, so the report is
+    /// byte-identical to a serial run.  With dropping on, whether a fault
+    /// needs a derivation depends on the vectors of the faults before it,
+    /// so the run is serial under every policy.
     pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = policy;
         self
@@ -651,7 +636,7 @@ impl<'a> DigitalAtpg<'a> {
     /// deterministic construction-time safe point where the signal
     /// functions and `Fc` are the only protected roots — so apply this
     /// *after* [`Self::with_constraints`] and [`Self::with_budget`]; the
-    /// pipelined worker engines replay the same sequence.  A sift
+    /// parallel worker engines replay the same sequence.  A sift
     /// interrupted by the budget leaves the manager consistent and the
     /// outcome deterministic, so the builder stays infallible.
     pub fn with_dvo(mut self, mode: DvoMode) -> Self {
@@ -671,7 +656,7 @@ impl<'a> DigitalAtpg<'a> {
     /// Budgeted outcomes are deterministic: with a budget armed the engine
     /// collects to its protected baseline and re-opens the step quota before
     /// every fault target, so each outcome is a pure function of the fault —
-    /// identical across serial, pipelined and worker engines.
+    /// identical on the primary engine and on parallel worker engines.
     pub fn with_budget(mut self, budget: BddBudget) -> Self {
         self.budget = budget;
         self.manager.set_budget(budget);
@@ -681,9 +666,10 @@ impl<'a> DigitalAtpg<'a> {
     /// Arms a cooperative [`CancelToken`].  The replay driver charges one
     /// step of the token's quota per targeted fault **in fault-list order**,
     /// so a step-quota token aborts at the identical fault on every thread
-    /// count; workers only *observe* the token (wasted speculation, never
-    /// the report).  Once the token fires, every remaining fault is reported
-    /// as [`TestOutcome::Aborted`] with [`AbortReason::Deadline`].
+    /// count; parallel workers only *observe* the token (wasted work, never
+    /// the report — see [`Self::run_on`]).  Once the token fires, every
+    /// remaining fault is reported as [`TestOutcome::Aborted`] with
+    /// [`AbortReason::Deadline`].
     /// Wall-clock deadlines cancel cooperatively too, but their abort point
     /// is inherently timing-dependent.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
@@ -826,8 +812,7 @@ impl<'a> DigitalAtpg<'a> {
             // baseline and re-open the step quota, so the resources consumed
             // by this target are a pure function of the fault — independent
             // of which faults this particular engine processed before, and
-            // therefore identical across serial, pipelined and worker
-            // engines.
+            // therefore identical on the primary and the worker engines.
             self.manager.gc();
             self.manager.reset_steps();
         } else {
@@ -867,12 +852,12 @@ impl<'a> DigitalAtpg<'a> {
         Ok(TestOutcome::Untestable)
     }
 
-    /// Runs the generator over a whole fault list, with fault dropping.
+    /// Runs the generator over a whole fault list, with fault dropping
+    /// unless [`Self::with_fault_dropping`] turned it off.
     ///
-    /// Under a threaded [`ExecPolicy`] (see [`Self::with_policy`]) the run
-    /// is **pipelined**: worker engines generate the test sets of fault
-    /// chunk *k+1* while the sequential fault-dropping replay consumes
-    /// chunk *k* on the caller's thread (see [`Self::run_on`]).
+    /// Under a threaded [`ExecPolicy`] (see [`Self::with_policy`]) a run
+    /// without fault dropping derives the test sets in parallel first (see
+    /// [`Self::run_on`]); a run with dropping is serial.
     ///
     /// # Errors
     ///
@@ -889,17 +874,22 @@ impl<'a> DigitalAtpg<'a> {
     /// [`Self::with_policy`] only configures the pool that [`Self::run`]
     /// builds internally.
     ///
-    /// The pipeline works in rounds of `REPLAY_CHUNK` faults: while the
-    /// replay consumes the outcomes of round *k*, the pool generates round
-    /// *k+1*.  Before submitting a round the driver pre-screens its faults
-    /// against the vectors replayed so far and flags the covered ones, so
-    /// the workers stop speculating on faults the replay already covers.
-    /// The replay itself remains the oracle — it re-checks coverage exactly
-    /// like the serial loop and falls back to inline generation when a
-    /// speculative outcome is missing — so the report is **byte-identical**
-    /// to a serial run: [`Self::generate`] is a pure function of the
-    /// (canonical) OBDD structure, and independently built managers with
+    /// One replay loop decides every fault in fault-list order, under every
+    /// policy.  With fault dropping on, whether fault *k* needs a derivation
+    /// depends on the vectors of faults 0…k−1, so the loop derives inline
+    /// and the pool stays untouched.  With dropping off and a threaded pool,
+    /// one pool round first derives every fault that has no resume slot, on
+    /// worker engines built like this one; the loop then consumes those
+    /// results in fault order.  A chunk that panicked under
+    /// [`PanicPolicy::Isolate`] leaves its faults to inline derivation.  The
+    /// report is **byte-identical** to a serial run: governed derivation is
+    /// a pure function of the fault, and independently built managers with
     /// the same declaration order yield the same satisfying cube.
+    ///
+    /// A step-quota [`CancelToken`] is charged in fault order by the loop,
+    /// after the parallel round.  A threaded run without dropping may
+    /// therefore derive faults that the quota then aborts: wasted work,
+    /// never a different report (no production caller sets a step quota).
     ///
     /// # Errors
     ///
@@ -911,31 +901,32 @@ impl<'a> DigitalAtpg<'a> {
     ) -> Result<AtpgReport, CoreError> {
         let start = Instant::now();
         let mut replay = ReplayState::new(self.netlist, self.fault_dropping, faults, self.width);
-        let slots = self.resume_slots(faults)?;
+        let mut slots = self.resume_slots(faults)?;
         let mut journal =
             CampaignJournal::new(self.checkpoint.clone(), self.chaos, self.netlist, faults);
-        if pool.policy().is_serial() {
-            for (k, &fault) in faults.faults().iter().enumerate() {
-                // A journaled non-aborted outcome is replayed verbatim: the
-                // prefix replayed so far rebuilt the exact coverage state
-                // the original run had at this index, so re-deciding would
-                // only recompute the same answer.
-                if let Some(outcome) = slots.get(k).and_then(|s| s.clone()) {
-                    journal.record(&outcome)?;
-                    replay.consume(fault, outcome)?;
-                    continue;
-                }
-                if replay.covered(fault) {
-                    replay.detected += 1;
-                    journal.record(&TestOutcome::PreviouslyDetected)?;
-                    continue;
-                }
-                let outcome = self.decide(k, fault, None)?;
+        let mut derived = if self.fault_dropping || pool.policy().is_serial() {
+            Vec::new()
+        } else {
+            self.derive_on(pool, faults, &slots)
+        };
+        for (k, &fault) in faults.faults().iter().enumerate() {
+            // A journaled non-aborted outcome is replayed verbatim: the
+            // prefix replayed so far rebuilt the exact coverage state the
+            // original run had at this index, so re-deciding would only
+            // recompute the same answer.
+            if let Some(outcome) = slots.get_mut(k).and_then(Option::take) {
                 journal.record(&outcome)?;
                 replay.consume(fault, outcome)?;
+                continue;
             }
-        } else {
-            self.run_pipelined(pool, faults, &mut replay, &mut journal, &slots)?;
+            if replay.covered(fault) {
+                replay.detected += 1;
+                journal.record(&TestOutcome::PreviouslyDetected)?;
+                continue;
+            }
+            let outcome = self.decide(k, fault, derived.get_mut(k).and_then(Option::take))?;
+            journal.record(&outcome)?;
+            replay.consume(fault, outcome)?;
         }
         journal.finish()?;
         Ok(AtpgReport {
@@ -1001,14 +992,14 @@ impl<'a> DigitalAtpg<'a> {
     /// generation is a pure function of the fault), so the report is
     /// byte-identical across thread counts.
     ///
-    /// `speculative` carries a worker's pre-computed result when one exists;
-    /// governed generation is a pure function of the fault, so reusing it is
-    /// indistinguishable from generating inline.
+    /// `derived` carries a worker's result from the parallel round when one
+    /// exists; governed generation is a pure function of the fault, so
+    /// reusing it is indistinguishable from generating inline.
     fn decide(
         &mut self,
         index: usize,
         fault: StuckAtFault,
-        speculative: Option<Result<TestOutcome, BddError>>,
+        derived: Option<Result<TestOutcome, BddError>>,
     ) -> Result<TestOutcome, CoreError> {
         if let Some(chaos) = self.chaos {
             match chaos.fires(index as u64) {
@@ -1016,9 +1007,9 @@ impl<'a> DigitalAtpg<'a> {
                     if self.panic_policy == PanicPolicy::Isolate {
                         return Ok(TestOutcome::Aborted(AbortReason::Panic));
                     }
-                    // FailFast means exactly that, in serial and pipelined
-                    // runs alike (the pipelined run usually dies earlier, at
-                    // the barrier that relays the worker's injected panic).
+                    // FailFast means exactly that, serial or threaded (a
+                    // threaded run without dropping dies earlier, at the
+                    // barrier that relays the worker's injected panic).
                     panic!("chaos: injected panic at fault target {index}");
                 }
                 Some(ChaosEvent::Budget) => return self.degrade_or_abort(fault),
@@ -1036,7 +1027,7 @@ impl<'a> DigitalAtpg<'a> {
                 return Ok(TestOutcome::Aborted(AbortReason::Deadline));
             }
         }
-        let result = match speculative {
+        let result = match derived {
             Some(result) => result.map_err(GenFailure::Bdd),
             None => self.guarded_generate(fault),
         };
@@ -1159,163 +1150,78 @@ impl<'a> DigitalAtpg<'a> {
         Ok(None)
     }
 
-    /// The pipelined engine behind [`Self::run_on`]: one pool session whose
-    /// rounds generate fault chunks one step ahead of the replay.
-    fn run_pipelined(
-        &mut self,
+    /// The parallel round behind [`Self::run_on`] without fault dropping:
+    /// derives every fault that has no resume slot on worker engines, in
+    /// one pool round of `GENERATE_CHUNK`-fault chunks, and returns one
+    /// entry per fault in fault-list order.  `None` marks a fault left to
+    /// the replay loop: a resume slot, a simulated chaos event (decided by
+    /// the loop from the injector alone), or a chunk that panicked under
+    /// [`PanicPolicy::Isolate`].
+    fn derive_on(
+        &self,
         pool: &WorkerPool,
         faults: &FaultList,
-        replay: &mut ReplayState<'a>,
-        journal: &mut CampaignJournal,
         slots: &[Option<TestOutcome>],
-    ) -> Result<(), CoreError> {
+    ) -> Vec<Option<Result<TestOutcome, BddError>>> {
         let list = faults.faults();
         let netlist = self.netlist;
-        let spec = self.constraint_spec.clone();
-        let budget = self.budget;
-        let cancel = self.cancel.clone();
-        let chaos = self.chaos;
-        let static_order = self.static_order;
-        let dvo = self.dvo;
-        // Replay-side coverage flags: set by the driver strictly between
-        // rounds (prescreen), read by the workers to skip doomed
-        // speculation.  They only gate whether a speculative outcome is
-        // produced — the replay independently re-derives coverage — so the
-        // flags cannot change the report, only the wasted work.
-        let covered: Vec<AtomicBool> = list.iter().map(|_| AtomicBool::new(false)).collect();
-        let n_rounds = list.len().div_ceil(REPLAY_CHUNK);
-        // Small sub-chunks keep the pool's self-scheduling effective:
-        // per-fault generation cost is highly uneven (hard faults explore
-        // far more BDD nodes), so static one-chunk-per-worker splits would
-        // leave workers idle behind the unlucky one.
-        let chunks_per_round = REPLAY_CHUNK.div_ceil(GENERATE_CHUNK);
-        pool.session(
-            chunks_per_round,
+        let spec = &self.constraint_spec;
+        let cancel = &self.cancel;
+        let (budget, dvo, chaos) = (self.budget, self.dvo, self.chaos);
+        let n_chunks = list.len().div_ceil(GENERATE_CHUNK);
+        let chunks = pool.session(
+            n_chunks,
             || {
-                let engine = DigitalAtpg::new_ordered(netlist, static_order);
-                let engine = match &spec {
-                    Some((lines, codes)) => engine
-                        .with_constraints(lines, codes)
-                        .expect("constraints were validated when installed on the primary engine"),
-                    None => engine,
-                };
+                let mut engine = DigitalAtpg::new(netlist);
+                if let Some((lines, codes)) = spec {
+                    engine.install_constraints(lines, codes);
+                }
                 // Worker engines mirror the primary's governance so their
-                // speculative results match inline generation bit for bit;
-                // they only *observe* the cancel token (never charge it).
-                // The variable order is replayed too: same static order,
-                // same sift at the same safe point (constraints and budget
-                // armed), so speculative cubes match the driver's.
+                // results match inline derivation bit for bit; they only
+                // *observe* the cancel token (never charge it).  The sift
+                // is replayed at the same safe point (constraints and
+                // budget armed), so worker cubes match the driver's.
                 let engine = engine.with_budget(budget).with_dvo(dvo);
-                match &cancel {
+                match cancel {
                     Some(token) => engine.with_cancel_token(token.clone()),
                     None => engine,
                 }
             },
-            |engine, round_start: &usize, ci| {
-                let base = round_start + ci * GENERATE_CHUNK;
-                let end = (base + GENERATE_CHUNK)
-                    .min(round_start + REPLAY_CHUNK)
-                    .min(list.len());
-                let mut outcomes: Vec<Option<Result<TestOutcome, BddError>>> = Vec::new();
-                for k in base..end.max(base) {
-                    // A resume slot already holds this fault's outcome:
-                    // speculating would just recompute it.
-                    if covered[k].load(Ordering::Relaxed)
-                        || slots.get(k).is_some_and(|s| s.is_some())
-                    {
-                        outcomes.push(None);
-                        continue;
-                    }
-                    if let Some(chaos) = chaos {
-                        if let Some(event) = chaos.fires(k as u64) {
-                            if event == ChaosEvent::Panic {
-                                // A genuine panic inside the job: exercises
-                                // the pool's panic machinery (isolation or
-                                // fail-fast relay).  The *outcome* of fault
-                                // `k` is decided by the replay driver from
-                                // the injector alone.
-                                panic!("chaos: injected panic at fault target {k}");
-                            }
-                            // Simulated budget/cancel events are decided by
-                            // the driver; skip the doomed speculation.
-                            outcomes.push(None);
-                            continue;
+            |engine, _: &(), ci| {
+                let base = ci * GENERATE_CHUNK;
+                let end = (base + GENERATE_CHUNK).min(list.len());
+                (base..end)
+                    .map(|k| {
+                        if slots.get(k).is_some_and(Option::is_some) {
+                            return None;
                         }
-                    }
-                    outcomes.push(Some(engine.try_generate(list[k])));
-                }
-                outcomes
+                        match chaos.and_then(|c| c.fires(k as u64)) {
+                            // A genuine panic inside the job exercises the
+                            // pool's panic machinery (isolation or
+                            // fail-fast relay); the fault's outcome is
+                            // decided by the replay loop.
+                            Some(ChaosEvent::Panic) => {
+                                panic!("chaos: injected panic at fault target {k}")
+                            }
+                            Some(_) => None,
+                            None => Some(engine.try_generate(list[k])),
+                        }
+                    })
+                    .collect::<Vec<_>>()
             },
-            |session| -> Result<(), CoreError> {
-                session.submit(0usize, chunks_per_round);
-                for round in 0..n_rounds {
-                    let round_start = round * REPLAY_CHUNK;
-                    // The panic-isolating barrier: a chunk whose job
-                    // panicked (chaos or genuine) simply loses its
-                    // speculative outcomes — the replay regenerates them
-                    // inline, where `decide` applies the panic policy with
-                    // per-fault granularity.
-                    let mut outcomes: Vec<Option<Result<TestOutcome, BddError>>> =
-                        Vec::with_capacity(REPLAY_CHUNK);
-                    for (ci, chunk_result) in session.wait_results().into_iter().enumerate() {
-                        match chunk_result {
-                            Ok(chunk) => outcomes.extend(chunk),
-                            Err(_chunk_panic) => {
-                                let base = round_start + ci * GENERATE_CHUNK;
-                                let end = (base + GENERATE_CHUNK)
-                                    .min(round_start + REPLAY_CHUNK)
-                                    .min(list.len());
-                                outcomes.extend((base..end.max(base)).map(|_| None));
-                            }
-                        }
-                    }
-                    if round + 1 < n_rounds {
-                        // Pre-screen the next round against the blocks
-                        // replayed so far (rounds < `round`), then hand it
-                        // to the workers before replaying this round.
-                        let next_start = (round + 1) * REPLAY_CHUNK;
-                        let next_end = (next_start + REPLAY_CHUNK).min(list.len());
-                        for k in next_start..next_end {
-                            if replay.covered(list[k]) {
-                                covered[k].store(true, Ordering::Relaxed);
-                            }
-                        }
-                        session.submit(next_start, chunks_per_round);
-                    }
-                    // Replay round `round` while the workers generate round
-                    // `round + 1` — exactly the serial loop, with inline
-                    // generation replaced by the speculative result where
-                    // available.
-                    for (j, speculative) in outcomes.into_iter().enumerate() {
-                        let k = round_start + j;
-                        let fault = list[k];
-                        // Exactly the serial loop: resume slots replay
-                        // first (they encode the coverage state of the
-                        // original run at this index).
-                        if let Some(outcome) = slots.get(k).and_then(|s| s.clone()) {
-                            journal.record(&outcome)?;
-                            replay.consume(fault, outcome)?;
-                            continue;
-                        }
-                        // A flag set by the prescreen was itself a full
-                        // coverage scan, and coverage is monotone (blocks
-                        // only gain patterns), so the replay can trust it
-                        // without rescanning; only unflagged faults pay the
-                        // pre-check here.  Flags are written by this driver
-                        // alone, never by workers.
-                        if covered[k].load(Ordering::Relaxed) || replay.covered(fault) {
-                            replay.detected += 1;
-                            journal.record(&TestOutcome::PreviouslyDetected)?;
-                            continue;
-                        }
-                        let outcome = self.decide(k, fault, speculative)?;
-                        journal.record(&outcome)?;
-                        replay.consume(fault, outcome)?;
-                    }
+            |session| session.run_results((), n_chunks),
+        );
+        let mut derived = Vec::with_capacity(list.len());
+        for chunk in chunks {
+            match chunk {
+                Ok(outcomes) => derived.extend(outcomes),
+                Err(_isolated_panic) => {
+                    let end = (derived.len() + GENERATE_CHUNK).min(list.len());
+                    derived.resize_with(end, || None);
                 }
-                Ok(())
-            },
-        )
+            }
+        }
+        derived
     }
 
     /// Signal functions with `line` replaced by the free variable `D`
@@ -1618,33 +1524,40 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_run_spawns_one_worker_set_and_one_barrier_per_round() {
+    fn threaded_runs_use_the_pool_only_without_fault_dropping() {
+        // With dropping on, the replay derives inline and never touches the
+        // pool; with dropping off, one worker set derives every fault in a
+        // single round.  Both reports equal the serial run's.
         let circuit = circuits::adder4();
-        // Double the fault universe so the campaign spans several pipeline
-        // rounds (the replay handles repeated faults like the serial loop).
-        let mut universe = FaultList::all(&circuit).faults().to_vec();
-        universe.extend(universe.clone());
-        let faults = FaultList::from_faults(universe);
-        let pool = WorkerPool::new(ExecPolicy::Threads(2));
-        let report = DigitalAtpg::new(&circuit)
-            .with_policy(ExecPolicy::Threads(2))
-            .run_on(&pool, &faults)
-            .unwrap();
-        let reference = DigitalAtpg::new(&circuit).run(&faults).unwrap();
-        assert_eq!(report.vectors, reference.vectors);
-        assert_eq!(report.detected, reference.detected);
-        assert_eq!(report.untestable, reference.untestable);
-        let stats = pool.stats();
-        let n_rounds = faults.len().div_ceil(REPLAY_CHUNK) as u64;
-        assert!(
-            n_rounds >= 2,
-            "the adder fault list must span several rounds"
-        );
-        assert_eq!(
-            stats.spawns, 2,
-            "one worker set for the whole pipelined run, not one per chunk"
-        );
-        assert_eq!(stats.barriers, n_rounds, "one barrier per pipeline round");
+        let faults = FaultList::collapsed(&circuit);
+        for dropping in [true, false] {
+            let pool = WorkerPool::new(ExecPolicy::Threads(2));
+            let report = DigitalAtpg::new(&circuit)
+                .with_fault_dropping(dropping)
+                .run_on(&pool, &faults)
+                .unwrap();
+            let reference = DigitalAtpg::new(&circuit)
+                .with_fault_dropping(dropping)
+                .run(&faults)
+                .unwrap();
+            assert_reports_identical(&report, &reference);
+            let stats = pool.stats();
+            if dropping {
+                assert_eq!(
+                    (stats.spawns, stats.jobs, stats.barriers),
+                    (0, 0, 0),
+                    "dropping on: the pool stays untouched"
+                );
+            } else {
+                assert_eq!(stats.spawns, 2, "one worker set for the run");
+                assert_eq!(stats.barriers, 1, "one derivation round");
+                assert_eq!(
+                    stats.jobs,
+                    faults.len().div_ceil(GENERATE_CHUNK) as u64,
+                    "one job per chunk"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1848,30 +1761,32 @@ mod tests {
         let circuit = circuits::adder4();
         let faults = FaultList::collapsed(&circuit);
         let chaos = ChaosInjector::new(0xC0FFEE).with_panic_rate(5);
-        let reference = DigitalAtpg::new(&circuit)
-            .with_chaos(chaos)
-            .with_panic_policy(PanicPolicy::Isolate)
-            .run(&faults)
-            .unwrap();
-        assert!(
-            reference
-                .aborted
-                .iter()
-                .any(|(_, r)| *r == AbortReason::Panic),
-            "the injector hit at least one targeted fault"
-        );
-        assert_eq!(
-            reference.detected + reference.untestable_count() + reference.aborted_count(),
-            faults.len()
-        );
-        for threads in [2usize, 8] {
-            let parallel = DigitalAtpg::new(&circuit)
-                .with_chaos(chaos)
-                .with_panic_policy(PanicPolicy::Isolate)
-                .with_policy(ExecPolicy::Threads(threads))
-                .run(&faults)
-                .unwrap();
-            assert_reports_identical(&parallel, &reference);
+        for dropping in [true, false] {
+            let build = || {
+                DigitalAtpg::new(&circuit)
+                    .with_fault_dropping(dropping)
+                    .with_chaos(chaos)
+                    .with_panic_policy(PanicPolicy::Isolate)
+            };
+            let reference = build().run(&faults).unwrap();
+            assert!(
+                reference
+                    .aborted
+                    .iter()
+                    .any(|(_, r)| *r == AbortReason::Panic),
+                "the injector hit at least one targeted fault"
+            );
+            assert_eq!(
+                reference.detected + reference.untestable_count() + reference.aborted_count(),
+                faults.len()
+            );
+            for threads in [2usize, 8] {
+                let parallel = build()
+                    .with_policy(ExecPolicy::Threads(threads))
+                    .run(&faults)
+                    .unwrap();
+                assert_reports_identical(&parallel, &reference);
+            }
         }
     }
 
@@ -1882,6 +1797,21 @@ mod tests {
         let faults = FaultList::all(&circuit);
         // Rate 1: the very first targeted fault panics under FailFast.
         let chaos = ChaosInjector::new(1).with_panic_rate(1);
+        // Threaded without dropping, the worker's panic is relayed at the
+        // derivation barrier.
+        let threaded = catch_unwind(AssertUnwindSafe(|| {
+            DigitalAtpg::new(&circuit)
+                .with_fault_dropping(false)
+                .with_chaos(chaos)
+                .with_policy(ExecPolicy::Threads(2))
+                .run(&faults)
+        }));
+        let payload = threaded.expect_err("the threaded run must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.contains("chaos: injected panic"), "{message}");
         let _ = DigitalAtpg::new(&circuit).with_chaos(chaos).run(&faults);
     }
 
@@ -1920,21 +1850,25 @@ mod tests {
         // byte-identical to a fresh pool's.
         let circuit = circuits::adder4();
         let faults = FaultList::collapsed(&circuit);
-        let clean_reference = DigitalAtpg::new(&circuit).run(&faults).unwrap();
-        let pool = WorkerPool::new(ExecPolicy::Threads(2)).with_panic_policy(PanicPolicy::Isolate);
-        let chaotic = DigitalAtpg::new(&circuit)
-            .with_chaos(ChaosInjector::new(0xBAD).with_panic_rate(4))
-            .with_panic_policy(PanicPolicy::Isolate)
-            .run_on(&pool, &faults)
-            .unwrap();
-        assert!(chaotic.aborted_count() > 0);
-        let cancelled = DigitalAtpg::new(&circuit)
-            .with_cancel_token(CancelToken::with_step_quota(3))
-            .run_on(&pool, &faults)
-            .unwrap();
-        assert!(cancelled.aborted_count() > 0);
-        let clean = DigitalAtpg::new(&circuit).run_on(&pool, &faults).unwrap();
-        assert_reports_identical(&clean, &clean_reference);
-        assert!(clean.degraded.is_empty() && clean.aborted.is_empty());
+        for dropping in [true, false] {
+            let engine = || DigitalAtpg::new(&circuit).with_fault_dropping(dropping);
+            let clean_reference = engine().run(&faults).unwrap();
+            let pool =
+                WorkerPool::new(ExecPolicy::Threads(2)).with_panic_policy(PanicPolicy::Isolate);
+            let chaotic = engine()
+                .with_chaos(ChaosInjector::new(0xBAD).with_panic_rate(4))
+                .with_panic_policy(PanicPolicy::Isolate)
+                .run_on(&pool, &faults)
+                .unwrap();
+            assert!(chaotic.aborted_count() > 0);
+            let cancelled = engine()
+                .with_cancel_token(CancelToken::with_step_quota(3))
+                .run_on(&pool, &faults)
+                .unwrap();
+            assert!(cancelled.aborted_count() > 0);
+            let clean = engine().run_on(&pool, &faults).unwrap();
+            assert_reports_identical(&clean, &clean_reference);
+            assert!(clean.degraded.is_empty() && clean.aborted.is_empty());
+        }
     }
 }

@@ -32,9 +32,11 @@ pub struct AtpgOptions {
     pub max_deviation: f64,
     /// Use the collapsed stuck-at fault list (true) or the full one (false).
     pub collapse_faults: bool,
-    /// Execution policy for the parallelizable stages (digital test
-    /// generation and the deviation analysis).  Every policy produces a
-    /// byte-identical [`TestPlan`]; `Serial` is the default.
+    /// Execution policy for the parallelizable stages (the analog element
+    /// tests and the deviation analysis).  The digital stages drop faults,
+    /// so their test generation is serial under every policy (see
+    /// [`DigitalAtpg::run_on`](crate::DigitalAtpg::run_on)).  Every policy
+    /// produces a byte-identical [`TestPlan`]; `Serial` is the default.
     pub exec: ExecPolicy,
     /// Resource budget for the digital OBDD engines.  Unlimited by default;
     /// arming it makes the stuck-at passes degrade gracefully instead of
@@ -424,10 +426,10 @@ impl MixedSignalAtpg {
 
     /// Runs the complete flow and assembles the [`TestPlan`].
     ///
-    /// One [`WorkerPool`] is threaded through every stage — the digital
-    /// ATPG pipelines on it, and the analog element tests and deviation
-    /// rows ride the same pool — so its [`msatpg_exec::PoolStats`] describe
-    /// the entire mixed-signal run (the conversion stage is serial).
+    /// One [`WorkerPool`] is threaded through every stage — the analog
+    /// element tests and deviation rows ride it, while the digital ATPG
+    /// (which drops faults) and the conversion stage run serially — so its
+    /// [`msatpg_exec::PoolStats`] describe the entire mixed-signal run.
     ///
     /// # Errors
     ///

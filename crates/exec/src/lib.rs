@@ -2,10 +2,10 @@
 //!
 //! A std-only **persistent worker pool** with chunked, self-scheduling
 //! parallel iteration and block-boundary barriers.  The hot layers of the
-//! mixed-signal ATPG flow — PPSFP fault re-evaluation, pipelined per-fault
-//! test generation, per-parameter worst-case deviation rows, per-element
-//! analog tests — all run on one execution substrate instead of ad-hoc
-//! threading.
+//! mixed-signal ATPG flow — PPSFP fault re-evaluation, per-fault test
+//! generation without fault dropping, per-parameter worst-case deviation
+//! rows, per-element analog tests — all run on one execution substrate
+//! instead of ad-hoc threading.
 //!
 //! ## Design
 //!
@@ -17,8 +17,7 @@
 //!   spawns one worker set for a whole campaign; work is submitted in
 //!   rounds through a channel-free injector, and [`Session::wait`] is the
 //!   barrier at which the driver reads the round's results and updates
-//!   shared state (fault-dropping sets, covered flags) before the next
-//!   round.  [`PoolStats`] counts spawns, jobs and barriers so tests can
+//!   shared state (fault-dropping sets) before the next round.  [`PoolStats`] counts spawns, jobs and barriers so tests can
 //!   assert the amortization (one spawn set per campaign, not one per
 //!   64-pattern block).  See the [`pool`] module docs for the lifecycle.
 //! * **Work stealing by chunk self-scheduling.**  Idle workers claim the

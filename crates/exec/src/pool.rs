@@ -32,7 +32,7 @@
 //! without waiting: a driver can overlap its own serial work (fault-dropping
 //! replay, good-circuit simulation of the next block) with the workers'
 //! current round, then `wait` at the barrier — the pipelining used by the
-//! digital ATPG and the PPSFP campaign loop.
+//! PPSFP campaign loop.
 //!
 //! ## Determinism
 //!

@@ -63,7 +63,7 @@ fn report_bytes(netlist: &msatpg::digital::netlist::Netlist, report: &AtpgReport
 /// checkpoint behind, and the resumed campaign — journaled prefix replayed,
 /// aborted faults re-attempted under a fresh (quota-free) governor — is
 /// byte-identical on disk to the campaign that was never interrupted, at
-/// thread counts 1, 2 and 8.
+/// thread counts 1, 2 and 8, with fault dropping on and off.
 #[test]
 fn interrupted_c432_campaign_resumes_byte_identically() {
     let digital = benchmarks::c432();
@@ -91,60 +91,64 @@ fn interrupted_c432_campaign_resumes_byte_identically() {
     let baseline = engine(BddBudget::UNLIMITED).collect_garbage();
     let tight = BddBudget::UNLIMITED.with_max_live_nodes(baseline + baseline / 16);
 
-    let reference = engine(tight).run(&faults).unwrap();
-    let reference_bytes = report_bytes(&digital, &reference);
+    // The grid crosses fault dropping with thread policies: without
+    // dropping, a threaded run derives the faults without a resume slot on
+    // the pool before the replay, so that round meets the snapshot too.
+    for dropping in [true, false] {
+        let engine = |budget: BddBudget| engine(budget).with_fault_dropping(dropping);
+        let reference = engine(tight).run(&faults).unwrap();
+        let reference_bytes = report_bytes(&digital, &reference);
 
-    // The interrupted campaign: the step quota fires after 25 targeted
-    // faults (covered faults don't charge, so this is well inside the
-    // campaign), the rest of the list becomes an `Aborted(Deadline)` tail,
-    // and the final journal flush snapshots all of it.
-    let path = scratch("c432");
-    let interrupted = engine(tight)
-        .with_cancel_token(CancelToken::with_step_quota(25))
-        .with_checkpoint(CheckpointPolicy::default(), &path)
-        .run(&faults)
-        .unwrap();
-    let deadline_tail = interrupted
-        .aborted
-        .iter()
-        .filter(|(_, r)| *r == AbortReason::Deadline)
-        .count();
-    assert!(deadline_tail > 0, "the quota must actually interrupt");
-
-    let snapshot = load_checkpoint(&path, &digital, faults.faults()).unwrap();
-    assert_eq!(
-        snapshot.outcomes.len(),
-        faults.len(),
-        "final flush is complete"
-    );
-
-    // The resume grid crosses thread policies with pattern-block widths:
-    // the checkpoint was written by a default-width campaign, and replaying
-    // it under 512-bit PPSFP verification must not move a single byte.
-    for (policy, width) in [
-        (ExecPolicy::Serial, WordWidth::W8),
-        (ExecPolicy::Threads(2), WordWidth::W8),
-        (ExecPolicy::Threads(8), WordWidth::W1),
-        (ExecPolicy::Auto, WordWidth::Auto),
-    ] {
-        let resumed = engine(tight)
-            .with_resume(snapshot.clone())
-            .with_policy(policy)
-            .with_word_width(width)
+        // The interrupted campaign: the step quota fires after 25 targeted
+        // faults (covered faults don't charge, so this is well inside the
+        // campaign), the rest of the list becomes an `Aborted(Deadline)`
+        // tail, and the final journal flush snapshots all of it.
+        let path = scratch(if dropping { "c432" } else { "c432-no-drop" });
+        let interrupted = engine(tight)
+            .with_cancel_token(CancelToken::with_step_quota(25))
+            .with_checkpoint(CheckpointPolicy::default(), &path)
             .run(&faults)
             .unwrap();
-        assert_reports_identical(
-            &resumed,
-            &reference,
-            &format!("resume {policy:?} {width:?}"),
-        );
+        let deadline_tail = interrupted
+            .aborted
+            .iter()
+            .filter(|(_, r)| *r == AbortReason::Deadline)
+            .count();
+        assert!(deadline_tail > 0, "the quota must actually interrupt");
+
+        let snapshot = load_checkpoint(&path, &digital, faults.faults()).unwrap();
         assert_eq!(
-            report_bytes(&digital, &resumed),
-            reference_bytes,
-            "{policy:?} {width:?}: resumed report not byte-identical on disk"
+            snapshot.outcomes.len(),
+            faults.len(),
+            "final flush is complete"
         );
+
+        // The resume grid crosses thread policies with pattern-block
+        // widths: the checkpoint was written by a default-width campaign,
+        // and replaying it under 512-bit PPSFP verification must not move
+        // a single byte.
+        for (policy, width) in [
+            (ExecPolicy::Serial, WordWidth::W8),
+            (ExecPolicy::Threads(2), WordWidth::W8),
+            (ExecPolicy::Threads(8), WordWidth::W1),
+            (ExecPolicy::Auto, WordWidth::Auto),
+        ] {
+            let resumed = engine(tight)
+                .with_resume(snapshot.clone())
+                .with_policy(policy)
+                .with_word_width(width)
+                .run(&faults)
+                .unwrap();
+            let context = format!("resume dropping={dropping} {policy:?} {width:?}");
+            assert_reports_identical(&resumed, &reference, &context);
+            assert_eq!(
+                report_bytes(&digital, &resumed),
+                reference_bytes,
+                "{context}: resumed report not byte-identical on disk"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// The pattern-block width is invisible on disk: the same campaign

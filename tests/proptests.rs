@@ -1387,9 +1387,10 @@ fn mna_divider_matches_theory() {
 /// simulated budget exhaustion (degraded via random patterns) and injected
 /// cancellations, the governed ATPG report is still byte-identical across
 /// every thread count — including `Auto`, which the CI matrix pins to
-/// `MSATPG_THREADS=1/2/8` around this very binary.  The injector is a pure
-/// function of `(seed, fault index)`, so the same faults are hit no matter
-/// how the work is scheduled.
+/// `MSATPG_THREADS=1/2/8` around this very binary — with fault dropping on
+/// (serial under every policy) and off (derived on the pool).  The
+/// injector is a pure function of `(seed, fault index)`, so the same faults
+/// are hit no matter how the work is scheduled.
 #[test]
 fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
     use msatpg::core::digital_atpg::DegradePolicy;
@@ -1403,36 +1404,39 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
             .with_panic_rate(7)
             .with_budget_rate(5)
             .with_cancel_rate(11);
-        let build = || {
-            DigitalAtpg::new(&circuit)
-                .with_chaos(chaos)
-                .with_panic_policy(PanicPolicy::Isolate)
-                .with_degradation(DegradePolicy {
-                    seed,
-                    patterns: 128,
-                })
-        };
-        let reference = build().run(&faults).unwrap();
-        assert_eq!(
-            reference.detected + reference.untestable.len() + reference.aborted.len(),
-            faults.len(),
-            "seed={seed:#x}: every fault is accounted for"
-        );
-        // Both deterministic and degraded vectors are real tests.
-        for vector in &reference.vectors {
-            assert!(
-                sim.detects(vector.fault, &vector.concretize(false))
-                    .unwrap(),
-                "seed={seed:#x}: vector fails to detect its fault"
+        for dropping in [true, false] {
+            let build = || {
+                DigitalAtpg::new(&circuit)
+                    .with_fault_dropping(dropping)
+                    .with_chaos(chaos)
+                    .with_panic_policy(PanicPolicy::Isolate)
+                    .with_degradation(DegradePolicy {
+                        seed,
+                        patterns: 128,
+                    })
+            };
+            let reference = build().run(&faults).unwrap();
+            assert_eq!(
+                reference.detected + reference.untestable.len() + reference.aborted.len(),
+                faults.len(),
+                "seed={seed:#x} dropping={dropping}: every fault is accounted for"
             );
-        }
-        for policy in determinism_policies() {
-            let report = build().with_policy(policy).run(&faults).unwrap();
-            assert_reports_identical(
-                &report,
-                &reference,
-                &format!("chaos seed={seed:#x} policy={policy:?}"),
-            );
+            // Both deterministic and degraded vectors are real tests.
+            for vector in &reference.vectors {
+                assert!(
+                    sim.detects(vector.fault, &vector.concretize(false))
+                        .unwrap(),
+                    "seed={seed:#x} dropping={dropping}: vector fails to detect its fault"
+                );
+            }
+            for policy in determinism_policies() {
+                let report = build().with_policy(policy).run(&faults).unwrap();
+                assert_reports_identical(
+                    &report,
+                    &reference,
+                    &format!("chaos seed={seed:#x} dropping={dropping} policy={policy:?}"),
+                );
+            }
         }
     }
 }
@@ -1441,7 +1445,8 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
 /// chaos campaign — panics isolated, budgets exhausted into degraded
 /// random-pattern vectors (the code path where the width actually decides
 /// which patterns are batched per cone walk) — produces a byte-identical
-/// [`AtpgReport`] for every `MSATPG_WORD_WIDTH` × thread-count combination.
+/// [`AtpgReport`] for every `MSATPG_WORD_WIDTH` × thread-count combination,
+/// with fault dropping on and off.
 #[test]
 fn governed_atpg_reports_are_byte_identical_across_word_widths() {
     use msatpg::core::digital_atpg::DegradePolicy;
@@ -1450,9 +1455,13 @@ fn governed_atpg_reports_are_byte_identical_across_word_widths() {
 
     let circuit = circuits::adder4();
     let faults = FaultList::collapsed(&circuit);
-    for seed in [0x07u64, 0xBADC_AB1E] {
+    for (seed, dropping) in [0x07u64, 0xBADC_AB1E]
+        .into_iter()
+        .flat_map(|seed| [(seed, true), (seed, false)])
+    {
         let build = |width: WordWidth| {
             DigitalAtpg::new(&circuit)
+                .with_fault_dropping(dropping)
                 .with_chaos(
                     ChaosInjector::new(seed)
                         .with_panic_rate(7)
@@ -1472,7 +1481,7 @@ fn governed_atpg_reports_are_byte_identical_across_word_widths() {
         let reference = build(WordWidth::W1).run(&faults).unwrap();
         assert!(
             !reference.degraded.is_empty(),
-            "seed={seed:#x}: the chaos rates must actually degrade faults"
+            "seed={seed:#x} dropping={dropping}: the chaos rates must actually degrade faults"
         );
         for width in [WordWidth::W1, WordWidth::W8] {
             for policy in determinism_policies() {
@@ -1480,7 +1489,9 @@ fn governed_atpg_reports_are_byte_identical_across_word_widths() {
                 assert_reports_identical(
                     &report,
                     &reference,
-                    &format!("seed={seed:#x} width={width:?} policy={policy:?}"),
+                    &format!(
+                        "seed={seed:#x} dropping={dropping} width={width:?} policy={policy:?}"
+                    ),
                 );
             }
         }
@@ -1760,39 +1771,42 @@ fn pools_and_engines_stay_reusable_after_every_injected_failure() {
 
     let circuit = circuits::adder4();
     let faults = FaultList::collapsed(&circuit);
-    let clean_reference = DigitalAtpg::new(&circuit).run(&faults).unwrap();
     let is_deadline = |aborted: &[(StuckAtFault, msatpg::core::AbortReason)]| {
         aborted
             .iter()
             .all(|(_, r)| *r == msatpg::core::AbortReason::Deadline)
     };
-    for policy in determinism_policies() {
-        let pool = WorkerPool::new(policy).with_panic_policy(PanicPolicy::Isolate);
-        for seed in 0..3u64 {
-            // Injected worker panics, isolated to their fault targets.
-            let chaotic = DigitalAtpg::new(&circuit)
-                .with_chaos(ChaosInjector::new(seed).with_panic_rate(3))
-                .with_panic_policy(PanicPolicy::Isolate)
-                .run_on(&pool, &faults)
-                .unwrap();
-            assert_eq!(
-                chaotic.detected + chaotic.untestable.len() + chaotic.aborted.len(),
-                faults.len()
-            );
-            // A campaign cancelled after a few targets.
-            let cancelled = DigitalAtpg::new(&circuit)
-                .with_cancel_token(CancelToken::with_step_quota(seed + 2))
-                .run_on(&pool, &faults)
-                .unwrap();
-            assert!(cancelled.aborted_count() > 0);
-            assert!(is_deadline(&cancelled.aborted));
-            // The same pool then runs a clean campaign: no residue.
-            let clean = DigitalAtpg::new(&circuit).run_on(&pool, &faults).unwrap();
-            assert_reports_identical(
-                &clean,
-                &clean_reference,
-                &format!("after chaos seed={seed} policy={policy:?}"),
-            );
+    for dropping in [true, false] {
+        let engine = || DigitalAtpg::new(&circuit).with_fault_dropping(dropping);
+        let clean_reference = engine().run(&faults).unwrap();
+        for policy in determinism_policies() {
+            let pool = WorkerPool::new(policy).with_panic_policy(PanicPolicy::Isolate);
+            for seed in 0..3u64 {
+                // Injected worker panics, isolated to their fault targets.
+                let chaotic = engine()
+                    .with_chaos(ChaosInjector::new(seed).with_panic_rate(3))
+                    .with_panic_policy(PanicPolicy::Isolate)
+                    .run_on(&pool, &faults)
+                    .unwrap();
+                assert_eq!(
+                    chaotic.detected + chaotic.untestable.len() + chaotic.aborted.len(),
+                    faults.len()
+                );
+                // A campaign cancelled after a few targets.
+                let cancelled = engine()
+                    .with_cancel_token(CancelToken::with_step_quota(seed + 2))
+                    .run_on(&pool, &faults)
+                    .unwrap();
+                assert!(cancelled.aborted_count() > 0);
+                assert!(is_deadline(&cancelled.aborted));
+                // The same pool then runs a clean campaign: no residue.
+                let clean = engine().run_on(&pool, &faults).unwrap();
+                assert_reports_identical(
+                    &clean,
+                    &clean_reference,
+                    &format!("after chaos seed={seed} dropping={dropping} policy={policy:?}"),
+                );
+            }
         }
     }
 }
