@@ -16,6 +16,16 @@
 //! paper), and `Fc` encodes the assignments the conversion block can
 //! produce.  Any path to `1` in `S` is a test vector; `S = ∅` for every
 //! output means the fault is untestable under the constraints.
+//!
+//! The work per fault is bounded by the fault's own cone, not by the
+//! netlist.  Only outputs in the fanout cone of *l* can depend on `D`; every
+//! other output has `∂PO/∂D = 0` and is skipped without a BDD operation.
+//! An output in the cone is re-derived from the gates in
+//! `fanout(l) ∩ fanin(PO)` alone, reusing whatever earlier outputs of the
+//! same fault already built, and the outputs are tried in order until one
+//! yields a test.  OBDDs are canonical and the cube read off a test set
+//! depends only on its function, so the vectors are the ones a rebuild of
+//! the whole faulty circuit would give.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,8 +51,8 @@ use crate::CoreError;
 const D_VAR_NAME: &str = "__D";
 
 /// Live-node watermark above which the per-fault safe point sweeps the BDD
-/// arena.  Every fault target re-derives its faulty cone and test set from
-/// scratch, so the garbage fraction grows linearly with the fault count;
+/// arena.  Every fault target re-derives its faulty outputs and test set
+/// from scratch, so the garbage fraction grows linearly with the fault count;
 /// the long-lived state (signal functions and `Fc`) is protected at
 /// construction and survives every collection, which makes the sweep
 /// invisible in the generated vectors.
@@ -397,6 +407,10 @@ pub struct DigitalAtpg<'a> {
     netlist: &'a Netlist,
     manager: BddManager,
     signal_bdds: Vec<Bdd>,
+    /// BDD variable of each primary input, in netlist primary-input order.
+    pi_vars: Vec<VarId>,
+    /// Per-fault scratch of the faulty-output build.
+    cone: FaultyCone,
     fc: Bdd,
     d_var: VarId,
     fault_dropping: bool,
@@ -512,6 +526,7 @@ impl<'a> DigitalAtpg<'a> {
     pub fn new(netlist: &'a Netlist) -> Self {
         let mut manager = BddManager::new();
         let pi_literals = declare_input_variables(&mut manager, netlist);
+        let pi_vars = pi_literals.iter().map(|&l| manager.root_var(l)).collect();
         // The composite variable is declared last, as prescribed by the
         // paper's ordering.
         let d_var = manager.var_id(D_VAR_NAME);
@@ -530,10 +545,13 @@ impl<'a> DigitalAtpg<'a> {
             manager.protect(f);
         }
         let fc = manager.one();
+        let cone = FaultyCone::new(netlist, manager.zero());
         DigitalAtpg {
             netlist,
             manager,
             signal_bdds,
+            pi_vars,
+            cone,
             fc,
             d_var,
             fault_dropping: true,
@@ -657,6 +675,12 @@ impl<'a> DigitalAtpg<'a> {
     /// collects to its protected baseline and re-opens the step quota before
     /// every fault target, so each outcome is a pure function of the fault —
     /// identical on the primary engine and on parallel worker engines.
+    ///
+    /// The quota is spent only on what a fault needs: the gates between the
+    /// fault site and the outputs tried, and the test sets of those outputs
+    /// (see [`DigitalAtpg::try_generate`]).  A given quota therefore derives
+    /// more faults than it would if every fault rebuilt its whole fanout
+    /// cone, and faults with small cones rarely come near it.
     pub fn with_budget(mut self, budget: BddBudget) -> Self {
         self.budget = budget;
         self.manager.set_budget(budget);
@@ -829,13 +853,22 @@ impl<'a> DigitalAtpg<'a> {
         if activation.is_zero() {
             return Ok(TestOutcome::Untestable);
         }
-        // 2. Re-derive the outputs with the fault site replaced by the free
-        //    variable D (only the fanout cone needs recomputation).
-        let faulty = self.functions_with_free_line(fault.signal)?;
-        // 3. For each primary output, the test set is
-        //    activation · (∂PO/∂D) · Fc.
+        // 2. Replace the fault site by the free variable D and mark its
+        //    fanout cone: only signals in it can differ from the good circuit.
+        let d = self.manager.literal(self.d_var, true);
+        self.cone.mark(fault.signal, d);
+        // 3. For each primary output in order, the test set is
+        //    activation · (∂PO/∂D) · Fc.  An output outside the cone does not
+        //    depend on D, so its Boolean difference is 0 and it is skipped.
+        //    An output inside is re-derived from the cone gates in its fanin
+        //    that earlier outputs have not built yet.
         for (po_index, &po) in self.netlist.primary_outputs().iter().enumerate() {
-            let f = faulty[po.index()];
+            if !self.cone.contains(po) {
+                continue;
+            }
+            let f = self
+                .cone
+                .output(&mut self.manager, self.netlist, &self.signal_bdds, po)?;
             let observability = self.manager.try_boolean_difference(f, self.d_var)?;
             if observability.is_zero() {
                 continue;
@@ -1224,41 +1257,134 @@ impl<'a> DigitalAtpg<'a> {
         derived
     }
 
-    /// Signal functions with `line` replaced by the free variable `D`
-    /// (faulty-cone recomputation).
-    fn functions_with_free_line(&mut self, line: SignalId) -> Result<Vec<Bdd>, BddError> {
-        let mut values = self.signal_bdds.clone();
-        values[line.index()] = self.manager.literal(self.d_var, true);
-        let mut in_cone = vec![false; values.len()];
-        for s in self.netlist.fanout_cone(line) {
-            in_cone[s.index()] = true;
-        }
-        for gate in self.netlist.gates() {
-            if gate.output == line || !in_cone[gate.output.index()] {
-                continue;
-            }
-            let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| values[i.index()]).collect();
-            values[gate.output.index()] = try_apply_gate(&mut self.manager, gate.kind, &inputs)?;
-        }
-        Ok(values)
-    }
-
     fn vector_from_cube(&self, cube: &Cube, fault: StuckAtFault, po_index: usize) -> TestVector {
-        let assignment = self
-            .netlist
-            .primary_inputs()
-            .iter()
-            .map(|&pi| {
-                self.manager
-                    .var_index(self.netlist.signal_name(pi))
-                    .and_then(|v| cube.get(v))
-            })
-            .collect();
         TestVector {
-            assignment,
+            assignment: self.pi_vars.iter().map(|&v| cube.get(v)).collect(),
             fault,
             observed_output: po_index,
         }
+    }
+}
+
+/// The faulty-circuit builder behind [`DigitalAtpg::try_generate`].
+///
+/// [`FaultyCone::mark`] stamps the fault site's fanout cone by walking the
+/// fanout lists from the site.  [`FaultyCone::output`] then builds one
+/// output's faulty function from the cone gates in its fanin, depth first on
+/// an explicit worklist.  What one output builds is reused by the later
+/// outputs of the same fault; a signal outside the cone keeps its fault-free
+/// function.  Each fault takes a fresh epoch, which makes every stamp of an
+/// earlier fault stale without clearing anything (a 64-bit epoch does not
+/// wrap).
+struct FaultyCone {
+    /// Outputs of the gates reading each signal.
+    fanout: Vec<Vec<SignalId>>,
+    epoch: u64,
+    /// `epoch` iff the signal is in the current site's fanout cone (the
+    /// site included).
+    in_cone: Vec<u64>,
+    /// `epoch` iff `faulty` holds the signal's faulty function.
+    built: Vec<u64>,
+    faulty: Vec<Bdd>,
+    /// Worklist of the cone walk and of the output build.
+    stack: Vec<SignalId>,
+    /// Gate-input buffer of the output build.
+    inputs: Vec<Bdd>,
+}
+
+impl FaultyCone {
+    fn new(netlist: &Netlist, fill: Bdd) -> Self {
+        let n = netlist.signal_count();
+        let mut fanout = vec![Vec::new(); n];
+        for gate in netlist.gates() {
+            for input in &gate.inputs {
+                fanout[input.index()].push(gate.output);
+            }
+        }
+        FaultyCone {
+            fanout,
+            epoch: 0,
+            in_cone: vec![0; n],
+            built: vec![0; n],
+            faulty: vec![fill; n],
+            stack: Vec::new(),
+            inputs: Vec::new(),
+        }
+    }
+
+    /// Starts a fault: stamps the fanout cone of `site` and seeds the site
+    /// with the free variable `d`.
+    fn mark(&mut self, site: SignalId, d: Bdd) {
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.in_cone[site.index()] = epoch;
+        self.built[site.index()] = epoch;
+        self.faulty[site.index()] = d;
+        self.stack.clear();
+        self.stack.push(site);
+        while let Some(s) = self.stack.pop() {
+            for &out in &self.fanout[s.index()] {
+                if self.in_cone[out.index()] != epoch {
+                    self.in_cone[out.index()] = epoch;
+                    self.stack.push(out);
+                }
+            }
+        }
+    }
+
+    /// Is `signal` in the current site's fanout cone?
+    fn contains(&self, signal: SignalId) -> bool {
+        self.in_cone[signal.index()] == self.epoch
+    }
+
+    /// The faulty function of `po`, an output in the current cone.  `good`
+    /// holds the fault-free function of every signal.
+    fn output(
+        &mut self,
+        manager: &mut BddManager,
+        netlist: &Netlist,
+        good: &[Bdd],
+        po: SignalId,
+    ) -> Result<Bdd, BddError> {
+        let epoch = self.epoch;
+        self.stack.clear();
+        self.stack.push(po);
+        while let Some(&s) = self.stack.last() {
+            if self.built[s.index()] == epoch {
+                self.stack.pop();
+                continue;
+            }
+            let f = match netlist.driver(s) {
+                // Only the site is an undriven cone signal, and `mark`
+                // built it; any other undriven line is fault-free.
+                None => good[s.index()],
+                Some(gate) => {
+                    // Build the gate's unbuilt cone inputs first.
+                    let pending = self.stack.len();
+                    for &i in &gate.inputs {
+                        if self.in_cone[i.index()] == epoch && self.built[i.index()] != epoch {
+                            self.stack.push(i);
+                        }
+                    }
+                    if self.stack.len() > pending {
+                        continue;
+                    }
+                    self.inputs.clear();
+                    for &i in &gate.inputs {
+                        self.inputs.push(if self.built[i.index()] == epoch {
+                            self.faulty[i.index()]
+                        } else {
+                            good[i.index()]
+                        });
+                    }
+                    try_apply_gate(manager, gate.kind, &self.inputs)?
+                }
+            };
+            self.faulty[s.index()] = f;
+            self.built[s.index()] = epoch;
+            self.stack.pop();
+        }
+        Ok(self.faulty[po.index()])
     }
 }
 
@@ -1869,6 +1995,118 @@ mod tests {
             let clean = engine().run_on(&pool, &faults).unwrap();
             assert_reports_identical(&clean, &clean_reference);
             assert!(clean.degraded.is_empty() && clean.aborted.is_empty());
+        }
+    }
+
+    /// The derivation before the cone-bounded build: every fault rebuilds
+    /// its whole fanout cone into every signal, differentiates every output
+    /// and resolves the primary-input variables by name.  Kept as the oracle
+    /// of `cone_bounded_derivation_matches_the_full_cone_rebuild`.
+    fn generate_by_full_cone(
+        atpg: &mut DigitalAtpg,
+        fault: StuckAtFault,
+    ) -> Result<TestOutcome, BddError> {
+        atpg.manager.gc_if_above(GC_WATERMARK);
+        let line_fn = atpg.signal_bdds[fault.signal.index()];
+        let activation = if fault.stuck_at {
+            atpg.manager.not(line_fn)
+        } else {
+            line_fn
+        };
+        if activation.is_zero() {
+            return Ok(TestOutcome::Untestable);
+        }
+        let netlist = atpg.netlist;
+        let mut faulty = atpg.signal_bdds.clone();
+        faulty[fault.signal.index()] = atpg.manager.literal(atpg.d_var, true);
+        let mut in_cone = vec![false; faulty.len()];
+        in_cone[fault.signal.index()] = true;
+        for gate in netlist.gates() {
+            if !gate.inputs.iter().any(|i| in_cone[i.index()]) {
+                continue;
+            }
+            in_cone[gate.output.index()] = true;
+            let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| faulty[i.index()]).collect();
+            faulty[gate.output.index()] = try_apply_gate(&mut atpg.manager, gate.kind, &inputs)?;
+        }
+        for (po_index, &po) in netlist.primary_outputs().iter().enumerate() {
+            let f = faulty[po.index()];
+            let observability = atpg.manager.try_boolean_difference(f, atpg.d_var)?;
+            let act_obs = atpg.manager.try_and(activation, observability)?;
+            let test_set = atpg.manager.try_and(act_obs, atpg.fc)?;
+            let Some(cube) = atpg.manager.sat_one(test_set) else {
+                continue;
+            };
+            let assignment = netlist
+                .primary_inputs()
+                .iter()
+                .map(|&pi| {
+                    let var = atpg.manager.var_index(netlist.signal_name(pi));
+                    var.and_then(|v| cube.get(v))
+                })
+                .collect();
+            return Ok(TestOutcome::Detected(TestVector {
+                assignment,
+                fault,
+                observed_output: po_index,
+            }));
+        }
+        Ok(TestOutcome::Untestable)
+    }
+
+    #[test]
+    fn cone_bounded_derivation_matches_the_full_cone_rebuild() {
+        use crate::mixed_circuit::{ConverterBlock, MixedCircuit};
+        use msatpg_analog::filters::fifth_order_chebyshev;
+        use msatpg_conversion::FlashAdc;
+        use msatpg_digital::benchmarks;
+
+        for name in ["c432", "c880", "c1908"] {
+            let digital = benchmarks::by_name(name).unwrap();
+            // The Example-3 wiring of the Table-4 campaigns.
+            let adc = FlashAdc::uniform(15, 4.0).unwrap();
+            let analog = fifth_order_chebyshev();
+            let mut mixed =
+                MixedCircuit::new(name, analog, ConverterBlock::Flash(adc), digital.clone());
+            mixed.connect_randomly(1995).unwrap();
+            let (lines, codes) = (mixed.constrained_inputs(), mixed.allowed_codes());
+            let faults = FaultList::collapsed(&digital);
+            for constrained in [true, false] {
+                let engine = || {
+                    let atpg = DigitalAtpg::new(&digital);
+                    if constrained {
+                        atpg.with_constraints(&lines, &codes).unwrap()
+                    } else {
+                        atpg
+                    }
+                };
+                let (mut bounded, mut reference) = (engine(), engine());
+                let before = (
+                    bounded.manager.stats().created_nodes,
+                    reference.manager.stats().created_nodes,
+                );
+                for &fault in faults.faults() {
+                    assert_eq!(
+                        bounded.try_generate(fault).unwrap(),
+                        generate_by_full_cone(&mut reference, fault).unwrap(),
+                        "{name} (constrained: {constrained}) {}",
+                        fault.describe(&digital)
+                    );
+                }
+                if name == "c1908" {
+                    let created = (
+                        bounded.manager.stats().created_nodes - before.0,
+                        reference.manager.stats().created_nodes - before.1,
+                    );
+                    assert!(
+                        created.0 < created.1,
+                        "c1908 (constrained: {constrained}): the cone-bounded build \
+                         created {} nodes, the full rebuild {}",
+                        created.0,
+                        created.1
+                    );
+                }
+            }
         }
     }
 }

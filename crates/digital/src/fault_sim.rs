@@ -112,7 +112,7 @@ const SLOT_TAG: u32 = 1 << 31;
 /// One compiled cone gate: everything the propagation loop needs, packed
 /// into 20 bytes so a cone walk streams through one small sequential array
 /// instead of chasing `Netlist::gates` entries scattered across the heap.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct ConeOp {
     kind: GateKind,
     /// Number of entries this op consumes from [`Cone::input_refs`].
@@ -127,7 +127,7 @@ struct ConeOp {
 }
 
 /// How one reachable primary output resolves in the final diff pass.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct OutResolve {
     /// Global signal index of the primary output.
     signal: u32,
@@ -171,9 +171,10 @@ struct Cone {
 
 /// Precomputed propagation cones for a set of fault sites.
 ///
-/// Building a cone is one linear pass over the gate list per site; the cones
-/// are what makes PPSFP cheap — re-simulating a fault only walks the gates
-/// that can actually change.
+/// A build lists the readers of every signal once; each site then collects
+/// its cone by walking those lists from the site, so its cost is the size
+/// of the cone, not of the netlist.  The cones are what makes PPSFP cheap —
+/// re-simulating a fault only walks the gates that can actually change.
 #[derive(Clone, Debug, Default)]
 pub struct FaultCones {
     cones: HashMap<SignalId, Cone>,
@@ -196,20 +197,37 @@ impl FaultCones {
         // `1 +` the cone position of its last driver (0 = the site itself).
         let mut slot_of = vec![u32::MAX; netlist.signal_count()];
         let mut driver_of = vec![0u32; netlist.signal_count()];
+        // The gates reading each signal, by gate index.
+        let mut readers = vec![Vec::new(); netlist.signal_count()];
+        for (gi, gate) in netlist.gates().iter().enumerate() {
+            for input in &gate.inputs {
+                readers[input.index()].push(gi as u32);
+            }
+        }
         for site in sites {
             if cones.contains_key(&site) {
                 continue;
             }
+            // Breadth-first over the reader lists, with `touched` as the
+            // queue: a gate joins the cone once, when its output is first
+            // marked affected.  Gates are stored in topological order, so
+            // sorting by index gives the order a full pass would visit them.
             affected[site.index()] = true;
             let mut touched = vec![site];
             let mut gates = Vec::new();
-            for (gi, gate) in netlist.gates().iter().enumerate() {
-                if gate.inputs.iter().any(|i| affected[i.index()]) {
-                    affected[gate.output.index()] = true;
-                    touched.push(gate.output);
-                    gates.push(gi as u32);
+            let mut next = 0;
+            while let Some(&signal) = touched.get(next) {
+                next += 1;
+                for &gi in &readers[signal.index()] {
+                    let output = netlist.gates()[gi as usize].output;
+                    if !affected[output.index()] {
+                        affected[output.index()] = true;
+                        touched.push(output);
+                        gates.push(gi);
+                    }
                 }
             }
+            gates.sort_unstable();
             // Last-read positions drive the early-exit horizon of
             // [`PpsfpScratch::detection_block`]: once propagation passes the
             // last gate that reads any still-differing signal, the rest of
@@ -1107,6 +1125,137 @@ mod tests {
         let mut v = faults.to_vec();
         v.sort();
         v
+    }
+
+    /// The cone build before the reader-list walk: one pass over the whole
+    /// gate list per site.  Kept as the oracle of
+    /// `fanout_walk_cones_match_the_gate_scan`.
+    fn build_by_gate_scan<I: IntoIterator<Item = SignalId>>(
+        netlist: &Netlist,
+        sites: I,
+    ) -> FaultCones {
+        assert!(
+            netlist.signal_count() < SLOT_TAG as usize,
+            "signal indices must leave the slot tag bit free"
+        );
+        let mut cones = HashMap::new();
+        let mut affected = vec![false; netlist.signal_count()];
+        // Scratch for the last-read pass: `1 + position` of the last cone
+        // gate reading a signal (0 = never read inside the cone).
+        let mut last_read = vec![0u32; netlist.signal_count()];
+        // Scratch for cone compilation: the scratch slot assigned to a
+        // signal (`u32::MAX` = untouched, resolves to the good circuit) and
+        // `1 +` the cone position of its last driver (0 = the site itself).
+        let mut slot_of = vec![u32::MAX; netlist.signal_count()];
+        let mut driver_of = vec![0u32; netlist.signal_count()];
+        for site in sites {
+            if cones.contains_key(&site) {
+                continue;
+            }
+            affected[site.index()] = true;
+            let mut touched = vec![site];
+            let mut gates = Vec::new();
+            for (gi, gate) in netlist.gates().iter().enumerate() {
+                if gate.inputs.iter().any(|i| affected[i.index()]) {
+                    affected[gate.output.index()] = true;
+                    touched.push(gate.output);
+                    gates.push(gi as u32);
+                }
+            }
+            // Last-read positions drive the early-exit horizon of
+            // [`PpsfpScratch::detection_block`]: once propagation passes the
+            // last gate that reads any still-differing signal, the rest of
+            // the cone is guaranteed to equal the good circuit.
+            for (pos, &gi) in gates.iter().enumerate() {
+                for input in &netlist.gates()[gi as usize].inputs {
+                    last_read[input.index()] = pos as u32 + 1;
+                }
+            }
+            let site_last_read = last_read[site.index()];
+            // Compile the cone: resolve every input to a scratch slot (set
+            // by an earlier cone write) or a good-value index, in one pass
+            // that mirrors exactly what a full propagation walk would stamp.
+            slot_of[site.index()] = 0;
+            let mut slots = 1u32;
+            let mut ops = Vec::with_capacity(gates.len());
+            let mut input_refs = Vec::new();
+            for (pos, &gi) in gates.iter().enumerate() {
+                let gate = &netlist.gates()[gi as usize];
+                for input in &gate.inputs {
+                    let i = input.index();
+                    input_refs.push(match slot_of[i] {
+                        u32::MAX => i as u32,
+                        slot => SLOT_TAG | slot,
+                    });
+                }
+                let o = gate.output.index();
+                if slot_of[o] == u32::MAX {
+                    slot_of[o] = slots;
+                    slots += 1;
+                }
+                driver_of[o] = pos as u32 + 1;
+                ops.push(ConeOp {
+                    kind: gate.kind,
+                    n_inputs: gate.inputs.len() as u32,
+                    out_slot: slot_of[o],
+                    out_signal: o as u32,
+                    last_read: last_read[o],
+                });
+            }
+            let out_resolve = netlist
+                .primary_outputs()
+                .iter()
+                .filter(|o| affected[o.index()])
+                .map(|o| OutResolve {
+                    signal: o.index() as u32,
+                    driver_pos_plus1: driver_of[o.index()],
+                    slot: slot_of[o.index()],
+                })
+                .collect();
+            for t in touched {
+                affected[t.index()] = false;
+                slot_of[t.index()] = u32::MAX;
+                driver_of[t.index()] = 0;
+            }
+            for &gi in &gates {
+                for input in &netlist.gates()[gi as usize].inputs {
+                    last_read[input.index()] = 0;
+                }
+            }
+            cones.insert(
+                site,
+                Cone {
+                    gates,
+                    ops,
+                    input_refs,
+                    out_resolve,
+                    slots,
+                    site_last_read,
+                },
+            );
+        }
+        FaultCones { cones }
+    }
+
+    #[test]
+    fn fanout_walk_cones_match_the_gate_scan() {
+        let mut netlists = benchmarks::iscas85_suite();
+        netlists.push(circuits::adder4());
+        for netlist in &netlists {
+            let walked = FaultCones::build(netlist, netlist.signals());
+            let scanned = build_by_gate_scan(netlist, netlist.signals());
+            assert_eq!(walked.len(), netlist.signal_count());
+            for site in netlist.signals() {
+                let (w, s) = (walked.cone(site), scanned.cone(site));
+                let at = format!("{} site {}", netlist.name(), netlist.signal_name(site));
+                assert_eq!(w.gates, s.gates, "{at}: gates");
+                assert_eq!(w.ops, s.ops, "{at}: ops");
+                assert_eq!(w.input_refs, s.input_refs, "{at}: input refs");
+                assert_eq!(w.out_resolve, s.out_resolve, "{at}: output resolution");
+                assert_eq!(w.slots, s.slots, "{at}: slot count");
+                assert_eq!(w.site_last_read, s.site_last_read, "{at}: site last-read");
+            }
+        }
     }
 
     #[test]

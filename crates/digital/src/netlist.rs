@@ -203,24 +203,6 @@ impl Netlist {
         (0..self.signals.len() as u32).map(SignalId).collect()
     }
 
-    /// Signals in the transitive fanout of `signal` (excluding `signal`
-    /// itself), i.e. every line whose value can be affected by it.
-    pub fn fanout_cone(&self, signal: SignalId) -> Vec<SignalId> {
-        let mut affected = vec![false; self.signals.len()];
-        affected[signal.index()] = true;
-        let mut cone = Vec::new();
-        // Gates are stored in topological order, so one pass suffices.
-        for gate in &self.gates {
-            if gate.inputs.iter().any(|i| affected[i.index()]) {
-                if !affected[gate.output.index()] {
-                    affected[gate.output.index()] = true;
-                    cone.push(gate.output);
-                }
-            }
-        }
-        cone
-    }
-
     /// Primary inputs in the transitive fanin of `signal` (its support).
     pub fn fanin_support(&self, signal: SignalId) -> Vec<SignalId> {
         let mut needed = vec![false; self.signals.len()];
@@ -394,7 +376,6 @@ mod tests {
         assert_eq!(n.signal_name(sum), "sum");
         assert!(n.driver(sum).is_some());
         assert!(n.driver(a).is_none());
-        assert_eq!(n.fanout_cone(a).len(), 2);
         assert_eq!(n.fanin_support(sum).len(), 2);
         assert!(format!("{n}").contains("half-adder"));
     }

@@ -1,9 +1,10 @@
-//! Integration test of the Table-4 experiment on the smallest benchmark:
-//! constrained vs. unconstrained OBDD ATPG on the c432 stand-in.
+//! Integration tests of the Table-4 experiment: constrained vs.
+//! unconstrained OBDD ATPG on the c432 stand-in, and the generated reports
+//! of every Example-3 circuit pinned by digest.
 
 use msatpg::conversion::constraints::thermometer_codes;
 use msatpg::conversion::FlashAdc;
-use msatpg::core::digital_atpg::DigitalAtpg;
+use msatpg::core::digital_atpg::{AtpgReport, DigitalAtpg};
 use msatpg::core::ConverterBlock;
 use msatpg::digital::benchmarks;
 use msatpg::digital::fault::FaultList;
@@ -112,4 +113,71 @@ fn untestable_faults_are_really_untestable_by_random_search() {
             );
         }
     }
+}
+
+/// FNV-1a over a report's whole content: every vector (pattern string,
+/// target fault and observed output, in emission order), the untestable
+/// set and the detected count.
+fn report_digest(report: &AtpgReport) -> u64 {
+    let mut text = String::new();
+    for v in &report.vectors {
+        text += &format!(
+            "{} {}/{} {}\n",
+            v.to_pattern_string(),
+            v.fault.signal.index(),
+            u8::from(v.fault.stuck_at),
+            v.observed_output
+        );
+    }
+    for f in &report.untestable {
+        text += &format!("u {}/{}\n", f.signal.index(), u8::from(f.stuck_at));
+    }
+    text += &format!("detected {}\n", report.detected);
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn table4_reports_are_pinned_byte_for_byte() {
+    // The Example-3 circuits at the Table-4 wiring seed, constrained and
+    // unconstrained with fault dropping, plus c432 and c880 constrained
+    // without dropping.  The digests pin every generated vector, so any
+    // change to how test sets are derived or read off the OBDDs shows up
+    // here; a deliberate change re-records them from the printed table.
+    const EXPECTED: [(&str, bool, bool, u64); 12] = [
+        ("c432", true, true, 0x08f9a197af05070e),
+        ("c432", false, true, 0x8671c7ab1fc32d2f),
+        ("c499", true, true, 0xf6318c23be700c28),
+        ("c499", false, true, 0xa94ab348e2c06b71),
+        ("c880", true, true, 0x23e3c05848741f6e),
+        ("c880", false, true, 0xc996ec5ccdbeaa83),
+        ("c1355", true, true, 0xb9aa36d21797e12d),
+        ("c1355", false, true, 0x2e4712d3251f53f7),
+        ("c1908", true, true, 0xc602bdb97632b711),
+        ("c1908", false, true, 0x5e801361da87034a),
+        ("c432", true, false, 0xab02409b9f49c1ee),
+        ("c880", true, false, 0xe040ab34ba6d99c4),
+    ];
+    let mut actual = Vec::new();
+    for &(name, constrained, dropping, _) in &EXPECTED {
+        let digital = benchmarks::by_name(name).unwrap();
+        let analog = msatpg::analog::filters::fifth_order_chebyshev();
+        let converter = ConverterBlock::Flash(FlashAdc::uniform(15, 4.0).unwrap());
+        let mut mixed = MixedCircuit::new(name, analog, converter, digital.clone());
+        mixed.connect_randomly(1995).unwrap();
+        let mut atpg = DigitalAtpg::new(&digital).with_fault_dropping(dropping);
+        if constrained {
+            atpg = atpg
+                .with_constraints(&mixed.constrained_inputs(), &mixed.allowed_codes())
+                .unwrap();
+        }
+        let report = atpg.run(&FaultList::collapsed(&digital)).unwrap();
+        actual.push((name, constrained, dropping, report_digest(&report)));
+    }
+    let table: String = actual
+        .iter()
+        .map(|(n, c, d, h)| format!("        (\"{n}\", {c}, {d}, 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(actual, EXPECTED, "report digests changed:\n{table}");
 }
