@@ -2,10 +2,6 @@
 
 use std::fmt;
 
-use crate::mna::Mna;
-use crate::netlist::{Circuit, NodeId};
-use crate::AnalogError;
-
 /// A sinusoidal stimulus `A · sin(2π f t)` applied to the analog primary
 /// input of the mixed circuit.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -53,28 +49,9 @@ impl fmt::Display for SineStimulus {
     }
 }
 
-/// Peak amplitude of the steady-state response at `output` when `stimulus`
-/// drives the source named `source` (linear small-signal analysis: the output
-/// amplitude is `A · |H(f)|`).
-///
-/// # Errors
-///
-/// Propagates solver errors.
-pub fn output_amplitude(
-    circuit: &Circuit,
-    source: &str,
-    output: NodeId,
-    stimulus: &SineStimulus,
-) -> Result<f64, AnalogError> {
-    let mna = Mna::new(circuit);
-    let gain = mna.gain(source, output, stimulus.frequency_hz)?;
-    Ok(stimulus.amplitude * gain)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::Circuit;
 
     #[test]
     fn stimulus_constructors_and_display() {
@@ -84,18 +61,5 @@ mod tests {
         let d = SineStimulus::dc(1.5);
         assert!(d.is_dc());
         assert!(format!("{d}").contains("DC"));
-    }
-
-    #[test]
-    fn output_amplitude_scales_with_gain() {
-        let mut c = Circuit::new();
-        let vin = c.node("vin");
-        let vout = c.node("vout");
-        c.voltage_source("Vin", vin, Circuit::GROUND, 0.0, 1.0);
-        c.resistor("R1", vin, vout, 1.0e3);
-        c.resistor("R2", vout, Circuit::GROUND, 3.0e3);
-        // Divider gain = 0.75 at every frequency.
-        let amp = output_amplitude(&c, "Vin", vout, &SineStimulus::new(2.0, 1.0e3)).unwrap();
-        assert!((amp - 1.5).abs() < 1e-9);
     }
 }

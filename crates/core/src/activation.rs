@@ -13,10 +13,11 @@
 
 use std::fmt;
 
+use msatpg_analog::mna::Mna;
 use msatpg_analog::params::{ParameterKind, ParameterSpec};
 use msatpg_analog::response::ResponseAnalyzer;
 use msatpg_analog::signal::SineStimulus;
-use msatpg_analog::FilterCircuit;
+use msatpg_analog::{AnalogError, FilterCircuit};
 
 use crate::CoreError;
 
@@ -153,9 +154,196 @@ pub struct StimulusPlan {
     pub faulty_value: bool,
 }
 
+/// One parameter's row of Table 1, measured: the frequency and the gains
+/// every [`StimulusPlan`] for the parameter is computed from.
+///
+/// The stimulus depends on the parameter, the tolerance, the deviation
+/// direction and the comparator threshold only — never on the faulty
+/// element — so the flow measures each parameter once, and a plan for any
+/// `(direction, threshold)` is arithmetic on these values.
+#[derive(Debug)]
+pub(crate) struct Table1Entry {
+    /// The measurement frequency `f`: DC for DC gains, the specified
+    /// frequency for AC gains, the nominal peak/cut-off frequency for
+    /// frequency-type parameters.
+    pub(crate) frequency: f64,
+    /// The nominal gain at `f` and the gain with the parameter at its
+    /// tolerance boundary, per direction (`[Above, Below]`), or why that
+    /// direction cannot be activated.
+    gains: [Result<(f64, f64), CoreError>; 2],
+    /// Gain of the filter's input-to-output path at `f`: the fault-free
+    /// output amplitude of a plan is its stimulus amplitude times this.
+    pub(crate) output_gain: Result<f64, CoreError>,
+}
+
+impl Table1Entry {
+    /// Measures the entry of `parameter` at tolerance `tolerance`
+    /// (fraction) on fresh engines of the nominal filter: one for the
+    /// frequency search, one for the nominal and boundary gains, one for
+    /// the output gain.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the parameter's output node or its measurement
+    /// frequency cannot be found; a gain that cannot be measured only makes
+    /// its direction (or, for the output gain, its use) fail.
+    pub(crate) fn measure(
+        filter: &FilterCircuit,
+        parameter: &ParameterSpec,
+        tolerance: f64,
+    ) -> Result<Self, CoreError> {
+        let output = parameter
+            .output_node(filter.circuit())
+            .map_err(analog_error)?;
+        let analyzer = || {
+            ResponseAnalyzer::new(filter.circuit(), &parameter.source, output)
+                .with_sweep(parameter.sweep)
+        };
+        let freq = match parameter.kind {
+            ParameterKind::DcGain => 0.0,
+            ParameterKind::AcGain { freq_hz } => freq_hz,
+            ParameterKind::MaxGain | ParameterKind::CenterFrequency => {
+                analyzer().center_frequency().map_err(analog_error)?
+            }
+            ParameterKind::LowCutoff => analyzer().low_cutoff().map_err(analog_error)?,
+            ParameterKind::HighCutoff => analyzer().high_cutoff().map_err(analog_error)?,
+        };
+        let analyzer = analyzer();
+        let gain_nominal = analyzer.gain_at(freq).map_err(analog_error);
+        let gains = [DeviationSign::Above, DeviationSign::Below].map(|direction| {
+            let gain_nominal = gain_nominal.clone()?;
+            // Gain when the parameter sits exactly at the tolerance boundary.
+            let gain_boundary = match parameter.kind {
+                ParameterKind::DcGain | ParameterKind::AcGain { .. } | ParameterKind::MaxGain => {
+                    match direction {
+                        DeviationSign::Above => gain_nominal * (1.0 + tolerance),
+                        DeviationSign::Below => gain_nominal * (1.0 - tolerance),
+                    }
+                }
+                // Frequency parameters: shifting a corner frequency by x%
+                // changes the gain at the nominal corner like evaluating the
+                // nominal response at a frequency scaled by 1/(1±x) (the
+                // paper's y% gain deviation caused by an x% frequency
+                // deviation).
+                ParameterKind::CenterFrequency
+                | ParameterKind::LowCutoff
+                | ParameterKind::HighCutoff => {
+                    let scale = match direction {
+                        DeviationSign::Above => 1.0 / (1.0 + tolerance),
+                        DeviationSign::Below => 1.0 / (1.0 - tolerance),
+                    };
+                    analyzer.gain_at(freq * scale).map_err(analog_error)?
+                }
+            };
+            if gain_nominal <= 0.0 || gain_boundary <= 0.0 {
+                return Err(CoreError::ActivationImpossible {
+                    reason: format!(
+                        "gain is zero at {freq:.1} Hz for parameter '{}'",
+                        parameter.name
+                    ),
+                });
+            }
+            if (gain_nominal - gain_boundary).abs() / gain_nominal < 1e-9 {
+                return Err(CoreError::ActivationImpossible {
+                    reason: format!(
+                        "parameter '{}' does not change the output amplitude at {freq:.1} Hz",
+                        parameter.name
+                    ),
+                });
+            }
+            Ok((gain_nominal, gain_boundary))
+        });
+        let output_gain = Mna::new(filter.circuit())
+            .gain(filter.input_source(), filter.output_node(), freq)
+            .map_err(analog_error);
+        Ok(Table1Entry {
+            frequency: freq,
+            gains,
+            output_gain,
+        })
+    }
+
+    /// The stimulus that activates a deviation in `direction`, observed at
+    /// a comparator with threshold `v_ref`.
+    ///
+    /// The amplitude is placed so that the filter's output amplitude
+    /// straddles `v_ref`: it stays on one side while the parameter is inside
+    /// its tolerance box and crosses to the other side when the parameter
+    /// leaves the box.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the direction cannot be activated (a gain that could not
+    /// be measured, or is zero or unchanged at the entry's frequency).
+    pub(crate) fn plan(
+        &self,
+        direction: DeviationSign,
+        v_ref: f64,
+    ) -> Result<StimulusPlan, &CoreError> {
+        let index = match direction {
+            DeviationSign::Above => 0,
+            DeviationSign::Below => 1,
+        };
+        let (gain_nominal, gain_boundary) = *self.gains[index].as_ref()?;
+        // Amplitude such that the output amplitude is the geometric mean of
+        // the nominal and boundary levels — above Vref on one side, below on
+        // the other.
+        let amplitude = v_ref / (gain_nominal * gain_boundary).sqrt();
+        let fault_free_value = gain_nominal > gain_boundary;
+        Ok(StimulusPlan {
+            stimulus: SineStimulus::new(amplitude, self.frequency),
+            fault_free_value,
+            faulty_value: !fault_free_value,
+        })
+    }
+}
+
+/// Table 1 measured for one filter and tolerance: one [`Table1Entry`] per
+/// distinct parameter, shared read-only by every element test of a batch.
+#[derive(Debug)]
+pub(crate) struct StimulusTable {
+    entries: Vec<(ParameterSpec, Result<Table1Entry, CoreError>)>,
+}
+
+impl StimulusTable {
+    /// Measures the entry of every distinct parameter in `parameters`.
+    pub(crate) fn measure<'p>(
+        filter: &FilterCircuit,
+        parameters: impl IntoIterator<Item = &'p ParameterSpec>,
+        tolerance: f64,
+    ) -> Self {
+        let mut entries: Vec<(ParameterSpec, Result<Table1Entry, CoreError>)> = Vec::new();
+        for parameter in parameters {
+            if entries.iter().all(|(measured, _)| measured != parameter) {
+                let entry = Table1Entry::measure(filter, parameter, tolerance);
+                entries.push((parameter.clone(), entry));
+            }
+        }
+        StimulusTable { entries }
+    }
+
+    /// The entry of `parameter`, or `None` if the table was not measured
+    /// for it.
+    pub(crate) fn entry(
+        &self,
+        parameter: &ParameterSpec,
+    ) -> Option<&Result<Table1Entry, CoreError>> {
+        self.entries
+            .iter()
+            .find(|(measured, _)| measured == parameter)
+            .map(|(_, entry)| entry)
+    }
+}
+
+fn analog_error(e: AnalogError) -> CoreError {
+    CoreError::Analog(e.to_string())
+}
+
 /// Selects the measurement frequency implied by a parameter kind: DC for DC
 /// gains, the specified frequency for AC gains, and the nominal
-/// peak/cut-off frequency for frequency-type parameters.
+/// peak/cut-off frequency for frequency-type parameters.  It is the
+/// frequency of the parameter's Table-1 entry, which does not depend on the
+/// tolerance.
 ///
 /// # Errors
 ///
@@ -164,25 +352,7 @@ pub fn measurement_frequency(
     filter: &FilterCircuit,
     parameter: &ParameterSpec,
 ) -> Result<f64, CoreError> {
-    let output = parameter
-        .output_node(filter.circuit())
-        .map_err(|e| CoreError::Analog(e.to_string()))?;
-    let analyzer = ResponseAnalyzer::new(filter.circuit(), &parameter.source, output)
-        .with_sweep(parameter.sweep);
-    let freq = match parameter.kind {
-        ParameterKind::DcGain => 0.0,
-        ParameterKind::AcGain { freq_hz } => freq_hz,
-        ParameterKind::MaxGain | ParameterKind::CenterFrequency => analyzer
-            .center_frequency()
-            .map_err(|e| CoreError::Analog(e.to_string()))?,
-        ParameterKind::LowCutoff => analyzer
-            .low_cutoff()
-            .map_err(|e| CoreError::Analog(e.to_string()))?,
-        ParameterKind::HighCutoff => analyzer
-            .high_cutoff()
-            .map_err(|e| CoreError::Analog(e.to_string()))?,
-    };
-    Ok(freq)
+    Ok(Table1Entry::measure(filter, parameter, 0.0)?.frequency)
 }
 
 /// Chooses the stimulus `(A, f)` that activates a deviation of `parameter`
@@ -192,6 +362,10 @@ pub fn measurement_frequency(
 /// The amplitude is placed so that the filter's output amplitude straddles
 /// `v_ref`: it stays on one side while the parameter is inside its tolerance
 /// box and crosses to the other side when the parameter leaves the box.
+///
+/// Each call measures the parameter's Table-1 entry afresh; the analog
+/// element tests measure each entry once per batch and plan every attempt
+/// from it.
 ///
 /// # Errors
 ///
@@ -204,63 +378,9 @@ pub fn select_stimulus(
     tolerance: f64,
     v_ref: f64,
 ) -> Result<StimulusPlan, CoreError> {
-    let output = parameter
-        .output_node(filter.circuit())
-        .map_err(|e| CoreError::Analog(e.to_string()))?;
-    let analyzer = ResponseAnalyzer::new(filter.circuit(), &parameter.source, output)
-        .with_sweep(parameter.sweep);
-    let freq = measurement_frequency(filter, parameter)?;
-    let gain_nominal = analyzer
-        .gain_at(freq)
-        .map_err(|e| CoreError::Analog(e.to_string()))?;
-    // Gain when the parameter sits exactly at the tolerance boundary.
-    let gain_boundary = match parameter.kind {
-        ParameterKind::DcGain | ParameterKind::AcGain { .. } | ParameterKind::MaxGain => {
-            match direction {
-                DeviationSign::Above => gain_nominal * (1.0 + tolerance),
-                DeviationSign::Below => gain_nominal * (1.0 - tolerance),
-            }
-        }
-        // Frequency parameters: shifting a corner frequency by x% changes the
-        // gain at the nominal corner like evaluating the nominal response at
-        // a frequency scaled by 1/(1±x) (the paper's y% gain deviation caused
-        // by an x% frequency deviation).
-        ParameterKind::CenterFrequency | ParameterKind::LowCutoff | ParameterKind::HighCutoff => {
-            let scale = match direction {
-                DeviationSign::Above => 1.0 / (1.0 + tolerance),
-                DeviationSign::Below => 1.0 / (1.0 - tolerance),
-            };
-            analyzer
-                .gain_at(freq * scale)
-                .map_err(|e| CoreError::Analog(e.to_string()))?
-        }
-    };
-    if gain_nominal <= 0.0 || gain_boundary <= 0.0 {
-        return Err(CoreError::ActivationImpossible {
-            reason: format!(
-                "gain is zero at {freq:.1} Hz for parameter '{}'",
-                parameter.name
-            ),
-        });
-    }
-    if (gain_nominal - gain_boundary).abs() / gain_nominal < 1e-9 {
-        return Err(CoreError::ActivationImpossible {
-            reason: format!(
-                "parameter '{}' does not change the output amplitude at {freq:.1} Hz",
-                parameter.name
-            ),
-        });
-    }
-    // Amplitude such that the output amplitude is the geometric mean of the
-    // nominal and boundary levels — above Vref on one side, below on the
-    // other.
-    let amplitude = v_ref / (gain_nominal * gain_boundary).sqrt();
-    let fault_free_value = gain_nominal > gain_boundary;
-    Ok(StimulusPlan {
-        stimulus: SineStimulus::new(amplitude, freq),
-        fault_free_value,
-        faulty_value: !fault_free_value,
-    })
+    Table1Entry::measure(filter, parameter, tolerance)?
+        .plan(direction, v_ref)
+        .map_err(CoreError::clone)
 }
 
 #[cfg(test)]

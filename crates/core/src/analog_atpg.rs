@@ -5,14 +5,15 @@
 use std::collections::HashMap;
 
 use msatpg_analog::fault::AnalogFault;
+use msatpg_analog::mna::Mna;
 use msatpg_analog::params::ParameterSpec;
-use msatpg_analog::signal::{output_amplitude, SineStimulus};
+use msatpg_analog::signal::SineStimulus;
 use msatpg_analog::ElementId;
 use msatpg_digital::logic::Logic;
 use msatpg_digital::netlist::SignalId;
 use msatpg_exec::WorkerPool;
 
-use crate::activation::{select_stimulus, DeviationSign};
+use crate::activation::{DeviationSign, StimulusTable};
 use crate::mixed_circuit::MixedCircuit;
 use crate::propagation::PropagationEngine;
 use crate::CoreError;
@@ -133,7 +134,8 @@ impl<'a> AnalogAtpg<'a> {
         deviation: f64,
         parameter: &ParameterSpec,
     ) -> Result<AnalogTestOutcome, CoreError> {
-        self.test_deviation_with(&mut None, element, deviation, parameter)
+        let table = self.stimulus_table([parameter]);
+        self.test_deviation_with(&mut None, &table, element, deviation, parameter)
     }
 
     /// The propagation engine of the digital block, with the lines the
@@ -142,16 +144,46 @@ impl<'a> AnalogAtpg<'a> {
         PropagationEngine::new(self.circuit.digital(), &self.circuit.constrained_inputs())
     }
 
+    /// The Table-1 stimulus table of `parameters` at this generator's
+    /// tolerance.
+    fn stimulus_table<'p>(
+        &self,
+        parameters: impl IntoIterator<Item = &'p ParameterSpec>,
+    ) -> StimulusTable {
+        StimulusTable::measure(self.circuit.analog(), parameters, self.tolerance)
+    }
+
     /// [`AnalogAtpg::test_element_deviation`] on a caller-held engine slot,
     /// filled by the first attempt that activates a comparator and reused
-    /// by every later one.
+    /// by every later one, with the stimuli planned from `table`.
+    ///
+    /// Every (comparator, direction) attempt plans its stimulus from the
+    /// parameter's table entry and reads the fault-free output amplitude
+    /// from it; the faulty circuit is solved once, at the entry's
+    /// frequency, by the first attempt that has a plan.
     fn test_deviation_with(
         &self,
         engine: &mut Option<PropagationEngine<'a>>,
+        table: &StimulusTable,
         element: ElementId,
         deviation: f64,
         parameter: &ParameterSpec,
     ) -> Result<AnalogTestOutcome, CoreError> {
+        let Some(entry) = table.entry(parameter) else {
+            return Err(CoreError::ActivationImpossible {
+                reason: format!(
+                    "parameter '{}' is not in the stimulus table",
+                    parameter.name
+                ),
+            });
+        };
+        // A parameter whose output node or measurement frequency cannot be
+        // found cannot be activated in either direction at any comparator.
+        let Ok(entry) = entry else {
+            return Ok(AnalogTestOutcome::Failed(
+                AnalogTestFailure::ActivationFailed,
+            ));
+        };
         // The sign of the element deviation does not determine the sign of
         // the parameter deviation (it depends on the sensitivity), so both
         // tolerance bounds are tried, exactly as the paper tests the upper
@@ -165,10 +197,7 @@ impl<'a> AnalogAtpg<'a> {
             DeviationSign::Above => DeviationSign::Below,
             DeviationSign::Below => DeviationSign::Above,
         };
-        let filter = self.circuit.analog();
-        let fault = AnalogFault::deviation(element, deviation);
-        let faulty_circuit = fault.apply(filter.circuit());
-        let output_node = filter.output_node();
+        let mut faulty_gain = None;
         let mut any_activation = false;
 
         for (converter_output, line) in self.circuit.connections() {
@@ -177,32 +206,21 @@ impl<'a> AnalogAtpg<'a> {
             };
             for direction in [preferred, other] {
                 // Table-1 stimulus selection for this comparator's reference.
-                let plan = match select_stimulus(
-                    filter,
-                    parameter,
-                    direction,
-                    self.tolerance,
-                    threshold,
-                ) {
-                    Ok(plan) => plan,
-                    Err(_) => continue,
+                let Ok(plan) = entry.plan(direction, threshold) else {
+                    continue;
                 };
                 // Numeric activation check: does this comparator really see
                 // different values in the fault-free and the faulty circuit?
-                let amp_good = output_amplitude(
-                    filter.circuit(),
-                    filter.input_source(),
-                    output_node,
-                    &plan.stimulus,
-                )
-                .map_err(|e| CoreError::Analog(e.to_string()))?;
-                let amp_faulty = output_amplitude(
-                    &faulty_circuit,
-                    filter.input_source(),
-                    output_node,
-                    &plan.stimulus,
-                )
-                .map_err(|e| CoreError::Analog(e.to_string()))?;
+                let amp_good = plan.stimulus.amplitude * entry.output_gain.clone()?;
+                let gain_faulty = match faulty_gain {
+                    Some(gain) => gain,
+                    None => *faulty_gain.insert(self.faulty_gain(
+                        element,
+                        deviation,
+                        plan.stimulus.frequency_hz,
+                    )?),
+                };
+                let amp_faulty = plan.stimulus.amplitude * gain_faulty;
                 let code_good = self.circuit.converter().convert(amp_good);
                 let code_faulty = self.circuit.converter().convert(amp_faulty);
                 if code_good[converter_output] == code_faulty[converter_output] {
@@ -238,6 +256,22 @@ impl<'a> AnalogAtpg<'a> {
         }))
     }
 
+    /// Gain of the filter's input-to-output path at `freq_hz` with
+    /// `element` deviated by `deviation`, solved on a fresh engine of the
+    /// faulty circuit.
+    fn faulty_gain(
+        &self,
+        element: ElementId,
+        deviation: f64,
+        freq_hz: f64,
+    ) -> Result<f64, CoreError> {
+        let filter = self.circuit.analog();
+        let faulty_circuit = AnalogFault::deviation(element, deviation).apply(filter.circuit());
+        Mna::new(&faulty_circuit)
+            .gain(filter.input_source(), filter.output_node(), freq_hz)
+            .map_err(|e| CoreError::Analog(e.to_string()))
+    }
+
     /// Tests an element deviation through every parameter of the analog
     /// block (most-sensitive first according to `ranking`), returning the
     /// first parameter that yields a test, or the last failure.
@@ -251,14 +285,16 @@ impl<'a> AnalogAtpg<'a> {
         deviation: f64,
         ranking: &[ParameterSpec],
     ) -> Result<AnalogTestEntry, CoreError> {
-        self.test_element_with(&mut None, element, deviation, ranking)
+        let table = self.stimulus_table(ranking);
+        self.test_element_with(&mut None, &table, element, deviation, ranking)
     }
 
-    /// [`AnalogAtpg::test_element`] on a caller-held engine slot (see
-    /// [`AnalogAtpg::test_deviation_with`]).
+    /// [`AnalogAtpg::test_element`] on a caller-held engine slot and
+    /// stimulus table (see [`AnalogAtpg::test_deviation_with`]).
     fn test_element_with(
         &self,
         engine: &mut Option<PropagationEngine<'a>>,
+        table: &StimulusTable,
         element: ElementId,
         deviation: f64,
         ranking: &[ParameterSpec],
@@ -277,7 +313,7 @@ impl<'a> AnalogAtpg<'a> {
         };
         let mut last_failure = AnalogTestOutcome::Failed(AnalogTestFailure::ActivationFailed);
         for parameter in ranking {
-            let outcome = self.test_deviation_with(engine, element, deviation, parameter)?;
+            let outcome = self.test_deviation_with(engine, table, element, deviation, parameter)?;
             if outcome.is_tested() {
                 return Ok(AnalogTestEntry {
                     element: element_name,
@@ -302,12 +338,19 @@ impl<'a> AnalogAtpg<'a> {
     }
 
     /// Tests a batch of element deviations on a worker pool, one element per
-    /// work unit (elements are independent: each builds its own faulty
-    /// circuit, and each worker builds the propagation engine once, on its
-    /// first activated comparator).  Entries — and the first error, if
-    /// any — come back **in request order**, so the result is
-    /// byte-identical to calling [`AnalogAtpg::test_element`] in a serial
-    /// loop under any [`msatpg_exec::ExecPolicy`].
+    /// work unit.
+    ///
+    /// Table 1 is measured once per batch, on the calling thread: one
+    /// entry per distinct ranked parameter (measurement frequency, nominal
+    /// and boundary gains, fault-free output gain), shared read-only by
+    /// the workers, which plan every stimulus and fault-free amplitude from
+    /// it.  Per (element, parameter), a worker solves the faulty circuit
+    /// once, at the parameter's frequency; each worker builds the
+    /// propagation engine once, on its first activated comparator.
+    /// Entries — and the first error, if any — come back **in request
+    /// order**, so the result is byte-identical to calling
+    /// [`AnalogAtpg::test_element`] in a serial loop under any
+    /// [`msatpg_exec::ExecPolicy`].
     ///
     /// # Errors
     ///
@@ -317,13 +360,20 @@ impl<'a> AnalogAtpg<'a> {
         pool: &WorkerPool,
         requests: &[ElementTestRequest],
     ) -> Result<Vec<AnalogTestEntry>, CoreError> {
+        let table = self.stimulus_table(requests.iter().flat_map(|r| &r.ranking));
         pool.run_chunks(
             requests,
             1,
             || None,
             |engine, _ci, _offset, chunk| {
                 let request = &chunk[0];
-                self.test_element_with(engine, request.element, request.deviation, &request.ranking)
+                self.test_element_with(
+                    engine,
+                    &table,
+                    request.element,
+                    request.deviation,
+                    &request.ranking,
+                )
             },
         )
         .into_iter()
@@ -383,13 +433,269 @@ impl<'a> AnalogAtpg<'a> {
     }
 }
 
+/// The per-attempt path the stimulus table replaced, kept as an oracle:
+/// every (comparator, direction) attempt selects its stimulus from fresh
+/// measurements and solves the fault-free and the faulty circuit afresh.
+#[cfg(test)]
+mod oracle {
+    use std::collections::HashMap;
+
+    use msatpg_analog::fault::AnalogFault;
+    use msatpg_analog::mna::Mna;
+    use msatpg_analog::netlist::{Circuit, NodeId};
+    use msatpg_analog::params::{ParameterKind, ParameterSpec};
+    use msatpg_analog::response::ResponseAnalyzer;
+    use msatpg_analog::signal::SineStimulus;
+    use msatpg_analog::{AnalogError, ElementId, FilterCircuit};
+    use msatpg_digital::logic::Logic;
+    use msatpg_digital::netlist::SignalId;
+
+    use super::{
+        AnalogAtpg, AnalogTestEntry, AnalogTestFailure, AnalogTestOutcome, AnalogTestVector,
+    };
+    use crate::activation::{DeviationSign, StimulusPlan};
+    use crate::propagation::PropagationEngine;
+    use crate::CoreError;
+
+    pub(super) fn measurement_frequency(
+        filter: &FilterCircuit,
+        parameter: &ParameterSpec,
+    ) -> Result<f64, CoreError> {
+        let output = parameter
+            .output_node(filter.circuit())
+            .map_err(|e| CoreError::Analog(e.to_string()))?;
+        let analyzer = ResponseAnalyzer::new(filter.circuit(), &parameter.source, output)
+            .with_sweep(parameter.sweep);
+        let freq = match parameter.kind {
+            ParameterKind::DcGain => 0.0,
+            ParameterKind::AcGain { freq_hz } => freq_hz,
+            ParameterKind::MaxGain | ParameterKind::CenterFrequency => analyzer
+                .center_frequency()
+                .map_err(|e| CoreError::Analog(e.to_string()))?,
+            ParameterKind::LowCutoff => analyzer
+                .low_cutoff()
+                .map_err(|e| CoreError::Analog(e.to_string()))?,
+            ParameterKind::HighCutoff => analyzer
+                .high_cutoff()
+                .map_err(|e| CoreError::Analog(e.to_string()))?,
+        };
+        Ok(freq)
+    }
+
+    pub(super) fn select_stimulus(
+        filter: &FilterCircuit,
+        parameter: &ParameterSpec,
+        direction: DeviationSign,
+        tolerance: f64,
+        v_ref: f64,
+    ) -> Result<StimulusPlan, CoreError> {
+        let output = parameter
+            .output_node(filter.circuit())
+            .map_err(|e| CoreError::Analog(e.to_string()))?;
+        let analyzer = ResponseAnalyzer::new(filter.circuit(), &parameter.source, output)
+            .with_sweep(parameter.sweep);
+        let freq = measurement_frequency(filter, parameter)?;
+        let gain_nominal = analyzer
+            .gain_at(freq)
+            .map_err(|e| CoreError::Analog(e.to_string()))?;
+        // Gain when the parameter sits exactly at the tolerance boundary.
+        let gain_boundary = match parameter.kind {
+            ParameterKind::DcGain | ParameterKind::AcGain { .. } | ParameterKind::MaxGain => {
+                match direction {
+                    DeviationSign::Above => gain_nominal * (1.0 + tolerance),
+                    DeviationSign::Below => gain_nominal * (1.0 - tolerance),
+                }
+            }
+            ParameterKind::CenterFrequency
+            | ParameterKind::LowCutoff
+            | ParameterKind::HighCutoff => {
+                let scale = match direction {
+                    DeviationSign::Above => 1.0 / (1.0 + tolerance),
+                    DeviationSign::Below => 1.0 / (1.0 - tolerance),
+                };
+                analyzer
+                    .gain_at(freq * scale)
+                    .map_err(|e| CoreError::Analog(e.to_string()))?
+            }
+        };
+        if gain_nominal <= 0.0 || gain_boundary <= 0.0 {
+            return Err(CoreError::ActivationImpossible {
+                reason: format!(
+                    "gain is zero at {freq:.1} Hz for parameter '{}'",
+                    parameter.name
+                ),
+            });
+        }
+        if (gain_nominal - gain_boundary).abs() / gain_nominal < 1e-9 {
+            return Err(CoreError::ActivationImpossible {
+                reason: format!(
+                    "parameter '{}' does not change the output amplitude at {freq:.1} Hz",
+                    parameter.name
+                ),
+            });
+        }
+        let amplitude = v_ref / (gain_nominal * gain_boundary).sqrt();
+        let fault_free_value = gain_nominal > gain_boundary;
+        Ok(StimulusPlan {
+            stimulus: SineStimulus::new(amplitude, freq),
+            fault_free_value,
+            faulty_value: !fault_free_value,
+        })
+    }
+
+    fn output_amplitude(
+        circuit: &Circuit,
+        source: &str,
+        output: NodeId,
+        stimulus: &SineStimulus,
+    ) -> Result<f64, AnalogError> {
+        let mna = Mna::new(circuit);
+        let gain = mna.gain(source, output, stimulus.frequency_hz)?;
+        Ok(stimulus.amplitude * gain)
+    }
+
+    fn test_deviation<'a>(
+        atpg: &AnalogAtpg<'a>,
+        engine: &mut Option<PropagationEngine<'a>>,
+        element: ElementId,
+        deviation: f64,
+        parameter: &ParameterSpec,
+    ) -> Result<AnalogTestOutcome, CoreError> {
+        let preferred = if deviation >= 0.0 {
+            DeviationSign::Above
+        } else {
+            DeviationSign::Below
+        };
+        let other = match preferred {
+            DeviationSign::Above => DeviationSign::Below,
+            DeviationSign::Below => DeviationSign::Above,
+        };
+        let filter = atpg.circuit.analog();
+        let fault = AnalogFault::deviation(element, deviation);
+        let faulty_circuit = fault.apply(filter.circuit());
+        let output_node = filter.output_node();
+        let mut any_activation = false;
+
+        for (converter_output, line) in atpg.circuit.connections() {
+            let Some(threshold) = atpg.circuit.converter().threshold(converter_output) else {
+                continue;
+            };
+            for direction in [preferred, other] {
+                let plan = match select_stimulus(
+                    filter,
+                    parameter,
+                    direction,
+                    atpg.tolerance,
+                    threshold,
+                ) {
+                    Ok(plan) => plan,
+                    Err(_) => continue,
+                };
+                let amp_good = output_amplitude(
+                    filter.circuit(),
+                    filter.input_source(),
+                    output_node,
+                    &plan.stimulus,
+                )
+                .map_err(|e| CoreError::Analog(e.to_string()))?;
+                let amp_faulty = output_amplitude(
+                    &faulty_circuit,
+                    filter.input_source(),
+                    output_node,
+                    &plan.stimulus,
+                )
+                .map_err(|e| CoreError::Analog(e.to_string()))?;
+                let code_good = atpg.circuit.converter().convert(amp_good);
+                let code_faulty = atpg.circuit.converter().convert(amp_faulty);
+                if code_good[converter_output] == code_faulty[converter_output] {
+                    continue;
+                }
+                any_activation = true;
+                let composite =
+                    Logic::from_pair(code_good[converter_output], code_faulty[converter_output]);
+                let mut fixed: HashMap<SignalId, bool> = HashMap::new();
+                for (other_output, other_line) in atpg.circuit.connections() {
+                    if other_output != converter_output {
+                        fixed.insert(other_line, code_good[other_output]);
+                    }
+                }
+                let engine = engine.get_or_insert_with(|| atpg.engine());
+                if let Some(prop) = engine.find_propagating_assignment(&fixed, line, composite)? {
+                    return Ok(AnalogTestOutcome::Tested(AnalogTestVector {
+                        stimulus: plan.stimulus,
+                        comparator: converter_output,
+                        composite,
+                        constrained_code: code_good,
+                        external_assignment: prop.external_assignment,
+                        observed_output: prop.observed_output,
+                    }));
+                }
+            }
+        }
+        Ok(AnalogTestOutcome::Failed(if any_activation {
+            AnalogTestFailure::PropagationFailed
+        } else {
+            AnalogTestFailure::ActivationFailed
+        }))
+    }
+
+    pub(super) fn test_element(
+        atpg: &AnalogAtpg<'_>,
+        element: ElementId,
+        deviation: f64,
+        ranking: &[ParameterSpec],
+    ) -> Result<AnalogTestEntry, CoreError> {
+        let mut engine = None;
+        let element_name = atpg
+            .circuit
+            .analog()
+            .circuit()
+            .element(element)
+            .name
+            .clone();
+        let direction = if deviation >= 0.0 {
+            DeviationSign::Above
+        } else {
+            DeviationSign::Below
+        };
+        let mut last_failure = AnalogTestOutcome::Failed(AnalogTestFailure::ActivationFailed);
+        for parameter in ranking {
+            let outcome = test_deviation(atpg, &mut engine, element, deviation, parameter)?;
+            if outcome.is_tested() {
+                return Ok(AnalogTestEntry {
+                    element: element_name,
+                    parameter: parameter.name.clone(),
+                    deviation: deviation.abs(),
+                    direction,
+                    outcome,
+                });
+            }
+            last_failure = outcome;
+        }
+        Ok(AnalogTestEntry {
+            element: element_name,
+            parameter: ranking
+                .last()
+                .map(|p| p.name.clone())
+                .unwrap_or_else(|| "-".to_owned()),
+            deviation: deviation.abs(),
+            direction,
+            outcome: last_failure,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msatpg_analog::coverage::CoverageGraph;
     use msatpg_analog::filters;
-    use msatpg_conversion::FlashAdc;
-    use msatpg_digital::circuits;
+    use msatpg_analog::sensitivity::WorstCaseAnalysis;
+    use msatpg_conversion::{FlashAdc, SarAdc};
+    use msatpg_digital::{benchmarks, circuits};
+    use msatpg_exec::ExecPolicy;
 
+    use crate::activation::{StimulusPlan, StimulusTable};
     use crate::mixed_circuit::ConverterBlock;
 
     /// The Figure-4 mixed circuit: band-pass filter, 2-comparator conversion
@@ -467,5 +773,189 @@ mod tests {
         // In the Figure-3 circuit every constrained line reaches an output
         // for at least one polarity.
         assert!(study.iter().any(|&(d, dbar)| d || dbar));
+    }
+
+    /// The Figure-8 validation board: state-variable filter, AD7820-class
+    /// SAR converter with its 4 low-order lines on a 4-bit adder.
+    fn figure8_board() -> MixedCircuit {
+        let mut mixed = MixedCircuit::new(
+            "figure8-board",
+            filters::state_variable_filter(),
+            ConverterBlock::Binary {
+                adc: SarAdc::ad7820(),
+                lines: 4,
+            },
+            circuits::adder4(),
+        );
+        mixed.connect_in_order(&["a0", "a1", "a2", "a3"]).unwrap();
+        mixed
+    }
+
+    /// An Example-3 circuit: fifth-order Chebyshev filter, 15-comparator
+    /// flash converter, c432 stand-in wired at seed 1995.
+    fn example3_c432() -> MixedCircuit {
+        let mut mixed = MixedCircuit::new(
+            "example3-c432",
+            filters::fifth_order_chebyshev(),
+            ConverterBlock::Flash(FlashAdc::uniform(15, 4.0).unwrap()),
+            benchmarks::by_name("c432").unwrap(),
+        );
+        mixed.connect_randomly(1995).unwrap();
+        mixed
+    }
+
+    /// Every element of `mixed` with a deviation of both signs and the
+    /// nominal deviation report's parameter ranking, at the size the flow
+    /// injects (20 % beyond the detectable threshold) or 50 % when nothing
+    /// detects the element.
+    fn requests(mixed: &MixedCircuit) -> Vec<ElementTestRequest> {
+        let analog = mixed.analog();
+        let report = WorstCaseAnalysis::new(analog.circuit(), analog.parameters())
+            .run()
+            .unwrap();
+        let graph = CoverageGraph::from_report(&report);
+        let mut requests = Vec::new();
+        for (element, name) in report.elements() {
+            let ranking: Vec<ParameterSpec> = report
+                .ranked_rows(name)
+                .into_iter()
+                .filter_map(|row| {
+                    analog
+                        .parameters()
+                        .iter()
+                        .find(|p| p.name == row.parameter)
+                        .cloned()
+                })
+                .collect();
+            let size = graph
+                .best_deviation(name)
+                .map_or(0.5, |best| (best * 1.2).min(0.95));
+            for deviation in [-size, size] {
+                requests.push(ElementTestRequest {
+                    element: *element,
+                    deviation,
+                    ranking: ranking.clone(),
+                });
+            }
+        }
+        requests
+    }
+
+    fn assert_same_plan(table: &StimulusPlan, oracle: &StimulusPlan, what: &str) {
+        assert_eq!(table, oracle, "{what}");
+        assert_eq!(
+            table.stimulus.amplitude.to_bits(),
+            oracle.stimulus.amplitude.to_bits(),
+            "{what}: amplitude bits"
+        );
+        assert_eq!(
+            table.stimulus.frequency_hz.to_bits(),
+            oracle.stimulus.frequency_hz.to_bits(),
+            "{what}: frequency bits"
+        );
+    }
+
+    /// The batch path (one stimulus table for every request) against the
+    /// per-attempt oracle on every request of [`requests`]: equal entries,
+    /// stimulus and deviation bits included.
+    fn assert_table_matches_the_oracle(mixed: &MixedCircuit) {
+        let atpg = AnalogAtpg::new(mixed);
+        let requests = requests(mixed);
+        let tested = atpg
+            .test_elements_on(&WorkerPool::new(ExecPolicy::Serial), &requests)
+            .unwrap();
+        assert_eq!(tested.len(), requests.len());
+        let mut tested_count = 0;
+        for (request, entry) in requests.iter().zip(&tested) {
+            let oracle =
+                oracle::test_element(&atpg, request.element, request.deviation, &request.ranking)
+                    .unwrap();
+            let what = format!(
+                "{}: {} by {}",
+                mixed.name(),
+                entry.element,
+                request.deviation
+            );
+            assert_eq!(entry, &oracle, "{what}");
+            assert_eq!(entry.deviation.to_bits(), oracle.deviation.to_bits());
+            if let (AnalogTestOutcome::Tested(table), AnalogTestOutcome::Tested(oracle)) =
+                (&entry.outcome, &oracle.outcome)
+            {
+                tested_count += 1;
+                assert_eq!(
+                    table.stimulus.amplitude.to_bits(),
+                    oracle.stimulus.amplitude.to_bits(),
+                    "{what}: amplitude bits"
+                );
+                assert_eq!(
+                    table.stimulus.frequency_hz.to_bits(),
+                    oracle.stimulus.frequency_hz.to_bits(),
+                    "{what}: frequency bits"
+                );
+            }
+        }
+        assert!(
+            tested_count > 0,
+            "{}: some deviation is tested",
+            mixed.name()
+        );
+    }
+
+    #[test]
+    fn stimulus_table_matches_the_per_attempt_oracle_on_figure4() {
+        assert_table_matches_the_oracle(&figure4());
+    }
+
+    #[test]
+    fn stimulus_table_matches_the_per_attempt_oracle_on_the_figure8_board() {
+        assert_table_matches_the_oracle(&figure8_board());
+    }
+
+    #[test]
+    fn stimulus_table_matches_the_per_attempt_oracle_on_example3_c432() {
+        assert_table_matches_the_oracle(&example3_c432());
+    }
+
+    #[test]
+    fn table_plans_match_the_oracle_stimulus_selection() {
+        for mixed in [figure4(), figure8_board(), example3_c432()] {
+            let filter = mixed.analog();
+            let tolerance = 0.05;
+            let table = StimulusTable::measure(filter, filter.parameters(), tolerance);
+            let thresholds: Vec<f64> = (0..mixed.converter().output_count())
+                .filter_map(|i| mixed.converter().threshold(i))
+                .collect();
+            assert!(!thresholds.is_empty());
+            for parameter in filter.parameters() {
+                let entry = table.entry(parameter).unwrap();
+                for direction in [DeviationSign::Above, DeviationSign::Below] {
+                    for &v_ref in &thresholds {
+                        let what = format!(
+                            "{}: {} {direction} at {v_ref} V",
+                            mixed.name(),
+                            parameter.name
+                        );
+                        let planned = entry.as_ref().map_err(CoreError::clone).and_then(|entry| {
+                            entry.plan(direction, v_ref).map_err(CoreError::clone)
+                        });
+                        let oracle =
+                            oracle::select_stimulus(filter, parameter, direction, tolerance, v_ref);
+                        match (&planned, &oracle) {
+                            (Ok(planned), Ok(oracle)) => assert_same_plan(planned, oracle, &what),
+                            _ => assert_eq!(planned, oracle, "{what}"),
+                        }
+                    }
+                }
+                assert_eq!(
+                    entry.as_ref().map(|entry| entry.frequency.to_bits()).ok(),
+                    oracle::measurement_frequency(filter, parameter)
+                        .ok()
+                        .map(f64::to_bits),
+                    "{}: {} frequency",
+                    mixed.name(),
+                    parameter.name
+                );
+            }
+        }
     }
 }

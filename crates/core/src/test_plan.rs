@@ -306,9 +306,12 @@ impl MixedSignalAtpg {
     }
 
     /// [`MixedSignalAtpg::analog_tests`] on a shared worker pool: the cheap
-    /// per-element parameter ranking happens inline, then the expensive
-    /// stimulus/propagation searches run one element per work unit through
-    /// [`AnalogAtpg::test_elements_on`], merged back in element order.
+    /// per-element parameter ranking happens inline, then
+    /// [`AnalogAtpg::test_elements_on`] measures the Table-1 stimulus table
+    /// once for the whole batch (one entry per ranked parameter) and runs
+    /// the stimulus/propagation searches one element per work unit, solving
+    /// the faulty circuit once per (element, parameter).  Each result fills
+    /// the slot of its request, so entries come back in element order.
     ///
     /// # Errors
     ///
@@ -322,10 +325,11 @@ impl MixedSignalAtpg {
         let graph = CoverageGraph::from_report(deviations);
         let analog = self.circuit.analog();
         // Slot per element: either a ready entry (nothing detects the
-        // element — no simulation needed) or `None`, to be filled from the
-        // pooled test of the request with the same rank.
+        // element — no simulation needed) or `None`, filled below from the
+        // pooled test of the request that names the slot.
         let mut slots: Vec<Option<AnalogTestEntry>> = Vec::new();
         let mut requests: Vec<ElementTestRequest> = Vec::new();
+        let mut request_slots: Vec<usize> = Vec::new();
         for (element_id, element_name) in deviations.elements() {
             // Rank the parameters for this element by detectable deviation
             // (the paper tests "the parameter that is the most sensitive to a
@@ -357,6 +361,7 @@ impl MixedSignalAtpg {
             // negative direction (component value drops), as on the paper's
             // validation board.
             let injected = -(best * 1.2).min(0.95);
+            request_slots.push(slots.len());
             slots.push(None);
             requests.push(ElementTestRequest {
                 element: *element_id,
@@ -364,14 +369,11 @@ impl MixedSignalAtpg {
                 ranking,
             });
         }
-        let mut tested = atpg.test_elements_on(pool, &requests)?.into_iter();
-        Ok(slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(entry) => entry,
-                None => tested.next().expect("one entry per request"),
-            })
-            .collect())
+        let tested = atpg.test_elements_on(pool, &requests)?;
+        for (slot, entry) in request_slots.into_iter().zip(tested) {
+            slots[slot] = Some(entry);
+        }
+        Ok(slots.into_iter().flatten().collect())
     }
 
     /// Computes the conversion-block ladder coverage inside the mixed
