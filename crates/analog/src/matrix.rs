@@ -175,10 +175,7 @@ impl LuFactor {
                     pivot_row = row;
                 }
             }
-            // Non-finite pivots (from an infinite stamp such as a
-            // zero-valued resistor) are as unusable as zero ones: report
-            // the system as singular instead of producing NaN solutions.
-            if pivot_mag < 1e-300 || !pivot_mag.is_finite() {
+            if unusable_pivot(pivot_mag) {
                 return Err(AnalogError::SingularMatrix { pivot: col });
             }
             self.ipiv[col] = pivot_row;
@@ -242,6 +239,15 @@ impl LuFactor {
             b[col] = acc / a[col * n + col];
         }
     }
+}
+
+/// Whether a pivot of this magnitude fails the factorization.  Non-finite
+/// pivots (from an infinite stamp such as a zero-valued resistor) are as
+/// unusable as zero ones: the system is reported singular instead of
+/// producing NaN solutions.
+#[inline]
+pub(crate) fn unusable_pivot(magnitude: f64) -> bool {
+    magnitude < 1e-300 || !magnitude.is_finite()
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

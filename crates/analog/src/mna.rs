@@ -56,6 +56,39 @@
 //! `set_value` calls leaves any trace, and one engine can serve any number
 //! of deviation probes in any order.
 //!
+//! ## Grid table
+//!
+//! A deviation probe of a peak or cut-off parameter re-walks the same sweep
+//! grid under one deviated element (`k = 1`).  With one element, the
+//! update at output row `o` collapses to scalars: with `H₀ = x₀[o]`,
+//! `u = z[o]`, `w = qᵀ·x₀` and `g = qᵀ·z` (`z = A₀⁻¹·p`),
+//!
+//! ```text
+//! H = H₀ − u·((δ·w) / (1 + δ·g))
+//! ```
+//!
+//! and only `δ` depends on the value.  [`Mna::sweep_gains`] keeps one table
+//! per engine holding `ω, H₀, u, w, g` for every grid frequency, keyed by
+//! the source, the output, the deviated element and the bits of the
+//! [`SweepConfig`].  It is filled from the rank-1 memo the first time a key
+//! is swept, and every later sweep under that key answers each grid point
+//! in O(1).  The scalars are the memo's own values and the formula performs
+//! the operations of the `k = 1` update in the same order (`qᵀ·x₀` is the
+//! same fold, `K = 1 + δ·g` passes the same pivot test as the `1 × 1`
+//! factorization, `δ·w / K` is its back substitution), so a table answer is
+//! **bit-identical** to the per-point solve and fails with the same
+//! [`AnalogError::SingularMatrix`] where it would fail.  No deviation, two
+//! or more deviated elements, a ground output or a table that cannot be
+//! filled (a singular nominal system) take the per-point solves instead.
+//!
+//! Table answers claim no cache slot, so on their own they would let the
+//! grid's factors age out of the least-recently-used order while the
+//! off-grid peak and cut-off refinements keep adding frequencies — and the
+//! next row's table needs those factors again.  **Residency rule:** every
+//! table answer marks the slot it was filled from as most recently used if
+//! that slot still holds the point's frequency, in grid order, exactly as
+//! the per-point solve would have.
+//!
 //! The single-pole op-amp model `A(s) = a0/(1 + s/ω)` is folded into the
 //! `G + s·C` form by multiplying its constraint row through by the
 //! denominator, which leaves the solution unchanged.
@@ -68,8 +101,9 @@ use std::collections::HashMap;
 use std::f64::consts::TAU;
 
 use crate::complex::Complex;
-use crate::matrix::LuFactor;
+use crate::matrix::{unusable_pivot, LuFactor};
 use crate::netlist::{Circuit, ElementId, ElementKind, NodeId, OpAmpModel};
+use crate::response::SweepConfig;
 use crate::AnalogError;
 
 /// Which independent sources drive the circuit during a solve.
@@ -129,9 +163,13 @@ pub struct SolverStats {
     /// Solves answered by a low-rank update of the nominal factorization
     /// because some element value differed from nominal.
     pub updates: u64,
-    /// Solves whose nominal solution `x₀` came from the factor's memo
-    /// instead of two triangular solves (see the [module docs](self)).
+    /// Nominal solutions `x₀` that came from the factor's memo instead of
+    /// two triangular solves (see the [module docs](self)).
     pub memo_hits: u64,
+    /// Sweep points answered from the grid table of [`Mna::sweep_gains`]
+    /// (see the [module docs](self)).  Each also counts as a solve, and as
+    /// an update when the deviation enters the matrix at that frequency.
+    pub table_hits: u64,
 }
 
 /// Which of the two real matrices an entry belongs to.
@@ -217,12 +255,13 @@ enum ActiveDrive {
 
 /// Bound on the number of per-frequency factorizations kept alive.  When a
 /// new frequency arrives at capacity, the least-recently-used one is
-/// evicted — fine-grid bisection searches keep their warm working set
-/// cached while memory stays bounded.  One parameter measurement touches
-/// its sweep grid (181–211 points for the paper's filters), ≈ 62
-/// golden-section points and ≤ 80 bisection points; 448 slots hold that
-/// working set with room to spare, and 448 factors with their rank-1 memo
-/// take the memory of 512 bare factors of the 15-unknown board.
+/// evicted, so the warm working set stays cached while memory stays
+/// bounded.  One parameter measurement touches its sweep grid (181–211
+/// points for the paper's filters) and 7–12 off-grid points of the Brent
+/// peak search or the Illinois cut-off search, new ones for every probed
+/// deviation; 448 slots hold a row's grid plus the refinements of a few
+/// dozen probes, and 448 factors with their rank-1 memo take the memory of
+/// 512 bare factors of the 15-unknown board.
 const MAX_CACHED_SYSTEMS: usize = 448;
 
 /// End-of-list marker of the cache's recency list.
@@ -249,6 +288,32 @@ struct RankOneMemo {
     elements: Vec<usize>,
     /// `Z = A₀⁻¹·P`, one column of `n` entries per element.
     z: Vec<Complex>,
+}
+
+impl RankOneMemo {
+    /// `Z = A₀⁻¹·P` of `elements`, solved against `lu` only when the memo
+    /// holds the columns of another set.
+    fn columns(
+        &mut self,
+        lu: &LuFactor,
+        stamps: &[ValueStamp],
+        elements: impl Iterator<Item = usize> + Clone,
+    ) -> &[Complex] {
+        let n = lu.dim();
+        if !self.elements.iter().copied().eq(elements.clone()) {
+            self.elements.clear();
+            self.elements.extend(elements.clone());
+            self.z.resize(self.elements.len() * n, Complex::ZERO);
+            for (z, e) in self.z.chunks_exact_mut(n).zip(elements) {
+                z.fill(Complex::ZERO);
+                for &(i, pi) in &stamps[e].p {
+                    z[i as usize] = Complex::from_real(pi);
+                }
+                lu.solve_in_place(z);
+            }
+        }
+        &self.z[..self.elements.len() * n]
+    }
 }
 
 /// Per-frequency nominal factorizations with O(1) least-recently-used
@@ -325,6 +390,14 @@ impl SystemCache {
         }
     }
 
+    /// Marks `slot` most recently used if it still holds frequency `key`.
+    fn touch(&mut self, slot: u32, key: u64) {
+        if self.slots.get(slot as usize).is_some_and(|s| s.key == key) {
+            self.unlink(slot);
+            self.push_newest(slot);
+        }
+    }
+
     fn push_newest(&mut self, slot: u32) {
         let entry = &mut self.slots[slot as usize];
         entry.newer = NIL;
@@ -335,6 +408,44 @@ impl SystemCache {
         }
         self.newest = slot;
     }
+}
+
+/// What a [`GridTable`] answers for: the single-source drive (at unit
+/// magnitude), the unknown observed, the one deviated element and the bits
+/// of the sweep configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct GridKey {
+    source: ElementId,
+    /// Row of the output node in the solution vector.
+    row: usize,
+    element: usize,
+    grid: [u64; 3],
+}
+
+/// The value-independent scalars of one grid frequency (see the
+/// [module docs](self)).
+#[derive(Clone, Copy, Debug)]
+struct GridPoint {
+    freq: f64,
+    omega: f64,
+    /// `H₀ = x₀[o]`.
+    h0: Complex,
+    /// `u = z[o]`.
+    u: Complex,
+    /// `w = qᵀ·x₀`.
+    w: Complex,
+    /// `g = qᵀ·z`.
+    g: Complex,
+    /// The cache slot the point was filled from.
+    slot: u32,
+}
+
+/// The grid table of [`Mna::sweep_gains`]: one point per grid frequency,
+/// valid for `key` (none while it is being filled).
+#[derive(Default)]
+struct GridTable {
+    key: Option<GridKey>,
+    points: Vec<GridPoint>,
 }
 
 /// Reusable buffers of the low-rank update; they grow to the largest number
@@ -358,6 +469,7 @@ struct Engine {
     /// value differs from nominal, ascending.
     deviated: Vec<usize>,
     systems: SystemCache,
+    grid: GridTable,
     /// Reusable right-hand-side / solution buffer.
     rhs: Vec<Complex>,
     scratch: UpdateScratch,
@@ -598,6 +710,7 @@ impl<'a> Mna<'a> {
             values: nominal.clone(),
             deviated: Vec::new(),
             systems: SystemCache::new(),
+            grid: GridTable::default(),
             rhs: vec![Complex::ZERO; n],
             scratch: UpdateScratch {
                 terms: Vec::new(),
@@ -694,10 +807,12 @@ impl<'a> Mna<'a> {
         self.engine.borrow().systems.len()
     }
 
-    /// Drops all cached per-frequency factorizations (they are rebuilt on
-    /// demand).
+    /// Drops all cached per-frequency factorizations and the grid table
+    /// (they are rebuilt on demand).
     pub fn clear_system_cache(&self) {
-        self.engine.borrow_mut().systems.clear();
+        let mut engine = self.engine.borrow_mut();
+        engine.systems.clear();
+        engine.grid = GridTable::default();
     }
 
     /// Solves the DC operating point (all capacitors open, inductors
@@ -772,6 +887,154 @@ impl<'a> Mna<'a> {
         Ok(self.transfer(source, output, freq_hz)?.abs())
     }
 
+    /// `(frequency, gain)` at every point of the sweep grid of `config`,
+    /// ascending: the same values, bit for bit, as [`Mna::gain`] at each of
+    /// [`SweepConfig::frequencies`], and the same first error.  With
+    /// exactly one deviated element, the points come from the engine's grid
+    /// table in O(1) each (see the [module docs](self)).
+    ///
+    /// # Errors
+    ///
+    /// Same error conditions as [`Mna::transfer`].
+    pub fn sweep_gains(
+        &self,
+        source: &str,
+        output: NodeId,
+        config: &SweepConfig,
+    ) -> Result<Vec<(f64, f64)>, AnalogError> {
+        let grid = [
+            config.start_hz.to_bits(),
+            config.stop_hz.to_bits(),
+            config.points_per_decade as u64,
+        ];
+        self.grid_gains(source, output, grid, || config.frequencies())
+    }
+
+    /// [`Mna::sweep_gains`] over the grid `frequencies` yields, which the
+    /// key `grid` identifies.
+    fn grid_gains(
+        &self,
+        source: &str,
+        output: NodeId,
+        grid: [u64; 3],
+        frequencies: impl FnOnce() -> Vec<f64>,
+    ) -> Result<Vec<(f64, f64)>, AnalogError> {
+        let per_point = |freqs: Vec<f64>| {
+            freqs
+                .into_iter()
+                .map(|f| Ok((f, self.gain(source, output, f)?)))
+                .collect()
+        };
+        let source = self.source_id(source)?;
+        let mut guard = self.engine.borrow_mut();
+        let engine = &mut *guard;
+        let (&[element], Some(row)) = (&engine.deviated[..], output.index().checked_sub(1)) else {
+            drop(guard);
+            return per_point(frequencies());
+        };
+        let key = GridKey {
+            source,
+            row,
+            element,
+            grid,
+        };
+        if engine.grid.key != Some(key) {
+            let freqs = frequencies();
+            if self.fill_grid(engine, key, &freqs).is_err() {
+                // The per-point solves report the failure where it occurs.
+                drop(guard);
+                return per_point(freqs);
+            }
+        }
+        self.table_gains(engine, element)
+    }
+
+    /// Fills the grid table for `key` over `freqs` from the rank-1 memo,
+    /// factoring the frequencies that are not cached.
+    fn fill_grid(
+        &self,
+        engine: &mut Engine,
+        key: GridKey,
+        freqs: &[f64],
+    ) -> Result<(), AnalogError> {
+        let stamp = &self.value_stamps[key.element];
+        engine.grid.key = None;
+        engine.grid.points.clear();
+        for &freq in freqs {
+            let slot = self.solve_nominal(engine, freq, ActiveDrive::Single(key.source, 1.0))?;
+            let Engine {
+                systems,
+                rhs: x0,
+                grid,
+                ..
+            } = &mut *engine;
+            let CachedLu { lu, memo, .. } = &mut systems.slots[slot];
+            let z = memo.columns(lu, &self.value_stamps, std::iter::once(key.element));
+            grid.points.push(GridPoint {
+                freq,
+                omega: TAU * freq,
+                h0: x0[key.row],
+                u: z[key.row],
+                w: stamp.q_dot(x0),
+                g: stamp.q_dot(z),
+                slot: slot as u32,
+            });
+        }
+        engine.grid.key = Some(key);
+        Ok(())
+    }
+
+    /// Answers every point of the filled grid table under the current
+    /// value of `element`, the one deviated element: the `k = 1` update of
+    /// [`Mna::apply_update`] on the table's scalars, with its checks.
+    fn table_gains(
+        &self,
+        engine: &mut Engine,
+        element: usize,
+    ) -> Result<Vec<(f64, f64)>, AnalogError> {
+        let Engine {
+            values,
+            systems,
+            grid,
+            stats,
+            ..
+        } = engine;
+        let s = &self.value_stamps[element];
+        let singular = || AnalogError::SingularMatrix {
+            pivot: s.p[0].0 as usize,
+        };
+        let ds = s.scale(values[element]) - s.scale(self.nominal[element]);
+        grid.points
+            .iter()
+            .map(|point| {
+                systems.touch(point.slot, point.freq.to_bits());
+                stats.solves += 1;
+                stats.table_hits += 1;
+                let delta = match s.target {
+                    Target::G => Complex::from_real(ds),
+                    Target::C => Complex::new(0.0, point.omega * ds),
+                };
+                if !delta.is_finite() {
+                    return Err(singular());
+                }
+                // A `C` deviation vanishes at DC.
+                if delta == Complex::ZERO {
+                    return Ok((point.freq, point.h0.abs()));
+                }
+                stats.updates += 1;
+                let capacitance = Complex::ONE + delta * point.g;
+                if unusable_pivot(capacitance.abs()) {
+                    return Err(singular());
+                }
+                let weight = (delta * point.w) / capacitance;
+                if !weight.is_finite() {
+                    return Err(singular());
+                }
+                Ok((point.freq, (point.h0 - point.u * weight).abs()))
+            })
+            .collect()
+    }
+
     fn source_id(&self, source: &str) -> Result<ElementId, AnalogError> {
         self.circuit
             .find_element(source)
@@ -811,13 +1074,30 @@ impl<'a> Mna<'a> {
         freq_hz: f64,
         drive: ActiveDrive,
     ) -> Result<RefMut<'_, Engine>, AnalogError> {
-        let n = self.n;
         let mut guard = self.engine.borrow_mut();
-        if n == 0 {
+        if self.n == 0 {
             return Ok(guard);
         }
         let engine = &mut *guard;
         engine.stats.solves += 1;
+        let slot = self.solve_nominal(engine, freq_hz, drive)?;
+        if !engine.deviated.is_empty() {
+            self.apply_update(engine, slot, TAU * freq_hz)?;
+        }
+        Ok(guard)
+    }
+
+    /// Leaves the nominal solution `x₀` at `freq_hz` in `engine.rhs`:
+    /// factors the frequency's system unless it is cached, and reads `x₀`
+    /// from the slot's memo when that holds the same single-source drive.
+    /// Returns the slot.
+    fn solve_nominal(
+        &self,
+        engine: &mut Engine,
+        freq_hz: f64,
+        drive: ActiveDrive,
+    ) -> Result<usize, AnalogError> {
+        let n = self.n;
         let omega = TAU * freq_hz;
         let (slot, claimed) = engine.systems.claim(freq_hz.to_bits(), n);
         let CachedLu { lu, memo, .. } = &mut engine.systems.slots[slot];
@@ -872,10 +1152,7 @@ impl<'a> Mna<'a> {
                 memo.x0.extend_from_slice(rhs);
             }
         }
-        if !engine.deviated.is_empty() {
-            self.apply_update(engine, slot, omega)?;
-        }
-        Ok(guard)
+        Ok(slot)
     }
 
     /// Turns the nominal solution `x₀` in `engine.rhs` into the solution of
@@ -896,6 +1173,7 @@ impl<'a> Mna<'a> {
             rhs: x,
             scratch,
             stats,
+            ..
         } = engine;
         let CachedLu { lu, memo, .. } = &mut systems.slots[slot];
         let stamp = |e: usize| &self.value_stamps[e];
@@ -925,20 +1203,11 @@ impl<'a> Mna<'a> {
             return Ok(());
         }
         stats.updates += 1;
-        let elements = || scratch.terms.iter().map(|&(e, _)| e);
-        if !memo.elements.iter().copied().eq(elements()) {
-            memo.elements.clear();
-            memo.elements.extend(elements());
-            memo.z.resize(k * n, Complex::ZERO);
-            for (z, e) in memo.z.chunks_exact_mut(n).zip(elements()) {
-                z.fill(Complex::ZERO);
-                for &(i, pi) in &stamp(e).p {
-                    z[i as usize] = Complex::from_real(pi);
-                }
-                lu.solve_in_place(z);
-            }
-        }
-        let z = &memo.z[..k * n];
+        let z = memo.columns(
+            lu,
+            &self.value_stamps,
+            scratch.terms.iter().map(|&(e, _)| e),
+        );
         scratch.capacitance.resize(k * k, Complex::ZERO);
         scratch.weights.resize(k, Complex::ZERO);
         for (l, &(e, delta)) in scratch.terms.iter().enumerate() {
@@ -1329,6 +1598,197 @@ mod tests {
             assemblies,
             "the recent working set must survive eviction pressure"
         );
+    }
+
+    /// Per-point reference for [`Mna::sweep_gains`]: one [`Mna::gain`] per
+    /// grid frequency, as bits, up to the first error.
+    fn point_bits(
+        mna: &Mna<'_>,
+        output: NodeId,
+        freqs: &[f64],
+    ) -> Result<Vec<(u64, u64)>, AnalogError> {
+        freqs
+            .iter()
+            .map(|&f| Ok((f.to_bits(), mna.gain("Vin", output, f)?.to_bits())))
+            .collect()
+    }
+
+    fn bits(gains: Result<Vec<(f64, f64)>, AnalogError>) -> Result<Vec<(u64, u64)>, AnalogError> {
+        gains.map(|g| g.iter().map(|(f, g)| (f.to_bits(), g.to_bits())).collect())
+    }
+
+    /// Every passive element of the Figure-8 board, the Figure-2 band-pass
+    /// and the Table-3 Chebyshev filter, deviated alone, at every output
+    /// the filter's parameters observe: the grid table answers each sweep
+    /// point bit-identically to a per-point solve — on the parameter sweep
+    /// and on the same grid with DC in front, where a `C` deviation drops
+    /// out of the matrix.
+    #[test]
+    fn grid_table_matches_per_point_gains_bit_for_bit() {
+        const DEVIATIONS: [f64; 6] = [-0.999, -0.5, -0.01, 0.01, 0.3, 5.0];
+        for filter in [
+            crate::filters::state_variable_filter(),
+            crate::filters::second_order_band_pass(),
+            crate::filters::fifth_order_chebyshev(),
+        ] {
+            let circuit = filter.circuit();
+            let sweep = filter.parameters()[0].sweep;
+            let freqs = sweep.frequencies();
+            let with_dc: Vec<f64> = [0.0].into_iter().chain(freqs.iter().copied()).collect();
+            let mut outputs: Vec<NodeId> = filter
+                .parameters()
+                .iter()
+                .map(|p| p.output_node(circuit).unwrap())
+                .collect();
+            outputs.sort();
+            outputs.dedup();
+            let mna = Mna::new(circuit);
+            for element in circuit.passive_elements() {
+                for deviation in DEVIATIONS {
+                    mna.set_value(element, circuit.value(element) * (1.0 + deviation));
+                    for &output in &outputs {
+                        let hits = mna.solver_stats().table_hits;
+                        assert_eq!(
+                            bits(mna.sweep_gains("Vin", output, &sweep)),
+                            point_bits(&mna, output, &freqs),
+                            "{} {} {deviation}",
+                            filter.name(),
+                            circuit.element(element).name
+                        );
+                        let dc = mna.grid_gains("Vin", output, [u64::MAX; 3], || with_dc.clone());
+                        assert_eq!(
+                            bits(dc),
+                            point_bits(&mna, output, &with_dc),
+                            "{} {} {deviation} with DC",
+                            filter.name(),
+                            circuit.element(element).name
+                        );
+                        let answered = mna.solver_stats().table_hits - hits;
+                        assert_eq!(answered, (freqs.len() + with_dc.len()) as u64);
+                    }
+                }
+                mna.reset_values();
+            }
+        }
+    }
+
+    /// The table fails where the per-point solve fails, with the same
+    /// error, and hands every case it does not cover — no deviation, two
+    /// deviated elements, a ground output — to the per-point solves.
+    #[test]
+    fn grid_table_errors_and_fallbacks_match_the_per_point_path() {
+        let board = crate::filters::state_variable_filter();
+        let circuit = board.circuit();
+        let sweep = board.parameters()[0].sweep;
+        let freqs = sweep.frequencies();
+        let v2 = circuit.find_node("v2").unwrap();
+        let r8 = circuit.find_element("R8").unwrap();
+        let c1 = circuit.find_element("C1").unwrap();
+        let mna = Mna::new(circuit);
+        // A zero-valued resistor has an infinite conductance deviation.
+        mna.set_value(r8, 0.0);
+        let table = mna.sweep_gains("Vin", v2, &sweep);
+        assert!(matches!(table, Err(AnalogError::SingularMatrix { .. })));
+        assert_eq!(bits(table), point_bits(&mna, v2, &freqs));
+        // Fallbacks answer per point and leave the table alone.
+        let hits = mna.solver_stats().table_hits;
+        mna.reset_values();
+        assert_eq!(
+            bits(mna.sweep_gains("Vin", v2, &sweep)),
+            point_bits(&mna, v2, &freqs)
+        );
+        mna.set_value(r8, circuit.value(r8) * 1.3);
+        mna.set_value(c1, circuit.value(c1) * 0.8);
+        assert_eq!(
+            bits(mna.sweep_gains("Vin", v2, &sweep)),
+            point_bits(&mna, v2, &freqs)
+        );
+        mna.set_value(c1, circuit.value(c1));
+        assert_eq!(
+            bits(mna.sweep_gains("Vin", Circuit::GROUND, &sweep)),
+            point_bits(&mna, Circuit::GROUND, &freqs)
+        );
+        assert_eq!(mna.solver_stats().table_hits, hits);
+        assert!(matches!(
+            mna.sweep_gains("nope", v2, &sweep),
+            Err(AnalogError::UnknownElement { .. })
+        ));
+    }
+
+    /// A new element, output or sweep refills the table; the same key
+    /// under another value re-uses it.
+    #[test]
+    fn grid_table_is_refilled_on_a_key_change() {
+        let board = crate::filters::state_variable_filter();
+        let circuit = board.circuit();
+        let sweep = board.parameters()[0].sweep;
+        let coarse = SweepConfig {
+            points_per_decade: 10,
+            ..sweep
+        };
+        let v1 = circuit.find_node("v1").unwrap();
+        let v2 = circuit.find_node("v2").unwrap();
+        let r8 = circuit.find_element("R8").unwrap();
+        let c2 = circuit.find_element("C2").unwrap();
+        let mna = Mna::new(circuit);
+        let key = || mna.engine.borrow().grid.key;
+        let mut keys = Vec::new();
+        for (element, factor, output, config) in [
+            (r8, 1.2, v2, sweep),
+            (r8, 0.7, v2, sweep),
+            (c2, 0.7, v2, sweep),
+            (c2, 0.7, v1, sweep),
+            (c2, 0.7, v1, coarse),
+        ] {
+            mna.reset_values();
+            mna.set_value(element, circuit.value(element) * factor);
+            assert_eq!(
+                bits(mna.sweep_gains("Vin", output, &config)),
+                point_bits(&mna, output, &config.frequencies())
+            );
+            keys.push(key().unwrap());
+        }
+        assert_eq!(keys[0], keys[1]);
+        for pair in keys[1..].windows(2) {
+            assert_ne!(pair[0], pair[1]);
+        }
+        assert_eq!(keys[4].grid[2], 10);
+        mna.clear_system_cache();
+        assert_eq!(key(), None);
+    }
+
+    /// Table answers keep the grid's factors most recently used, so the
+    /// off-grid solves of peak and cut-off refinements evict each other,
+    /// not the grid: the next element's table needs no new factorization.
+    #[test]
+    fn grid_table_keeps_its_factors_resident() {
+        let board = crate::filters::state_variable_filter();
+        let circuit = board.circuit();
+        let sweep = board.parameters()[0].sweep;
+        let v2 = circuit.find_node("v2").unwrap();
+        let r8 = circuit.find_element("R8").unwrap();
+        let c1 = circuit.find_element("C1").unwrap();
+        let mna = Mna::new(circuit);
+        mna.set_value(r8, circuit.value(r8) * 1.1);
+        mna.sweep_gains("Vin", v2, &sweep).unwrap();
+        let grid = mna.solver_stats().factorizations;
+        assert_eq!(grid, sweep.frequencies().len() as u64);
+        // 20 probes × 40 fresh off-grid frequencies: more than the cache
+        // holds beside the grid.
+        for probe in 0..20 {
+            mna.set_value(r8, circuit.value(r8) * (1.0 + 0.01 * (probe + 1) as f64));
+            mna.sweep_gains("Vin", v2, &sweep).unwrap();
+            for i in 0..40 {
+                let f = 1234.5 + (40 * probe + i) as f64;
+                mna.gain("Vin", v2, f).unwrap();
+            }
+        }
+        let stats = mna.solver_stats();
+        assert_eq!(stats.factorizations, grid + 800);
+        mna.reset_values();
+        mna.set_value(c1, circuit.value(c1) * 0.9);
+        mna.sweep_gains("Vin", v2, &sweep).unwrap();
+        assert_eq!(mna.solver_stats().factorizations, stats.factorizations);
     }
 
     #[test]

@@ -62,7 +62,8 @@ impl FrequencyResponse {
     }
 
     /// Samples the response using an existing (possibly deviated) MNA engine,
-    /// reusing its stamp pattern, per-frequency systems and factorizations.
+    /// reusing its stamp pattern, per-frequency systems and factorizations
+    /// ([`Mna::sweep_gains`]).
     ///
     /// # Errors
     ///
@@ -73,12 +74,9 @@ impl FrequencyResponse {
         output: NodeId,
         config: &SweepConfig,
     ) -> Result<Self, AnalogError> {
-        let mut points = Vec::new();
-        for f in config.frequencies() {
-            let gain = mna.gain(source, output, f)?;
-            points.push((f, gain));
-        }
-        Ok(FrequencyResponse { points })
+        Ok(FrequencyResponse {
+            points: mna.sweep_gains(source, output, config)?,
+        })
     }
 
     /// The `(frequency, gain)` samples in ascending frequency order.
@@ -179,12 +177,13 @@ impl<'a> ResponseAnalyzer<'a> {
     /// Maximum gain over the sweep range, refined by Brent's method,
     /// returned as `(frequency, gain)`.
     ///
-    /// The sweep grid is sampled first.  When the best sample is a grid
-    /// end it is the result, with no further solve.  Otherwise its two grid
-    /// neighbours bracket the maximum, and Brent's method (parabolic steps
-    /// through the three best points so far, golden-section steps when a
-    /// parabola is not trusted) maximizes the gain over `x = ln f` in that
-    /// bracket.  It starts at the best sample, whose gain the grid already
+    /// The sweep grid is sampled first ([`Mna::sweep_gains`]: O(1) per
+    /// point from the engine's grid table when one element is deviated).
+    /// When the best sample is a grid end it is the result, with no further
+    /// solve.  Otherwise its two grid neighbours bracket the maximum, and
+    /// Brent's method (parabolic steps through the three best points so
+    /// far, golden-section steps when a parabola is not trusted) maximizes
+    /// the gain over `x = ln f` in that bracket.  It starts at the best sample, whose gain the grid already
     /// solved, so each step costs one solve, typically 7–10 in all.  It
     /// stops once both bracket ends lie within `2·tol` of the best point,
     /// with `tol = 10⁻⁸·|x| + 10⁻¹²`: the `√ε` floor, below which the
@@ -204,11 +203,8 @@ impl<'a> ResponseAnalyzer<'a> {
     /// scans.
     fn sweep_peak(&self) -> Result<Peak, AnalogError> {
         let samples = self
-            .config
-            .frequencies()
-            .into_iter()
-            .map(|f| Ok((f, self.gain_at(f)?)))
-            .collect::<Result<Vec<(f64, f64)>, AnalogError>>()?;
+            .mna()
+            .sweep_gains(&self.source, self.output, &self.config)?;
         let mut best_i = 0usize;
         let mut best_g = -1.0;
         for (i, &(_, g)) in samples.iter().enumerate() {

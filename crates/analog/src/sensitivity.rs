@@ -37,7 +37,7 @@ use msatpg_exec::{ExecPolicy, WorkerPool};
 
 use crate::mna::Mna;
 use crate::netlist::{Circuit, ElementId};
-use crate::params::{measure, measure_with_mna, ParameterSpec};
+use crate::params::{measure_with_mna, ParameterSpec};
 use crate::tolerance::{relative_deviation, Tolerance};
 use crate::AnalogError;
 
@@ -307,10 +307,10 @@ impl<'a> WorstCaseAnalysis<'a> {
 
     /// Runs the analysis.
     ///
-    /// The parameters' nominal values are measured first.  Then every
-    /// *(parameter, element)* pair gets its masking sensitivity (worst-case
-    /// mode only) and, in a second pass, its row's threshold search (see the
-    /// [module docs](self)).  Both passes run on the worker pool under the
+    /// The parameters' nominal values are measured first, on one engine on
+    /// the calling thread.  Then every *(parameter, element)* pair gets its
+    /// masking sensitivity (worst-case mode only) and, in a second pass, its
+    /// row's threshold search (see the [module docs](self)).  Both passes run on the worker pool under the
     /// configured [`ExecPolicy`], one pair per work unit, with one MNA
     /// engine per worker.  That engine serves every pair the worker claims,
     /// so its cached nominal factorizations are shared by all rows and
@@ -345,11 +345,15 @@ impl<'a> WorstCaseAnalysis<'a> {
             .iter()
             .map(|&id| (id, self.circuit.element(id).name.clone()))
             .collect();
-        let nominals = self
-            .parameters
-            .iter()
-            .map(|spec| measure(self.circuit, spec))
-            .collect::<Result<Vec<f64>, AnalogError>>()?;
+        // One engine for every nominal, so a shared sweep grid is factored
+        // once; it is dropped before the workers build theirs.
+        let nominals = {
+            let mna = Mna::new(self.circuit);
+            self.parameters
+                .iter()
+                .map(|spec| measure_with_mna(&mna, spec))
+                .collect::<Result<Vec<f64>, AnalogError>>()?
+        };
         let pairs: Vec<(usize, usize)> = (0..self.parameters.len())
             .flat_map(|p| (0..elements.len()).map(move |e| (p, e)))
             .collect();

@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use msatpg_analog::filters;
 use msatpg_analog::mna::Mna;
+use msatpg_analog::params::measure_with_mna;
 use msatpg_analog::response::{FrequencyResponse, SweepConfig};
 use msatpg_bdd::{Bdd, BddBudget, BddManager};
 use msatpg_bench::json::{self, Json};
@@ -655,6 +656,132 @@ fn bench_analog() -> AnalogReport {
     }
 }
 
+/// Per-probe cost of one frequency-type parameter of the Figure-8 board
+/// (its grid is swept on every probe), each passive element deviated
+/// alone on a warm engine: every frequency a probe solves at, on the grid
+/// or off it, is already factored, so the row isolates what the grid costs.
+/// (In the threshold search, a probe's fresh off-grid frequencies add
+/// their factorizations to both columns alike.)
+struct AnalogProbeRow {
+    parameter: String,
+    probes: usize,
+    /// Mean µs of one `set_value` + `measure_with_mna` + restore probe.
+    probe_us: f64,
+    /// Mean µs of the probe's grid sweep, answered from the grid table.
+    grid_us: f64,
+    /// Mean µs of the same grid by a reference loop of one `Mna::gain` per
+    /// point (the grid regenerated from the sweep configuration each time).
+    grid_per_point_us: f64,
+    /// The probe with its grid answered per point:
+    /// `probe_us − grid_us + grid_per_point_us`.
+    probe_per_point_us: f64,
+    /// `probe_per_point_us / probe_us`.
+    speedup: f64,
+}
+
+/// The grid table must make a frequency-type probe at least this much
+/// faster than answering its grid per point; below it, the table is not
+/// being used (a silent fallback to per-point solves).  Enforced in record
+/// mode and under `--check`.
+const PROBE_SPEEDUP_FLOOR: f64 = 1.5;
+
+struct AnalogProbeReport {
+    circuit: String,
+    rows: Vec<AnalogProbeRow>,
+}
+
+fn bench_analog_probe() -> AnalogProbeReport {
+    /// Probes per element, alternating between `±DEVIATION`.
+    const PROBES: usize = 24;
+    const DEVIATION: f64 = 0.1;
+    const GRID_REPS: usize = 20;
+    let board = filters::state_variable_filter();
+    let circuit = board.circuit();
+    let elements = circuit.passive_elements();
+    let rows = ["A2max", "fh1"]
+        .into_iter()
+        .map(|name| {
+            let spec = board
+                .parameters()
+                .iter()
+                .find(|p| p.name == name)
+                .expect("board parameter");
+            let output = spec.output_node(circuit).expect("board output node");
+            let (mut probe_s, mut grid_s, mut per_point_s) = (0.0, 0.0, 0.0);
+            for &element in &elements {
+                let mna = Mna::new(circuit);
+                let base = mna.value(element);
+                let probe = |deviation: f64| {
+                    mna.set_value(element, base * (1.0 + deviation));
+                    let value = measure_with_mna(&mna, spec);
+                    mna.set_value(element, base);
+                    std::hint::black_box(value.expect("board probe"));
+                };
+                // Warm: the grid and both probes' refinement points
+                // factored, and the table filled.
+                measure_with_mna(&mna, spec).expect("board nominal");
+                probe(DEVIATION);
+                probe(-DEVIATION);
+                let start = Instant::now();
+                for i in 0..PROBES {
+                    probe(if i % 2 == 0 { DEVIATION } else { -DEVIATION });
+                }
+                probe_s += start.elapsed().as_secs_f64();
+                mna.set_value(element, base * (1.0 + DEVIATION));
+                grid_s += time(GRID_REPS, || {
+                    std::hint::black_box(
+                        mna.sweep_gains(&spec.source, output, &spec.sweep)
+                            .expect("board sweep"),
+                    );
+                });
+                per_point_s += time(GRID_REPS, || {
+                    let gains = spec
+                        .sweep
+                        .frequencies()
+                        .into_iter()
+                        .map(|f| Ok((f, mna.gain(&spec.source, output, f)?)))
+                        .collect::<Result<Vec<(f64, f64)>, msatpg_analog::AnalogError>>();
+                    std::hint::black_box(gains.expect("board sweep"));
+                });
+            }
+            let probes = PROBES * elements.len();
+            let probe_us = probe_s * 1e6 / probes as f64;
+            let grid_us = grid_s * 1e6 / elements.len() as f64;
+            let grid_per_point_us = per_point_s * 1e6 / elements.len() as f64;
+            let probe_per_point_us = probe_us - grid_us + grid_per_point_us;
+            AnalogProbeRow {
+                parameter: name.to_owned(),
+                probes,
+                probe_us,
+                grid_us,
+                grid_per_point_us,
+                probe_per_point_us,
+                speedup: probe_per_point_us / probe_us,
+            }
+        })
+        .collect();
+    AnalogProbeReport {
+        circuit: board.name().to_owned(),
+        rows,
+    }
+}
+
+/// The [`PROBE_SPEEDUP_FLOOR`] of every `analog_probe` row.
+fn check_analog_probe(report: &AnalogProbeReport) -> Vec<String> {
+    report
+        .rows
+        .iter()
+        .filter(|row| row.speedup < PROBE_SPEEDUP_FLOOR)
+        .map(|row| {
+            format!(
+                "analog_probe {}: {:.1} us per probe with the grid table vs {:.1} us per point \
+                 ({:.2}x < {PROBE_SPEEDUP_FLOOR}x)",
+                row.parameter, row.probe_us, row.probe_per_point_us, row.speedup
+            )
+        })
+        .collect()
+}
+
 /// A measured speedup may regress to this fraction of the committed
 /// baseline before `--check` fails: shared CI runners easily jitter 2x, so
 /// the smoke job catches structural regressions (a kernel falling back to
@@ -796,6 +923,7 @@ fn main() {
     let memory = bench_bdd_memory(24, "c432");
     let reorder = bench_bdd_reorder(24, "c432");
     let analog = bench_analog();
+    let analog_probe = bench_analog_probe();
 
     let mut json = String::new();
     json.push_str("{\n  \"fault_sim\": [\n");
@@ -926,7 +1054,7 @@ fn main() {
         json,
         "  \"analog\": {{\"filter\": \"{}\", \"unknowns\": {}, \"sweep_points\": {}, \
          \"naive_seconds\": {:.6}, \"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, \
-         \"naive_speedup\": {:.2}, \"warm_points_per_sec\": {:.1}}}\n",
+         \"naive_speedup\": {:.2}, \"warm_points_per_sec\": {:.1}}},\n",
         analog.filter,
         analog.unknowns,
         analog.sweep_points,
@@ -936,7 +1064,31 @@ fn main() {
         analog.naive_speedup,
         analog.warm_points_per_sec,
     );
-    json.push_str("}\n");
+    let _ = writeln!(
+        json,
+        "  \"analog_probe\": {{\"circuit\": \"{}\", \"rows\": [",
+        analog_probe.circuit
+    );
+    for (i, row) in analog_probe.rows.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"parameter\": \"{}\", \"probes\": {}, \"probe_us\": {:.2}, \"grid_us\": {:.2}, \
+             \"grid_per_point_us\": {:.2}, \"probe_per_point_us\": {:.2}, \"speedup\": {:.2}}}{}",
+            row.parameter,
+            row.probes,
+            row.probe_us,
+            row.grid_us,
+            row.grid_per_point_us,
+            row.probe_per_point_us,
+            row.speedup,
+            if i + 1 < analog_probe.rows.len() {
+                ","
+            } else {
+                ""
+            },
+        );
+    }
+    json.push_str("  ]}\n}\n");
 
     if check_mode {
         let committed = std::fs::read_to_string("BENCH_kernels.json")
@@ -950,6 +1102,7 @@ fn main() {
         // baseline must be consciously re-recorded.
         violations.extend(check_bdd_memory(&memory));
         violations.extend(check_bdd_reorder(&reorder));
+        violations.extend(check_analog_probe(&analog_probe));
         let reorder_exact = [
             ("pairs_nodes_before", reorder.pairs_nodes_before),
             ("pairs_nodes_after", reorder.pairs_nodes_after),
@@ -1133,5 +1286,11 @@ fn main() {
         reorder_violations.is_empty(),
         "bdd_reorder floors violated: {}",
         reorder_violations.join("; ")
+    );
+    let probe_violations = check_analog_probe(&analog_probe);
+    assert!(
+        probe_violations.is_empty(),
+        "analog_probe floor violated: {}",
+        probe_violations.join("; ")
     );
 }

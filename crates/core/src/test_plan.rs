@@ -309,9 +309,10 @@ impl MixedSignalAtpg {
     /// per-element parameter ranking happens inline, then
     /// [`AnalogAtpg::test_elements_on`] measures the Table-1 stimulus table
     /// once for the whole batch (one entry per ranked parameter) and runs
-    /// the stimulus/propagation searches one element per work unit, solving
-    /// the faulty circuit once per (element, parameter).  Each result fills
-    /// the slot of its request, so entries come back in element order.
+    /// the stimulus/propagation searches element by element on the calling
+    /// thread, solving the faulty circuit once per (element, parameter).
+    /// Each result fills the slot of its request, so entries come back in
+    /// element order.
     ///
     /// # Errors
     ///
