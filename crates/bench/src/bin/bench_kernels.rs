@@ -27,10 +27,12 @@ use msatpg_bench::naive::{
     NaiveBddManager,
 };
 use msatpg_bench::{
-    adder_carry_chain, adder_carry_chain_with_activations, mux_tree, signal_functions,
+    adder_carry_chain, adder_carry_chain_with_activations, example3_mixed_circuit, mux_tree,
+    signal_functions,
 };
 use msatpg_conversion::constraints::thermometer_codes;
 use msatpg_core::constraint::{constraint_bdd, declare_input_variables};
+use msatpg_core::digital_atpg::DigitalAtpg;
 use msatpg_core::{pi_order, StaticOrder};
 use msatpg_digital::benchmarks;
 use msatpg_digital::fault::FaultList;
@@ -782,6 +784,81 @@ fn check_analog_probe(report: &AnalogProbeReport) -> Vec<String> {
         .collect()
 }
 
+/// Constrained OBDD ATPG without fault dropping: every collapsed fault
+/// derives its own test set, so the row measures the derivation alone.
+struct AtpgDerivationReport {
+    circuit: String,
+    faults: usize,
+    /// Faults whose test set was derived (every fault, dropping off).
+    derivations: usize,
+    /// BDD nodes created by the campaign (engine construction excluded);
+    /// deterministic, so `--check` compares it exactly.
+    created_nodes: u64,
+    /// Peak live nodes of the engine, construction included.
+    peak_live_nodes: usize,
+    /// Best-of-[`ATPG_DERIVATION_REPS`] seconds per campaign, engine
+    /// construction excluded.
+    seconds: f64,
+}
+
+/// Timed campaigns of the `atpg_derivation` row.
+const ATPG_DERIVATION_REPS: usize = 5;
+
+/// The `atpg_derivation` row: the Example-3 circuit `name`, constrained,
+/// dropping off, serial.
+fn bench_atpg_derivation(name: &str) -> AtpgDerivationReport {
+    let mixed = example3_mixed_circuit(name);
+    let (lines, codes) = (mixed.constrained_inputs(), mixed.allowed_codes());
+    let faults = FaultList::collapsed(mixed.digital());
+    let engine = || {
+        DigitalAtpg::new(mixed.digital())
+            .with_constraints(&lines, &codes)
+            .expect("Example-3 wiring is valid")
+            .with_fault_dropping(false)
+            .with_policy(ExecPolicy::Serial)
+    };
+    let mut atpg = engine();
+    let before = atpg.manager().stats().created_nodes;
+    let report = atpg.run(&faults).expect("unbudgeted campaign");
+    let stats = atpg.manager().stats();
+    let mut seconds = f64::INFINITY;
+    for _ in 0..ATPG_DERIVATION_REPS {
+        let mut atpg = engine();
+        let start = Instant::now();
+        std::hint::black_box(atpg.run(&faults).expect("unbudgeted campaign"));
+        seconds = seconds.min(start.elapsed().as_secs_f64());
+    }
+    AtpgDerivationReport {
+        circuit: name.to_owned(),
+        faults: faults.len(),
+        derivations: report.vector_count()
+            + report.untestable_count()
+            + report.degraded_count()
+            + report.aborted_count(),
+        created_nodes: stats.created_nodes - before,
+        peak_live_nodes: stats.peak_live_nodes,
+        seconds,
+    }
+}
+
+/// `created_nodes` of the `atpg_derivation` row may not exceed the
+/// committed count: node creation is deterministic, so more nodes mean the
+/// derivation itself got more expensive.
+fn check_atpg_derivation(baseline: &Json, report: &AtpgDerivationReport) -> Vec<String> {
+    match baseline
+        .path("atpg_derivation.created_nodes")
+        .and_then(Json::as_f64)
+    {
+        Some(committed) if report.created_nodes as f64 <= committed => Vec::new(),
+        Some(committed) => vec![format!(
+            "atpg_derivation {}: created {} nodes > committed {committed:.0} \
+             (node counts are deterministic; re-record the baseline if intended)",
+            report.circuit, report.created_nodes
+        )],
+        None => vec!["atpg_derivation: missing from the committed baseline".to_owned()],
+    }
+}
+
 /// A measured speedup may regress to this fraction of the committed
 /// baseline before `--check` fails: shared CI runners easily jitter 2x, so
 /// the smoke job catches structural regressions (a kernel falling back to
@@ -924,6 +1001,7 @@ fn main() {
     let reorder = bench_bdd_reorder(24, "c432");
     let analog = bench_analog();
     let analog_probe = bench_analog_probe();
+    let atpg_derivation = bench_atpg_derivation("c1908");
 
     let mut json = String::new();
     json.push_str("{\n  \"fault_sim\": [\n");
@@ -1088,7 +1166,18 @@ fn main() {
             },
         );
     }
-    json.push_str("  ]}\n}\n");
+    json.push_str("  ]},\n");
+    let _ = writeln!(
+        json,
+        "  \"atpg_derivation\": {{\"circuit\": \"{}\", \"faults\": {}, \"derivations\": {}, \
+         \"created_nodes\": {}, \"peak_live_nodes\": {}, \"seconds\": {:.6}}}\n}}",
+        atpg_derivation.circuit,
+        atpg_derivation.faults,
+        atpg_derivation.derivations,
+        atpg_derivation.created_nodes,
+        atpg_derivation.peak_live_nodes,
+        atpg_derivation.seconds,
+    );
 
     if check_mode {
         let committed = std::fs::read_to_string("BENCH_kernels.json")
@@ -1103,6 +1192,7 @@ fn main() {
         violations.extend(check_bdd_memory(&memory));
         violations.extend(check_bdd_reorder(&reorder));
         violations.extend(check_analog_probe(&analog_probe));
+        violations.extend(check_atpg_derivation(&baseline, &atpg_derivation));
         let reorder_exact = [
             ("pairs_nodes_before", reorder.pairs_nodes_before),
             ("pairs_nodes_after", reorder.pairs_nodes_after),

@@ -2,7 +2,8 @@
 //! (the paper's BDD_FTEST extended with the constraint function `Fc`).
 //!
 //! For a fault *l* s-a-*v*, the set of test vectors is obtained purely by
-//! Boolean manipulation — no search, no backtracking:
+//! Boolean manipulation — no search, no backtracking.  The paper defines it
+//! as
 //!
 //! ```text
 //! S = activation · propagation · Fc
@@ -10,22 +11,31 @@
 //! ```
 //!
 //! where `f_l` is the function of line *l* in terms of the primary inputs,
-//! `∂PO/∂l` is the Boolean difference of a primary output with respect to
-//! the line (computed by re-deriving the output with the line replaced by a
-//! fresh variable `D`, which is last in the BDD ordering, exactly as in the
-//! paper), and `Fc` encodes the assignments the conversion block can
-//! produce.  Any path to `1` in `S` is a test vector; `S = ∅` for every
-//! output means the fault is untestable under the constraints.
+//! `∂PO/∂l = PO|l=0 ⊕ PO|l=1` is the Boolean difference of a primary output
+//! with respect to the line, and `Fc` encodes the assignments the
+//! conversion block can produce.  Any path to `1` in `S` is a test vector;
+//! `S = ∅` for every output means the fault is untestable under the
+//! constraints.
+//!
+//! The generator computes the same function as a stuck-value miter,
+//! `S = (PO ⊕ PO|l=v) · Fc`: the fault-free output against the output with
+//! the line tied to the constant `v`.  By Shannon expansion on the line,
+//! `PO = f_l · PO|l=1 + ¬f_l · PO|l=0`, so `PO ⊕ PO|l=v` is `0` wherever
+//! `f_l = v` and `PO|l=0 ⊕ PO|l=1` wherever `f_l ≠ v`; that is
+//! `(f_l ⊕ v) · ∂PO/∂l`.  Equal functions have the same canonical OBDD and
+//! therefore the same satisfying cube, so the vectors are exactly the
+//! paper's.  The miter needs no auxiliary variable, and the constant at the
+//! site lets the apply terminal cases cut the faulty-cone build short.
 //!
 //! The work per fault is bounded by the fault's own cone, not by the
-//! netlist.  Only outputs in the fanout cone of *l* can depend on `D`; every
-//! other output has `∂PO/∂D = 0` and is skipped without a BDD operation.
-//! An output in the cone is re-derived from the gates in
-//! `fanout(l) ∩ fanin(PO)` alone, reusing whatever earlier outputs of the
-//! same fault already built, and the outputs are tried in order until one
-//! yields a test.  OBDDs are canonical and the cube read off a test set
-//! depends only on its function, so the vectors are the ones a rebuild of
-//! the whole faulty circuit would give.
+//! netlist.  Only outputs in the fanout cone of *l* can differ from the
+//! fault-free circuit; every other output has an empty miter and is
+//! skipped without a BDD operation.  An output in the cone is re-derived
+//! from the gates in `fanout(l) ∩ fanin(PO)` alone, reusing whatever earlier
+//! outputs of the same fault already built, and the outputs are tried in
+//! order until one yields a test.  The cube read off a test set depends only
+//! on its function, so the vectors are the ones a rebuild of the whole
+//! faulty circuit would give.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,6 +50,7 @@ use msatpg_digital::gate::GateKind;
 use msatpg_digital::netlist::{Netlist, SignalId};
 use msatpg_digital::random_tpg::RandomPatternGenerator;
 use msatpg_digital::sim::Simulator;
+use msatpg_digital::DigitalError;
 use msatpg_exec::{CancelToken, ChaosEvent, ChaosInjector, ExecPolicy, PanicPolicy, WorkerPool};
 
 use crate::constraint::{constraint_bdd, declare_input_variables};
@@ -47,15 +58,15 @@ use crate::ordering::DvoMode;
 use crate::store::{self, Checkpoint, CheckpointPolicy};
 use crate::CoreError;
 
-/// The name of the auxiliary composite variable (kept last in the ordering).
-const D_VAR_NAME: &str = "__D";
-
 /// Live-node watermark above which the per-fault safe point sweeps the BDD
 /// arena.  Every fault target re-derives its faulty outputs and test set
 /// from scratch, so the garbage fraction grows linearly with the fault count;
 /// the long-lived state (signal functions and `Fc`) is protected at
 /// construction and survives every collection, which makes the sweep
-/// invisible in the generated vectors.
+/// invisible in the generated vectors.  A fault's transients are its cone
+/// gates, built with the site tied to a constant that the apply terminal
+/// cases prune, and the miters of the outputs tried, so one collection
+/// spans many faults.
 const GC_WATERMARK: usize = 1 << 16;
 
 /// A generated test vector: an assignment to the primary inputs, with
@@ -244,10 +255,9 @@ const GENERATE_CHUNK: usize = 8;
 struct WideCoverage<const W: usize> {
     cones: FaultCones,
     scratch: PpsfpScratch<W>,
-    /// Good-value blocks and valid-pattern mask per block; the last block
-    /// is rebuilt as it fills.
+    /// Good-value blocks and valid-pattern mask per block; patterns fill
+    /// the last block lane bit by lane bit.
     blocks: Vec<(Vec<[u64; W]>, [u64; W])>,
-    open_block: Vec<Vec<bool>>,
 }
 
 impl<const W: usize> WideCoverage<W> {
@@ -256,7 +266,6 @@ impl<const W: usize> WideCoverage<W> {
             cones: FaultCones::build(netlist, faults.faults().iter().map(|f| f.signal)),
             scratch: PpsfpScratch::new(netlist),
             blocks: Vec::new(),
-            open_block: Vec::new(),
         }
     }
 
@@ -268,20 +277,57 @@ impl<const W: usize> WideCoverage<W> {
         })
     }
 
-    fn absorb(&mut self, netlist: &Netlist, pattern: Vec<bool>) -> Result<(), CoreError> {
-        self.open_block.push(pattern);
-        let words = Simulator::new(netlist)
-            .run_parallel_blocks::<W>(&self.open_block)
-            .map_err(|e| CoreError::Digital(e.to_string()))?;
-        let mask = block_mask::<W>(self.open_block.len());
-        match self.blocks.last_mut() {
-            Some(last) if self.open_block.len() > 1 => *last = (words, mask),
-            _ => self.blocks.push((words, mask)),
+    /// Adds one pattern to the last block (a new one when it is full): the
+    /// pattern's bits go onto the primary-input words at the next free
+    /// slot, and one in-place gate pass over the word holding that slot
+    /// updates every signal.  A new block starts from one pass over its
+    /// all-zero inputs, so every block is bit-identical to simulating its
+    /// patterns in one batch with the unused slots zero-packed.
+    fn absorb(&mut self, netlist: &Netlist, pattern: &[bool]) -> Result<(), CoreError> {
+        let inputs = netlist.primary_inputs();
+        if pattern.len() != inputs.len() {
+            let mismatch = DigitalError::PatternWidthMismatch {
+                expected: inputs.len(),
+                actual: pattern.len(),
+            };
+            return Err(CoreError::Digital(mismatch.to_string()));
         }
-        if self.open_block.len() == 64 * W {
-            self.open_block.clear();
+        if self
+            .blocks
+            .last()
+            .is_none_or(|(_, mask)| mask[W - 1] == u64::MAX)
+        {
+            let mut good = vec![[0; W]; netlist.signal_count()];
+            for word in 0..W {
+                settle_word(netlist, &mut good, word);
+            }
+            self.blocks.push((good, [0; W]));
         }
+        let last = self.blocks.len() - 1;
+        let (good, mask) = &mut self.blocks[last];
+        let slot = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        for (&pi, &value) in inputs.iter().zip(pattern) {
+            if value {
+                good[pi.index()][word] |= bit;
+            }
+        }
+        settle_word(netlist, good, word);
+        mask[word] |= bit;
         Ok(())
+    }
+}
+
+/// Re-evaluates every gate of `netlist`, in topological order, on word
+/// `word` of the good-value block `good`; the other words are untouched.
+fn settle_word<const W: usize>(netlist: &Netlist, good: &mut [[u64; W]], word: usize) {
+    for gate in netlist.gates() {
+        let inputs = gate
+            .inputs
+            .iter()
+            .map(|i| std::array::from_ref(&good[i.index()][word]));
+        let [value] = gate.kind.eval_block_iter(inputs);
+        good[gate.output.index()][word] = value;
     }
 }
 
@@ -377,8 +423,8 @@ impl<'n> ReplayState<'n> {
         if let Some(dropping) = &mut self.dropping {
             let pattern = vector.concretize(false);
             match dropping {
-                Dropping::W1(c) => c.absorb(self.netlist, pattern)?,
-                Dropping::W8(c) => c.absorb(self.netlist, pattern)?,
+                Dropping::W1(c) => c.absorb(self.netlist, &pattern)?,
+                Dropping::W8(c) => c.absorb(self.netlist, &pattern)?,
             }
         }
         self.vectors.push(vector);
@@ -412,13 +458,12 @@ pub struct DigitalAtpg<'a> {
     /// Per-fault scratch of the faulty-output build.
     cone: FaultyCone,
     fc: Bdd,
-    d_var: VarId,
     fault_dropping: bool,
     constrained: bool,
     policy: ExecPolicy,
     width: WordWidth,
-    /// The inputs of [`DigitalAtpg::with_constraints`], kept so parallel
-    /// workers can rebuild an equivalent engine.
+    /// The inputs of [`DigitalAtpg::with_constraints`], kept so the
+    /// degradation fallback can draw patterns under the same codes.
     constraint_spec: Option<(Vec<SignalId>, AllowedCodes)>,
     budget: BddBudget,
     cancel: Option<CancelToken>,
@@ -427,7 +472,6 @@ pub struct DigitalAtpg<'a> {
     degrade: DegradePolicy,
     checkpoint: Option<(CheckpointPolicy, PathBuf)>,
     resume: Option<Checkpoint>,
-    dvo: DvoMode,
 }
 
 /// A per-fault generation failure the driver translates into an outcome.
@@ -527,9 +571,6 @@ impl<'a> DigitalAtpg<'a> {
         let mut manager = BddManager::new();
         let pi_literals = declare_input_variables(&mut manager, netlist);
         let pi_vars = pi_literals.iter().map(|&l| manager.root_var(l)).collect();
-        // The composite variable is declared last, as prescribed by the
-        // paper's ordering.
-        let d_var = manager.var_id(D_VAR_NAME);
         let mut signal_bdds = vec![manager.zero(); netlist.signal_count()];
         for (i, &pi) in netlist.primary_inputs().iter().enumerate() {
             signal_bdds[pi.index()] = pi_literals[i];
@@ -553,7 +594,6 @@ impl<'a> DigitalAtpg<'a> {
             pi_vars,
             cone,
             fc,
-            d_var,
             fault_dropping: true,
             constrained: false,
             policy: ExecPolicy::Serial,
@@ -566,7 +606,6 @@ impl<'a> DigitalAtpg<'a> {
             degrade: DegradePolicy::default(),
             checkpoint: None,
             resume: None,
-            dvo: DvoMode::Never,
         }
     }
 
@@ -603,19 +642,12 @@ impl<'a> DigitalAtpg<'a> {
                 });
             }
         }
-        self.install_constraints(lines, codes);
-        Ok(self)
-    }
-
-    /// Builds and protects `Fc` for constraints that are already known to
-    /// be valid: [`Self::with_constraints`] after its checks, and the
-    /// worker engines, which copy the primary engine's validated spec.
-    fn install_constraints(&mut self, lines: &[SignalId], codes: &AllowedCodes) {
         self.manager.unprotect(self.fc);
         self.fc = constraint_bdd(&mut self.manager, self.netlist, lines, codes);
         self.manager.protect(self.fc);
         self.constrained = !codes.is_unconstrained();
         self.constraint_spec = Some((lines.to_vec(), codes.clone()));
+        Ok(self)
     }
 
     /// Enables or disables on-the-fly fault dropping during [`Self::run`]
@@ -627,7 +659,7 @@ impl<'a> DigitalAtpg<'a> {
 
     /// Sets the execution policy of [`Self::run`].  It matters only with
     /// fault dropping off: then `Threads(n)` derives every fault's test set
-    /// in parallel (each worker builds its own OBDD engine) before the
+    /// in parallel (each worker on its own copy of this engine) before the
     /// replay decides them in fault-list order, so the report is
     /// byte-identical to a serial run.  With dropping on, whether a fault
     /// needs a derivation depends on the vectors of the faults before it,
@@ -653,12 +685,12 @@ impl<'a> DigitalAtpg<'a> {
     /// the engine's manager is sifted to convergence immediately — a
     /// deterministic construction-time safe point where the signal
     /// functions and `Fc` are the only protected roots — so apply this
-    /// *after* [`Self::with_constraints`] and [`Self::with_budget`]; the
-    /// parallel worker engines replay the same sequence.  A sift
-    /// interrupted by the budget leaves the manager consistent and the
-    /// outcome deterministic, so the builder stays infallible.
+    /// *after* [`Self::with_constraints`] for the sift to see `Fc`.  The
+    /// parallel worker engines are copies of this one and share whatever
+    /// order it ends with.  A sift interrupted by an armed budget leaves
+    /// the manager consistent and the outcome deterministic, so this method
+    /// stays infallible.
     pub fn with_dvo(mut self, mode: DvoMode) -> Self {
-        self.dvo = mode;
         if mode.is_active() {
             let _ = self.manager.try_sift_until_convergence();
         }
@@ -677,10 +709,12 @@ impl<'a> DigitalAtpg<'a> {
     /// identical on the primary engine and on parallel worker engines.
     ///
     /// The quota is spent only on what a fault needs: the gates between the
-    /// fault site and the outputs tried, and the test sets of those outputs
-    /// (see [`DigitalAtpg::try_generate`]).  A given quota therefore derives
-    /// more faults than it would if every fault rebuilt its whole fanout
-    /// cone, and faults with small cones rarely come near it.
+    /// fault site and the outputs tried, built with the site tied to its
+    /// stuck constant, and the miters of those outputs (see
+    /// [`DigitalAtpg::try_generate`]).  A given quota therefore derives more
+    /// faults than it would if every fault rebuilt its whole fanout cone, or
+    /// built both cofactors of a free site variable at once, and faults with
+    /// small cones rarely come near it.
     pub fn with_budget(mut self, budget: BddBudget) -> Self {
         self.budget = budget;
         self.manager.set_budget(budget);
@@ -821,6 +855,10 @@ impl<'a> DigitalAtpg<'a> {
     /// derivation.  The partial build is abandoned (reclaimed at the next
     /// safe point) and the engine stays fully usable for the next fault.
     ///
+    /// Each output's test set is the stuck-value miter `(PO ⊕ PO|l=v) · Fc`,
+    /// the same function as the paper's `(f_l ⊕ v) · ∂PO/∂l · Fc` (see the
+    /// module docs), so the vector is the one the paper's formula gives.
+    ///
     /// # Errors
     ///
     /// [`BddError::NodeBudgetExceeded`] / [`BddError::StepBudgetExceeded`]
@@ -842,39 +880,23 @@ impl<'a> DigitalAtpg<'a> {
         } else {
             self.manager.gc_if_above(GC_WATERMARK);
         }
-        // 1. Activation: the line must carry the value opposite to the stuck
-        //    value in the fault-free circuit.
-        let line_fn = self.signal_bdds[fault.signal.index()];
-        let activation = if fault.stuck_at {
-            self.manager.not(line_fn)
-        } else {
-            line_fn
-        };
-        if activation.is_zero() {
+        // 1. Tie the fault site to the stuck constant and mark its fanout
+        //    cone: only signals in it can differ from the good circuit.  A
+        //    line whose fault-free function is that constant is never
+        //    activated.
+        if !self.seed_stuck_site(fault) {
             return Ok(TestOutcome::Untestable);
         }
-        // 2. Replace the fault site by the free variable D and mark its
-        //    fanout cone: only signals in it can differ from the good circuit.
-        let d = self.manager.literal(self.d_var, true);
-        self.cone.mark(fault.signal, d);
-        // 3. For each primary output in order, the test set is
-        //    activation · (∂PO/∂D) · Fc.  An output outside the cone does not
-        //    depend on D, so its Boolean difference is 0 and it is skipped.
-        //    An output inside is re-derived from the cone gates in its fanin
+        // 2. For each primary output in order, the test set is the miter
+        //    (PO ⊕ PO|l=v) · Fc.  An output outside the cone equals its
+        //    fault-free function, so its miter is 0 and it is skipped.  An
+        //    output inside is re-derived from the cone gates in its fanin
         //    that earlier outputs have not built yet.
         for (po_index, &po) in self.netlist.primary_outputs().iter().enumerate() {
             if !self.cone.contains(po) {
                 continue;
             }
-            let f = self
-                .cone
-                .output(&mut self.manager, self.netlist, &self.signal_bdds, po)?;
-            let observability = self.manager.try_boolean_difference(f, self.d_var)?;
-            if observability.is_zero() {
-                continue;
-            }
-            let act_obs = self.manager.try_and(activation, observability)?;
-            let test_set = self.manager.try_and(act_obs, self.fc)?;
+            let test_set = self.miter_test_set(po)?;
             let Some(cube) = self.manager.sat_one(test_set) else {
                 continue;
             };
@@ -883,6 +905,29 @@ impl<'a> DigitalAtpg<'a> {
             ));
         }
         Ok(TestOutcome::Untestable)
+    }
+
+    /// Starts a derivation: ties the fault site to its stuck constant `v`
+    /// and marks the site's fanout cone.  Returns `false`, without marking,
+    /// when the line's fault-free function is `v` itself, so that no input
+    /// activates the fault.
+    fn seed_stuck_site(&mut self, fault: StuckAtFault) -> bool {
+        let stuck = self.manager.constant(fault.stuck_at);
+        if self.signal_bdds[fault.signal.index()] == stuck {
+            return false;
+        }
+        self.cone.mark(fault.signal, stuck);
+        true
+    }
+
+    /// The test set `(PO ⊕ PO|l=v) · Fc` of output `po`, which must lie in
+    /// the cone marked by [`Self::seed_stuck_site`].
+    fn miter_test_set(&mut self, po: SignalId) -> Result<Bdd, BddError> {
+        let faulty = self
+            .cone
+            .output(&mut self.manager, self.netlist, &self.signal_bdds, po)?;
+        let miter = self.manager.try_xor(self.signal_bdds[po.index()], faulty)?;
+        self.manager.try_and(miter, self.fc)
     }
 
     /// Runs the generator over a whole fault list, with fault dropping
@@ -912,12 +957,12 @@ impl<'a> DigitalAtpg<'a> {
     /// depends on the vectors of faults 0…k−1, so the loop derives inline
     /// and the pool stays untouched.  With dropping off and a threaded pool,
     /// one pool round first derives every fault that has no resume slot, on
-    /// worker engines built like this one; the loop then consumes those
-    /// results in fault order.  A chunk that panicked under
+    /// worker engines that are copies of this one; the loop then consumes
+    /// those results in fault order.  A chunk that panicked under
     /// [`PanicPolicy::Isolate`] leaves its faults to inline derivation.  The
     /// report is **byte-identical** to a serial run: governed derivation is
-    /// a pure function of the fault, and independently built managers with
-    /// the same declaration order yield the same satisfying cube.
+    /// a pure function of the fault, and copies of one manager share its
+    /// variable order, so they yield the same satisfying cube.
     ///
     /// A step-quota [`CancelToken`] is charged in fault order by the loop,
     /// after the parallel round.  A threaded run without dropping may
@@ -1184,12 +1229,12 @@ impl<'a> DigitalAtpg<'a> {
     }
 
     /// The parallel round behind [`Self::run_on`] without fault dropping:
-    /// derives every fault that has no resume slot on worker engines, in
-    /// one pool round of `GENERATE_CHUNK`-fault chunks, and returns one
-    /// entry per fault in fault-list order.  `None` marks a fault left to
-    /// the replay loop: a resume slot, a simulated chaos event (decided by
-    /// the loop from the injector alone), or a chunk that panicked under
-    /// [`PanicPolicy::Isolate`].
+    /// derives every fault that has no resume slot on worker engines
+    /// ([`Self::fork`]), in one pool round of `GENERATE_CHUNK`-fault chunks,
+    /// and returns one entry per fault in fault-list order.  `None` marks a
+    /// fault left to the replay loop: a resume slot, a simulated chaos event
+    /// (decided by the loop from the injector alone), or a chunk that
+    /// panicked under [`PanicPolicy::Isolate`].
     fn derive_on(
         &self,
         pool: &WorkerPool,
@@ -1197,29 +1242,11 @@ impl<'a> DigitalAtpg<'a> {
         slots: &[Option<TestOutcome>],
     ) -> Vec<Option<Result<TestOutcome, BddError>>> {
         let list = faults.faults();
-        let netlist = self.netlist;
-        let spec = &self.constraint_spec;
-        let cancel = &self.cancel;
-        let (budget, dvo, chaos) = (self.budget, self.dvo, self.chaos);
+        let chaos = self.chaos;
         let n_chunks = list.len().div_ceil(GENERATE_CHUNK);
         let chunks = pool.session(
             n_chunks,
-            || {
-                let mut engine = DigitalAtpg::new(netlist);
-                if let Some((lines, codes)) = spec {
-                    engine.install_constraints(lines, codes);
-                }
-                // Worker engines mirror the primary's governance so their
-                // results match inline derivation bit for bit; they only
-                // *observe* the cancel token (never charge it).  The sift
-                // is replayed at the same safe point (constraints and
-                // budget armed), so worker cubes match the driver's.
-                let engine = engine.with_budget(budget).with_dvo(dvo);
-                match cancel {
-                    Some(token) => engine.with_cancel_token(token.clone()),
-                    None => engine,
-                }
-            },
+            || self.fork(),
             |engine, _: &(), ci| {
                 let base = ci * GENERATE_CHUNK;
                 let end = (base + GENERATE_CHUNK).min(list.len());
@@ -1257,6 +1284,34 @@ impl<'a> DigitalAtpg<'a> {
         derived
     }
 
+    /// A worker engine for [`Self::derive_on`]: a copy of this engine's
+    /// built manager (signal functions, `Fc`, variable order, budget and
+    /// cancel token) and of its governance, so worker results match inline
+    /// derivation bit for bit.  Workers only *observe* the cancel token
+    /// (the replay loop charges it) and never journal or resume.
+    fn fork(&self) -> Self {
+        DigitalAtpg {
+            netlist: self.netlist,
+            manager: self.manager.clone(),
+            signal_bdds: self.signal_bdds.clone(),
+            pi_vars: self.pi_vars.clone(),
+            cone: self.cone.clone(),
+            fc: self.fc,
+            fault_dropping: self.fault_dropping,
+            constrained: self.constrained,
+            policy: ExecPolicy::Serial,
+            width: self.width,
+            constraint_spec: self.constraint_spec.clone(),
+            budget: self.budget,
+            cancel: self.cancel.clone(),
+            chaos: self.chaos,
+            panic_policy: self.panic_policy,
+            degrade: self.degrade,
+            checkpoint: None,
+            resume: None,
+        }
+    }
+
     fn vector_from_cube(&self, cube: &Cube, fault: StuckAtFault, po_index: usize) -> TestVector {
         TestVector {
             assignment: self.pi_vars.iter().map(|&v| cube.get(v)).collect(),
@@ -1276,6 +1331,7 @@ impl<'a> DigitalAtpg<'a> {
 /// function.  Each fault takes a fresh epoch, which makes every stamp of an
 /// earlier fault stale without clearing anything (a 64-bit epoch does not
 /// wrap).
+#[derive(Clone)]
 struct FaultyCone {
     /// Outputs of the gates reading each signal.
     fanout: Vec<Vec<SignalId>>,
@@ -1313,13 +1369,13 @@ impl FaultyCone {
     }
 
     /// Starts a fault: stamps the fanout cone of `site` and seeds the site
-    /// with the free variable `d`.
-    fn mark(&mut self, site: SignalId, d: Bdd) {
+    /// with `value`, its function in the faulty circuit.
+    fn mark(&mut self, site: SignalId, value: Bdd) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.in_cone[site.index()] = epoch;
         self.built[site.index()] = epoch;
-        self.faulty[site.index()] = d;
+        self.faulty[site.index()] = value;
         self.stack.clear();
         self.stack.push(site);
         while let Some(s) = self.stack.pop() {
@@ -1744,6 +1800,43 @@ mod tests {
         assert!(result.is_err());
     }
 
+    /// Absorbs `count` seeded patterns one by one and checks every block
+    /// against one batch simulation of its patterns.
+    fn assert_absorb_matches_batch<const W: usize>(netlist: &Netlist, count: usize) {
+        let faults = FaultList::collapsed(netlist);
+        let patterns = RandomPatternGenerator::new(netlist, 7).patterns(count);
+        let mut coverage = WideCoverage::<W>::new(netlist, &faults);
+        for pattern in &patterns {
+            coverage.absorb(netlist, pattern).unwrap();
+        }
+        let batches: Vec<_> = patterns.chunks(64 * W).collect();
+        assert_eq!(coverage.blocks.len(), batches.len());
+        for ((good, mask), batch) in coverage.blocks.iter().zip(batches) {
+            let expected = Simulator::new(netlist)
+                .run_parallel_blocks::<W>(batch)
+                .unwrap();
+            assert_eq!(good, &expected, "W = {W}");
+            assert_eq!(*mask, block_mask::<W>(batch.len()), "W = {W}");
+        }
+    }
+
+    #[test]
+    fn incremental_absorb_matches_batch_simulation() {
+        let circuit = msatpg_digital::benchmarks::c432();
+        // Two full one-word blocks and a partial third; one partial
+        // eight-word block, then two more eight-word blocks.
+        assert_absorb_matches_batch::<1>(&circuit, 150);
+        assert_absorb_matches_batch::<8>(&circuit, 100);
+        assert_absorb_matches_batch::<8>(&circuit, 1100);
+        let mut coverage = WideCoverage::<1>::new(&circuit, &FaultList::collapsed(&circuit));
+        let short = vec![true; circuit.primary_inputs().len() - 1];
+        assert!(matches!(
+            coverage.absorb(&circuit, &short),
+            Err(CoreError::Digital(_))
+        ));
+        assert!(coverage.blocks.is_empty());
+    }
+
     #[test]
     fn signal_functions_are_exposed() {
         let circuit = circuits::figure3_circuit();
@@ -1998,15 +2091,22 @@ mod tests {
         }
     }
 
-    /// The derivation before the cone-bounded build: every fault rebuilds
-    /// its whole fanout cone into every signal, differentiates every output
-    /// and resolves the primary-input variables by name.  Kept as the oracle
-    /// of `cone_bounded_derivation_matches_the_full_cone_rebuild`.
+    /// The name of the free site variable of the paper's Boolean-difference
+    /// formulation, declared at the bottom of the order by the oracles.
+    const D_VAR_NAME: &str = "__D";
+
+    /// The derivation before the cone-bounded build, in the paper's own
+    /// formulation: every fault replaces its site by a free variable `D`
+    /// declared last, rebuilds its whole fanout cone into every signal,
+    /// differentiates every output with respect to `D` and resolves the
+    /// primary-input variables by name.  Kept as the oracle of
+    /// `cone_bounded_derivation_matches_the_full_cone_rebuild`.
     fn generate_by_full_cone(
         atpg: &mut DigitalAtpg,
         fault: StuckAtFault,
     ) -> Result<TestOutcome, BddError> {
         atpg.manager.gc_if_above(GC_WATERMARK);
+        let d_var = atpg.manager.var_id(D_VAR_NAME);
         let line_fn = atpg.signal_bdds[fault.signal.index()];
         let activation = if fault.stuck_at {
             atpg.manager.not(line_fn)
@@ -2018,7 +2118,7 @@ mod tests {
         }
         let netlist = atpg.netlist;
         let mut faulty = atpg.signal_bdds.clone();
-        faulty[fault.signal.index()] = atpg.manager.literal(atpg.d_var, true);
+        faulty[fault.signal.index()] = atpg.manager.literal(d_var, true);
         let mut in_cone = vec![false; faulty.len()];
         in_cone[fault.signal.index()] = true;
         for gate in netlist.gates() {
@@ -2031,7 +2131,7 @@ mod tests {
         }
         for (po_index, &po) in netlist.primary_outputs().iter().enumerate() {
             let f = faulty[po.index()];
-            let observability = atpg.manager.try_boolean_difference(f, atpg.d_var)?;
+            let observability = atpg.manager.try_boolean_difference(f, d_var)?;
             let act_obs = atpg.manager.try_and(activation, observability)?;
             let test_set = atpg.manager.try_and(act_obs, atpg.fc)?;
             let Some(cube) = atpg.manager.sat_one(test_set) else {
@@ -2106,6 +2206,84 @@ mod tests {
                         created.1
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn miter_test_sets_equal_the_papers_boolean_difference_formula() {
+        // For every collapsed fault and every output in its cone, the miter
+        // (PO ⊕ PO|l=v) · Fc and the paper's (f_l ⊕ v) · ∂PO/∂D · Fc, with
+        // the site replaced by a free D declared last, must be the very same
+        // node in one manager: equal functions have one canonical OBDD.
+        use crate::mixed_circuit::{ConverterBlock, MixedCircuit};
+        use msatpg_analog::filters::fifth_order_chebyshev;
+        use msatpg_conversion::FlashAdc;
+        use msatpg_digital::benchmarks;
+
+        for name in ["c432", "c499", "c880"] {
+            let digital = benchmarks::by_name(name).unwrap();
+            // The Example-3 wiring of the Table-4 campaigns.
+            let adc = FlashAdc::uniform(15, 4.0).unwrap();
+            let mut mixed = MixedCircuit::new(
+                name,
+                fifth_order_chebyshev(),
+                ConverterBlock::Flash(adc),
+                digital.clone(),
+            );
+            mixed.connect_randomly(1995).unwrap();
+            let (lines, codes) = (mixed.constrained_inputs(), mixed.allowed_codes());
+            for constrained in [true, false] {
+                let mut atpg = DigitalAtpg::new(&digital);
+                if constrained {
+                    atpg = atpg.with_constraints(&lines, &codes).unwrap();
+                }
+                let d_var = atpg.manager.var_id(D_VAR_NAME);
+                let mut compared = 0;
+                for &fault in FaultList::collapsed(&digital).faults() {
+                    // No handle below survives this safe point.
+                    atpg.manager.gc_if_above(GC_WATERMARK);
+                    let d = atpg.manager.literal(d_var, true);
+                    let context = format!(
+                        "{name} (constrained: {constrained}) {}",
+                        fault.describe(&digital)
+                    );
+                    let line_fn = atpg.signal_bdds[fault.signal.index()];
+                    let activation = if fault.stuck_at {
+                        atpg.manager.not(line_fn)
+                    } else {
+                        line_fn
+                    };
+                    if !atpg.seed_stuck_site(fault) {
+                        assert!(activation.is_zero(), "{context}: activation");
+                        continue;
+                    }
+                    let outputs: Vec<SignalId> = digital
+                        .primary_outputs()
+                        .iter()
+                        .copied()
+                        .filter(|&po| atpg.cone.contains(po))
+                        .collect();
+                    let miters: Vec<Bdd> = outputs
+                        .iter()
+                        .map(|&po| atpg.miter_test_set(po).unwrap())
+                        .collect();
+                    atpg.cone.mark(fault.signal, d);
+                    for (&po, &miter) in outputs.iter().zip(&miters) {
+                        let m = &mut atpg.manager;
+                        let f = atpg
+                            .cone
+                            .output(m, &digital, &atpg.signal_bdds, po)
+                            .unwrap();
+                        let observability = m.boolean_difference(f, d_var);
+                        let act_obs = m.and(activation, observability);
+                        let paper = m.and(act_obs, atpg.fc);
+                        let output = digital.signal_name(po);
+                        assert_eq!(miter, paper, "{context}, output {output}");
+                        compared += 1;
+                    }
+                }
+                assert!(compared > 0, "{name}: no output compared");
             }
         }
     }
