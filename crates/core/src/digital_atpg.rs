@@ -17,26 +17,51 @@
 //! `S = ∅` for every output means the fault is untestable under the
 //! constraints.
 //!
-//! The generator computes the same function as a stuck-value miter,
-//! `S = (PO ⊕ PO|l=v) · Fc`: the fault-free output against the output with
-//! the line tied to the constant `v`.  By Shannon expansion on the line,
-//! `PO = f_l · PO|l=1 + ¬f_l · PO|l=0`, so `PO ⊕ PO|l=v` is `0` wherever
-//! `f_l = v` and `PO|l=0 ⊕ PO|l=1` wherever `f_l ≠ v`; that is
-//! `(f_l ⊕ v) · ∂PO/∂l`.  Equal functions have the same canonical OBDD and
-//! therefore the same satisfying cube, so the vectors are exactly the
-//! paper's.  The miter needs no auxiliary variable, and the constant at the
-//! site lets the apply terminal cases cut the faulty-cone build short.
+//! The generator factors this function through the fault's fanout-free
+//! region.  A line read by exactly one gate pin, and not itself a primary
+//! output, has a single reader; following readers from *l* ends at the
+//! region's stem *s*, a line that is a primary output or is read by ≠ 1
+//! gate pins.  The test set is built as
 //!
-//! The work per fault is bounded by the fault's own cone, not by the
-//! netlist.  Only outputs in the fanout cone of *l* can differ from the
-//! fault-free circuit; every other output has an empty miter and is
-//! skipped without a BDD operation.  An output in the cone is re-derived
-//! from the gates in `fanout(l) ∩ fanin(PO)` alone, reusing whatever earlier
-//! outputs of the same fault already built, and the outputs are tried in
-//! order until one yields a test.  The cube read off a test set depends only
-//! on its function, so the vectors are the ones a rebuild of the whole
-//! faulty circuit would give.
+//! ```text
+//! S = Δ · D(s, PO),   Δ = (f_l ⊕ v) · sens(l),   D(s, PO) = ∂PO/∂s · Fc
+//! ```
+//!
+//! where `sens(l)` is the product of the side-input conditions of the gates
+//! on the path from *l* to *s*: for an AND/NAND reader the other inputs at
+//! `1`, for an OR/NOR reader the other inputs at `0`, and no condition for
+//! XOR/XNOR/BUF/NOT.  `D(s, PO)` is the stuck-value miter of the stem,
+//! `(PO ⊕ PO|s:=¬f_s) · Fc`, with the stem replaced by its own complement:
+//! by Shannon expansion on *s*, `PO` and `PO|s:=¬f_s` take the two values
+//! `PO|s=0` and `PO|s=1` at every input, so their XOR is `∂PO/∂s`.
+//!
+//! *Why this is the paper's `S`.*  Every line on the path from *l* to *s*
+//! has a single reader, so the fault reaches the rest of the circuit only
+//! through *s*, and no side input of a path gate lies in the fanout of *l*
+//! (that would need a second reader on the path).  The side inputs are
+//! therefore fault-free, and the fault flips *s* exactly where the line is
+//! activated (`f_l ⊕ v`) and every path gate passes the change (`sens`):
+//! where `Δ = 1`.  Flipping *s* changes `PO` exactly on `∂PO/∂s`, so
+//! `∂PO/∂l = sens(l) · ∂PO/∂s` and `S` is `(f_l ⊕ v) · ∂PO/∂l · Fc`.  The
+//! same function has the same canonical OBDD and therefore the same
+//! satisfying cube, so the vectors are exactly the paper's.  The outputs
+//! tried are unchanged as well: an output is in the fanout cone of *l*
+//! exactly when it is in the cone of *s*.
+//!
+//! The expensive part, the faulty cone between the stem and the outputs, is
+//! per-region work.  `sens(l)` is memoized per line (`sens(s) = 1`) and
+//! `D(s, PO)` per (stem, output) the first time a fault of the region tries
+//! that output; each fault then pays one AND and one `sat_one` per output
+//! tried.  The outputs of a fault are tried in order until one yields a
+//! test, and `D(s, PO)` is built from the gates in `fanout(s) ∩ fanin(PO)`
+//! alone, reusing what earlier outputs of the same stem built.  Outputs
+//! outside the cone of *s* can never differ and are skipped without a BDD
+//! operation.  Under a budget or cancel token, each fault target builds its
+//! `sens` and `D` terms afresh and keeps none of them (see
+//! [`DigitalAtpg::with_budget`]), so governed outcomes stay a pure function
+//! of the fault.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -59,14 +84,15 @@ use crate::store::{self, Checkpoint, CheckpointPolicy};
 use crate::CoreError;
 
 /// Live-node watermark above which the per-fault safe point sweeps the BDD
-/// arena.  Every fault target re-derives its faulty outputs and test set
-/// from scratch, so the garbage fraction grows linearly with the fault count;
-/// the long-lived state (signal functions and `Fc`) is protected at
-/// construction and survives every collection, which makes the sweep
-/// invisible in the generated vectors.  A fault's transients are its cone
-/// gates, built with the site tied to a constant that the apply terminal
-/// cases prune, and the miters of the outputs tried, so one collection
-/// spans many faults.
+/// arena.  Every fault target builds its fault effect and test sets afresh,
+/// so the garbage fraction grows linearly with the fault count.  The
+/// long-lived state is protected and survives every collection: the signal
+/// functions and `Fc` from construction, and, on an ungoverned engine, the
+/// region caches (`sens` per line and `∂PO/∂s · Fc` per stem and output)
+/// as they fill.  The sweep is therefore invisible in the generated
+/// vectors.  A fault's transients are its fault effect `Δ`, the `Δ · D`
+/// test sets of the outputs tried and, on a cache miss, the stem's faulty
+/// cone, so one collection spans many faults.
 const GC_WATERMARK: usize = 1 << 16;
 
 /// A generated test vector: an assignment to the primary inputs, with
@@ -455,8 +481,10 @@ pub struct DigitalAtpg<'a> {
     signal_bdds: Vec<Bdd>,
     /// BDD variable of each primary input, in netlist primary-input order.
     pi_vars: Vec<VarId>,
-    /// Per-fault scratch of the faulty-output build.
+    /// Scratch of the stem-derivative build.
     cone: FaultyCone,
+    /// The fanout-free regions and their `sens` / `D(s, PO)` caches.
+    regions: Regions,
     fc: Bdd,
     fault_dropping: bool,
     constrained: bool,
@@ -587,12 +615,14 @@ impl<'a> DigitalAtpg<'a> {
         }
         let fc = manager.one();
         let cone = FaultyCone::new(netlist, manager.zero());
+        let regions = Regions::new(netlist, &cone.fanout);
         DigitalAtpg {
             netlist,
             manager,
             signal_bdds,
             pi_vars,
             cone,
+            regions,
             fc,
             fault_dropping: true,
             constrained: false,
@@ -642,6 +672,8 @@ impl<'a> DigitalAtpg<'a> {
                 });
             }
         }
+        // Every cached `D(s, PO)` has the old `Fc` baked in.
+        self.regions.clear(&mut self.manager);
         self.manager.unprotect(self.fc);
         self.fc = constraint_bdd(&mut self.manager, self.netlist, lines, codes);
         self.manager.protect(self.fc);
@@ -708,13 +740,16 @@ impl<'a> DigitalAtpg<'a> {
     /// every fault target, so each outcome is a pure function of the fault —
     /// identical on the primary engine and on parallel worker engines.
     ///
-    /// The quota is spent only on what a fault needs: the gates between the
-    /// fault site and the outputs tried, built with the site tied to its
-    /// stuck constant, and the miters of those outputs (see
-    /// [`DigitalAtpg::try_generate`]).  A given quota therefore derives more
-    /// faults than it would if every fault rebuilt its whole fanout cone, or
-    /// built both cofactors of a free site variable at once, and faults with
-    /// small cones rarely come near it.
+    /// The quota is spent only on what a fault needs: the side-input
+    /// conditions on the path from the fault site to its region's stem, the
+    /// gates between the stem and the outputs tried, built with the stem
+    /// replaced by its complement, and the test sets of those outputs (see
+    /// [`DigitalAtpg::try_generate`]).  A governed engine keeps none of the
+    /// region caches an ungoverned one shares between the faults of a
+    /// region: a cached term would make a fault's node and step use depend on
+    /// which faults ran before it on this engine.  Each target therefore
+    /// builds its own terms, and faults with small regions and cones rarely
+    /// come near the quota.
     pub fn with_budget(mut self, budget: BddBudget) -> Self {
         self.budget = budget;
         self.manager.set_budget(budget);
@@ -816,13 +851,15 @@ impl<'a> DigitalAtpg<'a> {
     }
 
     /// Runs a full garbage collection, keeping only the engine's protected
-    /// baseline (the signal functions and the constraint `Fc`), and returns
-    /// that baseline's live node count.  This is the state every governed
-    /// fault target restarts from, so `collect_garbage() + margin` is the
-    /// right way to size a deliberately tight
-    /// [`BddBudget::with_max_live_nodes`] quota — the count observed during
-    /// construction overstates the baseline by the build's transients.
+    /// baseline (the signal functions and the constraint `Fc`; the region
+    /// caches are dropped), and returns that baseline's live node count.
+    /// This is the state every governed fault target restarts from, so
+    /// `collect_garbage() + margin` is the right way to size a deliberately
+    /// tight [`BddBudget::with_max_live_nodes`] quota — the count observed
+    /// during construction overstates the baseline by the build's
+    /// transients.
     pub fn collect_garbage(&mut self) -> usize {
+        self.regions.clear(&mut self.manager);
         self.manager.gc();
         self.manager.live_node_count()
     }
@@ -855,9 +892,11 @@ impl<'a> DigitalAtpg<'a> {
     /// derivation.  The partial build is abandoned (reclaimed at the next
     /// safe point) and the engine stays fully usable for the next fault.
     ///
-    /// Each output's test set is the stuck-value miter `(PO ⊕ PO|l=v) · Fc`,
-    /// the same function as the paper's `(f_l ⊕ v) · ∂PO/∂l · Fc` (see the
-    /// module docs), so the vector is the one the paper's formula gives.
+    /// Each output's test set is `Δ · D(s, PO)`: the fault effect at the
+    /// stem of the fault's fanout-free region times the stem's derivative
+    /// `∂PO/∂s · Fc`.  It is the same function as the paper's
+    /// `(f_l ⊕ v) · ∂PO/∂l · Fc` (see the module docs), so the vector is the
+    /// one the paper's formula gives.
     ///
     /// # Errors
     ///
@@ -865,38 +904,26 @@ impl<'a> DigitalAtpg<'a> {
     /// when the armed [`BddBudget`] is exhausted, [`BddError::Cancelled`]
     /// when the armed [`CancelToken`] has fired.
     pub fn try_generate(&mut self, fault: StuckAtFault) -> Result<TestOutcome, BddError> {
-        // Safe point: no transient handle from a previous target is live
-        // here, so everything outside the protected signal functions and
-        // `Fc` is garbage.  The sweep never renumbers live nodes, so the
-        // generated vectors are byte-identical with or without it.
-        if self.governed() {
-            // Determinism of governed outcomes: collect to the protected
-            // baseline and re-open the step quota, so the resources consumed
-            // by this target are a pure function of the fault — independent
-            // of which faults this particular engine processed before, and
-            // therefore identical on the primary and the worker engines.
-            self.manager.gc();
-            self.manager.reset_steps();
-        } else {
-            self.manager.gc_if_above(GC_WATERMARK);
-        }
-        // 1. Tie the fault site to the stuck constant and mark its fanout
-        //    cone: only signals in it can differ from the good circuit.  A
-        //    line whose fault-free function is that constant is never
-        //    activated.
-        if !self.seed_stuck_site(fault) {
+        self.safe_point();
+        // 1. The fault effect Δ = (f_l ⊕ v) · sens(l): the inputs under which
+        //    the fault flips its region's stem.  A line whose fault-free
+        //    function is v itself is never activated, and an empty Δ never
+        //    reaches the stem.
+        let effect = self.fault_effect(fault)?;
+        if effect.is_zero() {
             return Ok(TestOutcome::Untestable);
         }
-        // 2. For each primary output in order, the test set is the miter
-        //    (PO ⊕ PO|l=v) · Fc.  An output outside the cone equals its
-        //    fault-free function, so its miter is 0 and it is skipped.  An
-        //    output inside is re-derived from the cone gates in its fanin
-        //    that earlier outputs have not built yet.
-        for (po_index, &po) in self.netlist.primary_outputs().iter().enumerate() {
-            if !self.cone.contains(po) {
+        // 2. For each primary output in the stem's cone, in order, the test
+        //    set is Δ · ∂PO/∂s · Fc.  Outputs outside the cone equal their
+        //    fault-free functions and are skipped; the cone of the stem holds
+        //    exactly the outputs of the fault site's cone.
+        let stem = self.regions.stem[fault.signal.index()];
+        for po_index in 0..self.netlist.primary_outputs().len() {
+            if !self.regions.observes(stem, po_index) {
                 continue;
             }
-            let test_set = self.miter_test_set(po)?;
+            let derivative = self.stem_derivative(stem, po_index)?;
+            let test_set = self.manager.try_and(effect, derivative)?;
             let Some(cube) = self.manager.sat_one(test_set) else {
                 continue;
             };
@@ -907,27 +934,122 @@ impl<'a> DigitalAtpg<'a> {
         Ok(TestOutcome::Untestable)
     }
 
-    /// Starts a derivation: ties the fault site to its stuck constant `v`
-    /// and marks the site's fanout cone.  Returns `false`, without marking,
-    /// when the line's fault-free function is `v` itself, so that no input
-    /// activates the fault.
-    fn seed_stuck_site(&mut self, fault: StuckAtFault) -> bool {
-        let stuck = self.manager.constant(fault.stuck_at);
-        if self.signal_bdds[fault.signal.index()] == stuck {
-            return false;
+    /// The per-target safe point: no transient handle from a previous
+    /// target is live here, so everything outside the protected roots is
+    /// garbage.  The sweep never renumbers live nodes, so the generated
+    /// vectors are byte-identical with or without it.
+    fn safe_point(&mut self) {
+        // The stem cone built for an earlier target holds unprotected
+        // handles that a collection may free.
+        self.cone.forget();
+        if self.governed() {
+            // Determinism of governed outcomes: drop the region caches,
+            // collect to the protected baseline and re-open the step quota,
+            // so the resources consumed by this target are a pure function
+            // of the fault — independent of which faults this particular
+            // engine processed before, and therefore identical on the
+            // primary and the worker engines.
+            self.regions.clear(&mut self.manager);
+            self.manager.gc();
+            self.manager.reset_steps();
+        } else {
+            self.manager.gc_if_above(GC_WATERMARK);
         }
-        self.cone.mark(fault.signal, stuck);
-        true
     }
 
-    /// The test set `(PO ⊕ PO|l=v) · Fc` of output `po`, which must lie in
-    /// the cone marked by [`Self::seed_stuck_site`].
-    fn miter_test_set(&mut self, po: SignalId) -> Result<Bdd, BddError> {
+    /// The fault effect `Δ = (f_l ⊕ v) · sens(l)` at the stem of the
+    /// fault's fanout-free region; `0` when `f_l` is `v` itself.
+    fn fault_effect(&mut self, fault: StuckAtFault) -> Result<Bdd, BddError> {
+        let line = self.signal_bdds[fault.signal.index()];
+        let activation = if fault.stuck_at {
+            self.manager.not(line)
+        } else {
+            line
+        };
+        if activation.is_zero() {
+            return Ok(activation);
+        }
+        let sens = self.sensitization(fault.signal)?;
+        self.manager.try_and(activation, sens)
+    }
+
+    /// `sens(l)`: the inputs under which a change on `line` reaches its
+    /// region's stem, memoized per line.  `sens(stem) = 1`, and otherwise
+    /// `sens(l) = local(l) · sens(out)` with `out` the output of the single
+    /// gate reading `l` and `local(l)` that gate's side-input condition.
+    ///
+    /// The path is walked up to the stem or the first memoized line, then
+    /// folded back, so a long region costs no recursion depth.
+    fn sensitization(&mut self, line: SignalId) -> Result<Bdd, BddError> {
+        let mut path = Vec::new();
+        let mut at = line;
+        let mut sens = loop {
+            if let Some(sens) = self.regions.sens[at.index()] {
+                break sens;
+            }
+            match self.regions.reader[at.index()] {
+                Some(out) => {
+                    path.push(at);
+                    at = out;
+                }
+                None => break self.manager.one(),
+            }
+        };
+        while let Some(l) = path.pop() {
+            let local = self.side_condition(l, at)?;
+            sens = self.manager.try_and(local, sens)?;
+            self.manager.protect(sens);
+            self.regions.sens[l.index()] = Some(sens);
+            at = l;
+        }
+        Ok(sens)
+    }
+
+    /// The condition under which the gate driving `out` passes a change on
+    /// its input `line`: every other input at `1` for AND/NAND, at `0` for
+    /// OR/NOR, and none for XOR/XNOR/BUF/NOT.
+    fn side_condition(&mut self, line: SignalId, out: SignalId) -> Result<Bdd, BddError> {
+        let mut condition = self.manager.one();
+        let Some(gate) = self.netlist.driver(out) else {
+            return Ok(condition);
+        };
+        let complement = match gate.kind {
+            GateKind::And | GateKind::Nand => false,
+            GateKind::Or | GateKind::Nor => true,
+            GateKind::Xor | GateKind::Xnor | GateKind::Buf | GateKind::Not => return Ok(condition),
+        };
+        for &input in gate.inputs.iter().filter(|&&i| i != line) {
+            let f = self.signal_bdds[input.index()];
+            let side = if complement { self.manager.not(f) } else { f };
+            condition = self.manager.try_and(condition, side)?;
+        }
+        Ok(condition)
+    }
+
+    /// `D(s, PO) = ∂PO/∂s · Fc` for the stem `stem` and output `po_index`,
+    /// memoized per (stem, output): the stuck-value miter of the stem,
+    /// `(PO ⊕ PO|s:=¬f_s) · Fc`, whose faulty side is built from the gates
+    /// in `fanout(s) ∩ fanin(PO)` alone, reusing what this target built for
+    /// earlier outputs of the same stem.
+    fn stem_derivative(&mut self, stem: SignalId, po_index: usize) -> Result<Bdd, BddError> {
+        if let Some(&derivative) = self.regions.derivatives.get(&(stem, po_index)) {
+            return Ok(derivative);
+        }
+        let flipped = self.manager.not(self.signal_bdds[stem.index()]);
+        if !self.cone.is_seeded(stem, flipped) {
+            self.cone.mark(stem, flipped);
+        }
+        let po = self.netlist.primary_outputs()[po_index];
         let faulty = self
             .cone
             .output(&mut self.manager, self.netlist, &self.signal_bdds, po)?;
         let miter = self.manager.try_xor(self.signal_bdds[po.index()], faulty)?;
-        self.manager.try_and(miter, self.fc)
+        let derivative = self.manager.try_and(miter, self.fc)?;
+        self.manager.protect(derivative);
+        self.regions
+            .derivatives
+            .insert((stem, po_index), derivative);
+        Ok(derivative)
     }
 
     /// Runs the generator over a whole fault list, with fault dropping
@@ -1296,6 +1418,7 @@ impl<'a> DigitalAtpg<'a> {
             signal_bdds: self.signal_bdds.clone(),
             pi_vars: self.pi_vars.clone(),
             cone: self.cone.clone(),
+            regions: self.regions.clone(),
             fc: self.fc,
             fault_dropping: self.fault_dropping,
             constrained: self.constrained,
@@ -1321,20 +1444,25 @@ impl<'a> DigitalAtpg<'a> {
     }
 }
 
-/// The faulty-circuit builder behind [`DigitalAtpg::try_generate`].
+/// The faulty-circuit builder behind [`DigitalAtpg::stem_derivative`].
 ///
-/// [`FaultyCone::mark`] stamps the fault site's fanout cone by walking the
-/// fanout lists from the site.  [`FaultyCone::output`] then builds one
-/// output's faulty function from the cone gates in its fanin, depth first on
-/// an explicit worklist.  What one output builds is reused by the later
-/// outputs of the same fault; a signal outside the cone keeps its fault-free
-/// function.  Each fault takes a fresh epoch, which makes every stamp of an
-/// earlier fault stale without clearing anything (a 64-bit epoch does not
-/// wrap).
+/// [`FaultyCone::mark`] stamps a site's fanout cone by walking the fanout
+/// lists from the site and seeds the site with a replacement function.
+/// [`FaultyCone::output`] then builds one output's faulty function from the
+/// cone gates in its fanin, depth first on an explicit worklist.  What one
+/// output builds is reused by the later outputs of the same seed; a signal
+/// outside the cone keeps its fault-free function.  Each mark takes a fresh
+/// epoch, which makes every stamp of an earlier mark stale without clearing
+/// anything (a 64-bit epoch does not wrap).  The built functions are not
+/// protected, so the owner [`FaultyCone::forget`]s the seed at every safe
+/// point.
 #[derive(Clone)]
 struct FaultyCone {
     /// Outputs of the gates reading each signal.
     fanout: Vec<Vec<SignalId>>,
+    /// The site and replacement function of the current epoch, while its
+    /// builds are usable.
+    seed: Option<(SignalId, Bdd)>,
     epoch: u64,
     /// `epoch` iff the signal is in the current site's fanout cone (the
     /// site included).
@@ -1359,6 +1487,7 @@ impl FaultyCone {
         }
         FaultyCone {
             fanout,
+            seed: None,
             epoch: 0,
             in_cone: vec![0; n],
             built: vec![0; n],
@@ -1368,9 +1497,10 @@ impl FaultyCone {
         }
     }
 
-    /// Starts a fault: stamps the fanout cone of `site` and seeds the site
-    /// with `value`, its function in the faulty circuit.
+    /// Stamps the fanout cone of `site` and seeds the site with `value`, its
+    /// function in the faulty circuit.
     fn mark(&mut self, site: SignalId, value: Bdd) {
+        self.seed = Some((site, value));
         self.epoch += 1;
         let epoch = self.epoch;
         self.in_cone[site.index()] = epoch;
@@ -1388,9 +1518,15 @@ impl FaultyCone {
         }
     }
 
-    /// Is `signal` in the current site's fanout cone?
-    fn contains(&self, signal: SignalId) -> bool {
-        self.in_cone[signal.index()] == self.epoch
+    /// Are the current epoch's builds those of `site` seeded with `value`?
+    fn is_seeded(&self, site: SignalId, value: Bdd) -> bool {
+        self.seed == Some((site, value))
+    }
+
+    /// Marks the current epoch's builds unusable (a collection may free
+    /// them); the next build needs a fresh [`FaultyCone::mark`].
+    fn forget(&mut self) {
+        self.seed = None;
     }
 
     /// The faulty function of `po`, an output in the current cone.  `good`
@@ -1441,6 +1577,93 @@ impl FaultyCone {
             self.stack.pop();
         }
         Ok(self.faulty[po.index()])
+    }
+}
+
+/// The fanout-free regions of a netlist and the region caches behind
+/// [`DigitalAtpg::try_generate`].
+///
+/// The structure is computed once from reader counts: a signal read by
+/// exactly one gate pin that is not a primary output has that gate as its
+/// single reader, and every other signal is a stem.  The caches hold
+/// protected functions: `sens(l)` per line and `∂PO/∂s · Fc` per (stem,
+/// output).  They only save work, never change an outcome, and are dropped
+/// wherever `Fc` changes, at every governed target and by
+/// [`DigitalAtpg::collect_garbage`].
+#[derive(Clone)]
+struct Regions {
+    /// Output of the single gate reading each signal; `None` for a stem.
+    reader: Vec<Option<SignalId>>,
+    /// The stem closing each signal's fanout-free region (a stem's own).
+    stem: Vec<SignalId>,
+    /// Primary outputs in each signal's fanout cone: a bitset over output
+    /// indices, `words` words per signal.
+    observed: Vec<u64>,
+    words: usize,
+    /// `sens(l)` per signal, once built.
+    sens: Vec<Option<Bdd>>,
+    /// `∂PO/∂s · Fc` per (stem, output index), once built.
+    derivatives: HashMap<(SignalId, usize), Bdd>,
+}
+
+impl Regions {
+    /// `fanout` lists the outputs of the gates reading each signal, one
+    /// entry per gate pin.
+    fn new(netlist: &Netlist, fanout: &[Vec<SignalId>]) -> Self {
+        let n = netlist.signal_count();
+        let mut reader: Vec<Option<SignalId>> = fanout
+            .iter()
+            .map(|outs| match outs[..] {
+                [out] => Some(out),
+                _ => None,
+            })
+            .collect();
+        let outputs = netlist.primary_outputs();
+        let words = outputs.len().div_ceil(64);
+        let mut observed = vec![0u64; n * words];
+        for (k, &po) in outputs.iter().enumerate() {
+            observed[po.index() * words + k / 64] |= 1 << (k % 64);
+            reader[po.index()] = None;
+        }
+        // Gates are in topological order, so in reverse every reader of a
+        // gate's output is done before the gate: the output's stem and cone
+        // outputs are final when they pass to its inputs.
+        let mut stem = netlist.signals();
+        for gate in netlist.gates().iter().rev() {
+            let out = gate.output.index();
+            for &input in &gate.inputs {
+                let i = input.index();
+                for w in 0..words {
+                    observed[i * words + w] |= observed[out * words + w];
+                }
+                if reader[i] == Some(gate.output) {
+                    stem[i] = stem[out];
+                }
+            }
+        }
+        Regions {
+            reader,
+            stem,
+            observed,
+            words,
+            sens: vec![None; n],
+            derivatives: HashMap::new(),
+        }
+    }
+
+    /// Is output `po_index` in the fanout cone of `signal`?
+    fn observes(&self, signal: SignalId, po_index: usize) -> bool {
+        self.observed[signal.index() * self.words + po_index / 64] >> (po_index % 64) & 1 == 1
+    }
+
+    /// Drops every cached function, releasing its protection.
+    fn clear(&mut self, manager: &mut BddManager) {
+        for sens in self.sens.iter_mut().filter_map(Option::take) {
+            manager.unprotect(sens);
+        }
+        for (_, derivative) in self.derivatives.drain() {
+            manager.unprotect(derivative);
+        }
     }
 }
 
@@ -2095,6 +2318,48 @@ mod tests {
     /// formulation, declared at the bottom of the order by the oracles.
     const D_VAR_NAME: &str = "__D";
 
+    /// An Example-3 digital block with the wiring of the Table-4
+    /// campaigns: the constrained lines and the codes the flash converter
+    /// can produce.
+    fn example3(name: &str) -> (Netlist, Vec<SignalId>, AllowedCodes) {
+        use crate::mixed_circuit::{ConverterBlock, MixedCircuit};
+        use msatpg_analog::filters::fifth_order_chebyshev;
+        use msatpg_conversion::FlashAdc;
+
+        let digital = msatpg_digital::benchmarks::by_name(name).unwrap();
+        let adc = FlashAdc::uniform(15, 4.0).unwrap();
+        let analog = fifth_order_chebyshev();
+        let mut mixed =
+            MixedCircuit::new(name, analog, ConverterBlock::Flash(adc), digital.clone());
+        mixed.connect_randomly(1995).unwrap();
+        let (lines, codes) = (mixed.constrained_inputs(), mixed.allowed_codes());
+        (digital, lines, codes)
+    }
+
+    /// Starts a stuck-value miter: ties the fault site to its stuck
+    /// constant `v` and marks the site's fanout cone.  Returns `false`,
+    /// without marking, when the line's fault-free function is `v` itself.
+    fn seed_stuck_site(atpg: &mut DigitalAtpg, fault: StuckAtFault) -> bool {
+        let stuck = atpg.manager.constant(fault.stuck_at);
+        if atpg.signal_bdds[fault.signal.index()] == stuck {
+            return false;
+        }
+        atpg.cone.mark(fault.signal, stuck);
+        true
+    }
+
+    /// The stuck-value miter `(PO ⊕ PO|l=v) · Fc` of output `po`, which must
+    /// lie in the cone marked by [`seed_stuck_site`].
+    fn miter_test_set(atpg: &mut DigitalAtpg, po: SignalId) -> Bdd {
+        let m = &mut atpg.manager;
+        let faulty = atpg
+            .cone
+            .output(m, atpg.netlist, &atpg.signal_bdds, po)
+            .unwrap();
+        let miter = m.xor(atpg.signal_bdds[po.index()], faulty);
+        m.and(miter, atpg.fc)
+    }
+
     /// The derivation before the cone-bounded build, in the paper's own
     /// formulation: every fault replaces its site by a free variable `D`
     /// declared last, rebuilds its whole fanout cone into every signal,
@@ -2156,20 +2421,8 @@ mod tests {
 
     #[test]
     fn cone_bounded_derivation_matches_the_full_cone_rebuild() {
-        use crate::mixed_circuit::{ConverterBlock, MixedCircuit};
-        use msatpg_analog::filters::fifth_order_chebyshev;
-        use msatpg_conversion::FlashAdc;
-        use msatpg_digital::benchmarks;
-
         for name in ["c432", "c880", "c1908"] {
-            let digital = benchmarks::by_name(name).unwrap();
-            // The Example-3 wiring of the Table-4 campaigns.
-            let adc = FlashAdc::uniform(15, 4.0).unwrap();
-            let analog = fifth_order_chebyshev();
-            let mut mixed =
-                MixedCircuit::new(name, analog, ConverterBlock::Flash(adc), digital.clone());
-            mixed.connect_randomly(1995).unwrap();
-            let (lines, codes) = (mixed.constrained_inputs(), mixed.allowed_codes());
+            let (digital, lines, codes) = example3(name);
             let faults = FaultList::collapsed(&digital);
             for constrained in [true, false] {
                 let engine = || {
@@ -2212,27 +2465,15 @@ mod tests {
 
     #[test]
     fn miter_test_sets_equal_the_papers_boolean_difference_formula() {
-        // For every collapsed fault and every output in its cone, the miter
-        // (PO ⊕ PO|l=v) · Fc and the paper's (f_l ⊕ v) · ∂PO/∂D · Fc, with
-        // the site replaced by a free D declared last, must be the very same
-        // node in one manager: equal functions have one canonical OBDD.
-        use crate::mixed_circuit::{ConverterBlock, MixedCircuit};
-        use msatpg_analog::filters::fifth_order_chebyshev;
-        use msatpg_conversion::FlashAdc;
-        use msatpg_digital::benchmarks;
-
+        // For every collapsed fault and every output in its cone, three
+        // constructions of the test set must be the very same node in one
+        // manager (equal functions have one canonical OBDD): the region
+        // factorization Δ · ∂PO/∂s · Fc the generator uses, the stuck-value
+        // miter (PO ⊕ PO|l=v) · Fc, and the paper's (f_l ⊕ v) · ∂PO/∂D · Fc
+        // with the site replaced by a free D declared last.  The outputs of
+        // the site's cone must be exactly those of its stem's.
         for name in ["c432", "c499", "c880"] {
-            let digital = benchmarks::by_name(name).unwrap();
-            // The Example-3 wiring of the Table-4 campaigns.
-            let adc = FlashAdc::uniform(15, 4.0).unwrap();
-            let mut mixed = MixedCircuit::new(
-                name,
-                fifth_order_chebyshev(),
-                ConverterBlock::Flash(adc),
-                digital.clone(),
-            );
-            mixed.connect_randomly(1995).unwrap();
-            let (lines, codes) = (mixed.constrained_inputs(), mixed.allowed_codes());
+            let (digital, lines, codes) = example3(name);
             for constrained in [true, false] {
                 let mut atpg = DigitalAtpg::new(&digital);
                 if constrained {
@@ -2241,8 +2482,8 @@ mod tests {
                 let d_var = atpg.manager.var_id(D_VAR_NAME);
                 let mut compared = 0;
                 for &fault in FaultList::collapsed(&digital).faults() {
-                    // No handle below survives this safe point.
-                    atpg.manager.gc_if_above(GC_WATERMARK);
+                    // No transient handle below survives this safe point.
+                    atpg.safe_point();
                     let d = atpg.manager.literal(d_var, true);
                     let context = format!(
                         "{name} (constrained: {constrained}) {}",
@@ -2254,37 +2495,112 @@ mod tests {
                     } else {
                         line_fn
                     };
-                    if !atpg.seed_stuck_site(fault) {
+                    if !seed_stuck_site(&mut atpg, fault) {
                         assert!(activation.is_zero(), "{context}: activation");
                         continue;
                     }
-                    let outputs: Vec<SignalId> = digital
+                    let cone = &atpg.cone;
+                    let outputs: Vec<(usize, SignalId)> = digital
                         .primary_outputs()
                         .iter()
                         .copied()
-                        .filter(|&po| atpg.cone.contains(po))
+                        .enumerate()
+                        .filter(|&(_, po)| cone.in_cone[po.index()] == cone.epoch)
                         .collect();
+                    let stem = atpg.regions.stem[fault.signal.index()];
+                    let stem_outputs: Vec<usize> = (0..digital.primary_outputs().len())
+                        .filter(|&k| atpg.regions.observes(stem, k))
+                        .collect();
+                    let site_outputs: Vec<usize> = outputs.iter().map(|&(k, _)| k).collect();
+                    assert_eq!(site_outputs, stem_outputs, "{context}: cone outputs");
                     let miters: Vec<Bdd> = outputs
                         .iter()
-                        .map(|&po| atpg.miter_test_set(po).unwrap())
+                        .map(|&(_, po)| miter_test_set(&mut atpg, po))
                         .collect();
                     atpg.cone.mark(fault.signal, d);
-                    for (&po, &miter) in outputs.iter().zip(&miters) {
-                        let m = &mut atpg.manager;
-                        let f = atpg
-                            .cone
-                            .output(m, &digital, &atpg.signal_bdds, po)
-                            .unwrap();
-                        let observability = m.boolean_difference(f, d_var);
-                        let act_obs = m.and(activation, observability);
-                        let paper = m.and(act_obs, atpg.fc);
+                    let papers: Vec<Bdd> = outputs
+                        .iter()
+                        .map(|&(_, po)| {
+                            let m = &mut atpg.manager;
+                            let f = atpg
+                                .cone
+                                .output(m, &digital, &atpg.signal_bdds, po)
+                                .unwrap();
+                            let observability = m.boolean_difference(f, d_var);
+                            let act_obs = m.and(activation, observability);
+                            m.and(act_obs, atpg.fc)
+                        })
+                        .collect();
+                    let effect = atpg.fault_effect(fault).unwrap();
+                    for ((&(k, po), &miter), &paper) in outputs.iter().zip(&miters).zip(&papers) {
+                        let derivative = atpg.stem_derivative(stem, k).unwrap();
+                        let region = atpg.manager.and(effect, derivative);
                         let output = digital.signal_name(po);
-                        assert_eq!(miter, paper, "{context}, output {output}");
+                        assert_eq!(region, miter, "{context}, output {output}: region");
+                        assert_eq!(miter, paper, "{context}, output {output}: paper");
                         compared += 1;
                     }
                 }
                 assert!(compared > 0, "{name}: no output compared");
             }
         }
+    }
+
+    #[test]
+    fn a_deep_fanout_free_region_is_walked_without_recursion() {
+        // One region 20,000 inverters deep, closed by an AND with a second
+        // input: the fault at the head of the chain needs the side input at
+        // 1 and is observed at the only output.
+        let mut netlist = Netlist::new("chain");
+        let a = netlist.input("a");
+        let b = netlist.input("b");
+        let mut line = a;
+        for k in 0..20_000 {
+            line = netlist.gate(GateKind::Not, &format!("n{k}"), &[line]);
+        }
+        let out = netlist.gate(GateKind::And, "out", &[line, b]);
+        netlist.mark_output(out);
+        let mut atpg = DigitalAtpg::new(&netlist);
+        assert_eq!(atpg.regions.stem[a.index()], out);
+        match atpg.generate(StuckAtFault::sa0(a)) {
+            TestOutcome::Detected(vector) => {
+                assert_eq!(vector.assignment, vec![Some(true), Some(true)]);
+            }
+            other => panic!("expected a test, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn installing_constraints_drops_the_region_caches() {
+        // Every cached ∂PO/∂s · Fc has the Fc of its engine baked in: an
+        // engine that filled its caches unconstrained and then had
+        // constraints installed must generate exactly what a fresh
+        // constrained engine generates.
+        let (digital, lines, codes) = example3("c432");
+        let sample: Vec<StuckAtFault> = FaultList::collapsed(&digital)
+            .faults()
+            .iter()
+            .copied()
+            .step_by(5)
+            .collect();
+        let mut engine = DigitalAtpg::new(&digital);
+        let unconstrained: Vec<TestOutcome> = sample.iter().map(|&f| engine.generate(f)).collect();
+        assert!(!engine.regions.derivatives.is_empty(), "caches filled");
+        let mut engine = engine.with_constraints(&lines, &codes).unwrap();
+        let mut fresh = DigitalAtpg::new(&digital)
+            .with_constraints(&lines, &codes)
+            .unwrap();
+        let mut moved = 0;
+        for (&fault, before) in sample.iter().zip(&unconstrained) {
+            let outcome = engine.generate(fault);
+            assert_eq!(
+                outcome,
+                fresh.generate(fault),
+                "{}",
+                fault.describe(&digital)
+            );
+            moved += usize::from(outcome != *before);
+        }
+        assert!(moved > 0, "the constraint must move some outcome");
     }
 }

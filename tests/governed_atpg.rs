@@ -2,17 +2,18 @@
 //! headline scenario): the constrained c432 campaign under a deliberately
 //! tiny BDD node budget completes without panicking or hanging, reports the
 //! affected faults as `Degraded` / `Aborted`, leaves the outcome of every
-//! other fault unchanged, and stays byte-identical across thread counts.
+//! other fault unchanged, and stays byte-identical across thread counts,
+//! with fault dropping on and off.
 
 use msatpg::bdd::BddBudget;
 use msatpg::conversion::constraints::{thermometer_codes, AllowedCodes};
 use msatpg::conversion::FlashAdc;
-use msatpg::core::digital_atpg::{AbortReason, AtpgReport, DigitalAtpg};
+use msatpg::core::digital_atpg::{AbortReason, AtpgReport, DegradePolicy, DigitalAtpg};
 use msatpg::core::ConverterBlock;
 use msatpg::digital::benchmarks;
 use msatpg::digital::fault::{FaultList, StuckAtFault};
 use msatpg::digital::fault_sim::FaultSimulator;
-use msatpg::digital::netlist::SignalId;
+use msatpg::digital::netlist::{Netlist, SignalId};
 use msatpg::exec::ExecPolicy;
 use msatpg::MixedCircuit;
 use std::collections::BTreeSet;
@@ -26,20 +27,22 @@ fn assert_reports_identical(a: &AtpgReport, b: &AtpgReport, context: &str) {
     assert_eq!(a.vectors, b.vectors, "{context}: vectors");
 }
 
-#[test]
-fn c432_constrained_under_a_tiny_node_budget_degrades_gracefully() {
-    let digital = benchmarks::c432();
-    let faults = FaultList::collapsed(&digital);
-
-    // The same constrained setup as the Table-4 experiment: 15 digital
-    // inputs driven through a flash converter, admitting thermometer codes
-    // only.
+/// The same constrained setup as the Table-4 experiment: 15 digital inputs
+/// of `digital` driven through a flash converter, admitting thermometer
+/// codes only.
+fn table4_constraints(digital: &Netlist) -> (Vec<SignalId>, AllowedCodes) {
     let analog = msatpg::analog::filters::fifth_order_chebyshev();
     let converter = ConverterBlock::Flash(FlashAdc::uniform(15, 4.0).unwrap());
     let mut mixed = MixedCircuit::new("c432-mixed", analog, converter, digital.clone());
     mixed.connect_randomly(1995).unwrap();
-    let lines: Vec<SignalId> = mixed.constrained_inputs();
-    let codes: AllowedCodes = thermometer_codes(15);
+    (mixed.constrained_inputs(), thermometer_codes(15))
+}
+
+#[test]
+fn c432_constrained_under_a_tiny_node_budget_degrades_gracefully() {
+    let digital = benchmarks::c432();
+    let faults = FaultList::collapsed(&digital);
+    let (lines, codes) = table4_constraints(&digital);
 
     let engine = |budget: BddBudget, policy: ExecPolicy| -> DigitalAtpg<'_> {
         DigitalAtpg::new(&digital)
@@ -127,4 +130,39 @@ fn c432_constrained_under_a_tiny_node_budget_degrades_gracefully() {
             .unwrap();
         assert_reports_identical(&parallel, &governed, &format!("threads={threads}"));
     }
+}
+
+/// Without fault dropping, a threaded run derives the faults on worker
+/// engines that each see a different subset of the list.  Under a tight
+/// node budget every governed target must still cost what the fault alone
+/// costs, whatever ran before it on its engine, so the serial and threaded
+/// reports are byte-identical.
+#[test]
+fn c432_without_dropping_under_a_tight_node_budget_is_identical_threaded() {
+    let digital = benchmarks::c432();
+    let faults = FaultList::collapsed(&digital);
+    let (lines, codes) = table4_constraints(&digital);
+    let engine = |budget: BddBudget, policy: ExecPolicy| -> DigitalAtpg<'_> {
+        DigitalAtpg::new(&digital)
+            .with_constraints(&lines, &codes)
+            .unwrap()
+            .with_fault_dropping(false)
+            .with_budget(budget)
+            .with_policy(policy)
+            // A handful of fallback patterns keeps the many budget-hit
+            // faults cheap; the fallback itself is covered above.
+            .with_degradation(DegradePolicy {
+                patterns: 4,
+                ..DegradePolicy::default()
+            })
+    };
+    let baseline = engine(BddBudget::UNLIMITED, ExecPolicy::Serial).collect_garbage();
+    let tight = BddBudget::UNLIMITED.with_max_live_nodes(baseline + baseline / 16);
+    let serial = engine(tight, ExecPolicy::Serial).run(&faults).unwrap();
+    assert!(
+        serial.degraded_count() + serial.aborted_count() > 0,
+        "the tight budget must affect at least one fault"
+    );
+    let threaded = engine(tight, ExecPolicy::Threads(2)).run(&faults).unwrap();
+    assert_reports_identical(&threaded, &serial, "threads=2, dropping off");
 }
