@@ -4,7 +4,9 @@
 //! backtrack-free test generator of Ayari, BenHamida & Kaminska (DATE 1995)
 //! relies on.  The central type is [`BddManager`], a hash-consing node store
 //! with memoized `apply`/`ite` operations, cofactoring, quantification,
-//! Boolean difference and satisfying-assignment enumeration.
+//! Boolean difference, satisfying-assignment enumeration, and
+//! [`BddManager::try_sat_one_and`], which reads `sat_one` of a product off
+//! its two operands without building it.
 //!
 //! # Engine
 //!

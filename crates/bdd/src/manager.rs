@@ -29,8 +29,10 @@
 //!   composition and quantification) and the one-pass Boolean difference
 //!   ([`BddManager::boolean_difference`]) share the apply cache under
 //!   their own op codes, so every cofactoring recursion visits each node
-//!   once instead of each path.  Hit/miss counters are exposed through
-//!   [`BddManager::stats`]; the caches are invalidated wholesale by
+//!   once instead of each path.  [`BddManager::try_sat_one_and`] reads the
+//!   cache to answer operand pairs and stores each pair it proves disjoint
+//!   as `And(f, g) → 0`, a true AND fact.  Hit/miss counters are exposed
+//!   through [`BddManager::stats`]; the caches are invalidated wholesale by
 //!   [`BddManager::gc`] (freed node indices may be reused) and can be reset
 //!   manually with [`BddManager::clear_caches`].
 //!
@@ -48,8 +50,9 @@
 //! such a call, any handle the caller keeps must be protected (or
 //! reachable from a protected root).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use msatpg_exec::CancelToken;
 
@@ -244,6 +247,49 @@ const ITE_EMPTY: IteEntry = IteEntry {
     result: EMPTY,
 };
 
+/// Hasher of the memo keys of [`BddManager::products_equal`]: [`fnv_mix`]
+/// over the key words instead of SipHash, which would cost more than the
+/// search step it memoizes.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let h = self.0;
+        self.0 = fnv_mix([
+            h as u32 ^ (h >> 32) as u32,
+            word as u32,
+            (word >> 32) as u32,
+        ]);
+    }
+}
+
+/// Quadruples `(p, q, r, s)`, packed two handles per word, proven to satisfy
+/// `p · q = r · s` by one [`BddManager::try_sat_one_and`] call.
+type EqualProducts = HashSet<(u64, u64), BuildHasherDefault<WordHasher>>;
+
+/// One assignment of the walk of [`BddManager::try_sat_one_and`], in level
+/// order.
+#[derive(Clone, Copy)]
+struct WalkStep {
+    var: VarId,
+    value: bool,
+    /// `Some([a0, b0, a1, b1])` for a provisional `var = 1` taken at the
+    /// pair `(a, b)` because `a1 · b1 ≠ 0`: the canonical product skips
+    /// `var`, and `sat_one` leaves it open, exactly when `a0 · b0 = a1 · b1`.
+    cofactors: Option<[Bdd; 4]>,
+}
+
 /// Open-addressed, linear-probed hash-consing table mapping node contents to
 /// their arena index.
 #[derive(Clone)]
@@ -395,6 +441,11 @@ pub struct BddManager {
     /// Cooperative cancellation signal polled at operation entry and every
     /// [`CANCEL_POLL_INTERVAL`] recursion steps.
     cancel: Option<CancelToken>,
+    /// Walk buffer of [`BddManager::try_sat_one_and`], reused across calls.
+    walk: Vec<WalkStep>,
+    /// Value of each variable on the current walk (`0` unassigned, `1`
+    /// false, `2` true); all `0` between calls.
+    walk_values: Vec<u8>,
     peak_live: usize,
     created: u64,
     gc_runs: u64,
@@ -443,6 +494,8 @@ impl BddManager {
             budget: BddBudget::UNLIMITED,
             steps_used: 0,
             cancel: None,
+            walk: Vec::new(),
+            walk_values: Vec::new(),
             peak_live: 0,
             created: 0,
             gc_runs: 0,
@@ -1511,6 +1564,224 @@ impl BddManager {
         Some(cube)
     }
 
+    /// [`BddManager::sat_one`] of `f · g` without building the product:
+    /// `None` exactly when `f · g = 0`, and otherwise the very cube
+    /// `sat_one(and(f, g))` returns, don't-cares included.  No node is
+    /// created.
+    ///
+    /// A depth-first search over the pair `(a, b)`, starting at `(f, g)`,
+    /// splits at the shallower top level `x` and walks the high pair first,
+    /// as `sat_one` does: `x = 1` when `a1 · b1 ≠ 0`, else `x = 0`.  Once the
+    /// pair is a single function (`a = 1`, `b = 1`, `a = b`, or a product
+    /// found in the apply cache) its own `sat_one` path ends the walk.  A
+    /// pair proven disjoint is an AND fact and is memoized as `And(a, b) →
+    /// 0` in the apply cache.  The canonical product tests `x` unless
+    /// `a1 · b1 = a0 · b0`, so every `x = 1` of the walk is then checked:
+    /// kept when `a0` or `b0` is `0` on the walk (the walk satisfies
+    /// `a1 · b1`, so the products differ), else left open exactly when a
+    /// memoized four-operand search proves `a0 · b0 = a1 · b1`.  The walk
+    /// never depends on these checks: where `x` is skipped, both cofactor
+    /// pairs denote the same function.
+    ///
+    /// Steps are charged per visited pair, as [`BddManager::try_and`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`BddError::StepBudgetExceeded`] when the armed step quota is
+    /// exhausted, [`BddError::Cancelled`] when the armed cancel token has
+    /// fired.
+    pub fn try_sat_one_and(&mut self, f: Bdd, g: Bdd) -> Result<Option<Cube>, BddError> {
+        self.poll_cancel()?;
+        if self.walk_values.len() < self.names.len() {
+            self.walk_values.resize(self.names.len(), 0);
+        }
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.clear();
+        let cube = self.sat_one_and_walk(f, g, &mut walk);
+        for step in &walk {
+            self.walk_values[step.var as usize] = 0;
+        }
+        self.walk = walk;
+        cube
+    }
+
+    /// Body of [`BddManager::try_sat_one_and`]: the walk, then its cube with
+    /// every provisional `x = 1` whose cofactor products are equal left open.
+    fn sat_one_and_walk(
+        &mut self,
+        f: Bdd,
+        g: Bdd,
+        walk: &mut Vec<WalkStep>,
+    ) -> Result<Option<Cube>, BddError> {
+        if !self.witness_rec(f, g, walk)? {
+            return Ok(None);
+        }
+        for step in walk.iter() {
+            self.walk_values[step.var as usize] = 1 + u8::from(step.value);
+        }
+        let mut literals = Vec::with_capacity(walk.len());
+        let mut equal_products = EqualProducts::default();
+        for step in walk.iter() {
+            // The walk satisfies `a1 · b1`, so an operand that does not
+            // depend on `x` holds on it already.
+            let open = match step.cofactors {
+                Some([a0, b0, a1, b1]) => {
+                    (a0 == a1 || self.holds_on_walk(a0))
+                        && (b0 == b1 || self.holds_on_walk(b0))
+                        && self.products_equal(a0, b0, a1, b1, &mut equal_products)?
+                }
+                None => false,
+            };
+            if !open {
+                literals.push((step.var, step.value));
+            }
+        }
+        Ok(Some(literals.into_iter().collect()))
+    }
+
+    /// Depth-first search for a path to `1` in `a · b`, appending its
+    /// assignments to `walk`; `Ok(false)` (with `walk` as it was) when the
+    /// pair is disjoint.
+    fn witness_rec(&mut self, a: Bdd, b: Bdd, walk: &mut Vec<WalkStep>) -> Result<bool, BddError> {
+        let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        let slot = match self.known_and(a, b) {
+            Ok(product) if product.is_zero() => return Ok(false),
+            Ok(product) => {
+                self.push_sat_path(product, walk);
+                return Ok(true);
+            }
+            Err(slot) => slot,
+        };
+        self.step()?;
+        let top = if self.root_level(a) <= self.root_level(b) {
+            self.root_var(a)
+        } else {
+            self.root_var(b)
+        };
+        let (a0, a1) = self.cofactors_at(a, top);
+        let (b0, b1) = self.cofactors_at(b, top);
+        let mark = walk.len();
+        walk.push(WalkStep {
+            var: top,
+            value: true,
+            cofactors: Some([a0, b0, a1, b1]),
+        });
+        if self.witness_rec(a1, b1, walk)? {
+            return Ok(true);
+        }
+        walk[mark] = WalkStep {
+            var: top,
+            value: false,
+            cofactors: None,
+        };
+        if self.witness_rec(a0, b0, walk)? {
+            return Ok(true);
+        }
+        walk.truncate(mark);
+        self.apply_store(slot, Op::And, a.0, b.0, Bdd::ZERO);
+        Ok(false)
+    }
+
+    /// Appends the [`BddManager::sat_one`] path of `f ≠ 0` to `walk`.
+    fn push_sat_path(&self, f: Bdd, walk: &mut Vec<WalkStep>) {
+        let mut cur = f;
+        while !cur.is_terminal() {
+            let var = self.nodes[cur.index() as usize].var;
+            let (low, high) = self.children(cur);
+            let value = !high.is_zero();
+            walk.push(WalkStep {
+                var,
+                value,
+                cofactors: None,
+            });
+            cur = if value { high } else { low };
+        }
+    }
+
+    /// Evaluates `f` on the current walk, reading unassigned variables as
+    /// `0` (every completion of a walk satisfies the product it found).
+    fn holds_on_walk(&self, f: Bdd) -> bool {
+        let mut cur = f;
+        while !cur.is_terminal() {
+            let var = self.nodes[cur.index() as usize].var;
+            let (low, high) = self.children(cur);
+            cur = if self.walk_values[var as usize] == 2 {
+                high
+            } else {
+                low
+            };
+        }
+        cur.is_one()
+    }
+
+    /// `a · b` when it is known without recursion: a terminal rule of
+    /// [`BddManager::try_and`] or an apply-cache hit.  On a miss, the
+    /// apply-cache slot of the ordered pair.
+    fn known_and(&mut self, a: Bdd, b: Bdd) -> Result<Bdd, usize> {
+        if a.is_zero() || b.is_zero() || a == !b {
+            return Ok(Bdd::ZERO);
+        }
+        if a.is_one() || a == b {
+            return Ok(b);
+        }
+        if b.is_one() {
+            return Ok(a);
+        }
+        let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        self.apply_probe(Op::And, a.0, b.0)
+    }
+
+    /// Decides `p · q = r · s` without building either product: both sides
+    /// are split at their shallowest top level until each is known (see
+    /// [`BddManager::known_and`]), returning at the first differing pair.
+    /// `equal` memoizes the quadruples already proven equal.
+    fn products_equal(
+        &mut self,
+        p: Bdd,
+        q: Bdd,
+        r: Bdd,
+        s: Bdd,
+        equal: &mut EqualProducts,
+    ) -> Result<bool, BddError> {
+        let (left, right) = (self.known_and(p, q).ok(), self.known_and(r, s).ok());
+        if let (Some(u), Some(w)) = (left, right) {
+            return Ok(u == w);
+        }
+        // A known side becomes the pair (1, product); pairs and sides are
+        // ordered so each quadruple has one memo key.
+        let ordered = |x: Bdd, y: Bdd| if x.0 <= y.0 { [x, y] } else { [y, x] };
+        let left = left.map_or_else(|| ordered(p, q), |u| [Bdd::ONE, u]);
+        let right = right.map_or_else(|| ordered(r, s), |w| [Bdd::ONE, w]);
+        let [p, q, r, s] = if left <= right {
+            [left[0], left[1], right[0], right[1]]
+        } else {
+            [right[0], right[1], left[0], left[1]]
+        };
+        let pack = |x: Bdd, y: Bdd| (u64::from(x.0) << 32) | u64::from(y.0);
+        let key = (pack(p, q), pack(r, s));
+        if equal.contains(&key) {
+            return Ok(true);
+        }
+        self.step()?;
+        let mut top = p;
+        for f in [q, r, s] {
+            if self.root_level(f) < self.root_level(top) {
+                top = f;
+            }
+        }
+        let top = self.root_var(top);
+        let (p0, p1) = self.cofactors_at(p, top);
+        let (q0, q1) = self.cofactors_at(q, top);
+        let (r0, r1) = self.cofactors_at(r, top);
+        let (s0, s1) = self.cofactors_at(s, top);
+        let same = self.products_equal(p0, q0, r0, s0, equal)?
+            && self.products_equal(p1, q1, r1, s1, equal)?;
+        if same {
+            equal.insert(key);
+        }
+        Ok(same)
+    }
+
     /// Counts satisfying assignments of `f` over the full set of declared
     /// variables.
     pub fn sat_count(&self, f: Bdd) -> u128 {
@@ -2144,6 +2415,77 @@ mod tests {
         let report = m.gc();
         assert_eq!(report.live_after, m.size(f), "no stray roots kept garbage");
         m.unprotect(f);
+    }
+
+    /// A carry chain and a parity of its `b` inputs: a product that takes
+    /// the witness search many steps.
+    fn carry_and_parity(m: &mut BddManager) -> (Bdd, Bdd) {
+        let carry = carry_chain(m, 10);
+        let mut parity = m.zero();
+        for i in 0..10 {
+            let b = m.var(&format!("b{i}"));
+            parity = m.xor(parity, b);
+        }
+        (carry, parity)
+    }
+
+    #[test]
+    fn sat_one_and_step_budget_fails_deterministically() {
+        let run = |budget: Option<u64>| -> (Result<Option<Cube>, BddError>, u64) {
+            let mut m = BddManager::new();
+            let (f, g) = carry_and_parity(&mut m);
+            m.clear_caches();
+            m.set_budget(budget.map_or(BddBudget::UNLIMITED, |steps| {
+                BddBudget::UNLIMITED.with_max_steps(steps)
+            }));
+            (m.try_sat_one_and(f, g), m.steps_used())
+        };
+        let (unbounded, total_steps) = run(None);
+        assert!(matches!(unbounded, Ok(Some(_))));
+        assert!(total_steps > 100, "the search takes steps: {total_steps}");
+        let limit = total_steps / 2;
+        let (bounded_a, steps_a) = run(Some(limit));
+        let (bounded_b, steps_b) = run(Some(limit));
+        assert_eq!(bounded_a, Err(BddError::StepBudgetExceeded { limit }));
+        assert_eq!(bounded_a, bounded_b, "abort point is deterministic");
+        assert_eq!(steps_a, steps_b);
+        let (full, _) = run(Some(total_steps));
+        assert_eq!(full, unbounded);
+    }
+
+    #[test]
+    fn sat_one_and_polls_the_cancel_token_at_entry() {
+        let mut m = BddManager::new();
+        let (f, g) = carry_and_parity(&mut m);
+        let product = m.and(f, g);
+        let expected = m.sat_one(product);
+        let token = msatpg_exec::CancelToken::new();
+        m.set_cancel_token(Some(token.clone()));
+        assert_eq!(m.try_sat_one_and(f, g), Ok(expected.clone()));
+        token.cancel();
+        assert_eq!(m.try_sat_one_and(f, g), Err(BddError::Cancelled));
+        m.set_cancel_token(None);
+        assert_eq!(m.try_sat_one_and(f, g), Ok(expected));
+    }
+
+    #[test]
+    fn failed_sat_one_and_leaves_no_pins_behind() {
+        let mut m = BddManager::new();
+        let (f, g) = carry_and_parity(&mut m);
+        m.protect(f);
+        m.protect(g);
+        let baseline = m.gc().live_after;
+        m.set_budget(BddBudget::UNLIMITED.with_max_steps(3));
+        assert!(m.try_sat_one_and(f, g).is_err());
+        m.set_budget(BddBudget::UNLIMITED);
+        // The interrupted search holds nothing, and the manager answers the
+        // next call as if the failure never happened.
+        assert_eq!(m.gc().live_after, baseline, "no stray roots kept garbage");
+        let found = m.try_sat_one_and(f, g).expect("disarmed manager");
+        let product = m.and(f, g);
+        assert_eq!(found, m.sat_one(product));
+        m.unprotect(f);
+        m.unprotect(g);
     }
 
     #[test]

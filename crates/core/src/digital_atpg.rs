@@ -51,15 +51,32 @@
 //! The expensive part, the faulty cone between the stem and the outputs, is
 //! per-region work.  `sens(l)` is memoized per line (`sens(s) = 1`) and
 //! `D(s, PO)` per (stem, output) the first time a fault of the region tries
-//! that output; each fault then pays one AND and one `sat_one` per output
-//! tried.  The outputs of a fault are tried in order until one yields a
-//! test, and `D(s, PO)` is built from the gates in `fanout(s) ∩ fanin(PO)`
+//! that output.  The outputs of a fault are tried in order until one yields
+//! a test, and `D(s, PO)` is built from the gates in `fanout(s) ∩ fanin(PO)`
 //! alone, reusing what earlier outputs of the same stem built.  Outputs
 //! outside the cone of *s* can never differ and are skipped without a BDD
 //! operation.  Under a budget or cancel token, each fault target builds its
 //! `sens` and `D` terms afresh and keeps none of them (see
 //! [`DigitalAtpg::with_budget`]), so governed outcomes stay a pure function
 //! of the fault.
+//!
+//! Each output tried then costs one node-free search:
+//! [`BddManager::try_sat_one_and`] reads the vector off `Δ · D(s, PO)`
+//! without building the product, and returns the cube `sat_one` would read
+//! off the product's canonical OBDD, don't-cares included.  It walks the
+//! operand pair `(a, b)` from `(Δ, D)` the way `sat_one` walks the product:
+//! at the pair's top variable `x`, `x = 1` when `a1 · b1 ≠ 0`, else `x = 0`.
+//!
+//! *Why `x` is open exactly when the cofactor products are equal.*  Where
+//! the walk stands at `(a, b)`, the product walk of `sat_one` stands at the
+//! node of `a · b`, and that node's cofactors at `x` are `a0 · b0` and
+//! `a1 · b1`.  A reduced OBDD tests `x` unless its two cofactors are the
+//! same function, so the canonical product skips `x`, and `sat_one` leaves
+//! it open, exactly when `a0 · b0 = a1 · b1`.  Both walks then continue on
+//! the same function, so every later step agrees.  Where the product does
+//! test `x`, `sat_one` takes `x = 1` exactly when `a1 · b1 ≠ 0`, as the
+//! walk does.  An open `x` always comes from an `x = 1` step, because equal
+//! cofactors of a non-empty product are both non-empty.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -84,15 +101,15 @@ use crate::store::{self, Checkpoint, CheckpointPolicy};
 use crate::CoreError;
 
 /// Live-node watermark above which the per-fault safe point sweeps the BDD
-/// arena.  Every fault target builds its fault effect and test sets afresh,
-/// so the garbage fraction grows linearly with the fault count.  The
+/// arena.  Every fault target builds its fault effect afresh, so the
+/// garbage fraction grows linearly with the fault count.  The
 /// long-lived state is protected and survives every collection: the signal
 /// functions and `Fc` from construction, and, on an ungoverned engine, the
 /// region caches (`sens` per line and `∂PO/∂s · Fc` per stem and output)
 /// as they fill.  The sweep is therefore invisible in the generated
-/// vectors.  A fault's transients are its fault effect `Δ`, the `Δ · D`
-/// test sets of the outputs tried and, on a cache miss, the stem's faulty
-/// cone, so one collection spans many faults.
+/// vectors.  A fault's transients are its fault effect `Δ` and, on a cache
+/// miss, the stem's faulty cone; its `Δ · D` test sets are never built.  One
+/// collection spans many faults.
 const GC_WATERMARK: usize = 1 << 16;
 
 /// A generated test vector: an assignment to the primary inputs, with
@@ -743,11 +760,12 @@ impl<'a> DigitalAtpg<'a> {
     /// The quota is spent only on what a fault needs: the side-input
     /// conditions on the path from the fault site to its region's stem, the
     /// gates between the stem and the outputs tried, built with the stem
-    /// replaced by its complement, and the test sets of those outputs (see
-    /// [`DigitalAtpg::try_generate`]).  A governed engine keeps none of the
-    /// region caches an ungoverned one shares between the faults of a
-    /// region: a cached term would make a fault's node and step use depend on
-    /// which faults ran before it on this engine.  Each target therefore
+    /// replaced by its complement, and the node-free searches of those
+    /// outputs' test sets (see [`DigitalAtpg::try_generate`]).  A governed
+    /// engine keeps none of the region caches an ungoverned one shares
+    /// between the faults of a region: a cached term would make a fault's
+    /// node and step use depend on which faults ran before it on this
+    /// engine.  Each target therefore
     /// builds its own terms, and faults with small regions and cones rarely
     /// come near the quota.
     pub fn with_budget(mut self, budget: BddBudget) -> Self {
@@ -896,7 +914,8 @@ impl<'a> DigitalAtpg<'a> {
     /// stem of the fault's fanout-free region times the stem's derivative
     /// `∂PO/∂s · Fc`.  It is the same function as the paper's
     /// `(f_l ⊕ v) · ∂PO/∂l · Fc` (see the module docs), so the vector is the
-    /// one the paper's formula gives.
+    /// one the paper's formula gives.  The vector is read off the test set
+    /// without building it (see [`BddManager::try_sat_one_and`]).
     ///
     /// # Errors
     ///
@@ -914,17 +933,17 @@ impl<'a> DigitalAtpg<'a> {
             return Ok(TestOutcome::Untestable);
         }
         // 2. For each primary output in the stem's cone, in order, the test
-        //    set is Δ · ∂PO/∂s · Fc.  Outputs outside the cone equal their
-        //    fault-free functions and are skipped; the cone of the stem holds
-        //    exactly the outputs of the fault site's cone.
+        //    set is Δ · ∂PO/∂s · Fc, and its sat_one cube is read off the
+        //    operand pair without building the product.  Outputs outside the
+        //    cone equal their fault-free functions and are skipped; the cone
+        //    of the stem holds exactly the outputs of the fault site's cone.
         let stem = self.regions.stem[fault.signal.index()];
         for po_index in 0..self.netlist.primary_outputs().len() {
             if !self.regions.observes(stem, po_index) {
                 continue;
             }
             let derivative = self.stem_derivative(stem, po_index)?;
-            let test_set = self.manager.try_and(effect, derivative)?;
-            let Some(cube) = self.manager.sat_one(test_set) else {
+            let Some(cube) = self.manager.try_sat_one_and(effect, derivative)? else {
                 continue;
             };
             return Ok(TestOutcome::Detected(
@@ -2421,7 +2440,7 @@ mod tests {
 
     #[test]
     fn cone_bounded_derivation_matches_the_full_cone_rebuild() {
-        for name in ["c432", "c880", "c1908"] {
+        for name in ["c432", "c880", "c1355", "c1908"] {
             let (digital, lines, codes) = example3(name);
             let faults = FaultList::collapsed(&digital);
             for constrained in [true, false] {

@@ -560,6 +560,77 @@ fn bdd_cofactoring_is_linear_in_nodes_not_paths() {
 }
 
 /// The 4-bit adder circuit computes a + b + cin for all operands.
+/// The product-free extraction is `sat_one` of the product: on random
+/// pairs with complement edges and shared subgraphs, over the declaration
+/// order, after random adjacent swaps and after sifting,
+/// `try_sat_one_and(f, g)` equals `sat_one(and(f, g))` as an
+/// `Option<Cube>` (don't-cares included), creates no node, and does not
+/// depend on the operand order.  It runs on cold caches and again once the
+/// product sits in the apply cache.
+#[test]
+fn bdd_sat_one_and_is_sat_one_of_the_product() {
+    const VARS: usize = 8;
+    let mut rng = SplitMix64::new(0x5A71);
+    let mut satisfiable = 0;
+    for case in 0..CASES {
+        let mut m = BddManager::new();
+        for i in 0..VARS {
+            m.var(&format!("x{i}"));
+        }
+        let f = random_formula(&mut rng, VARS, 5).build(&mut m);
+        let h = random_formula(&mut rng, VARS, 4).build(&mut m);
+        // Three of four second operands share subgraphs with `f`.
+        let g = match rng.below(4) {
+            0 => h,
+            1 => m.xor(f, h),
+            2 => m.or(f, h),
+            _ => m.and(!f, h),
+        };
+        m.protect(f);
+        m.protect(g);
+        match case % 3 {
+            0 => {}
+            1 => {
+                for _ in 0..6 {
+                    m.swap_adjacent(rng.below(VARS - 1) as u32);
+                }
+            }
+            _ => {
+                m.sift();
+            }
+        }
+        for (a, b) in [(f, g), (f, !g), (!f, g), (f, f)] {
+            let context = format!("case {case} order {:?}", m.var_order());
+            m.clear_caches();
+            let (created, live) = (m.stats().created_nodes, m.live_node_count());
+            let found = m.try_sat_one_and(a, b).unwrap();
+            assert_eq!(
+                (m.stats().created_nodes, m.live_node_count()),
+                (created, live),
+                "{context}: the search created nodes"
+            );
+            m.clear_caches();
+            assert_eq!(
+                m.try_sat_one_and(b, a).unwrap(),
+                found,
+                "{context}: operand order"
+            );
+            let product = m.and(a, b);
+            let expected = m.sat_one(product);
+            assert_eq!(found, expected, "{context}: cold caches");
+            assert_eq!(
+                m.try_sat_one_and(a, b).unwrap(),
+                expected,
+                "{context}: product in the apply cache"
+            );
+            satisfiable += usize::from(expected.is_some());
+        }
+        m.unprotect(f);
+        m.unprotect(g);
+    }
+    assert!(satisfiable > CASES, "{satisfiable} satisfiable pairs");
+}
+
 #[test]
 fn adder_matches_arithmetic() {
     let adder = circuits::adder4();
