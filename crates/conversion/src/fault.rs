@@ -144,6 +144,45 @@ pub fn ladder_coverage(
     tolerance: f64,
     max_deviation: f64,
 ) -> Result<LadderCoverage, ConversionError> {
+    coverage_with(ladder, tolerance, max_deviation, |r, k, x| {
+        deviated_tap(ladder, r, k, x)
+    })
+}
+
+/// Tap `k` (0-based) of `ladder` with resistor `r` (0-based) deviated by
+/// the relative amount `x`: the float operations of
+/// `ladder.with_deviation(r + 1, x)?.tap_voltage(k + 1)`, in the same order,
+/// without copying the ladder or computing the other taps.
+fn deviated_tap(
+    ladder: &ResistorLadder,
+    r: usize,
+    k: usize,
+    x: f64,
+) -> Result<f64, ConversionError> {
+    let resistors = ladder.resistors();
+    let deviated = resistors[r] * (1.0 + x);
+    if deviated <= 0.0 || !deviated.is_finite() {
+        return Err(ConversionError::InvalidLadder {
+            reason: "resistor values must be positive and finite".to_owned(),
+        });
+    }
+    let value = |i: usize| if i == r { deviated } else { resistors[i] };
+    let total: f64 = (0..resistors.len()).map(value).sum();
+    let mut acc = 0.0;
+    for i in 0..=k {
+        acc += value(i);
+    }
+    Ok(ladder.v_ref() * acc / total)
+}
+
+/// [`ladder_coverage`] with the deviated tap voltage `tap(r, k, x)` (both
+/// indices 0-based) supplied by the caller.
+fn coverage_with(
+    ladder: &ResistorLadder,
+    tolerance: f64,
+    max_deviation: f64,
+    tap: impl Fn(usize, usize, f64) -> Result<f64, ConversionError>,
+) -> Result<LadderCoverage, ConversionError> {
     let nominal_taps = ladder.tap_voltages();
     let v_ref = ladder.v_ref();
     let resistors = ladder.resistors();
@@ -160,10 +199,8 @@ pub fn ladder_coverage(
             let t = tolerance * scale;
             let gain = v_ref.abs() * r_value * (if r <= k { total } else { 0.0 } - below).abs();
             // The detecting side is judged by the ladder model itself.
-            let shift = |x: f64| -> Result<f64, ConversionError> {
-                let faulty = ladder.with_deviation(r + 1, x)?;
-                Ok((faulty.tap_voltage(k + 1)? - nominal).abs())
-            };
+            let shift =
+                |x: f64| -> Result<f64, ConversionError> { Ok((tap(r, k, x)? - nominal).abs()) };
             // The smallest magnitude `y ≤ cap` with `shift(sign·y) > t`.
             let threshold = |sign: f64, cap: Option<f64>| -> Result<Option<f64>, ConversionError> {
                 let Some(cap) = cap else { return Ok(None) };
@@ -285,6 +322,55 @@ mod tests {
             result.push(hi);
         }
         Some((result[0], result[1]))
+    }
+
+    #[test]
+    fn in_place_taps_match_the_deviated_ladder_bit_for_bit() {
+        let skewed = (0..16)
+            .map(|i| 500.0 + 370.0 * ((i * 7) % 5) as f64)
+            .collect();
+        for ladder in [paper_ladder(), ResistorLadder::new(skewed, 3.3).unwrap()] {
+            let oracle = coverage_with(&ladder, 0.05, 50.0, |r, k, x| {
+                ladder.with_deviation(r + 1, x)?.tap_voltage(k + 1)
+            })
+            .unwrap();
+            let fast = ladder_coverage(&ladder, 0.05, 50.0).unwrap();
+            assert_eq!(fast.cells().len(), oracle.cells().len());
+            for (a, b) in fast.cells().iter().zip(oracle.cells()) {
+                assert_eq!((a.resistor, a.comparator), (b.resistor, b.comparator));
+                assert_eq!(
+                    a.detectable_deviation.map(f64::to_bits),
+                    b.detectable_deviation.map(f64::to_bits),
+                    "R{} at comparator {}",
+                    a.resistor,
+                    a.comparator
+                );
+            }
+            // Every tap at every deviation the search can probe, and the
+            // error of a non-positive deviated value.
+            for r in 0..ladder.resistor_count() {
+                for k in 0..ladder.tap_count() {
+                    for x in [-0.999, -0.5, -1e-9, 0.0, 0.013, 0.7, 3.0, 49.87] {
+                        let expected = ladder.with_deviation(r + 1, x).unwrap();
+                        let expected = expected.tap_voltage(k + 1).unwrap();
+                        let got = deviated_tap(&ladder, r, k, x).unwrap();
+                        assert_eq!(
+                            got.to_bits(),
+                            expected.to_bits(),
+                            "R{} tap {} x {x}",
+                            r + 1,
+                            k + 1
+                        );
+                    }
+                    for x in [-1.0, -2.0, f64::INFINITY, f64::NAN] {
+                        assert_eq!(
+                            deviated_tap(&ladder, r, k, x).unwrap_err(),
+                            ladder.with_deviation(r + 1, x).unwrap_err()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

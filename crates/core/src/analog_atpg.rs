@@ -9,14 +9,33 @@ use msatpg_analog::mna::Mna;
 use msatpg_analog::params::ParameterSpec;
 use msatpg_analog::signal::SineStimulus;
 use msatpg_analog::ElementId;
+use msatpg_digital::fault_sim::{FaultCones, ObsMemo, PpsfpScratch};
 use msatpg_digital::logic::Logic;
 use msatpg_digital::netlist::SignalId;
+use msatpg_digital::prng::SplitMix64;
+use msatpg_digital::sim::Simulator;
 use msatpg_exec::WorkerPool;
 
 use crate::activation::{DeviationSign, StimulusTable};
 use crate::mixed_circuit::MixedCircuit;
 use crate::propagation::PropagationEngine;
 use crate::CoreError;
+
+/// Seed of the random external inputs of the comparator study's simulation
+/// block.  Any seed gives the same study: a line the block leaves open is
+/// decided by the OBDD query.
+const STUDY_SEED: u64 = 0x5747_D1E5;
+
+/// How [`AnalogAtpg::comparator_propagation_study_with_paths`] decided each
+/// comparator.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StudyPaths {
+    /// Lines shown usable by a simulated pattern that propagates a flip to
+    /// a primary output.
+    pub witnessed: usize,
+    /// Lines no simulated pattern propagated, decided by the OBDD query.
+    pub proved: usize,
+}
 
 /// One element-test request for the batched entry point
 /// [`AnalogAtpg::test_elements_on`]: the element, the injected deviation and
@@ -386,39 +405,107 @@ impl<'a> AnalogAtpg<'a> {
     /// paper), `D̄` to one above it.
     ///
     /// The two columns are equal by construction, since
-    /// `∂g(¬D)/∂D = ∂g(D)/∂D`; each comparator is asked once.  The whole
-    /// study is one OBDD build of the digital block plus one
-    /// restrict-then-differentiate query per comparator.
+    /// `∂g(¬D)/∂D = ∂g(D)/∂D`; each comparator is asked once.
+    ///
+    /// Each comparator is first asked by simulation, with the stem-region
+    /// PPSFP kernel of the fault simulator: one 64-pattern block with
+    /// random external inputs, the other lines at the thermometer code, and
+    /// the observability word of the comparator's line.  A set bit is a
+    /// pattern under which flipping the line changes a primary output, that
+    /// is, an external assignment under which an output depends on the
+    /// line — exactly when the OBDD query finds a propagating assignment.
+    /// Only a line the block leaves unobserved goes to the OBDD query: one
+    /// build of the digital block, made on first need, plus one
+    /// restrict-then-differentiate query per such line, which proves it
+    /// usable or not.  The cones of the lines are compiled once per study.
     ///
     /// # Errors
     ///
     /// Propagates propagation-engine errors.
     pub fn comparator_propagation_study(&self) -> Result<Vec<(bool, bool)>, CoreError> {
-        let connections = self.circuit.connections();
-        let mut engine = self.engine();
-        (0..connections.len())
+        self.comparator_propagation_study_with_paths()
+            .map(|(study, _)| study)
+    }
+
+    /// [`AnalogAtpg::comparator_propagation_study`], together with how many
+    /// lines a simulation witness decided and how many the OBDD query did.
+    ///
+    /// # Errors
+    ///
+    /// Propagates propagation-engine errors.
+    pub fn comparator_propagation_study_with_paths(
+        &self,
+    ) -> Result<(Vec<(bool, bool)>, StudyPaths), CoreError> {
+        let netlist = self.circuit.digital();
+        let lines: Vec<SignalId> = self
+            .circuit
+            .connections()
+            .iter()
+            .map(|&(_, line)| line)
+            .collect();
+        let cones = FaultCones::build(netlist, lines.iter().copied());
+        let mut scratch: PpsfpScratch = PpsfpScratch::new(netlist);
+        let mut memo = ObsMemo::new(&cones);
+        let simulator = Simulator::new(netlist);
+        let mut rng = SplitMix64::new(STUDY_SEED);
+        // The comparator driving each primary input, if any.
+        let driven_by: Vec<Option<usize>> = netlist
+            .primary_inputs()
+            .iter()
+            .map(|&pi| lines.iter().position(|&l| l == pi))
+            .collect();
+        let mut good = vec![[0u64; 1]; netlist.signal_count()];
+        let mut engine = None;
+        let mut paths = StudyPaths::default();
+        let study = (0..lines.len())
             .map(|idx| {
                 // Fault-free code: thermometer with `idx + 1` ones (the input
                 // amplitude sits just above this comparator's reference), so
                 // lines below the flipped comparator are 1, above are 0.
-                let fixed: HashMap<SignalId, bool> = connections
+                // The flipped line itself is free: its observability word
+                // does not depend on its own value.
+                for (&pi, &comparator) in netlist.primary_inputs().iter().zip(&driven_by) {
+                    good[pi.index()] = match comparator {
+                        Some(j) if j < idx => [u64::MAX],
+                        Some(_) => [0],
+                        None => [rng.next_u64()],
+                    };
+                }
+                simulator.settle_blocks(&mut good);
+                memo.clear();
+                let [observed] = scratch.observability_block(
+                    netlist,
+                    &cones,
+                    &mut memo,
+                    lines[idx],
+                    &good,
+                    [u64::MAX],
+                );
+                if observed != 0 {
+                    paths.witnessed += 1;
+                    return Ok((true, true));
+                }
+                paths.proved += 1;
+                let fixed: HashMap<SignalId, bool> = lines
                     .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != idx)
-                    .map(|(j, &(_, other_line))| (other_line, j < idx))
+                    .map(|(j, &other_line)| (other_line, j < idx))
                     .collect();
                 let propagates = engine
-                    .find_propagating_assignment(&fixed, connections[idx].1, Logic::D)?
+                    .get_or_insert_with(|| self.engine())
+                    .find_propagating_assignment(&fixed, lines[idx], Logic::D)?
                     .is_some();
                 Ok((propagates, propagates))
             })
-            .collect()
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        Ok((study, paths))
     }
 
     /// [`AnalogAtpg::comparator_propagation_study`] with a pool argument
     /// kept for callers that thread one pool through every stage.  The
-    /// study runs on the calling thread: one OBDD build serves every
-    /// comparator, so there are no independent work units left to spread.
+    /// study runs on the calling thread: one simulation block per
+    /// comparator and at most one OBDD build leave no work worth spreading.
     ///
     /// # Errors
     ///

@@ -87,10 +87,13 @@ use std::time::{Duration, Instant};
 use msatpg_bdd::{Bdd, BddBudget, BddError, BddManager, Cube, VarId};
 use msatpg_conversion::constraints::AllowedCodes;
 use msatpg_digital::fault::{FaultList, StuckAtFault};
-use msatpg_digital::fault_sim::{block_mask, FaultCones, FaultSimulator, PpsfpScratch, WordWidth};
+use msatpg_digital::fault_sim::{
+    block_mask, FaultCones, FaultSimulator, ObsMemo, PpsfpScratch, WordWidth,
+};
 use msatpg_digital::gate::GateKind;
 use msatpg_digital::netlist::{Netlist, SignalId};
 use msatpg_digital::random_tpg::RandomPatternGenerator;
+use msatpg_digital::region::RegionMap;
 use msatpg_digital::sim::Simulator;
 use msatpg_digital::DigitalError;
 use msatpg_exec::{CancelToken, ChaosEvent, ChaosInjector, ExecPolicy, PanicPolicy, WorkerPool};
@@ -288,9 +291,16 @@ const GENERATE_CHUNK: usize = 8;
 
 /// The width-generic coverage store behind [`ReplayState`]: generated
 /// patterns accumulate in `64 * W`-wide good-value blocks, and a candidate
-/// fault is checked against a whole block with one cone-bounded propagation
-/// (the same PPSFP kernel the fault simulator uses) instead of one full
-/// faulty evaluation per (fault, pattern).
+/// fault is checked against a whole block with the stem-region PPSFP kernel
+/// the fault simulator uses ([`PpsfpScratch`]): its activation word, ANDed
+/// with the side inputs of its single-reader path, ANDed with the
+/// observability word of its region's stem.  The cones are compiled once
+/// per stem, not per fault site.
+///
+/// Each block memoizes the observability of the stems it has been asked
+/// about.  A full block never changes, so its entries stay valid for the
+/// rest of the run; absorbing a pattern into the open block changes its good
+/// values, so that block's memo is cleared.
 ///
 /// The coverage answer is a boolean OR over all absorbed patterns, so it is
 /// independent of how those patterns are grouped into blocks — which is why
@@ -298,9 +308,16 @@ const GENERATE_CHUNK: usize = 8;
 struct WideCoverage<const W: usize> {
     cones: FaultCones,
     scratch: PpsfpScratch<W>,
-    /// Good-value blocks and valid-pattern mask per block; patterns fill
-    /// the last block lane bit by lane bit.
-    blocks: Vec<(Vec<[u64; W]>, [u64; W])>,
+    /// Patterns fill the last block lane bit by lane bit.
+    blocks: Vec<CoverageBlock<W>>,
+}
+
+/// One block of [`WideCoverage`]: good values, valid-pattern mask and the
+/// stem observability memo.
+struct CoverageBlock<const W: usize> {
+    good: Vec<[u64; W]>,
+    mask: [u64; W],
+    obs: ObsMemo<W>,
 }
 
 impl<const W: usize> WideCoverage<W> {
@@ -315,8 +332,16 @@ impl<const W: usize> WideCoverage<W> {
     fn covered(&mut self, netlist: &Netlist, fault: StuckAtFault) -> bool {
         let scratch = &mut self.scratch;
         let cones = &self.cones;
-        self.blocks.iter().any(|(good, mask)| {
-            scratch.detection_block(netlist, cones, fault, good, *mask) != [0; W]
+        self.blocks.iter_mut().any(|block| {
+            let detected = scratch.detection_block(
+                netlist,
+                cones,
+                &mut block.obs,
+                fault,
+                &block.good,
+                block.mask,
+            );
+            detected != [0; W]
         })
     }
 
@@ -338,25 +363,35 @@ impl<const W: usize> WideCoverage<W> {
         if self
             .blocks
             .last()
-            .is_none_or(|(_, mask)| mask[W - 1] == u64::MAX)
+            .is_none_or(|block| block.mask[W - 1] == u64::MAX)
         {
             let mut good = vec![[0; W]; netlist.signal_count()];
             for word in 0..W {
                 settle_word(netlist, &mut good, word);
             }
-            self.blocks.push((good, [0; W]));
+            self.blocks.push(CoverageBlock {
+                good,
+                mask: [0; W],
+                obs: ObsMemo::new(&self.cones),
+            });
         }
         let last = self.blocks.len() - 1;
-        let (good, mask) = &mut self.blocks[last];
-        let slot = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let block = &mut self.blocks[last];
+        let slot = block
+            .mask
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>();
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         for (&pi, &value) in inputs.iter().zip(pattern) {
             if value {
-                good[pi.index()][word] |= bit;
+                block.good[pi.index()][word] |= bit;
             }
         }
-        settle_word(netlist, good, word);
-        mask[word] |= bit;
+        settle_word(netlist, &mut block.good, word);
+        block.mask[word] |= bit;
+        // The open block's good values changed under its memo.
+        block.obs.clear();
         Ok(())
     }
 }
@@ -632,7 +667,7 @@ impl<'a> DigitalAtpg<'a> {
         }
         let fc = manager.one();
         let cone = FaultyCone::new(netlist, manager.zero());
-        let regions = Regions::new(netlist, &cone.fanout);
+        let regions = Regions::new(netlist, RegionMap::new(netlist));
         DigitalAtpg {
             netlist,
             manager,
@@ -937,7 +972,7 @@ impl<'a> DigitalAtpg<'a> {
         //    operand pair without building the product.  Outputs outside the
         //    cone equal their fault-free functions and are skipped; the cone
         //    of the stem holds exactly the outputs of the fault site's cone.
-        let stem = self.regions.stem[fault.signal.index()];
+        let stem = self.regions.map.stem(fault.signal);
         for po_index in 0..self.netlist.primary_outputs().len() {
             if !self.regions.observes(stem, po_index) {
                 continue;
@@ -1006,10 +1041,10 @@ impl<'a> DigitalAtpg<'a> {
             if let Some(sens) = self.regions.sens[at.index()] {
                 break sens;
             }
-            match self.regions.reader[at.index()] {
-                Some(out) => {
+            match self.regions.map.reader(at) {
+                Some(gi) => {
                     path.push(at);
-                    at = out;
+                    at = self.netlist.gates()[gi].output;
                 }
                 None => break self.manager.one(),
             }
@@ -1056,7 +1091,8 @@ impl<'a> DigitalAtpg<'a> {
         }
         let flipped = self.manager.not(self.signal_bdds[stem.index()]);
         if !self.cone.is_seeded(stem, flipped) {
-            self.cone.mark(stem, flipped);
+            self.cone
+                .mark(self.netlist, &self.regions.map, stem, flipped);
         }
         let po = self.netlist.primary_outputs()[po_index];
         let faulty = self
@@ -1333,6 +1369,8 @@ impl<'a> DigitalAtpg<'a> {
     /// scans the candidate patterns in `64 * W`-wide blocks and returns the
     /// **first** detecting pattern in candidate order (first block, first
     /// lane, lowest bit), so the chosen vector is independent of the width.
+    /// Each block costs the fault's path word and at most one walk of its
+    /// region stem's cone, the only cone compiled.
     fn degrade_verify<const W: usize>(
         &self,
         fault: StuckAtFault,
@@ -1341,14 +1379,17 @@ impl<'a> DigitalAtpg<'a> {
         let netlist = self.netlist;
         let cones = FaultCones::build(netlist, [fault.signal]);
         let mut scratch: PpsfpScratch<W> = PpsfpScratch::new(netlist);
+        let mut memo = ObsMemo::new(&cones);
         let simulator = Simulator::new(netlist);
         for block in candidates.chunks(64 * W) {
             let good = simulator
                 .run_parallel_blocks::<W>(block)
                 .map_err(|e| CoreError::Digital(e.to_string()))?;
+            memo.clear();
             let diff = scratch.detection_block(
                 netlist,
                 &cones,
+                &mut memo,
                 fault,
                 &good,
                 block_mask::<W>(block.len()),
@@ -1465,8 +1506,9 @@ impl<'a> DigitalAtpg<'a> {
 
 /// The faulty-circuit builder behind [`DigitalAtpg::stem_derivative`].
 ///
-/// [`FaultyCone::mark`] stamps a site's fanout cone by walking the fanout
-/// lists from the site and seeds the site with a replacement function.
+/// [`FaultyCone::mark`] stamps a site's fanout cone by walking the reader
+/// lists of the engine's [`RegionMap`] from the site and seeds the site
+/// with a replacement function.
 /// [`FaultyCone::output`] then builds one output's faulty function from the
 /// cone gates in its fanin, depth first on an explicit worklist.  What one
 /// output builds is reused by the later outputs of the same seed; a signal
@@ -1477,8 +1519,6 @@ impl<'a> DigitalAtpg<'a> {
 /// point.
 #[derive(Clone)]
 struct FaultyCone {
-    /// Outputs of the gates reading each signal.
-    fanout: Vec<Vec<SignalId>>,
     /// The site and replacement function of the current epoch, while its
     /// builds are usable.
     seed: Option<(SignalId, Bdd)>,
@@ -1498,14 +1538,7 @@ struct FaultyCone {
 impl FaultyCone {
     fn new(netlist: &Netlist, fill: Bdd) -> Self {
         let n = netlist.signal_count();
-        let mut fanout = vec![Vec::new(); n];
-        for gate in netlist.gates() {
-            for input in &gate.inputs {
-                fanout[input.index()].push(gate.output);
-            }
-        }
         FaultyCone {
-            fanout,
             seed: None,
             epoch: 0,
             in_cone: vec![0; n],
@@ -1518,7 +1551,7 @@ impl FaultyCone {
 
     /// Stamps the fanout cone of `site` and seeds the site with `value`, its
     /// function in the faulty circuit.
-    fn mark(&mut self, site: SignalId, value: Bdd) {
+    fn mark(&mut self, netlist: &Netlist, map: &RegionMap, site: SignalId, value: Bdd) {
         self.seed = Some((site, value));
         self.epoch += 1;
         let epoch = self.epoch;
@@ -1528,7 +1561,8 @@ impl FaultyCone {
         self.stack.clear();
         self.stack.push(site);
         while let Some(s) = self.stack.pop() {
-            for &out in &self.fanout[s.index()] {
+            for &gi in map.readers(s) {
+                let out = netlist.gates()[gi as usize].output;
                 if self.in_cone[out.index()] != epoch {
                     self.in_cone[out.index()] = epoch;
                     self.stack.push(out);
@@ -1602,19 +1636,18 @@ impl FaultyCone {
 /// The fanout-free regions of a netlist and the region caches behind
 /// [`DigitalAtpg::try_generate`].
 ///
-/// The structure is computed once from reader counts: a signal read by
-/// exactly one gate pin that is not a primary output has that gate as its
-/// single reader, and every other signal is a stem.  The caches hold
-/// protected functions: `sens(l)` per line and `∂PO/∂s · Fc` per (stem,
-/// output).  They only save work, never change an outcome, and are dropped
-/// wherever `Fc` changes, at every governed target and by
+/// The structure is the digital crate's [`RegionMap`], computed once per
+/// engine: a signal read by exactly one gate pin that is not a primary
+/// output has that gate as its single reader, and every other signal is a
+/// stem — the same regions the PPSFP kernel compiles its cones on.  The
+/// caches hold protected functions: `sens(l)` per line and `∂PO/∂s · Fc`
+/// per (stem, output).  They only save work, never change an outcome, and
+/// are dropped wherever `Fc` changes, at every governed target and by
 /// [`DigitalAtpg::collect_garbage`].
 #[derive(Clone)]
 struct Regions {
-    /// Output of the single gate reading each signal; `None` for a stem.
-    reader: Vec<Option<SignalId>>,
-    /// The stem closing each signal's fanout-free region (a stem's own).
-    stem: Vec<SignalId>,
+    /// Reader lists, single readers and stems.
+    map: RegionMap,
     /// Primary outputs in each signal's fanout cone: a bitset over output
     /// indices, `words` words per signal.
     observed: Vec<u64>,
@@ -1626,28 +1659,17 @@ struct Regions {
 }
 
 impl Regions {
-    /// `fanout` lists the outputs of the gates reading each signal, one
-    /// entry per gate pin.
-    fn new(netlist: &Netlist, fanout: &[Vec<SignalId>]) -> Self {
+    fn new(netlist: &Netlist, map: RegionMap) -> Self {
         let n = netlist.signal_count();
-        let mut reader: Vec<Option<SignalId>> = fanout
-            .iter()
-            .map(|outs| match outs[..] {
-                [out] => Some(out),
-                _ => None,
-            })
-            .collect();
         let outputs = netlist.primary_outputs();
         let words = outputs.len().div_ceil(64);
         let mut observed = vec![0u64; n * words];
         for (k, &po) in outputs.iter().enumerate() {
             observed[po.index() * words + k / 64] |= 1 << (k % 64);
-            reader[po.index()] = None;
         }
         // Gates are in topological order, so in reverse every reader of a
-        // gate's output is done before the gate: the output's stem and cone
-        // outputs are final when they pass to its inputs.
-        let mut stem = netlist.signals();
+        // gate's output is done before the gate: the output's cone outputs
+        // are final when they pass to its inputs.
         for gate in netlist.gates().iter().rev() {
             let out = gate.output.index();
             for &input in &gate.inputs {
@@ -1655,14 +1677,10 @@ impl Regions {
                 for w in 0..words {
                     observed[i * words + w] |= observed[out * words + w];
                 }
-                if reader[i] == Some(gate.output) {
-                    stem[i] = stem[out];
-                }
             }
         }
         Regions {
-            reader,
-            stem,
+            map,
             observed,
             words,
             sens: vec![None; n],
@@ -2053,13 +2071,46 @@ mod tests {
         }
         let batches: Vec<_> = patterns.chunks(64 * W).collect();
         assert_eq!(coverage.blocks.len(), batches.len());
-        for ((good, mask), batch) in coverage.blocks.iter().zip(batches) {
+        for (block, batch) in coverage.blocks.iter().zip(batches) {
             let expected = Simulator::new(netlist)
                 .run_parallel_blocks::<W>(batch)
                 .unwrap();
-            assert_eq!(good, &expected, "W = {W}");
-            assert_eq!(*mask, block_mask::<W>(batch.len()), "W = {W}");
+            assert_eq!(block.good, expected, "W = {W}");
+            assert_eq!(block.mask, block_mask::<W>(batch.len()), "W = {W}");
         }
+    }
+
+    /// Interleaves absorbs and queries: after every absorbed pattern the
+    /// screen must answer, fault by fault, exactly what a fault simulation
+    /// of the patterns so far answers — no observability word computed on
+    /// the open block may outlive the pattern that changes it.
+    fn assert_screen_tracks_absorbs<const W: usize>(netlist: &Netlist, count: usize) {
+        let faults = FaultList::collapsed(netlist);
+        let patterns = RandomPatternGenerator::new(netlist, 11).patterns(count);
+        let mut coverage = WideCoverage::<W>::new(netlist, &faults);
+        for end in 1..=count {
+            coverage.absorb(netlist, &patterns[end - 1]).unwrap();
+            let result = FaultSimulator::new(netlist)
+                .run(&faults, &patterns[..end])
+                .unwrap();
+            for &fault in faults.faults() {
+                assert_eq!(
+                    coverage.covered(netlist, fault),
+                    result.detected().contains(&fault),
+                    "W = {W}, {end} patterns, {}",
+                    fault.describe(netlist)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn screen_answers_track_every_absorbed_pattern() {
+        let circuit = msatpg_digital::benchmarks::c432();
+        // Across a block boundary at one lane, inside one open block at
+        // eight.
+        assert_screen_tracks_absorbs::<1>(&circuit, 70);
+        assert_screen_tracks_absorbs::<8>(&circuit, 40);
     }
 
     #[test]
@@ -2363,7 +2414,8 @@ mod tests {
         if atpg.signal_bdds[fault.signal.index()] == stuck {
             return false;
         }
-        atpg.cone.mark(fault.signal, stuck);
+        atpg.cone
+            .mark(atpg.netlist, &atpg.regions.map, fault.signal, stuck);
         true
     }
 
@@ -2526,7 +2578,7 @@ mod tests {
                         .enumerate()
                         .filter(|&(_, po)| cone.in_cone[po.index()] == cone.epoch)
                         .collect();
-                    let stem = atpg.regions.stem[fault.signal.index()];
+                    let stem = atpg.regions.map.stem(fault.signal);
                     let stem_outputs: Vec<usize> = (0..digital.primary_outputs().len())
                         .filter(|&k| atpg.regions.observes(stem, k))
                         .collect();
@@ -2536,7 +2588,8 @@ mod tests {
                         .iter()
                         .map(|&(_, po)| miter_test_set(&mut atpg, po))
                         .collect();
-                    atpg.cone.mark(fault.signal, d);
+                    atpg.cone
+                        .mark(atpg.netlist, &atpg.regions.map, fault.signal, d);
                     let papers: Vec<Bdd> = outputs
                         .iter()
                         .map(|&(_, po)| {
@@ -2580,7 +2633,7 @@ mod tests {
         let out = netlist.gate(GateKind::And, "out", &[line, b]);
         netlist.mark_output(out);
         let mut atpg = DigitalAtpg::new(&netlist);
-        assert_eq!(atpg.regions.stem[a.index()], out);
+        assert_eq!(atpg.regions.map.stem(a), out);
         match atpg.generate(StuckAtFault::sa0(a)) {
             TestOutcome::Detected(vector) => {
                 assert_eq!(vector.assignment, vec![Some(true), Some(true)]);

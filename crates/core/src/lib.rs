@@ -41,7 +41,9 @@ pub use msatpg_digital::fault_sim::WordWidth;
 pub use msatpg_exec::{CancelToken, ChaosInjector, ExecPolicy, PanicPolicy, PoolStats, WorkerPool};
 
 pub use activation::{DeviationSign, StimulusPlan};
-pub use analog_atpg::{AnalogAtpg, AnalogTestEntry, AnalogTestOutcome, AnalogTestVector};
+pub use analog_atpg::{
+    AnalogAtpg, AnalogTestEntry, AnalogTestOutcome, AnalogTestVector, StudyPaths,
+};
 pub use digital_atpg::{
     AbortReason, AtpgReport, DegradePolicy, DigitalAtpg, TestOutcome, TestVector,
 };

@@ -5,10 +5,26 @@
 //! * **PPSFP** (parallel-pattern single-fault propagation), the default used
 //!   by [`FaultSimulator::run`]: the good circuit is simulated once per
 //!   64-pattern word with [`crate::sim::Simulator::run_parallel_all`]; each
-//!   live fault is then injected at its site and re-evaluated only through
-//!   the gates of its precomputed output cone, and all 64 pattern outcomes
-//!   are decided with a single XOR against the good output words.  Cost per
-//!   (fault, 64-pattern block) is `O(|cone|)` instead of `O(|circuit|·64)`.
+//!   live fault's detection word is then read off its fanout-free region
+//!   ([`crate::region`]):
+//!
+//!   ```text
+//!   detect(l) = (good_l ⊕ v) · sens(l) · obs(s)
+//!   ```
+//!
+//!   for a fault *l* s-a-*v* whose region closes at stem *s*.  `sens(l)`
+//!   ANDs, on good-value words, the side-input conditions of the gates on
+//!   the single-reader path from *l* to *s*, and `obs(s)` — the patterns
+//!   where flipping *s* changes some primary output — comes from one
+//!   propagation through the stem's compiled output cone with the stem's
+//!   good word complemented, memoized per (stem, block).  The side inputs
+//!   of a fanout-free path are fault-free (a side input in the fanout of *l*
+//!   would need a second reader on the path), so the fault flips *s*
+//!   exactly where `(good_l ⊕ v) · sens(l)` holds, and the word is exact.
+//!   This is critical-path tracing inside fanout-free regions with
+//!   stem-only fault propagation; cost per 64-pattern block is one cone
+//!   walk per stem plus `O(|path|)` word operations per fault, instead of
+//!   the serial path's `O(|circuit| · 64)` per fault.
 //! * **Serial**, kept as the reference implementation and available through
 //!   [`FaultSimulator::run_serial`]: one full faulty evaluation per
 //!   (fault, pattern) pair, with the good simulation hoisted out of the
@@ -20,13 +36,13 @@
 //! ## Parallel execution
 //!
 //! The PPSFP engine is embarrassingly parallel over faults: within one
-//! 64-pattern block every fault's cone propagation is independent.
+//! 64-pattern block every fault's detection word is independent.
 //! [`FaultSimulator::with_policy`] partitions the fault list into chunks
 //! executed on the [`msatpg_exec`] worker pool — each worker owns its own
-//! [`PpsfpScratch`] word buffers — and the per-chunk detection results are
-//! merged back **in fault-list order**, so the detected / undetected vectors
-//! (and therefore every downstream report) are byte-identical to a serial
-//! run.
+//! [`PpsfpScratch`] word buffers and [`ObsMemo`] — and the per-chunk
+//! detection results are merged back **in fault-list order**, so the
+//! detected / undetected vectors (and therefore every downstream report)
+//! are byte-identical to a serial run.
 //!
 //! A whole campaign runs inside **one pool session**
 //! ([`msatpg_exec::WorkerPool::session`]): the worker set is spawned once
@@ -42,11 +58,12 @@
 //! ## Wide blocks
 //!
 //! The pattern word generalizes from a single `u64` to a block of `W`
-//! lanes (`[u64; W]`, W ∈ {1, 8}) selected by [`WordWidth`]: one cone
-//! walk then decides up to `64 * W` patterns, the good circuit is batched
-//! the same way ([`crate::sim::Simulator::run_parallel_blocks`]), and the
-//! lane loops are plain array iterations that auto-vectorize to 256/512-bit
-//! SIMD at `--release` with no `std::simd` dependency.  Pattern `p` lives
+//! lanes (`[u64; W]`, W ∈ {1, 8}) selected by [`WordWidth`]: one path
+//! word and one cone walk then decide up to `64 * W` patterns, the good
+//! circuit is batched the same way
+//! ([`crate::sim::Simulator::run_parallel_blocks`]), and the lane loops
+//! are plain array iterations that auto-vectorize to 256/512-bit SIMD at
+//! `--release` with no `std::simd` dependency.  Pattern `p` lives
 //! in bit `p % 64` of lane `p / 64`, so lane `l` of a wide block is exactly
 //! the `l`-th 64-pattern word of a `W = 1` run.  Detections within a block
 //! are ordered by `(first detecting lane, fault index)`, which reproduces
@@ -55,7 +72,7 @@
 //!
 //! In the pooled path the fault list is additionally partitioned by
 //! **cone affinity**: faults are greedily grouped into worker chunks by
-//! shared gate support (a 64-bucket signature of each precomputed cone), so
+//! shared gate support (a 64-bucket signature of each stem cone), so
 //! one worker replays hot cache lines instead of striding the whole
 //! circuit.  The grouping is a pure permutation of the chunk layout; the
 //! lane-ordered merge above makes it invisible in the results.
@@ -68,6 +85,7 @@ use msatpg_exec::{CancelToken, ExecPolicy, WorkerPool};
 use crate::fault::{FaultList, StuckAtFault};
 use crate::gate::GateKind;
 use crate::netlist::{Netlist, SignalId};
+use crate::region::RegionMap;
 use crate::sim::Simulator;
 use crate::DigitalError;
 
@@ -132,7 +150,7 @@ struct OutResolve {
     /// Global signal index of the primary output.
     signal: u32,
     /// `1 +` the cone position of the output's last in-cone driver, or `0`
-    /// when the output is the fault site itself (live from activation on).
+    /// when the output is the cone's site itself (live from the seed on).
     /// If the driver was cut off by the early exit the output provably
     /// equals the good circuit and contributes nothing.
     driver_pos_plus1: u32,
@@ -140,14 +158,14 @@ struct OutResolve {
     slot: u32,
 }
 
-/// The propagation cone of one fault site: every gate whose output can be
+/// The propagation cone of one site: every gate whose output can be
 /// affected by the site (in topological order) and every primary output
 /// reachable from it (including the site itself when it is an output).
 ///
 /// The cone is *compiled*: gate inputs are pre-resolved to either a global
-/// good-value index (signals untouched by the fault) or a dense cone-local
+/// good-value index (signals untouched by the site) or a dense cone-local
 /// scratch slot (the site is slot 0, affected signals follow in first-write
-/// order).  That keeps the per-fault scratch the size of the cone — L1-hot
+/// order).  That keeps the walk's scratch the size of the cone — L1-hot
 /// even at eight 64-bit lanes — where indexing scratch by global signal id
 /// spills wide blocks to L2 on the larger ISCAS circuits, and it replaces
 /// the per-input "written this walk?" stamp test with a compile-time fact.
@@ -165,145 +183,188 @@ struct Cone {
     /// Number of scratch slots the cone writes (bounded by the netlist's
     /// signal count).
     slots: u32,
-    /// [`ConeOp::last_read`] encoding for the fault site signal itself.
+    /// [`ConeOp::last_read`] encoding for the site signal itself.
     site_last_read: u32,
 }
 
-/// Precomputed propagation cones for a set of fault sites.
-///
-/// A build lists the readers of every signal once; each site then collects
-/// its cone by walking those lists from the site, so its cost is the size
-/// of the cone, not of the netlist.  The cones are what makes PPSFP cheap —
-/// re-simulating a fault only walks the gates that can actually change.
-#[derive(Clone, Debug, Default)]
-pub struct FaultCones {
-    cones: HashMap<SignalId, Cone>,
+/// Per-signal scratch of cone collection and compilation, allocated once
+/// per build and left clean after every cone.
+struct ConeCompiler {
+    /// Marks the signals a walk has reached.
+    affected: Vec<bool>,
+    /// `1 + position` of the last cone gate reading a signal (0 = never
+    /// read inside the cone).
+    last_read: Vec<u32>,
+    /// The scratch slot assigned to a signal (`u32::MAX` = untouched,
+    /// resolves to the good circuit).
+    slot_of: Vec<u32>,
+    /// `1 +` the cone position of a signal's last driver (0 = the site).
+    driver_of: Vec<u32>,
+    /// Breadth-first queue of a walk.
+    touched: Vec<SignalId>,
 }
 
-impl FaultCones {
-    /// Builds cones for every distinct signal in `sites`.
-    pub fn build<I: IntoIterator<Item = SignalId>>(netlist: &Netlist, sites: I) -> Self {
+impl ConeCompiler {
+    fn new(netlist: &Netlist) -> Self {
         assert!(
             netlist.signal_count() < SLOT_TAG as usize,
             "signal indices must leave the slot tag bit free"
         );
-        let mut cones = HashMap::new();
-        let mut affected = vec![false; netlist.signal_count()];
-        // Scratch for the last-read pass: `1 + position` of the last cone
-        // gate reading a signal (0 = never read inside the cone).
-        let mut last_read = vec![0u32; netlist.signal_count()];
-        // Scratch for cone compilation: the scratch slot assigned to a
-        // signal (`u32::MAX` = untouched, resolves to the good circuit) and
-        // `1 +` the cone position of its last driver (0 = the site itself).
-        let mut slot_of = vec![u32::MAX; netlist.signal_count()];
-        let mut driver_of = vec![0u32; netlist.signal_count()];
-        // The gates reading each signal, by gate index.
-        let mut readers = vec![Vec::new(); netlist.signal_count()];
-        for (gi, gate) in netlist.gates().iter().enumerate() {
-            for input in &gate.inputs {
-                readers[input.index()].push(gi as u32);
-            }
+        let n = netlist.signal_count();
+        ConeCompiler {
+            affected: vec![false; n],
+            last_read: vec![0; n],
+            slot_of: vec![u32::MAX; n],
+            driver_of: vec![0; n],
+            touched: Vec::new(),
         }
-        for site in sites {
-            if cones.contains_key(&site) {
-                continue;
-            }
-            // Breadth-first over the reader lists, with `touched` as the
-            // queue: a gate joins the cone once, when its output is first
-            // marked affected.  Gates are stored in topological order, so
-            // sorting by index gives the order a full pass would visit them.
-            affected[site.index()] = true;
-            let mut touched = vec![site];
-            let mut gates = Vec::new();
-            let mut next = 0;
-            while let Some(&signal) = touched.get(next) {
-                next += 1;
-                for &gi in &readers[signal.index()] {
-                    let output = netlist.gates()[gi as usize].output;
-                    if !affected[output.index()] {
-                        affected[output.index()] = true;
-                        touched.push(output);
-                        gates.push(gi);
-                    }
-                }
-            }
-            gates.sort_unstable();
-            // Last-read positions drive the early-exit horizon of
-            // [`PpsfpScratch::detection_block`]: once propagation passes the
-            // last gate that reads any still-differing signal, the rest of
-            // the cone is guaranteed to equal the good circuit.
-            for (pos, &gi) in gates.iter().enumerate() {
-                for input in &netlist.gates()[gi as usize].inputs {
-                    last_read[input.index()] = pos as u32 + 1;
-                }
-            }
-            let site_last_read = last_read[site.index()];
-            // Compile the cone: resolve every input to a scratch slot (set
-            // by an earlier cone write) or a good-value index, in one pass
-            // that mirrors exactly what a full propagation walk would stamp.
-            slot_of[site.index()] = 0;
-            let mut slots = 1u32;
-            let mut ops = Vec::with_capacity(gates.len());
-            let mut input_refs = Vec::new();
-            for (pos, &gi) in gates.iter().enumerate() {
-                let gate = &netlist.gates()[gi as usize];
-                for input in &gate.inputs {
-                    let i = input.index();
-                    input_refs.push(match slot_of[i] {
-                        u32::MAX => i as u32,
-                        slot => SLOT_TAG | slot,
-                    });
-                }
-                let o = gate.output.index();
-                if slot_of[o] == u32::MAX {
-                    slot_of[o] = slots;
-                    slots += 1;
-                }
-                driver_of[o] = pos as u32 + 1;
-                ops.push(ConeOp {
-                    kind: gate.kind,
-                    n_inputs: gate.inputs.len() as u32,
-                    out_slot: slot_of[o],
-                    out_signal: o as u32,
-                    last_read: last_read[o],
-                });
-            }
-            let out_resolve = netlist
-                .primary_outputs()
-                .iter()
-                .filter(|o| affected[o.index()])
-                .map(|o| OutResolve {
-                    signal: o.index() as u32,
-                    driver_pos_plus1: driver_of[o.index()],
-                    slot: slot_of[o.index()],
-                })
-                .collect();
-            for t in touched {
-                affected[t.index()] = false;
-                slot_of[t.index()] = u32::MAX;
-                driver_of[t.index()] = 0;
-            }
-            for &gi in &gates {
-                for input in &netlist.gates()[gi as usize].inputs {
-                    last_read[input.index()] = 0;
-                }
-            }
-            cones.insert(
-                site,
-                Cone {
-                    gates,
-                    ops,
-                    input_refs,
-                    out_resolve,
-                    slots,
-                    site_last_read,
-                },
-            );
-        }
-        FaultCones { cones }
     }
 
-    /// Number of distinct sites with a precomputed cone.
+    /// The gates of `site`'s fanout cone, in topological order: breadth
+    /// first over the reader lists, a gate joining the cone once, when its
+    /// output is first reached.  Gates are stored in topological order, so
+    /// sorting by index gives the order a full pass would visit them.
+    fn walk(&mut self, netlist: &Netlist, regions: &RegionMap, site: SignalId) -> Vec<u32> {
+        self.affected[site.index()] = true;
+        self.touched.clear();
+        self.touched.push(site);
+        let mut gates = Vec::new();
+        let mut next = 0;
+        while let Some(&signal) = self.touched.get(next) {
+            next += 1;
+            for &gi in regions.readers(signal) {
+                let output = netlist.gates()[gi as usize].output;
+                if !self.affected[output.index()] {
+                    self.affected[output.index()] = true;
+                    self.touched.push(output);
+                    gates.push(gi);
+                }
+            }
+        }
+        for t in &self.touched {
+            self.affected[t.index()] = false;
+        }
+        gates.sort_unstable();
+        gates
+    }
+
+    /// Compiles the cone of `site` from its topologically ordered `gates`.
+    fn compile(&mut self, netlist: &Netlist, site: SignalId, gates: Vec<u32>) -> Cone {
+        // Last-read positions drive the early-exit horizon of the cone
+        // walk: once propagation passes the last gate that reads any
+        // still-differing signal, the rest of the cone equals the good
+        // circuit.
+        let mut n_refs = 0;
+        for (pos, &gi) in gates.iter().enumerate() {
+            let inputs = &netlist.gates()[gi as usize].inputs;
+            n_refs += inputs.len();
+            for input in inputs {
+                self.last_read[input.index()] = pos as u32 + 1;
+            }
+        }
+        let site_last_read = self.last_read[site.index()];
+        // Resolve every input to a scratch slot (set by an earlier cone
+        // write) or a good-value index, in one pass that mirrors exactly
+        // what a full propagation walk would stamp.
+        self.slot_of[site.index()] = 0;
+        let mut slots = 1u32;
+        let mut ops = Vec::with_capacity(gates.len());
+        let mut input_refs = Vec::with_capacity(n_refs);
+        for (pos, &gi) in gates.iter().enumerate() {
+            let gate = &netlist.gates()[gi as usize];
+            for input in &gate.inputs {
+                let i = input.index();
+                input_refs.push(match self.slot_of[i] {
+                    u32::MAX => i as u32,
+                    slot => SLOT_TAG | slot,
+                });
+            }
+            let o = gate.output.index();
+            if self.slot_of[o] == u32::MAX {
+                self.slot_of[o] = slots;
+                slots += 1;
+            }
+            self.driver_of[o] = pos as u32 + 1;
+            ops.push(ConeOp {
+                kind: gate.kind,
+                n_inputs: gate.inputs.len() as u32,
+                out_slot: self.slot_of[o],
+                out_signal: o as u32,
+                last_read: self.last_read[o],
+            });
+        }
+        // The site and the gate outputs are exactly the slotted signals.
+        let out_resolve = netlist
+            .primary_outputs()
+            .iter()
+            .filter(|o| self.slot_of[o.index()] != u32::MAX)
+            .map(|o| OutResolve {
+                signal: o.index() as u32,
+                driver_pos_plus1: self.driver_of[o.index()],
+                slot: self.slot_of[o.index()],
+            })
+            .collect();
+        self.slot_of[site.index()] = u32::MAX;
+        for &gi in &gates {
+            let gate = &netlist.gates()[gi as usize];
+            self.slot_of[gate.output.index()] = u32::MAX;
+            self.driver_of[gate.output.index()] = 0;
+            for input in &gate.inputs {
+                self.last_read[input.index()] = 0;
+            }
+        }
+        Cone {
+            gates,
+            ops,
+            input_refs,
+            out_resolve,
+            slots,
+            site_last_read,
+        }
+    }
+}
+
+/// Precomputed propagation cones, one per fanout-free-region stem.
+///
+/// A fault on a line with a single reader reaches the rest of the circuit
+/// only through its region's stem ([`crate::region`]), so a build compiles
+/// one cone per stem closing the region of a requested site, never one per
+/// site.  The reader lists are built once per build; each stem then
+/// collects its cone by walking them, so its cost is the size of the cone,
+/// not of the netlist.
+#[derive(Clone, Debug, Default)]
+pub struct FaultCones {
+    regions: RegionMap,
+    /// Index into `cones` of each stem slot's cone; `u32::MAX` for a stem
+    /// no requested site needs.
+    cone_of_slot: Vec<u32>,
+    cones: Vec<Cone>,
+}
+
+impl FaultCones {
+    /// Builds the cones of the stems closing the regions of `sites`.
+    pub fn build<I: IntoIterator<Item = SignalId>>(netlist: &Netlist, sites: I) -> Self {
+        let mut compiler = ConeCompiler::new(netlist);
+        let regions = RegionMap::new(netlist);
+        let mut cone_of_slot = vec![u32::MAX; regions.stem_count()];
+        let mut cones = Vec::new();
+        for site in sites {
+            let slot = regions.stem_slot(site);
+            if cone_of_slot[slot] == u32::MAX {
+                let stem = regions.stem(site);
+                let gates = compiler.walk(netlist, &regions, stem);
+                cone_of_slot[slot] = cones.len() as u32;
+                cones.push(compiler.compile(netlist, stem, gates));
+            }
+        }
+        FaultCones {
+            regions,
+            cone_of_slot,
+            cones,
+        }
+    }
+
+    /// Number of stems with a compiled cone.
     pub fn len(&self) -> usize {
         self.cones.len()
     }
@@ -313,14 +374,24 @@ impl FaultCones {
         self.cones.is_empty()
     }
 
-    /// Total number of gate entries across all cones (a proxy for the work a
-    /// PPSFP pass performs per 64-pattern block with no fault dropping).
+    /// Total number of gate entries across all cones (a proxy for the work
+    /// of one stem-observability pass per 64-pattern block).
     pub fn total_gate_entries(&self) -> usize {
-        self.cones.values().map(|c| c.gates.len()).sum()
+        self.cones.iter().map(|c| c.gates.len()).sum()
     }
 
-    fn cone(&self, site: SignalId) -> &Cone {
-        &self.cones[&site]
+    /// The cone of the stem in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no requested site lies in that stem's region.
+    fn cone(&self, slot: usize) -> &Cone {
+        &self.cones[self.cone_of_slot[slot] as usize]
+    }
+
+    /// The cone of the stem closing `site`'s region.
+    fn cone_of(&self, site: SignalId) -> &Cone {
+        self.cone(self.regions.stem_slot(site))
     }
 }
 
@@ -438,14 +509,58 @@ impl<const W: usize> GoodWords<W> for [[u64; W]] {
     }
 }
 
-/// Reusable scratch buffers for single-fault block propagation, generic
-/// over the lane count `W` (see [`WordWidth`]; `W = 1` is the legacy
-/// word-per-walk engine).
+/// The stem observability words of one pattern block, memoized per stem
+/// slot: bit `p % 64` of lane `p / 64` of `obs(s)` is set iff flipping the
+/// stem `s` under pattern `p` changes some primary output.
 ///
-/// `faulty` is indexed by *cone-local slot*, not by signal: each fault's
-/// walk writes slots `0..` densely in first-write order (see the compiled
+/// An entry is valid for the good values it was computed on.  Clear the
+/// memo whenever the block's good values change (a new block, or a pattern
+/// absorbed into an open one).
+#[derive(Clone, Debug)]
+pub struct ObsMemo<const W: usize = 1> {
+    obs: Vec<Option<[u64; W]>>,
+}
+
+impl<const W: usize> ObsMemo<W> {
+    /// An empty memo for the stems of `cones`.
+    pub fn new(cones: &FaultCones) -> Self {
+        ObsMemo {
+            obs: vec![None; cones.regions.stem_count()],
+        }
+    }
+
+    /// Forgets every entry.
+    pub fn clear(&mut self) {
+        self.obs.fill(None);
+    }
+}
+
+/// Reusable scratch buffers of the stem-region PPSFP kernel, generic over
+/// the lane count `W` (see [`WordWidth`]).
+///
+/// A fault *l* s-a-*v* in the region of stem *s* is detected by
+///
+/// ```text
+/// detect(l) = (good_l ⊕ v) · sens(l) · obs(s)
+/// ```
+///
+/// on a block of patterns: `sens(l)` is the AND, on good-value words, of
+/// the side-input conditions of the gates on the single-reader path from
+/// *l* to *s* (the other inputs of an AND/NAND, the complemented other
+/// inputs of an OR/NOR, nothing for XOR/XNOR/BUF/NOT), and `obs(s)` comes
+/// from one propagation through the stem's compiled cone with the stem's
+/// good word complemented ([`ObsMemo`] keeps it per block).  This is
+/// critical-path tracing inside fanout-free regions with stem-only fault
+/// propagation.  It is exact because no side input of the path lies in the
+/// fanout of *l* (that would need a second reader on the path): the side
+/// inputs are fault-free, so the fault flips *s* exactly where it is
+/// activated and every path gate passes the change, and flipping *s*
+/// reaches an output exactly on `obs(s)`.
+///
+/// `faulty` is indexed by *cone-local slot*, not by signal: each cone walk
+/// writes slots `0..` densely in first-write order (see the compiled
 /// `Cone`), so the live scratch footprint is the cone size rather than the
-/// netlist size and no invalidation between faults is ever needed — a walk
+/// netlist size and no invalidation between walks is ever needed — a walk
 /// only reads slots it has already written.
 pub struct PpsfpScratch<const W: usize = 1> {
     faulty: Vec<[u64; W]>,
@@ -463,63 +578,152 @@ impl<const W: usize> PpsfpScratch<W> {
         }
     }
 
-    /// Number of gate evaluations performed so far — compared against
+    /// Number of cone gate evaluations performed so far — compared against
     /// [`FaultCones::total_gate_entries`] this exposes how much work the
-    /// event-driven early exit saved.  One wide evaluation counts once
-    /// regardless of `W`.
+    /// memo, the path cut-off and the event-driven early exit saved.  One
+    /// wide evaluation counts once regardless of `W`.
     pub fn gates_evaluated(&self) -> u64 {
         self.gates_evaluated
     }
 
-    /// Propagates `fault` through its cone against the good-value blocks of
-    /// one (up to) `64 * W`-pattern block and returns the block whose bit
-    /// `p % 64` of lane `p / 64` is set iff pattern `p` detects the fault
-    /// at a primary output.
+    /// The block whose bit `p % 64` of lane `p / 64` is set iff pattern `p`
+    /// of one (up to) `64 * W`-pattern block detects `fault` at a primary
+    /// output.
     ///
     /// `good` must come from
     /// [`crate::sim::Simulator::run_parallel_blocks`] on the same netlist
-    /// the cones were built for; `valid_mask` (see [`block_mask`]) selects
-    /// the populated pattern bits.
+    /// the cones were built for, `valid_mask` (see [`block_mask`]) selects
+    /// the populated pattern bits, and `memo` must hold entries of this
+    /// block only.
     ///
     /// # Panics
     ///
-    /// Panics if `cones` has no cone for the fault site.
+    /// Panics if `cones` has no cone for the fault site's stem.
     pub fn detection_block(
         &mut self,
         netlist: &Netlist,
         cones: &FaultCones,
+        memo: &mut ObsMemo<W>,
         fault: StuckAtFault,
         good: &[[u64; W]],
         valid_mask: [u64; W],
     ) -> [u64; W] {
-        debug_assert!(self.faulty.len() >= netlist.signal_count().max(1));
-        self.detection_core(cones, fault, good, valid_mask)
+        self.detection_core(netlist, cones, memo, fault, good, valid_mask)
+    }
+
+    /// The block whose bit `p` is set iff flipping `line` under pattern `p`
+    /// changes some primary output: the detection block of a fault that is
+    /// activated by every pattern.  Same contract as
+    /// [`PpsfpScratch::detection_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cones` has no cone for the line's stem.
+    pub fn observability_block(
+        &mut self,
+        netlist: &Netlist,
+        cones: &FaultCones,
+        memo: &mut ObsMemo<W>,
+        line: SignalId,
+        good: &[[u64; W]],
+        valid_mask: [u64; W],
+    ) -> [u64; W] {
+        self.region_core(netlist, cones, memo, line, valid_mask, good, valid_mask)
     }
 
     fn detection_core<G: GoodWords<W> + ?Sized>(
         &mut self,
+        netlist: &Netlist,
         cones: &FaultCones,
+        memo: &mut ObsMemo<W>,
         fault: StuckAtFault,
         good: &G,
         valid_mask: [u64; W],
     ) -> [u64; W] {
-        let site = fault.signal.index();
-        let stuck_word = if fault.stuck_at { u64::MAX } else { 0 };
         // Patterns that activate the fault: site value != stuck value.
-        let good_site = *good.get(site);
-        let mut active = false;
+        let stuck_word = if fault.stuck_at { u64::MAX } else { 0 };
+        let good_site = good.get(fault.signal.index());
+        let mut active = [0u64; W];
         for l in 0..W {
-            active |= (good_site[l] ^ stuck_word) & valid_mask[l] != 0;
+            active[l] = (good_site[l] ^ stuck_word) & valid_mask[l];
         }
-        if !active {
-            return [0; W];
+        self.region_core(netlist, cones, memo, fault.signal, active, good, valid_mask)
+    }
+
+    /// `word · sens(line) · obs(stem)`: narrows `word` by the side inputs of
+    /// the single-reader path from `line` to its stem, stopping as soon as
+    /// no pattern is left, then ANDs in the stem's observability.
+    #[allow(clippy::too_many_arguments)]
+    fn region_core<G: GoodWords<W> + ?Sized>(
+        &mut self,
+        netlist: &Netlist,
+        cones: &FaultCones,
+        memo: &mut ObsMemo<W>,
+        line: SignalId,
+        mut word: [u64; W],
+        good: &G,
+        valid_mask: [u64; W],
+    ) -> [u64; W] {
+        let regions = &cones.regions;
+        let mut at = line;
+        loop {
+            if word == [0; W] {
+                return word;
+            }
+            let Some(gi) = regions.reader(at) else { break };
+            let gate = &netlist.gates()[gi];
+            let complement = match gate.kind {
+                GateKind::And | GateKind::Nand => 0,
+                GateKind::Or | GateKind::Nor => u64::MAX,
+                GateKind::Xor | GateKind::Xnor | GateKind::Buf | GateKind::Not => {
+                    at = gate.output;
+                    continue;
+                }
+            };
+            // `at` is read on exactly one pin of this gate.
+            for &input in gate.inputs.iter().filter(|&&i| i != at) {
+                let side = good.get(input.index());
+                for l in 0..W {
+                    word[l] &= side[l] ^ complement;
+                }
+            }
+            at = gate.output;
         }
-        let cone = cones.cone(fault.signal);
+        let slot = regions.stem_slot(at);
+        let obs = match memo.obs[slot] {
+            Some(obs) => obs,
+            None => {
+                let stem_good = good.get(at.index());
+                let mut seed = [0u64; W];
+                for l in 0..W {
+                    seed[l] = stem_good[l] ^ valid_mask[l];
+                }
+                let obs = self.walk_cone(cones.cone(slot), seed, good, valid_mask);
+                memo.obs[slot] = Some(obs);
+                obs
+            }
+        };
+        for l in 0..W {
+            word[l] &= obs[l];
+        }
+        word
+    }
+
+    /// Propagates `seed`, the faulty value of the cone's site, through the
+    /// compiled cone and returns the valid patterns at which some primary
+    /// output differs from the good circuit.
+    fn walk_cone<G: GoodWords<W> + ?Sized>(
+        &mut self,
+        cone: &Cone,
+        seed: [u64; W],
+        good: &G,
+        valid_mask: [u64; W],
+    ) -> [u64; W] {
         debug_assert!(
             cone.slots as usize <= self.faulty.len(),
             "scratch sized for a different netlist"
         );
-        self.faulty[0] = [stuck_word; W];
+        self.faulty[0] = seed;
         // Event-driven tail cut: `horizon` is the last cone position that
         // can still read a signal whose faulty block differs from the good
         // block.  Every gate beyond it is guaranteed to reproduce the good
@@ -573,28 +777,24 @@ impl<const W: usize> PpsfpScratch<W> {
 }
 
 impl PpsfpScratch<1> {
-    /// Propagates `fault` through its cone against the good-value words of
-    /// one (up to) 64-pattern block and returns the word whose bit *i* is
-    /// set iff pattern *i* detects the fault at a primary output.
-    ///
-    /// `good` must come from
-    /// [`crate::sim::Simulator::run_parallel_all`] on the same netlist the
-    /// cones were built for; `valid_mask` selects the populated pattern
-    /// bits.
+    /// [`PpsfpScratch::detection_block`] on the good-value words of one (up
+    /// to) 64-pattern block from
+    /// [`crate::sim::Simulator::run_parallel_all`]: bit *i* of the result
+    /// is set iff pattern *i* detects `fault` at a primary output.
     ///
     /// # Panics
     ///
-    /// Panics if `cones` has no cone for the fault site.
+    /// Panics if `cones` has no cone for the fault site's stem.
     pub fn detection_word(
         &mut self,
         netlist: &Netlist,
         cones: &FaultCones,
+        memo: &mut ObsMemo<1>,
         fault: StuckAtFault,
         good: &[u64],
         valid_mask: u64,
     ) -> u64 {
-        debug_assert!(self.faulty.len() >= netlist.signal_count().max(1));
-        self.detection_core(cones, fault, good, [valid_mask])[0]
+        self.detection_core(netlist, cones, memo, fault, good, [valid_mask])[0]
     }
 }
 
@@ -625,7 +825,7 @@ const FAULT_CHUNK: usize = 64;
 /// fault-list indices that greedily groups faults with overlapping gate
 /// support into the same [`FAULT_CHUNK`]-sized worker chunk.
 ///
-/// Each cone is summarized as a 64-bit signature (bit `b` set iff the cone
+/// Each fault's stem cone is summarized as a 64-bit signature (bit `b` set iff the cone
 /// touches a gate in the `b`-th of 64 equal spans of the topologically
 /// ordered gate list — cheap, and adjacency in topological order is exactly
 /// adjacency in the good-value arrays the walk reads).  Chunks are then
@@ -636,7 +836,7 @@ const FAULT_CHUNK: usize = 64;
 fn affinity_order(fault_list: &[StuckAtFault], cones: &FaultCones) -> Vec<u32> {
     let n_gates = 1 + fault_list
         .iter()
-        .flat_map(|f| cones.cone(f.signal).gates.iter())
+        .flat_map(|f| cones.cone_of(f.signal).gates.iter())
         .map(|&gi| gi as usize)
         .max()
         .unwrap_or(0);
@@ -644,7 +844,7 @@ fn affinity_order(fault_list: &[StuckAtFault], cones: &FaultCones) -> Vec<u32> {
         .iter()
         .map(|f| {
             let mut sig = 0u64;
-            for &gi in &cones.cone(f.signal).gates {
+            for &gi in &cones.cone_of(f.signal).gates {
                 sig |= 1u64 << (gi as usize * 64 / n_gates);
             }
             sig
@@ -788,8 +988,10 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// Simulates a whole pattern set against a fault list with the PPSFP
-    /// engine (good circuit once per 64-pattern word, faulty propagation
-    /// restricted to each fault's precomputed output cone).
+    /// engine: the good circuit once per 64-pattern word, then each fault's
+    /// detection word read off its fanout-free region, `(good_l ⊕ v) ·
+    /// sens(l) · obs(s)`, with one cone propagation per stem and block for
+    /// `obs(s)` (see [`PpsfpScratch`]).
     ///
     /// # Errors
     ///
@@ -856,15 +1058,22 @@ impl<'a> FaultSimulator<'a> {
     ) -> Result<FaultSimResult, DigitalError> {
         let simulator = Simulator::new(self.netlist);
         let mut detected: Vec<StuckAtFault> = Vec::new();
-        let mut detected_set: HashSet<StuckAtFault> = HashSet::new();
         let mut simulated = 0usize;
         let fault_list = faults.faults();
         let n_chunks = fault_list.len().div_ceil(FAULT_CHUNK.max(1));
+        // Detection is a property of the fault, not of its position: every
+        // copy of a fault listed twice shares the flag of its first copy.
+        let mut first: HashMap<StuckAtFault, u32> = HashMap::with_capacity(fault_list.len());
+        let canonical: Vec<u32> = (0..fault_list.len() as u32)
+            .map(|k| *first.entry(fault_list[k as usize]).or_insert(k))
+            .collect();
+        let mut is_detected = vec![false; fault_list.len()];
 
         if pool.policy().is_serial() || n_chunks <= 1 {
             // Serial fast path: one scratch hoisted above the block loop, no
             // pool bookkeeping.
             let mut scratch: PpsfpScratch<W> = PpsfpScratch::new(self.netlist);
+            let mut memo = ObsMemo::new(cones);
             let mut hits: Vec<(u32, u32)> = Vec::new();
             for chunk in patterns.chunks(64 * W) {
                 // Cooperative cancellation at the block boundary: keep every
@@ -876,12 +1085,19 @@ impl<'a> FaultSimulator<'a> {
                 let valid_mask = block_mask::<W>(chunk.len());
                 simulated += chunk.len();
                 hits.clear();
+                memo.clear();
                 for (k, &fault) in fault_list.iter().enumerate() {
-                    if self.drop_detected && detected_set.contains(&fault) {
+                    if self.drop_detected && is_detected[canonical[k] as usize] {
                         continue;
                     }
-                    let diff =
-                        scratch.detection_block(self.netlist, cones, fault, &good, valid_mask);
+                    let diff = scratch.detection_block(
+                        self.netlist,
+                        cones,
+                        &mut memo,
+                        fault,
+                        &good,
+                        valid_mask,
+                    );
                     if let Some(lane) = first_hit_lane(&diff) {
                         hits.push((lane, k as u32));
                     }
@@ -890,9 +1106,10 @@ impl<'a> FaultSimulator<'a> {
                 // these hits across its narrow sub-blocks.
                 hits.sort_unstable();
                 for &(_, k) in &hits {
-                    let fault = fault_list[k as usize];
-                    if detected_set.insert(fault) {
-                        detected.push(fault);
+                    let flag = &mut is_detected[canonical[k as usize] as usize];
+                    if !*flag {
+                        *flag = true;
+                        detected.push(fault_list[k as usize]);
                     }
                 }
             }
@@ -909,7 +1126,8 @@ impl<'a> FaultSimulator<'a> {
             // The dropped flags are written by the driver strictly between
             // rounds (the submit handshake publishes them), and
             // `detection_block` results do not depend on prior scratch
-            // contents (generation stamps), so per-worker scratch reuse is
+            // contents: each worker keeps its own stem memo and clears it
+            // when the block number changes, so per-worker scratch reuse is
             // schedule-safe.
             //
             // `order` groups faults with overlapping cones into the same
@@ -922,11 +1140,21 @@ impl<'a> FaultSimulator<'a> {
             let drop_detected = self.drop_detected;
             pool.session(
                 n_chunks,
-                || PpsfpScratch::<W>::new(self.netlist),
-                |scratch, block: &(Vec<[u64; W]>, [u64; W]), ci| {
+                || {
+                    (
+                        PpsfpScratch::<W>::new(self.netlist),
+                        ObsMemo::new(cones),
+                        None,
+                    )
+                },
+                |(scratch, memo, memo_block), block: &(Vec<[u64; W]>, [u64; W], usize), ci| {
                     let offset = ci * FAULT_CHUNK;
                     let end = (offset + FAULT_CHUNK).min(order.len());
-                    let (good, valid_mask) = block;
+                    let (good, valid_mask, number) = block;
+                    if *memo_block != Some(*number) {
+                        memo.clear();
+                        *memo_block = Some(*number);
+                    }
                     let mut hits: Vec<(u32, u32)> = Vec::new();
                     for &k in &order[offset..end] {
                         let k = k as usize;
@@ -936,6 +1164,7 @@ impl<'a> FaultSimulator<'a> {
                         let diff = scratch.detection_block(
                             self.netlist,
                             cones,
+                            memo,
                             fault_list[k],
                             good,
                             *valid_mask,
@@ -961,6 +1190,7 @@ impl<'a> FaultSimulator<'a> {
                         Some(chunk) => Some(stage(chunk)?),
                         None => None,
                     };
+                    let mut number = 0;
                     while let Some((good, valid_mask, len)) = staged.take() {
                         // The driver alone consults the cancel token, at the
                         // same block boundary as the serial loop, so the
@@ -969,7 +1199,8 @@ impl<'a> FaultSimulator<'a> {
                             break;
                         }
                         simulated += len;
-                        session.submit((good, valid_mask), n_chunks);
+                        session.submit((good, valid_mask, number), n_chunks);
+                        number += 1;
                         staged = match blocks.next() {
                             Some(chunk) => Some(stage(chunk)?),
                             None => None,
@@ -978,9 +1209,10 @@ impl<'a> FaultSimulator<'a> {
                             session.wait().into_iter().flatten().collect();
                         hits.sort_unstable();
                         for (_, k) in hits {
-                            let fault = fault_list[k as usize];
-                            if detected_set.insert(fault) {
-                                detected.push(fault);
+                            let flag = &mut is_detected[canonical[k as usize] as usize];
+                            if !*flag {
+                                *flag = true;
+                                detected.push(fault_list[k as usize]);
                                 dropped[k as usize].store(true, Ordering::Relaxed);
                             }
                         }
@@ -989,11 +1221,11 @@ impl<'a> FaultSimulator<'a> {
                 },
             )?;
         }
-        let undetected = faults
-            .faults()
+        let undetected = fault_list
             .iter()
-            .copied()
-            .filter(|f| !detected_set.contains(f))
+            .zip(&canonical)
+            .filter(|&(_, &c)| !is_detected[c as usize])
+            .map(|(&f, _)| f)
             .collect();
         Ok(FaultSimResult {
             detected,
@@ -1088,8 +1320,10 @@ impl<'a> FaultSimulator<'a> {
         if self.netlist.is_primary_input(fault.signal) {
             values[fault.signal.index()] = fault.stuck_at;
         }
+        let mut ins = Vec::new();
         for gate in self.netlist.gates() {
-            let ins: Vec<bool> = gate.inputs.iter().map(|i| values[i.index()]).collect();
+            ins.clear();
+            ins.extend(gate.inputs.iter().map(|i| values[i.index()]));
             let mut v = gate.kind.eval(&ins);
             if gate.output == fault.signal {
                 v = fault.stuck_at;
@@ -1127,133 +1361,234 @@ mod tests {
         v
     }
 
-    /// The cone build before the reader-list walk: one pass over the whole
+    /// The cone gates before the reader-list walk: one pass over the whole
     /// gate list per site.  Kept as the oracle of
     /// `fanout_walk_cones_match_the_gate_scan`.
-    fn build_by_gate_scan<I: IntoIterator<Item = SignalId>>(
-        netlist: &Netlist,
-        sites: I,
-    ) -> FaultCones {
-        assert!(
-            netlist.signal_count() < SLOT_TAG as usize,
-            "signal indices must leave the slot tag bit free"
-        );
-        let mut cones = HashMap::new();
+    fn gates_by_scan(netlist: &Netlist, site: SignalId) -> Vec<u32> {
         let mut affected = vec![false; netlist.signal_count()];
-        // Scratch for the last-read pass: `1 + position` of the last cone
-        // gate reading a signal (0 = never read inside the cone).
-        let mut last_read = vec![0u32; netlist.signal_count()];
-        // Scratch for cone compilation: the scratch slot assigned to a
-        // signal (`u32::MAX` = untouched, resolves to the good circuit) and
-        // `1 +` the cone position of its last driver (0 = the site itself).
-        let mut slot_of = vec![u32::MAX; netlist.signal_count()];
-        let mut driver_of = vec![0u32; netlist.signal_count()];
-        for site in sites {
-            if cones.contains_key(&site) {
-                continue;
+        affected[site.index()] = true;
+        let mut gates = Vec::new();
+        for (gi, gate) in netlist.gates().iter().enumerate() {
+            if gate.inputs.iter().any(|i| affected[i.index()]) {
+                affected[gate.output.index()] = true;
+                gates.push(gi as u32);
             }
-            affected[site.index()] = true;
-            let mut touched = vec![site];
-            let mut gates = Vec::new();
-            for (gi, gate) in netlist.gates().iter().enumerate() {
-                if gate.inputs.iter().any(|i| affected[i.index()]) {
-                    affected[gate.output.index()] = true;
-                    touched.push(gate.output);
-                    gates.push(gi as u32);
-                }
-            }
-            // Last-read positions drive the early-exit horizon of
-            // [`PpsfpScratch::detection_block`]: once propagation passes the
-            // last gate that reads any still-differing signal, the rest of
-            // the cone is guaranteed to equal the good circuit.
-            for (pos, &gi) in gates.iter().enumerate() {
-                for input in &netlist.gates()[gi as usize].inputs {
-                    last_read[input.index()] = pos as u32 + 1;
-                }
-            }
-            let site_last_read = last_read[site.index()];
-            // Compile the cone: resolve every input to a scratch slot (set
-            // by an earlier cone write) or a good-value index, in one pass
-            // that mirrors exactly what a full propagation walk would stamp.
-            slot_of[site.index()] = 0;
-            let mut slots = 1u32;
-            let mut ops = Vec::with_capacity(gates.len());
-            let mut input_refs = Vec::new();
-            for (pos, &gi) in gates.iter().enumerate() {
-                let gate = &netlist.gates()[gi as usize];
-                for input in &gate.inputs {
-                    let i = input.index();
-                    input_refs.push(match slot_of[i] {
-                        u32::MAX => i as u32,
-                        slot => SLOT_TAG | slot,
-                    });
-                }
-                let o = gate.output.index();
-                if slot_of[o] == u32::MAX {
-                    slot_of[o] = slots;
-                    slots += 1;
-                }
-                driver_of[o] = pos as u32 + 1;
-                ops.push(ConeOp {
-                    kind: gate.kind,
-                    n_inputs: gate.inputs.len() as u32,
-                    out_slot: slot_of[o],
-                    out_signal: o as u32,
-                    last_read: last_read[o],
-                });
-            }
-            let out_resolve = netlist
-                .primary_outputs()
-                .iter()
-                .filter(|o| affected[o.index()])
-                .map(|o| OutResolve {
-                    signal: o.index() as u32,
-                    driver_pos_plus1: driver_of[o.index()],
-                    slot: slot_of[o.index()],
-                })
-                .collect();
-            for t in touched {
-                affected[t.index()] = false;
-                slot_of[t.index()] = u32::MAX;
-                driver_of[t.index()] = 0;
-            }
-            for &gi in &gates {
-                for input in &netlist.gates()[gi as usize].inputs {
-                    last_read[input.index()] = 0;
-                }
-            }
-            cones.insert(
-                site,
-                Cone {
-                    gates,
-                    ops,
-                    input_refs,
-                    out_resolve,
-                    slots,
-                    site_last_read,
-                },
-            );
         }
-        FaultCones { cones }
+        gates
+    }
+
+    /// A netlist whose line `b` is read on two pins of one XOR (so `b` is a
+    /// stem and the XOR never passes a change on `b`), next to AND/OR/NOR
+    /// regions with side inputs.
+    fn double_pin_circuit() -> Netlist {
+        let mut n = Netlist::new("double-pin");
+        let a = n.input("a");
+        let b = n.input("b");
+        let c = n.input("c");
+        let d = n.input("d");
+        let x = n.gate(GateKind::Xor, "x", &[b, b]);
+        let y = n.gate(GateKind::Or, "y", &[x, a]);
+        let z = n.gate(GateKind::Nor, "z", &[c, d]);
+        let w = n.gate(GateKind::And, "w", &[y, z]);
+        let v = n.gate(GateKind::Nand, "v", &[a, c]);
+        let u = n.gate(GateKind::Xnor, "u", &[w, v]);
+        n.mark_output(u);
+        n.mark_output(z);
+        n
+    }
+
+    /// The circuits of the kernel-evidence tests: every ISCAS stand-in, the
+    /// paper's Figure-3 circuit and the double-pin circuit.
+    fn evidence_circuits() -> Vec<Netlist> {
+        let mut netlists = benchmarks::iscas85_suite();
+        netlists.push(circuits::figure3_circuit());
+        netlists.push(double_pin_circuit());
+        netlists
+    }
+
+    /// The per-site engine the stem-region kernel replaced: the fault's own
+    /// fanout cone, compiled for the site and propagated from the stuck
+    /// value.  Kept as the oracle of
+    /// `detection_words_equal_a_full_faulty_propagation`.
+    fn per_site_detection<const W: usize>(
+        netlist: &Netlist,
+        fault: StuckAtFault,
+        good: &[[u64; W]],
+        valid_mask: [u64; W],
+    ) -> [u64; W] {
+        let regions = RegionMap::new(netlist);
+        let mut compiler = ConeCompiler::new(netlist);
+        let gates = compiler.walk(netlist, &regions, fault.signal);
+        let cone = compiler.compile(netlist, fault.signal, gates);
+        let stuck = if fault.stuck_at { u64::MAX } else { 0 };
+        PpsfpScratch::<W>::new(netlist).walk_cone(&cone, [stuck; W], good, valid_mask)
     }
 
     #[test]
     fn fanout_walk_cones_match_the_gate_scan() {
-        let mut netlists = benchmarks::iscas85_suite();
+        let mut netlists = evidence_circuits();
         netlists.push(circuits::adder4());
         for netlist in &netlists {
-            let walked = FaultCones::build(netlist, netlist.signals());
-            let scanned = build_by_gate_scan(netlist, netlist.signals());
-            assert_eq!(walked.len(), netlist.signal_count());
+            let cones = FaultCones::build(netlist, netlist.signals());
+            let regions = &cones.regions;
+            assert_eq!(cones.len(), regions.stem_count());
+            let mut compiler = ConeCompiler::new(netlist);
             for site in netlist.signals() {
-                let (w, s) = (walked.cone(site), scanned.cone(site));
                 let at = format!("{} site {}", netlist.name(), netlist.signal_name(site));
-                assert_eq!(w.gates, s.gates, "{at}: gates");
+                let walked = compiler.walk(netlist, regions, site);
+                assert_eq!(walked, gates_by_scan(netlist, site), "{at}: gates");
+                let stem = regions.stem(site);
+                let (w, s) = (
+                    cones.cone_of(site),
+                    compiler.compile(netlist, stem, gates_by_scan(netlist, stem)),
+                );
+                assert_eq!(w.gates, s.gates, "{at}: stem gates");
                 assert_eq!(w.ops, s.ops, "{at}: ops");
                 assert_eq!(w.input_refs, s.input_refs, "{at}: input refs");
                 assert_eq!(w.out_resolve, s.out_resolve, "{at}: output resolution");
                 assert_eq!(w.slots, s.slots, "{at}: slot count");
                 assert_eq!(w.site_last_read, s.site_last_read, "{at}: site last-read");
+            }
+        }
+    }
+
+    #[test]
+    fn builds_compile_one_cone_per_stem() {
+        let n = benchmarks::c432();
+        let faults = FaultList::collapsed(&n);
+        let sites: HashSet<SignalId> = faults.faults().iter().map(|f| f.signal).collect();
+        let cones = FaultCones::build(&n, faults.faults().iter().map(|f| f.signal));
+        let stems: HashSet<SignalId> = sites.iter().map(|&s| cones.regions.stem(s)).collect();
+        assert_eq!(cones.len(), stems.len());
+        assert!(cones.len() < sites.len(), "regions share their stem's cone");
+        let per_site: usize = sites
+            .iter()
+            .map(|&site| ConeCompiler::new(&n).walk(&n, &cones.regions, site).len())
+            .sum();
+        assert!(cones.total_gate_entries() < per_site);
+    }
+
+    fn assert_words_equal_per_site<const W: usize>(netlist: &Netlist, count: usize) {
+        let faults = FaultList::all(netlist);
+        let cones = FaultCones::build(netlist, faults.faults().iter().map(|f| f.signal));
+        let patterns = random_patterns(netlist.primary_inputs().len(), count, 0x5E6 + W as u64);
+        let sim = Simulator::new(netlist);
+        let mut scratch: PpsfpScratch<W> = PpsfpScratch::new(netlist);
+        let mut memo = ObsMemo::new(&cones);
+        for block in patterns.chunks(64 * W) {
+            let good = sim.run_parallel_blocks::<W>(block).unwrap();
+            let mask = block_mask::<W>(block.len());
+            memo.clear();
+            for &fault in faults.faults() {
+                let word = scratch.detection_block(netlist, &cones, &mut memo, fault, &good, mask);
+                let oracle = per_site_detection(netlist, fault, &good, mask);
+                assert_eq!(
+                    word,
+                    oracle,
+                    "{} W{W} {}",
+                    netlist.name(),
+                    fault.describe(netlist)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn detection_words_equal_a_full_faulty_propagation() {
+        // Every fault of the full universe (stems, fanout-free lines and
+        // primary inputs alike), fault by fault, against its own per-site
+        // cone: 100 patterns are two narrow blocks and one partial wide one.
+        for netlist in &evidence_circuits() {
+            assert_words_equal_per_site::<1>(netlist, 100);
+            assert_words_equal_per_site::<8>(netlist, 100);
+        }
+    }
+
+    #[test]
+    fn observability_is_the_detection_word_of_an_always_active_flip() {
+        // Flipping a line is the union of its two stuck-at faults.
+        for netlist in &evidence_circuits() {
+            let cones = FaultCones::build(netlist, netlist.signals());
+            let patterns = random_patterns(netlist.primary_inputs().len(), 64, 0x0B5);
+            let good = Simulator::new(netlist)
+                .run_parallel_blocks::<1>(&patterns)
+                .unwrap();
+            let mask = block_mask::<1>(64);
+            let mut scratch: PpsfpScratch = PpsfpScratch::new(netlist);
+            let mut memo = ObsMemo::new(&cones);
+            for line in netlist.signals() {
+                let [obs] =
+                    scratch.observability_block(netlist, &cones, &mut memo, line, &good, mask);
+                let [sa0] = per_site_detection(netlist, StuckAtFault::sa0(line), &good, mask);
+                let [sa1] = per_site_detection(netlist, StuckAtFault::sa1(line), &good, mask);
+                assert_eq!(
+                    obs,
+                    sa0 | sa1,
+                    "{} {}",
+                    netlist.name(),
+                    netlist.signal_name(line)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ppsfp_equals_run_serial_at_every_width() {
+        // 70 patterns: one full and one partial narrow block, one partial
+        // wide block.  The serial engine discovers pattern-major and PPSFP
+        // block by block, so the detected order is compared across widths
+        // and the detected set against the serial engine (dropping changes
+        // the order, never the set).
+        for netlist in &evidence_circuits() {
+            let faults = FaultList::collapsed(netlist);
+            let patterns = random_patterns(netlist.primary_inputs().len(), 70, 0x0DE);
+            let serial = FaultSimulator::new(netlist)
+                .run_serial(&faults, &patterns)
+                .unwrap();
+            for dropping in [true, false] {
+                let run = |width| {
+                    FaultSimulator::new(netlist)
+                        .with_fault_dropping(dropping)
+                        .with_word_width(width)
+                        .run(&faults, &patterns)
+                        .unwrap()
+                };
+                let (narrow, wide) = (run(WordWidth::W1), run(WordWidth::W8));
+                let tag = format!("{} dropping={dropping}", netlist.name());
+                assert_eq!(
+                    sorted(narrow.detected()),
+                    sorted(serial.detected()),
+                    "{tag}"
+                );
+                assert_eq!(narrow.undetected(), serial.undetected(), "{tag}");
+                assert_eq!(wide.detected(), narrow.detected(), "{tag}");
+                assert_eq!(wide.undetected(), narrow.undetected(), "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fault_listed_twice_shares_one_detection() {
+        // c432's collapsed list spans several pool chunks.
+        let n = benchmarks::c432();
+        let mut list = FaultList::collapsed(&n).faults().to_vec();
+        list.insert(3, list[10]);
+        list.push(list[0]);
+        let faults = FaultList::from_faults(list);
+        let patterns = random_patterns(n.primary_inputs().len(), 100, 0xD0B);
+        for dropping in [true, false] {
+            let serial = FaultSimulator::new(&n)
+                .with_fault_dropping(dropping)
+                .run_serial(&faults, &patterns)
+                .unwrap();
+            for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
+                let ppsfp = FaultSimulator::new(&n)
+                    .with_fault_dropping(dropping)
+                    .with_policy(policy)
+                    .run(&faults, &patterns)
+                    .unwrap();
+                assert_eq!(sorted(ppsfp.detected()), sorted(serial.detected()));
+                assert_eq!(ppsfp.undetected(), serial.undetected());
             }
         }
     }
@@ -1405,11 +1740,57 @@ mod tests {
 
     #[test]
     fn early_exit_stops_when_the_frontier_equals_the_good_circuit() {
-        // a AND b feeding a long buffer chain: with b = 0 the faulty word at
-        // the AND output equals the good word, so propagation must stop
-        // after evaluating just that one gate instead of walking the chain.
-        use crate::gate::GateKind;
+        // The stem `a` feeds y = a AND c and x0 = a AND b, and x0 a long
+        // buffer chain.  With b = c = 0 the faulty word at both AND outputs
+        // equals the good word, so the stem's cone walk must stop after
+        // those two gates instead of walking the chain.
         let mut n = Netlist::new("chain");
+        let a = n.input("a");
+        let bb = n.input("b");
+        let c = n.input("c");
+        let y = n.gate(GateKind::And, "y", &[a, c]);
+        let mut prev = n.gate(GateKind::And, "x0", &[a, bb]);
+        for i in 1..=10 {
+            prev = n.gate(GateKind::Buf, &format!("x{i}"), &[prev]);
+        }
+        n.mark_output(prev);
+        n.mark_output(y);
+        let fault = StuckAtFault::sa1(a);
+        let cones = FaultCones::build(&n, [a]);
+        assert_eq!(cones.total_gate_entries(), 12);
+        let mut scratch: PpsfpScratch = PpsfpScratch::new(&n);
+        let mut memo = ObsMemo::new(&cones);
+        let sim = Simulator::new(&n);
+        // One pattern: a = 0 (activates s-a-1), b = c = 0 (kill propagation).
+        let good = sim.run_parallel_all(&[vec![false, false, false]]).unwrap();
+        let diff = scratch.detection_word(&n, &cones, &mut memo, fault, &good, word_mask(1));
+        assert_eq!(diff, 0, "the fault effect dies at the AND gates");
+        assert_eq!(
+            scratch.gates_evaluated(),
+            2,
+            "only the AND gates may be evaluated before the early exit"
+        );
+        // The stem's observability is memoized for the block.
+        assert_eq!(
+            scratch.detection_word(&n, &cones, &mut memo, fault, &good, 1),
+            0
+        );
+        assert_eq!(scratch.gates_evaluated(), 2);
+        // With b = 1 the effect propagates: the whole cone is walked and the
+        // fault is detected.
+        let good = sim.run_parallel_all(&[vec![false, true, false]]).unwrap();
+        memo.clear();
+        let diff = scratch.detection_word(&n, &cones, &mut memo, fault, &good, word_mask(1));
+        assert_eq!(diff, 1);
+        assert_eq!(scratch.gates_evaluated(), 14);
+    }
+
+    #[test]
+    fn a_dead_path_word_skips_the_stem_cone() {
+        // a AND b closes at the stem x0, which feeds a buffer chain: with
+        // b = 0 the path word of a fault on `a` is 0 at the AND, and the
+        // stem's cone is never walked.
+        let mut n = Netlist::new("region");
         let a = n.input("a");
         let bb = n.input("b");
         let mut prev = n.gate(GateKind::And, "x0", &[a, bb]);
@@ -1417,27 +1798,19 @@ mod tests {
             prev = n.gate(GateKind::Buf, &format!("x{i}"), &[prev]);
         }
         n.mark_output(prev);
-        let a_sig = n.find_signal("a").unwrap();
-        let fault = StuckAtFault::sa1(a_sig);
-        let cones = FaultCones::build(&n, [a_sig]);
-        assert_eq!(cones.total_gate_entries(), 11);
+        let cones = FaultCones::build(&n, [a]);
+        assert_eq!(cones.len(), 1, "one region, closed at the output");
         let mut scratch: PpsfpScratch = PpsfpScratch::new(&n);
+        let mut memo = ObsMemo::new(&cones);
         let sim = Simulator::new(&n);
-        // One pattern: a = 0 (activates s-a-1), b = 0 (kills propagation).
         let good = sim.run_parallel_all(&[vec![false, false]]).unwrap();
-        let diff = scratch.detection_word(&n, &cones, fault, &good, word_mask(1));
-        assert_eq!(diff, 0, "the fault effect dies at the AND gate");
-        assert_eq!(
-            scratch.gates_evaluated(),
-            1,
-            "only the AND gate may be evaluated before the early exit"
-        );
-        // With b = 1 the effect propagates: the whole chain is walked and
-        // the fault is detected.
+        let diff = scratch.detection_word(&n, &cones, &mut memo, StuckAtFault::sa1(a), &good, 1);
+        assert_eq!(diff, 0);
+        assert_eq!(scratch.gates_evaluated(), 0);
         let good = sim.run_parallel_all(&[vec![false, true]]).unwrap();
-        let diff = scratch.detection_word(&n, &cones, fault, &good, word_mask(1));
+        memo.clear();
+        let diff = scratch.detection_word(&n, &cones, &mut memo, StuckAtFault::sa1(a), &good, 1);
         assert_eq!(diff, 1);
-        assert_eq!(scratch.gates_evaluated(), 12);
     }
 
     #[test]
@@ -1610,11 +1983,16 @@ mod tests {
         let wide_mask = block_mask::<8>(patterns.len());
         let mut wide: PpsfpScratch<8> = PpsfpScratch::new(&n);
         let mut narrow: PpsfpScratch = PpsfpScratch::new(&n);
+        let mut wide_memo = ObsMemo::new(&cones);
+        let mut narrow_memo = ObsMemo::new(&cones);
         for &fault in faults.faults() {
-            let block = wide.detection_block(&n, &cones, fault, &good_wide, wide_mask);
+            let block =
+                wide.detection_block(&n, &cones, &mut wide_memo, fault, &good_wide, wide_mask);
             for (l, chunk) in patterns.chunks(64).enumerate() {
                 let good = sim.run_parallel_all(chunk).unwrap();
-                let word = narrow.detection_word(&n, &cones, fault, &good, word_mask(chunk.len()));
+                narrow_memo.clear();
+                let mask = word_mask(chunk.len());
+                let word = narrow.detection_word(&n, &cones, &mut narrow_memo, fault, &good, mask);
                 assert_eq!(block[l], word, "{fault:?} lane {l}");
             }
         }

@@ -15,30 +15,44 @@
 //!   circuits used in Tables 4, 5 and 7;
 //! * [`bench_format`] — `.bench` reader/writer for loading real netlists;
 //! * [`random_tpg`] — the random test-generation baseline;
-//! * [`prng`] — the in-tree deterministic generator behind both.
+//! * [`prng`] — the in-tree deterministic generator behind both;
+//! * [`region`] — fanout-free regions and their stems.
 //!
 //! # Fault-simulation engine
 //!
 //! [`fault_sim::FaultSimulator::run`] implements **PPSFP**
-//! (parallel-pattern single-fault propagation):
+//! (parallel-pattern single-fault propagation) over fanout-free regions:
 //!
 //! 1. patterns are packed 64 to a machine word and the *good* circuit is
 //!    simulated once per word ([`sim::Simulator::run_parallel_all`]);
-//! 2. for every fault site the transitive *output cone* — the gates and
-//!    primary outputs its effect can reach — is precomputed in one linear
-//!    pass over the netlist ([`fault_sim::FaultCones`]);
-//! 3. each live fault is injected as a constant word at its site and
-//!    re-evaluated only through its cone, reading all unaffected signals
-//!    from the good-value words (copy-on-write with O(1) invalidation);
-//! 4. all 64 pattern verdicts drop out of one XOR between faulty and good
-//!    output words, and detected faults are dropped from later words.
+//! 2. every line's fanout-free region is computed once ([`region`]): a
+//!    line read by exactly one gate pin, and not a primary output, passes
+//!    every change through that gate, and following such single readers
+//!    ends at the region's *stem*;
+//! 3. one output cone is compiled per stem, not per fault site, by walking
+//!    the reader lists ([`fault_sim::FaultCones`]);
+//! 4. a fault *l* s-a-*v* in the region of stem *s* is detected by
+//!    `(good_l ⊕ v) · sens(l) · obs(s)`: its activation word, ANDed with
+//!    the side-input conditions of the gates on the path from *l* to *s*
+//!    (other inputs at 1 for AND/NAND, at 0 for OR/NOR, none for
+//!    XOR/XNOR/BUF/NOT), ANDed with `obs(s)`, the patterns under which
+//!    flipping *s* changes some primary output.  `obs(s)` comes from one
+//!    propagation through the stem's cone with the stem's good word
+//!    complemented, and is memoized per (stem, block)
+//!    ([`fault_sim::ObsMemo`]);
+//! 5. detected faults are dropped from later words.
 //!
-//! Per (fault, 64-pattern word) the cost is `O(|cone|)` word operations
-//! instead of the serial path's `O(|circuit| · 64)` bit operations — a
-//! measured 10–70× on the ≥500-gate benchmark circuits (see
-//! `BENCH_kernels.json`).  The serial reference survives as
-//! [`fault_sim::FaultSimulator::run_serial`] and the two engines are
-//! property-tested to produce identical detected-fault sets.
+//! The word is exact because no side input of a fanout-free path lies in
+//! the fanout of *l* (that would need a second reader on the path): the
+//! side inputs are fault-free, so the fault flips *s* exactly where it is
+//! activated and every path gate passes the change.  This is critical-path
+//! tracing inside fanout-free regions with stem-only fault propagation.
+//! Per 64-pattern word the cost is one cone walk per stem plus a few word
+//! operations per fault, instead of the serial path's `O(|circuit| · 64)`
+//! bit operations per fault (see `BENCH_kernels.json`).  The serial
+//! reference survives as [`fault_sim::FaultSimulator::run_serial`] and the
+//! two engines are property-tested to produce identical detected-fault
+//! sets.
 //!
 //! The word further widens to 256/512-bit blocks (`[u64; 4/8]` lane
 //! arrays that auto-vectorize at `--release`) behind the
@@ -75,6 +89,7 @@ pub mod logic;
 pub mod netlist;
 pub mod prng;
 pub mod random_tpg;
+pub mod region;
 pub mod sim;
 
 /// Execution policy of the workspace worker pool (re-export of

@@ -121,13 +121,25 @@ impl<'a> Simulator<'a> {
             }
             blocks[sig.index()] = block;
         }
+        self.settle_blocks(&mut blocks);
+        Ok(blocks)
+    }
+
+    /// Evaluates every gate, in topological order, on a block per signal
+    /// whose primary-input entries are already packed: the gate pass of
+    /// [`Simulator::run_parallel_blocks`], for callers that pack their
+    /// input words directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` has fewer entries than the netlist has signals.
+    pub fn settle_blocks<const W: usize>(&self, blocks: &mut [[u64; W]]) {
         for gate in self.netlist.gates() {
             let block = gate
                 .kind
                 .eval_block_iter(gate.inputs.iter().map(|i| &blocks[i.index()]));
             blocks[gate.output.index()] = block;
         }
-        Ok(blocks)
     }
 }
 

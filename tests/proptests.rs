@@ -1638,14 +1638,15 @@ fn random_netlist_sized(
     n
 }
 
-/// The Table-5 comparator study (one OBDD build per circuit, one
-/// restrict-then-differentiate query per comparator) agrees with an
-/// exhaustive five-valued sweep: comparator `i` propagates iff, with the
-/// other lines at the thermometer code of `i + 1` ones and a `D` (or `D̄`)
-/// forced on its own line, some external-input assignment drives a fault
-/// effect to a primary output.  Both polarities give the same answer, so the
-/// two Table-5 columns are equal.  Figure 4 plus random netlists with up to
-/// 12 external inputs.
+/// The Table-5 comparator study (a simulation witness first, then one
+/// restrict-then-differentiate OBDD query per line the simulation leaves
+/// open) agrees with an exhaustive five-valued sweep: comparator `i`
+/// propagates iff, with the other lines at the thermometer code of `i + 1`
+/// ones and a `D` (or `D̄`) forced on its own line, some external-input
+/// assignment drives a fault effect to a primary output.  Both polarities
+/// give the same answer, so the two Table-5 columns are equal.  Figure 4
+/// plus random netlists with up to 12 external inputs; both decision paths
+/// must be taken.
 #[test]
 fn comparator_study_matches_exhaustive_composite_simulation() {
     use msatpg::analog::filters;
@@ -1680,10 +1681,14 @@ fn comparator_study_matches_exhaustive_composite_simulation() {
         circuits.push(mixed(netlist, &lines));
     }
     let (mut propagating, mut blocked) = (0, 0);
+    let (mut witnessed, mut proved) = (0, 0);
     for mixed in &circuits {
-        let study = AnalogAtpg::new(mixed)
-            .comparator_propagation_study()
+        let (study, paths) = AnalogAtpg::new(mixed)
+            .comparator_propagation_study_with_paths()
             .unwrap();
+        assert_eq!(paths.witnessed + paths.proved, study.len());
+        witnessed += paths.witnessed;
+        proved += paths.proved;
         let netlist = mixed.digital();
         let connections = mixed.connections();
         let externals = mixed.external_inputs();
@@ -1719,6 +1724,11 @@ fn comparator_study_matches_exhaustive_composite_simulation() {
         }
     }
     assert!(propagating > 0 && blocked > 0, "{propagating} vs {blocked}");
+    // Every witnessed line is usable; every blocked line needed the proof.
+    assert!(
+        witnessed > 0 && proved >= blocked && witnessed + proved == propagating + blocked,
+        "{witnessed} lines by simulation witness, {proved} by OBDD query"
+    );
 }
 
 /// Random netlists survive the crash-consistent store round trip with
