@@ -791,7 +791,8 @@ struct AtpgDerivationReport {
     faults: usize,
     /// Faults whose test set was derived (every fault, dropping off).
     derivations: usize,
-    /// BDD nodes created by the campaign (engine construction excluded);
+    /// BDD nodes created by the campaign, the signal functions it builds
+    /// on demand included (construction declares only the inputs);
     /// deterministic, so `--check` compares it exactly.
     created_nodes: u64,
     /// Peak live nodes of the engine, construction included.
@@ -839,6 +840,64 @@ fn bench_atpg_derivation(name: &str) -> AtpgDerivationReport {
         peak_live_nodes: stats.peak_live_nodes,
         seconds,
     }
+}
+
+/// The `atpg_signal_builds` row: how many gate functions a constrained
+/// campaign with fault dropping builds on demand, against the gate count.
+/// Both are structural and deterministic, so `--check` pins them exactly.
+struct SignalBuildReport {
+    circuit: String,
+    gates: usize,
+    /// Gates whose output function the campaign built.
+    built: usize,
+}
+
+/// The `atpg_signal_builds` row: the Example-3 circuit `name`, constrained,
+/// dropping on, serial.
+fn bench_signal_builds(name: &str) -> SignalBuildReport {
+    let mixed = example3_mixed_circuit(name);
+    let digital = mixed.digital();
+    let (lines, codes) = (mixed.constrained_inputs(), mixed.allowed_codes());
+    let faults = FaultList::collapsed(digital);
+    let mut atpg = DigitalAtpg::new(digital)
+        .with_constraints(&lines, &codes)
+        .expect("Example-3 wiring is valid")
+        .with_policy(ExecPolicy::Serial);
+    atpg.run(&faults).expect("unbudgeted campaign");
+    SignalBuildReport {
+        circuit: name.to_owned(),
+        gates: digital.gate_count(),
+        built: digital
+            .gates()
+            .iter()
+            .filter(|gate| atpg.built_signal_function(gate.output).is_some())
+            .count(),
+    }
+}
+
+/// The `atpg_signal_builds` counts must equal the committed ones: a change
+/// means the campaign reads different signal functions.
+fn check_signal_builds(baseline: &Json, report: &SignalBuildReport) -> Vec<String> {
+    [("gates", report.gates), ("built", report.built)]
+        .into_iter()
+        .filter_map(|(key, measured)| {
+            match baseline
+                .path(&format!("atpg_signal_builds.{key}"))
+                .and_then(Json::as_f64)
+            {
+                Some(committed) if committed == measured as f64 => None,
+                Some(committed) => Some(format!(
+                    "atpg_signal_builds {} {key}: measured {measured} != committed \
+                     {committed:.0} (the count is deterministic; re-record the baseline \
+                     if intended)",
+                    report.circuit
+                )),
+                None => Some(format!(
+                    "atpg_signal_builds {key}: missing from the committed baseline"
+                )),
+            }
+        })
+        .collect()
 }
 
 /// `created_nodes` of the `atpg_derivation` row may not exceed the
@@ -1002,6 +1061,7 @@ fn main() {
     let analog = bench_analog();
     let analog_probe = bench_analog_probe();
     let atpg_derivation = bench_atpg_derivation("c1908");
+    let signal_builds = bench_signal_builds("c1908");
 
     let mut json = String::new();
     json.push_str("{\n  \"fault_sim\": [\n");
@@ -1170,13 +1230,18 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"atpg_derivation\": {{\"circuit\": \"{}\", \"faults\": {}, \"derivations\": {}, \
-         \"created_nodes\": {}, \"peak_live_nodes\": {}, \"seconds\": {:.6}}}\n}}",
+         \"created_nodes\": {}, \"peak_live_nodes\": {}, \"seconds\": {:.6}}},",
         atpg_derivation.circuit,
         atpg_derivation.faults,
         atpg_derivation.derivations,
         atpg_derivation.created_nodes,
         atpg_derivation.peak_live_nodes,
         atpg_derivation.seconds,
+    );
+    let _ = writeln!(
+        json,
+        "  \"atpg_signal_builds\": {{\"circuit\": \"{}\", \"gates\": {}, \"built\": {}}}\n}}",
+        signal_builds.circuit, signal_builds.gates, signal_builds.built,
     );
 
     if check_mode {
@@ -1193,6 +1258,7 @@ fn main() {
         violations.extend(check_bdd_reorder(&reorder));
         violations.extend(check_analog_probe(&analog_probe));
         violations.extend(check_atpg_derivation(&baseline, &atpg_derivation));
+        violations.extend(check_signal_builds(&baseline, &signal_builds));
         let reorder_exact = [
             ("pairs_nodes_before", reorder.pairs_nodes_before),
             ("pairs_nodes_after", reorder.pairs_nodes_after),

@@ -162,15 +162,17 @@ pub fn mux_tree(manager: &mut BddManager, selects: usize) -> Bdd {
 }
 
 /// Builds the fault-free function of every signal of `netlist` over its
-/// primary inputs on `manager` — the symbolic netlist build behind
-/// `DigitalAtpg::new`, shared by the `bdd_memory` Example-3 measurement.
+/// primary inputs on `manager` — the full symbolic netlist build a
+/// `DigitalAtpg` performs when it fills its signal functions (under a
+/// budget, a cancel token or DVO), shared by the `bdd_memory` Example-3
+/// measurement.
 /// Returns the signal functions indexed by signal (undriven signals stay
 /// `None`).
 ///
 /// The gate lowering is the real generator's
 /// [`msatpg_core::digital_atpg::apply_gate`] — not a copy — and the
 /// traversal semantics (last driver wins, inputs must be defined before
-/// use) match both `DigitalAtpg::new` and
+/// use) match both that fill and
 /// [`naive::naive_signal_functions`]: the memory comparison is only
 /// meaningful if both engines build the identical function sequence.
 pub fn signal_functions(manager: &mut BddManager, netlist: &Netlist) -> Vec<Option<Bdd>> {

@@ -258,7 +258,7 @@ pub fn naive_carry_chain_with_activations(manager: &mut NaiveBddManager, bits: u
 }
 
 /// Builds the fault-free function of every signal of `netlist` over its
-/// primary inputs on the naive engine — the `DigitalAtpg::new` workload of
+/// primary inputs on the naive engine — the full signal-function build of
 /// the Example-3 constrained runs.  The ISCAS-style benchmarks are
 /// NAND/NOR-heavy, so the naive engine materializes the negation of almost
 /// every gate output.  Returns the total node population of the build.

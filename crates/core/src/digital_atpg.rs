@@ -30,10 +30,27 @@
 //! where `sens(l)` is the product of the side-input conditions of the gates
 //! on the path from *l* to *s*: for an AND/NAND reader the other inputs at
 //! `1`, for an OR/NOR reader the other inputs at `0`, and no condition for
-//! XOR/XNOR/BUF/NOT.  `D(s, PO)` is the stuck-value miter of the stem,
-//! `(PO ⊕ PO|s:=¬f_s) · Fc`, with the stem replaced by its own complement:
-//! by Shannon expansion on *s*, `PO` and `PO|s:=¬f_s` take the two values
+//! XOR/XNOR/BUF/NOT.  `∂PO/∂s` is the stuck-value miter of the stem,
+//! `PO ⊕ PO|s:=¬f_s`, with the stem replaced by its own complement: by
+//! Shannon expansion on *s*, `PO` and `PO|s:=¬f_s` take the two values
 //! `PO|s=0` and `PO|s=1` at every input, so their XOR is `∂PO/∂s`.
+//!
+//! The miter is never built as two functions and an XOR.  The generator
+//! propagates the *difference* `Δg = g ⊕ g|s:=¬f_s` from the stem, where
+//! `Δs = 1`, through the gates between the stem and the output:
+//!
+//! ```text
+//! BUF, NOT                    Δout = Δin
+//! XOR, XNOR                   Δout = ⊕ Δpin
+//! AND/NAND/OR/NOR, one Δ ≠ 0  Δout = Δpin · local(pin)
+//! two or more Δ ≠ 0           Δout = out ⊕ gate(in_k ⊕ Δ_k)
+//! ```
+//!
+//! with `local(pin)` the side-input rule of `sens`: for an AND gate
+//! `out ⊕ (pin ⊕ Δ) · rest = Δ · rest`, and dually for OR.  So
+//! `D(s, PO) = ΔPO · Fc`, the same function as the miter and therefore the
+//! same canonical node.  An output's own function is never needed, and a
+//! gate's good function only where two or more of its pins changed.
 //!
 //! *Why this is the paper's `S`.*  Every line on the path from *l* to *s*
 //! has a single reader, so the fault reaches the rest of the circuit only
@@ -48,17 +65,27 @@
 //! tried are unchanged as well: an output is in the fanout cone of *l*
 //! exactly when it is in the cone of *s*.
 //!
-//! The expensive part, the faulty cone between the stem and the outputs, is
-//! per-region work.  `sens(l)` is memoized per line (`sens(s) = 1`) and
-//! `D(s, PO)` per (stem, output) the first time a fault of the region tries
-//! that output.  The outputs of a fault are tried in order until one yields
-//! a test, and `D(s, PO)` is built from the gates in `fanout(s) ∩ fanin(PO)`
-//! alone, reusing what earlier outputs of the same stem built.  Outputs
-//! outside the cone of *s* can never differ and are skipped without a BDD
-//! operation.  Under a budget or cancel token, each fault target builds its
-//! `sens` and `D` terms afresh and keeps none of them (see
-//! [`DigitalAtpg::with_budget`]), so governed outcomes stay a pure function
-//! of the fault.
+//! The expensive part, the difference cone between the stem and the
+//! outputs, is per-region work.  `sens(l)` is memoized per line
+//! (`sens(s) = 1`) and `D(s, PO)` per (stem, output) the first time a fault
+//! of the region tries that output.  The outputs of a fault are tried in
+//! order until one yields a test, and `D(s, PO)` is built from the gates in
+//! `fanout(s) ∩ fanin(PO)` alone, reusing what earlier outputs of the same
+//! stem built.  Outputs outside the cone of *s* can never differ and are
+//! skipped without a BDD operation.  Under a budget or cancel token, each
+//! fault target builds its `sens` and `D` terms afresh and keeps none of
+//! them (see [`DigitalAtpg::with_budget`]), so governed outcomes stay a
+//! pure function of the fault.
+//!
+//! The fault-free signal functions are built on first read.  A new engine
+//! holds only the primary-input literals; the first read of a line builds
+//! its function and the unbuilt part of its fanin, and protects them for
+//! the engine's life.  Only `f_l`, the side inputs read by `sens` and the
+//! one-pin rule, and the gates of the two-pin fallback are ever read, so a
+//! campaign with fault dropping builds the fanin closure of what it derives
+//! and nothing else.  An engine that arms a budget or cancel token first
+//! builds every signal function (see [`DigitalAtpg::with_budget`]), so a
+//! governed target never pays for one.
 //!
 //! Each output tried then costs one node-free search:
 //! [`BddManager::try_sat_one_and`] reads the vector off `Δ · D(s, PO)`
@@ -91,7 +118,7 @@ use msatpg_digital::fault_sim::{
     block_mask, FaultCones, FaultSimulator, ObsMemo, PpsfpScratch, WordWidth,
 };
 use msatpg_digital::gate::GateKind;
-use msatpg_digital::netlist::{Netlist, SignalId};
+use msatpg_digital::netlist::{Gate, Netlist, SignalId};
 use msatpg_digital::random_tpg::RandomPatternGenerator;
 use msatpg_digital::region::RegionMap;
 use msatpg_digital::sim::Simulator;
@@ -106,12 +133,12 @@ use crate::CoreError;
 /// Live-node watermark above which the per-fault safe point sweeps the BDD
 /// arena.  Every fault target builds its fault effect afresh, so the
 /// garbage fraction grows linearly with the fault count.  The
-/// long-lived state is protected and survives every collection: the signal
-/// functions and `Fc` from construction, and, on an ungoverned engine, the
-/// region caches (`sens` per line and `∂PO/∂s · Fc` per stem and output)
-/// as they fill.  The sweep is therefore invisible in the generated
-/// vectors.  A fault's transients are its fault effect `Δ` and, on a cache
-/// miss, the stem's faulty cone; its `Δ · D` test sets are never built.  One
+/// long-lived state is protected and survives every collection: `Fc`, the
+/// signal functions built so far and, on an ungoverned engine, the region
+/// caches (`sens` per line and `∂PO/∂s · Fc` per stem and output) as they
+/// fill.  The sweep is therefore invisible in the generated vectors.  A
+/// fault's transients are its fault effect `Δ` and, on a cache miss, the
+/// stem's difference cone; its `Δ · D` test sets are never built.  One
 /// collection spans many faults.
 const GC_WATERMARK: usize = 1 << 16;
 
@@ -530,11 +557,12 @@ impl<'n> ReplayState<'n> {
 pub struct DigitalAtpg<'a> {
     netlist: &'a Netlist,
     manager: BddManager,
-    signal_bdds: Vec<Bdd>,
+    /// The fault-free signal functions, built on first read.
+    signals: SignalFunctions,
     /// BDD variable of each primary input, in netlist primary-input order.
     pi_vars: Vec<VarId>,
     /// Scratch of the stem-derivative build.
-    cone: FaultyCone,
+    cone: DifferenceCone,
     /// The fanout-free regions and their `sens` / `D(s, PO)` caches.
     regions: Regions,
     fc: Bdd,
@@ -647,31 +675,23 @@ impl CampaignJournal {
 impl<'a> DigitalAtpg<'a> {
     /// Builds the generator for a netlist without constraints (`Fc = 1`),
     /// declaring the input variables in netlist order (the paper's order).
+    ///
+    /// Only the primary inputs are declared here.  A gate's function is
+    /// built the first time the derivation reads it (see the module docs),
+    /// or all at once when a budget or cancel token is armed, DVO sifts, or
+    /// [`Self::collect_garbage`] measures the baseline.
     pub fn new(netlist: &'a Netlist) -> Self {
         let mut manager = BddManager::new();
         let pi_literals = declare_input_variables(&mut manager, netlist);
         let pi_vars = pi_literals.iter().map(|&l| manager.root_var(l)).collect();
-        let mut signal_bdds = vec![manager.zero(); netlist.signal_count()];
-        for (i, &pi) in netlist.primary_inputs().iter().enumerate() {
-            signal_bdds[pi.index()] = pi_literals[i];
-        }
-        for gate in netlist.gates() {
-            let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| signal_bdds[i.index()]).collect();
-            signal_bdds[gate.output.index()] = apply_gate(&mut manager, gate.kind, &inputs);
-        }
-        // The signal functions are the engine's long-lived state: register
-        // them as GC roots so the per-fault safe point in
-        // [`DigitalAtpg::generate`] can sweep everything else.
-        for &f in &signal_bdds {
-            manager.protect(f);
-        }
+        let signals = SignalFunctions::new(&mut manager, netlist, &pi_literals);
         let fc = manager.one();
-        let cone = FaultyCone::new(netlist, manager.zero());
+        let cone = DifferenceCone::new(netlist);
         let regions = Regions::new(netlist, RegionMap::new(netlist));
         DigitalAtpg {
             netlist,
             manager,
-            signal_bdds,
+            signals,
             pi_vars,
             cone,
             regions,
@@ -766,16 +786,17 @@ impl<'a> DigitalAtpg<'a> {
 
     /// Sets the dynamic-variable-ordering mode (the default honors the
     /// `MSATPG_DVO` environment variable; see [`DvoMode`]).  When active,
-    /// the engine's manager is sifted to convergence immediately — a
-    /// deterministic construction-time safe point where the signal
-    /// functions and `Fc` are the only protected roots — so apply this
-    /// *after* [`Self::with_constraints`] for the sift to see `Fc`.  The
-    /// parallel worker engines are copies of this one and share whatever
-    /// order it ends with.  A sift interrupted by an armed budget leaves
-    /// the manager consistent and the outcome deterministic, so this method
-    /// stays infallible.
+    /// the engine builds every signal function and sifts its manager to
+    /// convergence immediately — a deterministic construction-time safe
+    /// point where the signal functions and `Fc` are the only protected
+    /// roots — so apply this *after* [`Self::with_constraints`] for the
+    /// sift to see `Fc`.  The parallel worker engines are copies of this
+    /// one and share whatever order it ends with.  A sift interrupted by an
+    /// armed budget leaves the manager consistent and the outcome
+    /// deterministic, so this method stays infallible.
     pub fn with_dvo(mut self, mode: DvoMode) -> Self {
         if mode.is_active() {
+            self.signals.fill(&mut self.manager, self.netlist);
             let _ = self.manager.try_sift_until_convergence();
         }
         self
@@ -794,16 +815,23 @@ impl<'a> DigitalAtpg<'a> {
     ///
     /// The quota is spent only on what a fault needs: the side-input
     /// conditions on the path from the fault site to its region's stem, the
-    /// gates between the stem and the outputs tried, built with the stem
-    /// replaced by its complement, and the node-free searches of those
-    /// outputs' test sets (see [`DigitalAtpg::try_generate`]).  A governed
-    /// engine keeps none of the region caches an ungoverned one shares
-    /// between the faults of a region: a cached term would make a fault's
-    /// node and step use depend on which faults ran before it on this
-    /// engine.  Each target therefore
-    /// builds its own terms, and faults with small regions and cones rarely
-    /// come near the quota.
+    /// differences the stem's flip makes on the gates between the stem and
+    /// the outputs tried, and the node-free searches of those outputs' test
+    /// sets (see [`DigitalAtpg::try_generate`]).  A governed engine keeps
+    /// none of the region caches an ungoverned one shares between the
+    /// faults of a region: a cached term would make a fault's node and step
+    /// use depend on which faults ran before it on this engine.  Each
+    /// target therefore builds its own terms, and faults with small regions
+    /// and cones rarely come near the quota.
+    ///
+    /// For the same reason, arming a limited budget first builds every
+    /// signal function the engine has not built yet, uncharged: the
+    /// baseline every governed target restarts from is the full set of
+    /// signal functions plus `Fc`, whichever faults ran before.
     pub fn with_budget(mut self, budget: BddBudget) -> Self {
+        if !budget.is_unlimited() {
+            self.signals.fill(&mut self.manager, self.netlist);
+        }
         self.budget = budget;
         self.manager.set_budget(budget);
         self
@@ -817,8 +845,11 @@ impl<'a> DigitalAtpg<'a> {
     /// remaining fault is reported as [`TestOutcome::Aborted`] with
     /// [`AbortReason::Deadline`].
     /// Wall-clock deadlines cancel cooperatively too, but their abort point
-    /// is inherently timing-dependent.
+    /// is inherently timing-dependent.  Like [`Self::with_budget`], arming
+    /// a token first builds every signal function, so no target's work
+    /// includes one.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
+        self.signals.fill(&mut self.manager, self.netlist);
         self.manager.set_cancel_token(Some(token.clone()));
         self.cancel = Some(token);
         self
@@ -903,23 +934,40 @@ impl<'a> DigitalAtpg<'a> {
         &self.manager
     }
 
-    /// Runs a full garbage collection, keeping only the engine's protected
-    /// baseline (the signal functions and the constraint `Fc`; the region
-    /// caches are dropped), and returns that baseline's live node count.
-    /// This is the state every governed fault target restarts from, so
+    /// Builds every signal function not built yet, runs a full garbage
+    /// collection that keeps only the engine's protected baseline (every
+    /// signal function and the constraint `Fc`; the region caches are
+    /// dropped), and returns that baseline's live node count.  This is the
+    /// state every governed fault target restarts from, so
     /// `collect_garbage() + margin` is the right way to size a deliberately
     /// tight [`BddBudget::with_max_live_nodes`] quota — the count observed
-    /// during construction overstates the baseline by the build's
-    /// transients.
+    /// during a build overstates the baseline by the build's transients.
     pub fn collect_garbage(&mut self) -> usize {
+        self.signals.fill(&mut self.manager, self.netlist);
         self.regions.clear(&mut self.manager);
         self.manager.gc();
         self.manager.live_node_count()
     }
 
-    /// The BDD of a signal's fault-free function over the primary inputs.
-    pub fn signal_function(&self, signal: SignalId) -> Bdd {
-        self.signal_bdds[signal.index()]
+    /// The BDD of a signal's fault-free function over the primary inputs,
+    /// built (with its unbuilt fanin) on first read.
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: an engine builds on demand only while no budget
+    /// or cancel token is armed, and arming one builds every function.
+    pub fn signal_function(&mut self, signal: SignalId) -> Bdd {
+        match self.signals.get(&mut self.manager, self.netlist, signal) {
+            Ok(f) => f,
+            Err(err) => panic!("signal function build interrupted: {err}"),
+        }
+    }
+
+    /// The function of `signal` if this engine has built it, without
+    /// building it: a primary input always, a gate output once a
+    /// derivation (or a fill) read it.
+    pub fn built_signal_function(&self, signal: SignalId) -> Option<Bdd> {
+        self.signals.built(signal)
     }
 
     /// Generates a test for one fault, ignoring previously generated
@@ -947,10 +995,13 @@ impl<'a> DigitalAtpg<'a> {
     ///
     /// Each output's test set is `Δ · D(s, PO)`: the fault effect at the
     /// stem of the fault's fanout-free region times the stem's derivative
-    /// `∂PO/∂s · Fc`.  It is the same function as the paper's
+    /// `∂PO/∂s · Fc`, where `∂PO/∂s` is the difference the stem's flip
+    /// propagates to the output.  It is the same function as the paper's
     /// `(f_l ⊕ v) · ∂PO/∂l · Fc` (see the module docs), so the vector is the
     /// one the paper's formula gives.  The vector is read off the test set
-    /// without building it (see [`BddManager::try_sat_one_and`]).
+    /// without building it (see [`BddManager::try_sat_one_and`]).  On an
+    /// ungoverned engine the call also builds, and keeps, the signal
+    /// functions it reads for the first time.
     ///
     /// # Errors
     ///
@@ -993,7 +1044,7 @@ impl<'a> DigitalAtpg<'a> {
     /// garbage.  The sweep never renumbers live nodes, so the generated
     /// vectors are byte-identical with or without it.
     fn safe_point(&mut self) {
-        // The stem cone built for an earlier target holds unprotected
+        // The differences built for an earlier target are unprotected
         // handles that a collection may free.
         self.cone.forget();
         if self.governed() {
@@ -1014,7 +1065,9 @@ impl<'a> DigitalAtpg<'a> {
     /// The fault effect `Δ = (f_l ⊕ v) · sens(l)` at the stem of the
     /// fault's fanout-free region; `0` when `f_l` is `v` itself.
     fn fault_effect(&mut self, fault: StuckAtFault) -> Result<Bdd, BddError> {
-        let line = self.signal_bdds[fault.signal.index()];
+        let line = self
+            .signals
+            .get(&mut self.manager, self.netlist, fault.signal)?;
         let activation = if fault.stuck_at {
             self.manager.not(line)
         } else {
@@ -1035,6 +1088,7 @@ impl<'a> DigitalAtpg<'a> {
     /// The path is walked up to the stem or the first memoized line, then
     /// folded back, so a long region costs no recursion depth.
     fn sensitization(&mut self, line: SignalId) -> Result<Bdd, BddError> {
+        let netlist = self.netlist;
         let mut path = Vec::new();
         let mut at = line;
         let mut sens = loop {
@@ -1043,63 +1097,40 @@ impl<'a> DigitalAtpg<'a> {
             }
             match self.regions.map.reader(at) {
                 Some(gi) => {
-                    path.push(at);
-                    at = self.netlist.gates()[gi].output;
+                    path.push((at, gi));
+                    at = netlist.gates()[gi].output;
                 }
                 None => break self.manager.one(),
             }
         };
-        while let Some(l) = path.pop() {
-            let local = self.side_condition(l, at)?;
+        while let Some((l, gi)) = path.pop() {
+            let local =
+                self.signals
+                    .side_condition(&mut self.manager, netlist, &netlist.gates()[gi], l)?;
             sens = self.manager.try_and(local, sens)?;
             self.manager.protect(sens);
             self.regions.sens[l.index()] = Some(sens);
-            at = l;
         }
         Ok(sens)
     }
 
-    /// The condition under which the gate driving `out` passes a change on
-    /// its input `line`: every other input at `1` for AND/NAND, at `0` for
-    /// OR/NOR, and none for XOR/XNOR/BUF/NOT.
-    fn side_condition(&mut self, line: SignalId, out: SignalId) -> Result<Bdd, BddError> {
-        let mut condition = self.manager.one();
-        let Some(gate) = self.netlist.driver(out) else {
-            return Ok(condition);
-        };
-        let complement = match gate.kind {
-            GateKind::And | GateKind::Nand => false,
-            GateKind::Or | GateKind::Nor => true,
-            GateKind::Xor | GateKind::Xnor | GateKind::Buf | GateKind::Not => return Ok(condition),
-        };
-        for &input in gate.inputs.iter().filter(|&&i| i != line) {
-            let f = self.signal_bdds[input.index()];
-            let side = if complement { self.manager.not(f) } else { f };
-            condition = self.manager.try_and(condition, side)?;
-        }
-        Ok(condition)
-    }
-
     /// `D(s, PO) = ∂PO/∂s · Fc` for the stem `stem` and output `po_index`,
-    /// memoized per (stem, output): the stuck-value miter of the stem,
-    /// `(PO ⊕ PO|s:=¬f_s) · Fc`, whose faulty side is built from the gates
-    /// in `fanout(s) ∩ fanin(PO)` alone, reusing what this target built for
-    /// earlier outputs of the same stem.
+    /// memoized per (stem, output): `∂PO/∂s` is the difference `ΔPO` the
+    /// stem's flip propagates through the gates in `fanout(s) ∩ fanin(PO)`
+    /// alone, reusing what this target built for earlier outputs of the
+    /// same stem.
     fn stem_derivative(&mut self, stem: SignalId, po_index: usize) -> Result<Bdd, BddError> {
         if let Some(&derivative) = self.regions.derivatives.get(&(stem, po_index)) {
             return Ok(derivative);
         }
-        let flipped = self.manager.not(self.signal_bdds[stem.index()]);
-        if !self.cone.is_seeded(stem, flipped) {
-            self.cone
-                .mark(self.netlist, &self.regions.map, stem, flipped);
+        if !self.cone.is_seeded(stem) {
+            self.cone.mark(self.netlist, &self.regions.map, stem);
         }
         let po = self.netlist.primary_outputs()[po_index];
-        let faulty = self
-            .cone
-            .output(&mut self.manager, self.netlist, &self.signal_bdds, po)?;
-        let miter = self.manager.try_xor(self.signal_bdds[po.index()], faulty)?;
-        let derivative = self.manager.try_and(miter, self.fc)?;
+        let difference =
+            self.cone
+                .output(&mut self.manager, self.netlist, &mut self.signals, po)?;
+        let derivative = self.manager.try_and(difference, self.fc)?;
         self.manager.protect(derivative);
         self.regions
             .derivatives
@@ -1467,15 +1498,16 @@ impl<'a> DigitalAtpg<'a> {
     }
 
     /// A worker engine for [`Self::derive_on`]: a copy of this engine's
-    /// built manager (signal functions, `Fc`, variable order, budget and
-    /// cancel token) and of its governance, so worker results match inline
-    /// derivation bit for bit.  Workers only *observe* the cancel token
-    /// (the replay loop charges it) and never journal or resume.
+    /// manager (the signal functions built so far, `Fc`, variable order,
+    /// budget and cancel token), of the set of built signals and of its
+    /// governance, so worker results match inline derivation bit for bit.
+    /// Workers only *observe* the cancel token (the replay loop charges it)
+    /// and never journal or resume.
     fn fork(&self) -> Self {
         DigitalAtpg {
             netlist: self.netlist,
             manager: self.manager.clone(),
-            signal_bdds: self.signal_bdds.clone(),
+            signals: self.signals.clone(),
             pi_vars: self.pi_vars.clone(),
             cone: self.cone.clone(),
             regions: self.regions.clone(),
@@ -1504,62 +1536,186 @@ impl<'a> DigitalAtpg<'a> {
     }
 }
 
-/// The faulty-circuit builder behind [`DigitalAtpg::stem_derivative`].
+/// The fault-free signal functions of a [`DigitalAtpg`], built on first
+/// read.
 ///
-/// [`FaultyCone::mark`] stamps a site's fanout cone by walking the reader
-/// lists of the engine's [`RegionMap`] from the site and seeds the site
-/// with a replacement function.
-/// [`FaultyCone::output`] then builds one output's faulty function from the
-/// cone gates in its fanin, depth first on an explicit worklist.  What one
-/// output builds is reused by the later outputs of the same seed; a signal
-/// outside the cone keeps its fault-free function.  Each mark takes a fresh
-/// epoch, which makes every stamp of an earlier mark stale without clearing
-/// anything (a 64-bit epoch does not wrap).  The built functions are not
-/// protected, so the owner [`FaultyCone::forget`]s the seed at every safe
-/// point.
+/// [`SignalFunctions::new`] holds the primary-input literals.
+/// [`SignalFunctions::get`] builds a gate output's function, and every
+/// unbuilt signal of its fanin, depth first on an explicit worklist, and
+/// protects each function it builds, so a built function is part of the
+/// engine's baseline for the rest of its life.  [`SignalFunctions::fill`]
+/// builds the rest at once, in netlist order.
 #[derive(Clone)]
-struct FaultyCone {
-    /// The site and replacement function of the current epoch, while its
-    /// builds are usable.
-    seed: Option<(SignalId, Bdd)>,
-    epoch: u64,
-    /// `epoch` iff the signal is in the current site's fanout cone (the
-    /// site included).
-    in_cone: Vec<u64>,
-    /// `epoch` iff `faulty` holds the signal's faulty function.
-    built: Vec<u64>,
-    faulty: Vec<Bdd>,
-    /// Worklist of the cone walk and of the output build.
+struct SignalFunctions {
+    /// `functions[s]` is the function of `s` iff `built[s]`.
+    functions: Vec<Bdd>,
+    built: Vec<bool>,
+    /// Worklist of the fanin build.
     stack: Vec<SignalId>,
-    /// Gate-input buffer of the output build.
+    /// Gate-input buffer of a build.
     inputs: Vec<Bdd>,
 }
 
-impl FaultyCone {
-    fn new(netlist: &Netlist, fill: Bdd) -> Self {
+impl SignalFunctions {
+    /// The primary inputs built (as `literals`, in primary-input order) and
+    /// protected; every gate output unbuilt.
+    fn new(manager: &mut BddManager, netlist: &Netlist, literals: &[Bdd]) -> Self {
         let n = netlist.signal_count();
-        FaultyCone {
-            seed: None,
+        let mut signals = SignalFunctions {
+            functions: vec![manager.zero(); n],
+            built: vec![false; n],
+            stack: Vec::new(),
+            inputs: Vec::new(),
+        };
+        for (&pi, &literal) in netlist.primary_inputs().iter().zip(literals) {
+            manager.protect(literal);
+            signals.functions[pi.index()] = literal;
+            signals.built[pi.index()] = true;
+        }
+        signals
+    }
+
+    /// The function of `signal`, if built.
+    fn built(&self, signal: SignalId) -> Option<Bdd> {
+        self.built[signal.index()].then(|| self.functions[signal.index()])
+    }
+
+    /// The function of `signal`, built with its unbuilt fanin on first
+    /// read.
+    fn get(
+        &mut self,
+        manager: &mut BddManager,
+        netlist: &Netlist,
+        signal: SignalId,
+    ) -> Result<Bdd, BddError> {
+        self.stack.clear();
+        self.stack.push(signal);
+        while let Some(&s) = self.stack.last() {
+            // Every primary input is built, so an unbuilt signal has a
+            // driver.
+            let gate = match netlist.driver(s) {
+                Some(gate) if !self.built[s.index()] => gate,
+                _ => {
+                    self.stack.pop();
+                    continue;
+                }
+            };
+            let pending = self.stack.len();
+            self.stack
+                .extend(gate.inputs.iter().filter(|i| !self.built[i.index()]));
+            if self.stack.len() == pending {
+                self.build(manager, gate)?;
+                self.stack.pop();
+            }
+        }
+        Ok(self.functions[signal.index()])
+    }
+
+    /// Builds every unbuilt signal function, in netlist order.  Runs only
+    /// while no budget or cancel token is armed: arming one fills first,
+    /// and a full engine builds nothing more.
+    fn fill(&mut self, manager: &mut BddManager, netlist: &Netlist) {
+        for gate in netlist.gates() {
+            if !self.built[gate.output.index()] {
+                if let Err(err) = self.build(manager, gate) {
+                    panic!("signal function fill interrupted: {err}");
+                }
+            }
+        }
+    }
+
+    /// Builds and protects the function of `gate`'s output from its built
+    /// inputs.
+    fn build(&mut self, manager: &mut BddManager, gate: &Gate) -> Result<(), BddError> {
+        self.inputs.clear();
+        self.inputs
+            .extend(gate.inputs.iter().map(|i| self.functions[i.index()]));
+        let f = try_apply_gate(manager, gate.kind, &self.inputs)?;
+        manager.protect(f);
+        self.functions[gate.output.index()] = f;
+        self.built[gate.output.index()] = true;
+        Ok(())
+    }
+
+    /// The condition under which `gate` passes a change on its input
+    /// `line`: every other input at `1` for AND/NAND, at `0` for OR/NOR,
+    /// and none for XOR/XNOR/BUF/NOT.
+    fn side_condition(
+        &mut self,
+        manager: &mut BddManager,
+        netlist: &Netlist,
+        gate: &Gate,
+        line: SignalId,
+    ) -> Result<Bdd, BddError> {
+        let mut condition = manager.one();
+        let complement = match gate.kind {
+            GateKind::And | GateKind::Nand => false,
+            GateKind::Or | GateKind::Nor => true,
+            GateKind::Xor | GateKind::Xnor | GateKind::Buf | GateKind::Not => return Ok(condition),
+        };
+        for &input in gate.inputs.iter().filter(|&&i| i != line) {
+            let f = self.get(manager, netlist, input)?;
+            let side = if complement { manager.not(f) } else { f };
+            condition = manager.try_and(condition, side)?;
+        }
+        Ok(condition)
+    }
+}
+
+/// The difference builder behind [`DigitalAtpg::stem_derivative`].
+///
+/// [`DifferenceCone::mark`] stamps a stem's fanout cone by walking the
+/// reader lists of the engine's [`RegionMap`] from the stem and seeds the
+/// stem with the difference `Δs = 1`, its flip.
+/// [`DifferenceCone::output`] then builds one output's difference
+/// `ΔPO = PO ⊕ PO|s:=¬f_s` from the cone gates in its fanin, depth first on
+/// an explicit worklist, by the rules in the module docs.  What one output
+/// builds is reused by the later outputs of the same stem; a signal outside
+/// the cone has `Δ = 0`.  Each mark takes a fresh epoch, which makes every
+/// stamp of an earlier mark stale without clearing anything (a 64-bit epoch
+/// does not wrap).  The built differences are not protected, so the owner
+/// [`DifferenceCone::forget`]s the stem at every safe point.
+#[derive(Clone)]
+struct DifferenceCone {
+    /// The stem of the current epoch, while its builds are usable.
+    stem: Option<SignalId>,
+    epoch: u64,
+    /// `epoch` iff the signal is in the current stem's fanout cone (the
+    /// stem included).
+    in_cone: Vec<u64>,
+    /// `epoch` iff `delta` holds the signal's difference.
+    built: Vec<u64>,
+    delta: Vec<Bdd>,
+    /// Worklist of the cone walk and of the output build.
+    stack: Vec<SignalId>,
+    /// Gate-input buffer of the two-pin fallback.
+    inputs: Vec<Bdd>,
+}
+
+impl DifferenceCone {
+    fn new(netlist: &Netlist) -> Self {
+        let n = netlist.signal_count();
+        DifferenceCone {
+            stem: None,
             epoch: 0,
             in_cone: vec![0; n],
             built: vec![0; n],
-            faulty: vec![fill; n],
+            delta: vec![Bdd::ZERO; n],
             stack: Vec::new(),
             inputs: Vec::new(),
         }
     }
 
-    /// Stamps the fanout cone of `site` and seeds the site with `value`, its
-    /// function in the faulty circuit.
-    fn mark(&mut self, netlist: &Netlist, map: &RegionMap, site: SignalId, value: Bdd) {
-        self.seed = Some((site, value));
+    /// Stamps the fanout cone of `stem` and seeds the stem's difference.
+    fn mark(&mut self, netlist: &Netlist, map: &RegionMap, stem: SignalId) {
+        self.stem = Some(stem);
         self.epoch += 1;
         let epoch = self.epoch;
-        self.in_cone[site.index()] = epoch;
-        self.built[site.index()] = epoch;
-        self.faulty[site.index()] = value;
+        self.in_cone[stem.index()] = epoch;
+        self.built[stem.index()] = epoch;
+        self.delta[stem.index()] = Bdd::ONE;
         self.stack.clear();
-        self.stack.push(site);
+        self.stack.push(stem);
         while let Some(s) = self.stack.pop() {
             for &gi in map.readers(s) {
                 let out = netlist.gates()[gi as usize].output;
@@ -1571,65 +1727,106 @@ impl FaultyCone {
         }
     }
 
-    /// Are the current epoch's builds those of `site` seeded with `value`?
-    fn is_seeded(&self, site: SignalId, value: Bdd) -> bool {
-        self.seed == Some((site, value))
+    /// Are the current epoch's builds those of `stem`?
+    fn is_seeded(&self, stem: SignalId) -> bool {
+        self.stem == Some(stem)
     }
 
     /// Marks the current epoch's builds unusable (a collection may free
-    /// them); the next build needs a fresh [`FaultyCone::mark`].
+    /// them); the next build needs a fresh [`DifferenceCone::mark`].
     fn forget(&mut self) {
-        self.seed = None;
+        self.stem = None;
     }
 
-    /// The faulty function of `po`, an output in the current cone.  `good`
-    /// holds the fault-free function of every signal.
+    /// The difference of `signal`: built in the current epoch, or `0`.
+    fn delta(&self, signal: SignalId) -> Bdd {
+        if self.built[signal.index()] == self.epoch {
+            self.delta[signal.index()]
+        } else {
+            Bdd::ZERO
+        }
+    }
+
+    /// The difference `ΔPO` of `po`, an output in the current cone.
     fn output(
         &mut self,
         manager: &mut BddManager,
         netlist: &Netlist,
-        good: &[Bdd],
+        signals: &mut SignalFunctions,
         po: SignalId,
     ) -> Result<Bdd, BddError> {
         let epoch = self.epoch;
         self.stack.clear();
         self.stack.push(po);
         while let Some(&s) = self.stack.last() {
-            if self.built[s.index()] == epoch {
-                self.stack.pop();
-                continue;
-            }
-            let f = match netlist.driver(s) {
-                // Only the site is an undriven cone signal, and `mark`
-                // built it; any other undriven line is fault-free.
-                None => good[s.index()],
-                Some(gate) => {
-                    // Build the gate's unbuilt cone inputs first.
-                    let pending = self.stack.len();
-                    for &i in &gate.inputs {
-                        if self.in_cone[i.index()] == epoch && self.built[i.index()] != epoch {
-                            self.stack.push(i);
-                        }
-                    }
-                    if self.stack.len() > pending {
-                        continue;
-                    }
-                    self.inputs.clear();
-                    for &i in &gate.inputs {
-                        self.inputs.push(if self.built[i.index()] == epoch {
-                            self.faulty[i.index()]
-                        } else {
-                            good[i.index()]
-                        });
-                    }
-                    try_apply_gate(manager, gate.kind, &self.inputs)?
+            // Only the stem is an undriven cone signal, and `mark` built
+            // it.
+            let gate = match netlist.driver(s) {
+                Some(gate) if self.built[s.index()] != epoch => gate,
+                _ => {
+                    self.stack.pop();
+                    continue;
                 }
             };
-            self.faulty[s.index()] = f;
+            // Build the gate's unbuilt cone inputs first.
+            let pending = self.stack.len();
+            for &i in &gate.inputs {
+                if self.in_cone[i.index()] == epoch && self.built[i.index()] != epoch {
+                    self.stack.push(i);
+                }
+            }
+            if self.stack.len() > pending {
+                continue;
+            }
+            let delta = self.gate_delta(manager, netlist, signals, gate)?;
+            self.delta[s.index()] = delta;
             self.built[s.index()] = epoch;
             self.stack.pop();
         }
-        Ok(self.faulty[po.index()])
+        Ok(self.delta(po))
+    }
+
+    /// The difference of `gate`'s output from the built differences of its
+    /// inputs.
+    fn gate_delta(
+        &mut self,
+        manager: &mut BddManager,
+        netlist: &Netlist,
+        signals: &mut SignalFunctions,
+        gate: &Gate,
+    ) -> Result<Bdd, BddError> {
+        let mut changed = gate.inputs.iter().filter(|&&i| !self.delta(i).is_zero());
+        let Some(&pin) = changed.next() else {
+            return Ok(Bdd::ZERO);
+        };
+        let single = changed.next().is_none();
+        match gate.kind {
+            GateKind::Buf | GateKind::Not => Ok(self.delta(pin)),
+            GateKind::Xor | GateKind::Xnor => {
+                let mut delta = Bdd::ZERO;
+                for &i in &gate.inputs {
+                    delta = manager.try_xor(delta, self.delta(i))?;
+                }
+                Ok(delta)
+            }
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor if single => {
+                let local = signals.side_condition(manager, netlist, gate, pin)?;
+                manager.try_and(self.delta(pin), local)
+            }
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                // Two or more changed pins: the gate's faulty function
+                // against its good one.
+                self.inputs.clear();
+                for &i in &gate.inputs {
+                    let good = signals.get(manager, netlist, i)?;
+                    let faulty = manager.try_xor(good, self.delta(i))?;
+                    self.inputs.push(faulty);
+                }
+                let faulty = try_apply_gate(manager, gate.kind, &self.inputs)?;
+                let good = signals.get(manager, netlist, gate.output)?;
+                manager.try_xor(good, faulty)
+            }
+        }
     }
 }
 
@@ -1706,8 +1903,10 @@ impl Regions {
 
 /// Lowers one gate onto the OBDD manager: the single definition of how a
 /// [`GateKind`] becomes Boolean operations, shared by the test generator,
-/// the propagation engine and the `bdd_memory` benchmark (which must
-/// measure exactly the build the ATPG performs).
+/// the propagation engine and the `bdd_memory` benchmark.  That benchmark
+/// builds every signal function, which is the build of a governed or
+/// sifted engine; an ungoverned campaign builds only the functions its
+/// derivations read.
 ///
 /// # Panics
 ///
@@ -2133,9 +2332,11 @@ mod tests {
     #[test]
     fn signal_functions_are_exposed() {
         let circuit = circuits::figure3_circuit();
-        let atpg = DigitalAtpg::new(&circuit);
+        let mut atpg = DigitalAtpg::new(&circuit);
         let l6 = circuit.find_signal("l6").unwrap();
+        assert!(atpg.built_signal_function(l6).is_none());
         let f = atpg.signal_function(l6);
+        assert_eq!(atpg.built_signal_function(l6), Some(f));
         // l6 = l0 OR l3 = l0 OR l2 (through the buffer).
         assert_eq!(atpg.manager().support(f).len(), 2);
         assert!(atpg.constraint().is_one());
@@ -2156,9 +2357,10 @@ mod tests {
     fn tiny_step_budget_degrades_gracefully_and_deterministically() {
         // A one-step quota per fault target: deterministic generation fails
         // on every fault that needs real BDD work, and the seeded random
-        // fallback takes over.  The run must complete without panicking,
-        // account for every fault, and be byte-identical across thread
-        // counts.
+        // fallback takes over.  (A fault whose difference only passes
+        // XOR/BUF/NOT gates from an input needs none and is still derived.)
+        // The run must complete without panicking, account for every fault,
+        // and be byte-identical across thread counts.
         let circuit = circuits::adder4();
         let faults = FaultList::collapsed(&circuit);
         let budget = BddBudget::UNLIMITED.with_max_steps(1);
@@ -2182,7 +2384,9 @@ mod tests {
         // Degraded vectors are real tests: fully specified and verified.
         let sim = FaultSimulator::new(&circuit);
         for vector in &reference.vectors {
-            assert!(vector.assignment.iter().all(Option::is_some));
+            if reference.degraded.contains(&vector.fault) {
+                assert!(vector.assignment.iter().all(Option::is_some));
+            }
             assert!(sim
                 .detects(vector.fault, &vector.concretize(false))
                 .unwrap());
@@ -2406,29 +2610,49 @@ mod tests {
         (digital, lines, codes)
     }
 
-    /// Starts a stuck-value miter: ties the fault site to its stuck
-    /// constant `v` and marks the site's fanout cone.  Returns `false`,
-    /// without marking, when the line's fault-free function is `v` itself.
-    fn seed_stuck_site(atpg: &mut DigitalAtpg, fault: StuckAtFault) -> bool {
-        let stuck = atpg.manager.constant(fault.stuck_at);
-        if atpg.signal_bdds[fault.signal.index()] == stuck {
-            return false;
+    /// Every signal function of `atpg`'s netlist, built in its manager by
+    /// one netlist-order pass and protected, without marking any of them
+    /// built in the engine: the full build the engine's on-demand reads must
+    /// agree with node for node.
+    fn full_build(atpg: &mut DigitalAtpg) -> Vec<Bdd> {
+        let netlist = atpg.netlist;
+        let mut good = vec![Bdd::ZERO; netlist.signal_count()];
+        for (&pi, &var) in netlist.primary_inputs().iter().zip(&atpg.pi_vars) {
+            good[pi.index()] = atpg.manager.literal(var, true);
         }
-        atpg.cone
-            .mark(atpg.netlist, &atpg.regions.map, fault.signal, stuck);
-        true
+        for gate in netlist.gates() {
+            let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| good[i.index()]).collect();
+            good[gate.output.index()] = apply_gate(&mut atpg.manager, gate.kind, &inputs);
+        }
+        for &f in &good {
+            atpg.manager.protect(f);
+        }
+        good
     }
 
-    /// The stuck-value miter `(PO ⊕ PO|l=v) · Fc` of output `po`, which must
-    /// lie in the cone marked by [`seed_stuck_site`].
-    fn miter_test_set(atpg: &mut DigitalAtpg, po: SignalId) -> Bdd {
-        let m = &mut atpg.manager;
-        let faulty = atpg
-            .cone
-            .output(m, atpg.netlist, &atpg.signal_bdds, po)
-            .unwrap();
-        let miter = m.xor(atpg.signal_bdds[po.index()], faulty);
-        m.and(miter, atpg.fc)
+    /// The faulty-circuit construction the generator used before it
+    /// propagated differences, kept as an oracle: the function of every
+    /// signal with `site` replaced by `value`, every gate of the site's
+    /// fanout cone rebuilt in topological order over the fault-free
+    /// functions `good`, and which signals that cone holds.
+    fn faulty_functions(
+        atpg: &mut DigitalAtpg,
+        good: &[Bdd],
+        site: SignalId,
+        value: Bdd,
+    ) -> (Vec<Bdd>, Vec<bool>) {
+        let mut faulty = good.to_vec();
+        faulty[site.index()] = value;
+        let mut in_cone = vec![false; faulty.len()];
+        in_cone[site.index()] = true;
+        for gate in atpg.netlist.gates() {
+            if gate.inputs.iter().any(|i| in_cone[i.index()]) {
+                in_cone[gate.output.index()] = true;
+                let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| faulty[i.index()]).collect();
+                faulty[gate.output.index()] = apply_gate(&mut atpg.manager, gate.kind, &inputs);
+            }
+        }
+        (faulty, in_cone)
     }
 
     /// The derivation before the cone-bounded build, in the paper's own
@@ -2436,14 +2660,16 @@ mod tests {
     /// declared last, rebuilds its whole fanout cone into every signal,
     /// differentiates every output with respect to `D` and resolves the
     /// primary-input variables by name.  Kept as the oracle of
-    /// `cone_bounded_derivation_matches_the_full_cone_rebuild`.
+    /// `cone_bounded_derivation_matches_the_full_cone_rebuild`; `good` is
+    /// [`full_build`] of `atpg`.
     fn generate_by_full_cone(
         atpg: &mut DigitalAtpg,
+        good: &[Bdd],
         fault: StuckAtFault,
     ) -> Result<TestOutcome, BddError> {
         atpg.manager.gc_if_above(GC_WATERMARK);
         let d_var = atpg.manager.var_id(D_VAR_NAME);
-        let line_fn = atpg.signal_bdds[fault.signal.index()];
+        let line_fn = good[fault.signal.index()];
         let activation = if fault.stuck_at {
             atpg.manager.not(line_fn)
         } else {
@@ -2453,18 +2679,8 @@ mod tests {
             return Ok(TestOutcome::Untestable);
         }
         let netlist = atpg.netlist;
-        let mut faulty = atpg.signal_bdds.clone();
-        faulty[fault.signal.index()] = atpg.manager.literal(d_var, true);
-        let mut in_cone = vec![false; faulty.len()];
-        in_cone[fault.signal.index()] = true;
-        for gate in netlist.gates() {
-            if !gate.inputs.iter().any(|i| in_cone[i.index()]) {
-                continue;
-            }
-            in_cone[gate.output.index()] = true;
-            let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| faulty[i.index()]).collect();
-            faulty[gate.output.index()] = try_apply_gate(&mut atpg.manager, gate.kind, &inputs)?;
-        }
+        let d = atpg.manager.literal(d_var, true);
+        let (faulty, _) = faulty_functions(atpg, good, fault.signal, d);
         for (po_index, &po) in netlist.primary_outputs().iter().enumerate() {
             let f = faulty[po.index()];
             let observability = atpg.manager.try_boolean_difference(f, d_var)?;
@@ -2505,6 +2721,7 @@ mod tests {
                     }
                 };
                 let (mut bounded, mut reference) = (engine(), engine());
+                let good = full_build(&mut reference);
                 let before = (
                     bounded.manager.stats().created_nodes,
                     reference.manager.stats().created_nodes,
@@ -2512,7 +2729,7 @@ mod tests {
                 for &fault in faults.faults() {
                     assert_eq!(
                         bounded.try_generate(fault).unwrap(),
-                        generate_by_full_cone(&mut reference, fault).unwrap(),
+                        generate_by_full_cone(&mut reference, &good, fault).unwrap(),
                         "{name} (constrained: {constrained}) {}",
                         fault.describe(&digital)
                     );
@@ -2534,24 +2751,96 @@ mod tests {
         }
     }
 
+    /// A circuit whose stem `s` is read on two pins of an AND and of an
+    /// XOR, and reconverges on an OR and an XNOR, so the stem's flip
+    /// reaches gates with two or more changed pins.
+    fn twice_read_circuit() -> Netlist {
+        let mut n = Netlist::new("twice-read");
+        let a = n.input("a");
+        let b = n.input("b");
+        let c = n.input("c");
+        let s = n.gate(GateKind::Nand, "s", &[a, b]);
+        let and = n.gate(GateKind::And, "and", &[s, c, s]);
+        let xor = n.gate(GateKind::Xor, "xor", &[s, c, s]);
+        let t = n.gate(GateKind::Not, "t", &[s]);
+        let or = n.gate(GateKind::Or, "or", &[t, b, s]);
+        let xnor = n.gate(GateKind::Xnor, "xnor", &[and, t]);
+        for out in [and, xor, or, xnor] {
+            n.mark_output(out);
+        }
+        n
+    }
+
+    /// The circuits of the derivation-identity test, each with its
+    /// constrained lines and codes.
+    fn identity_circuits() -> Vec<(Netlist, Vec<SignalId>, AllowedCodes)> {
+        let mut circuits: Vec<_> = ["c432", "c499", "c880"].into_iter().map(example3).collect();
+        for digital in [circuits::figure3_circuit(), twice_read_circuit()] {
+            let inputs = digital.primary_inputs();
+            let lines = vec![inputs[0], inputs[2]];
+            circuits.push((digital, lines, example2_constraint()));
+        }
+        circuits
+    }
+
     #[test]
     fn miter_test_sets_equal_the_papers_boolean_difference_formula() {
-        // For every collapsed fault and every output in its cone, three
-        // constructions of the test set must be the very same node in one
-        // manager (equal functions have one canonical OBDD): the region
-        // factorization Δ · ∂PO/∂s · Fc the generator uses, the stuck-value
-        // miter (PO ⊕ PO|l=v) · Fc, and the paper's (f_l ⊕ v) · ∂PO/∂D · Fc
-        // with the site replaced by a free D declared last.  The outputs of
-        // the site's cone must be exactly those of its stem's.
-        for name in ["c432", "c499", "c880"] {
-            let (digital, lines, codes) = example3(name);
+        // Three constructions must be the very same node in one manager
+        // (equal functions have one canonical OBDD).  For every stem and
+        // output in its cone: the difference-propagated ΔPO · Fc the
+        // generator uses, the stuck-value miter (PO ⊕ PO|s:=¬f_s) · Fc and
+        // the paper's ∂PO/∂D · Fc with the stem replaced by a free D
+        // declared last.  For every collapsed fault and output in its
+        // cone: the region factorization Δ · ∂PO/∂s · Fc, the miter
+        // (PO ⊕ PO|l=v) · Fc and the paper's (f_l ⊕ v) · ∂PO/∂D · Fc.  The
+        // outputs of a site's cone must be exactly those of its stem's, and
+        // every signal function the engine built on demand must be the
+        // node of the full build.
+        for (digital, lines, codes) in identity_circuits() {
+            let name = digital.name().to_owned();
             for constrained in [true, false] {
                 let mut atpg = DigitalAtpg::new(&digital);
                 if constrained {
                     atpg = atpg.with_constraints(&lines, &codes).unwrap();
                 }
+                let good = full_build(&mut atpg);
                 let d_var = atpg.manager.var_id(D_VAR_NAME);
+                let outputs = digital.primary_outputs();
                 let mut compared = 0;
+                for stem in digital.signals() {
+                    if atpg.regions.map.stem(stem) != stem {
+                        continue;
+                    }
+                    atpg.safe_point();
+                    let d = atpg.manager.literal(d_var, true);
+                    let flipped = atpg.manager.not(good[stem.index()]);
+                    let (miter_cone, in_cone) = faulty_functions(&mut atpg, &good, stem, flipped);
+                    let (paper_cone, _) = faulty_functions(&mut atpg, &good, stem, d);
+                    for (k, &po) in outputs.iter().enumerate() {
+                        let context = format!(
+                            "{name} (constrained: {constrained}) stem {}, output {}",
+                            digital.signal_name(stem),
+                            digital.signal_name(po)
+                        );
+                        assert_eq!(
+                            atpg.regions.observes(stem, k),
+                            in_cone[po.index()],
+                            "{context}: cone outputs"
+                        );
+                        if !in_cone[po.index()] {
+                            continue;
+                        }
+                        let derivative = atpg.stem_derivative(stem, k).unwrap();
+                        let m = &mut atpg.manager;
+                        let difference = m.xor(good[po.index()], miter_cone[po.index()]);
+                        let miter = m.and(difference, atpg.fc);
+                        let observability = m.boolean_difference(paper_cone[po.index()], d_var);
+                        let paper = m.and(observability, atpg.fc);
+                        assert_eq!(derivative, miter, "{context}: difference");
+                        assert_eq!(miter, paper, "{context}: paper");
+                        compared += 1;
+                    }
+                }
                 for &fault in FaultList::collapsed(&digital).faults() {
                     // No transient handle below survives this safe point.
                     atpg.safe_point();
@@ -2560,61 +2849,75 @@ mod tests {
                         "{name} (constrained: {constrained}) {}",
                         fault.describe(&digital)
                     );
-                    let line_fn = atpg.signal_bdds[fault.signal.index()];
-                    let activation = if fault.stuck_at {
-                        atpg.manager.not(line_fn)
-                    } else {
-                        line_fn
-                    };
-                    if !seed_stuck_site(&mut atpg, fault) {
-                        assert!(activation.is_zero(), "{context}: activation");
+                    let line_fn = good[fault.signal.index()];
+                    let stuck = atpg.manager.constant(fault.stuck_at);
+                    let activation = atpg.manager.xor(line_fn, stuck);
+                    let effect = atpg.fault_effect(fault).unwrap();
+                    if activation.is_zero() {
+                        assert!(effect.is_zero(), "{context}: effect");
                         continue;
                     }
-                    let cone = &atpg.cone;
-                    let outputs: Vec<(usize, SignalId)> = digital
-                        .primary_outputs()
-                        .iter()
-                        .copied()
-                        .enumerate()
-                        .filter(|&(_, po)| cone.in_cone[po.index()] == cone.epoch)
-                        .collect();
                     let stem = atpg.regions.map.stem(fault.signal);
-                    let stem_outputs: Vec<usize> = (0..digital.primary_outputs().len())
-                        .filter(|&k| atpg.regions.observes(stem, k))
-                        .collect();
-                    let site_outputs: Vec<usize> = outputs.iter().map(|&(k, _)| k).collect();
-                    assert_eq!(site_outputs, stem_outputs, "{context}: cone outputs");
-                    let miters: Vec<Bdd> = outputs
-                        .iter()
-                        .map(|&(_, po)| miter_test_set(&mut atpg, po))
-                        .collect();
-                    atpg.cone
-                        .mark(atpg.netlist, &atpg.regions.map, fault.signal, d);
-                    let papers: Vec<Bdd> = outputs
-                        .iter()
-                        .map(|&(_, po)| {
-                            let m = &mut atpg.manager;
-                            let f = atpg
-                                .cone
-                                .output(m, &digital, &atpg.signal_bdds, po)
-                                .unwrap();
-                            let observability = m.boolean_difference(f, d_var);
-                            let act_obs = m.and(activation, observability);
-                            m.and(act_obs, atpg.fc)
-                        })
-                        .collect();
-                    let effect = atpg.fault_effect(fault).unwrap();
-                    for ((&(k, po), &miter), &paper) in outputs.iter().zip(&miters).zip(&papers) {
-                        let derivative = atpg.stem_derivative(stem, k).unwrap();
-                        let region = atpg.manager.and(effect, derivative);
+                    let (miter_cone, in_cone) =
+                        faulty_functions(&mut atpg, &good, fault.signal, stuck);
+                    let (paper_cone, _) = faulty_functions(&mut atpg, &good, fault.signal, d);
+                    for (k, &po) in outputs.iter().enumerate() {
                         let output = digital.signal_name(po);
+                        assert_eq!(
+                            atpg.regions.observes(stem, k),
+                            in_cone[po.index()],
+                            "{context}, output {output}: cone outputs"
+                        );
+                        if !in_cone[po.index()] {
+                            continue;
+                        }
+                        let derivative = atpg.stem_derivative(stem, k).unwrap();
+                        let m = &mut atpg.manager;
+                        let region = m.and(effect, derivative);
+                        let difference = m.xor(good[po.index()], miter_cone[po.index()]);
+                        let miter = m.and(difference, atpg.fc);
+                        let observability = m.boolean_difference(paper_cone[po.index()], d_var);
+                        let act_obs = m.and(activation, observability);
+                        let paper = m.and(act_obs, atpg.fc);
                         assert_eq!(region, miter, "{context}, output {output}: region");
                         assert_eq!(miter, paper, "{context}, output {output}: paper");
                         compared += 1;
                     }
                 }
                 assert!(compared > 0, "{name}: no output compared");
+                for signal in digital.signals() {
+                    if let Some(f) = atpg.built_signal_function(signal) {
+                        assert_eq!(f, good[signal.index()], "{name}: built signal function");
+                    }
+                }
             }
+        }
+    }
+
+    #[test]
+    fn collect_garbage_returns_the_full_baseline() {
+        // The governed tests size their node caps from this count, so an
+        // engine that builds its signal functions on demand must report
+        // the baseline of one that built them all up front: every signal
+        // function plus `Fc`.
+        for (name, unconstrained, constrained) in [("c432", 1041, 1108), ("c1908", 11955, 12016)] {
+            let (digital, lines, codes) = example3(name);
+            assert_eq!(
+                DigitalAtpg::new(&digital).collect_garbage(),
+                unconstrained,
+                "{name}"
+            );
+            let mut engine = DigitalAtpg::new(&digital)
+                .with_constraints(&lines, &codes)
+                .unwrap();
+            assert!(engine
+                .built_signal_function(digital.gates()[0].output)
+                .is_none());
+            assert_eq!(engine.collect_garbage(), constrained, "{name} under Fc");
+            assert!(digital
+                .signals()
+                .into_iter()
+                .all(|s| engine.built_signal_function(s).is_some()));
         }
     }
 

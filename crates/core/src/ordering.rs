@@ -34,8 +34,8 @@ pub const DVO_ENV_VAR: &str = "MSATPG_DVO";
 /// Dynamic-variable-ordering knob of the digital OBDD engines.
 ///
 /// When active, the engine runs sifting-until-convergence on its manager at
-/// a deterministic construction-time safe point (after the signal functions
-/// and the constraint BDD are built and protected).  Reordering never
+/// a deterministic construction-time safe point (after every signal
+/// function and the constraint BDD are built and protected).  Reordering never
 /// renumbers handles or `VarId`s — only the var↔level permutation moves —
 /// so everything downstream (cube extraction, PPSFP cross-checks, reports)
 /// is unaffected except for memory footprint.  Results are *equivalent*
