@@ -292,7 +292,6 @@ struct WalkStep {
 
 /// Open-addressed, linear-probed hash-consing table mapping node contents to
 /// their arena index.
-#[derive(Clone)]
 pub(crate) struct UniqueTable {
     /// Node indices; `EMPTY` marks a vacant slot.  Length is a power of two.
     slots: Vec<u32>,
@@ -415,7 +414,6 @@ impl UniqueTable {
 /// let report = m.gc();
 /// assert_eq!(report.live_after, m.size(f));
 /// ```
-#[derive(Clone)]
 pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
     /// Arena indices swept by the collector, ready for reuse.

@@ -38,7 +38,6 @@ use msatpg_digital::benchmarks;
 use msatpg_digital::fault::FaultList;
 use msatpg_digital::fault_sim::{FaultCones, FaultSimulator, WordWidth};
 use msatpg_digital::prng::SplitMix64;
-use msatpg_exec::ExecPolicy;
 
 /// Times one closure, running it `reps` times and returning seconds/run.
 fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -50,6 +49,17 @@ fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     }
     start.elapsed().as_secs_f64() / reps as f64
 }
+
+/// The median of `repeats` calls of [`time`]`(reps, f)`: one slow repeat
+/// (a scheduler hiccup on a shared host) cannot move the figure.
+fn median_time<F: FnMut()>(repeats: usize, reps: usize, mut f: F) -> f64 {
+    let mut samples: Vec<f64> = (0..repeats).map(|_| time(reps, &mut f)).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[repeats / 2]
+}
+
+/// Repeats behind each `fault_sim_wide` row (see [`median_time`]).
+const WIDE_REPEATS: usize = 5;
 
 struct FaultSimReport {
     circuit: String,
@@ -156,7 +166,7 @@ fn bench_fault_sim_wide(name: &str, pattern_count: usize) -> WideFaultSimReport 
             reference.detected(),
             "{name}: {lanes}-lane run must be byte-identical to one lane"
         );
-        let seconds = time(5, || {
+        let seconds = median_time(WIDE_REPEATS, 5, || {
             std::hint::black_box(sim.run_with_cones(&faults, &patterns, &cones).unwrap());
         });
         if lanes == 1 {
@@ -173,86 +183,6 @@ fn bench_fault_sim_wide(name: &str, pattern_count: usize) -> WideFaultSimReport 
         circuit: name.to_owned(),
         faults: faults.len(),
         patterns: pattern_count,
-        rows,
-    }
-}
-
-struct ScalingRow {
-    workers: usize,
-    seconds: f64,
-    speedup: f64,
-}
-
-struct ThreadScalingReport {
-    circuit: String,
-    faults: usize,
-    patterns: usize,
-    host_cpus: usize,
-    /// Whether the ≥1.5× floor at 4 workers is enforced on this host (it
-    /// requires ≥4 hardware threads; a 1-CPU container records the rows but
-    /// cannot physically speed up).
-    floor_enforced: bool,
-    rows: Vec<ScalingRow>,
-}
-
-/// Thread-scaling of the PPSFP engine: the same fault universe and pattern
-/// set timed at 1, 2, 4 and `available_parallelism` workers.  Fault dropping
-/// is disabled so every worker count performs the identical (maximal) amount
-/// of cone propagation and the rows measure pool scaling, not drop timing.
-fn bench_ppsfp_scaling(name: &str, pattern_count: usize) -> ThreadScalingReport {
-    let netlist = benchmarks::by_name(name).expect("known benchmark");
-    let faults = FaultList::collapsed(&netlist);
-    let cones = FaultCones::build(&netlist, faults.faults().iter().map(|f| f.signal));
-    let mut rng = SplitMix64::new(0x5CA1E);
-    let width = netlist.primary_inputs().len();
-    let patterns: Vec<Vec<bool>> = (0..pattern_count)
-        .map(|_| (0..width).map(|_| rng.bool()).collect())
-        .collect();
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut worker_counts = vec![1usize, 2, 4];
-    if !worker_counts.contains(&host_cpus) {
-        worker_counts.push(host_cpus);
-    }
-    // Determinism sanity before timing: every worker count must reproduce
-    // the serial detected vector exactly.
-    let reference = FaultSimulator::new(&netlist)
-        .with_fault_dropping(false)
-        .run_with_cones(&faults, &patterns, &cones)
-        .expect("serial scaling run");
-    let mut rows = Vec::new();
-    let mut baseline = 0.0;
-    for &workers in &worker_counts {
-        let sim = FaultSimulator::new(&netlist)
-            .with_fault_dropping(false)
-            .with_policy(ExecPolicy::Threads(workers));
-        let check = sim
-            .run_with_cones(&faults, &patterns, &cones)
-            .expect("scaling run");
-        assert_eq!(
-            check.detected(),
-            reference.detected(),
-            "{name}: {workers}-worker run must be byte-identical to serial"
-        );
-        let seconds = time(5, || {
-            std::hint::black_box(sim.run_with_cones(&faults, &patterns, &cones).unwrap());
-        });
-        if workers == 1 {
-            baseline = seconds;
-        }
-        rows.push(ScalingRow {
-            workers,
-            seconds,
-            speedup: baseline / seconds,
-        });
-    }
-    ThreadScalingReport {
-        circuit: name.to_owned(),
-        faults: faults.len(),
-        patterns: pattern_count,
-        host_cpus,
-        floor_enforced: host_cpus >= 4,
         rows,
     }
 }
@@ -816,7 +746,6 @@ fn bench_atpg_derivation(name: &str) -> AtpgDerivationReport {
             .with_constraints(&lines, &codes)
             .expect("Example-3 wiring is valid")
             .with_fault_dropping(false)
-            .with_policy(ExecPolicy::Serial)
     };
     let mut atpg = engine();
     let before = atpg.manager().stats().created_nodes;
@@ -861,8 +790,7 @@ fn bench_signal_builds(name: &str) -> SignalBuildReport {
     let faults = FaultList::collapsed(digital);
     let mut atpg = DigitalAtpg::new(digital)
         .with_constraints(&lines, &codes)
-        .expect("Example-3 wiring is valid")
-        .with_policy(ExecPolicy::Serial);
+        .expect("Example-3 wiring is valid");
     atpg.run(&faults).expect("unbudgeted campaign");
     SignalBuildReport {
         circuit: name.to_owned(),
@@ -930,7 +858,6 @@ fn check_against_baseline(
     baseline: &Json,
     fault_sim: &[FaultSimReport],
     wide: &[WideFaultSimReport],
-    scaling: &ThreadScalingReport,
     bdd: &BddReport,
     analog: &AnalogReport,
 ) -> Vec<String> {
@@ -1025,22 +952,6 @@ fn check_against_baseline(
         analog.naive_speedup,
         baseline.path("analog.naive_speedup").and_then(Json::as_f64),
     );
-    // Multi-core floors stay gated on the CPU count of the *current* host:
-    // committed rows from a machine with a different core count are not
-    // comparable (the seed container records 1 CPU), so thread-scaling is
-    // checked against the absolute 1.5x floor in `main`, never against the
-    // baseline rows.
-    let baseline_cpus = baseline
-        .path("ppsfp_thread_scaling.host_cpus")
-        .and_then(Json::as_f64);
-    if baseline_cpus != Some(scaling.host_cpus as f64) {
-        eprintln!(
-            "note: committed scaling rows were recorded on {} CPU(s), this host has {}; \
-             skipping baseline-relative scaling comparison",
-            baseline_cpus.unwrap_or(0.0),
-            scaling.host_cpus
-        );
-    }
     violations
 }
 
@@ -1054,7 +965,6 @@ fn main() {
         .iter()
         .map(|name| bench_fault_sim_wide(name, 512))
         .collect();
-    let scaling = bench_ppsfp_scaling("c1355", 256);
     let bdd = bench_bdd(24);
     let memory = bench_bdd_memory(24, "c432");
     let reorder = bench_bdd_reorder(24, "c432");
@@ -1104,27 +1014,6 @@ fn main() {
         let _ = write!(json, "]}}{}\n", if i + 1 < wide.len() { "," } else { "" },);
     }
     json.push_str("  ],\n");
-    let _ = write!(
-        json,
-        "  \"ppsfp_thread_scaling\": {{\"circuit\": \"{}\", \"faults\": {}, \"patterns\": {}, \
-         \"host_cpus\": {}, \"floor_enforced\": {}, \"rows\": [",
-        scaling.circuit,
-        scaling.faults,
-        scaling.patterns,
-        scaling.host_cpus,
-        scaling.floor_enforced,
-    );
-    for (i, row) in scaling.rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{{\"workers\": {}, \"seconds\": {:.6}, \"speedup\": {:.2}}}{}",
-            row.workers,
-            row.seconds,
-            row.speedup,
-            if i + 1 < scaling.rows.len() { ", " } else { "" },
-        );
-    }
-    json.push_str("]},\n");
     let _ = write!(
         json,
         "  \"bdd\": {{\"carry_bits\": {}, \"naive_seconds\": {:.6}, \"arena_seconds\": {:.6}, \
@@ -1248,8 +1137,7 @@ fn main() {
         let committed = std::fs::read_to_string("BENCH_kernels.json")
             .expect("--check needs the committed BENCH_kernels.json baseline");
         let baseline = json::parse(&committed).expect("committed baseline parses");
-        let mut violations =
-            check_against_baseline(&baseline, &fault_sim, &wide, &scaling, &bdd, &analog);
+        let mut violations = check_against_baseline(&baseline, &fault_sim, &wide, &bdd, &analog);
         // Node counts are exact and deterministic: beyond the static
         // floors, the measured counts must equal the committed baseline —
         // any drift means the engines (not the runner) changed, and the
@@ -1334,23 +1222,6 @@ fn main() {
     // committed speedups), and a hard 10x assert would bypass it on a noisy
     // shared runner.
     if check_mode {
-        if scaling.floor_enforced {
-            if let Some(four) = scaling.rows.iter().find(|r| r.workers == 4) {
-                if four.speedup < 1.5 {
-                    eprintln!(
-                        "warning: PPSFP at 4 workers measured only {:.2}x over 1 worker on {} \
-                         (floor 1.5x is advisory under --check; shared runners are noisy)",
-                        four.speedup, scaling.circuit
-                    );
-                }
-            }
-        } else {
-            eprintln!(
-                "note: host has {} hardware thread(s) (< 4); multi-core scaling floors skipped — \
-                 the ppsfp_thread_scaling rows are recorded for reference only, since extra workers cannot physically speed up on this host",
-                scaling.host_cpus
-            );
-        }
         return;
     }
     // Wide-block floor in record mode: deliberate baseline recordings must
@@ -1385,40 +1256,6 @@ fn main() {
             r.circuit,
             r.gates,
             r.speedup
-        );
-    }
-    // Serial path must not regress from threading support: the 1-worker row
-    // runs the inline path over the same cones as the plain PPSFP run above.
-    // The scaling run disables fault dropping (strictly more propagation
-    // work, empirically ~2x on the ISCAS circuits), so the guard is a loose
-    // 6x — it catches structural regressions, not jitter.
-    let serial_row = &scaling.rows[0];
-    let plain = fault_sim
-        .iter()
-        .find(|r| r.circuit == scaling.circuit)
-        .expect("scaling circuit is benchmarked");
-    assert!(
-        serial_row.seconds <= plain.ppsfp_seconds * 6.0,
-        "serial PPSFP path regressed: {:.6}s at 1 worker vs {:.6}s plain run",
-        serial_row.seconds,
-        plain.ppsfp_seconds
-    );
-    if scaling.floor_enforced {
-        let four = scaling
-            .rows
-            .iter()
-            .find(|r| r.workers == 4)
-            .expect("4-worker row is always measured");
-        assert!(
-            four.speedup >= 1.5,
-            "PPSFP at 4 workers is only {:.2}x over 1 worker on {} (floor: 1.5x)",
-            four.speedup,
-            scaling.circuit
-        );
-    } else {
-        eprintln!(
-            "note: host has {} hardware thread(s); the 1.5x @ 4 workers floor needs >= 4 and is recorded but not enforced",
-            scaling.host_cpus
         );
     }
     assert!(

@@ -317,23 +317,21 @@ mod tests {
   "fault_sim": [
     {"circuit": "c1355", "speedup": 21.13, "ppsfp_patterns_per_sec": 143217.2}
   ],
-  "ppsfp_thread_scaling": {"host_cpus": 1, "floor_enforced": false,
-    "rows": [{"workers": 1, "seconds": 0.001707, "speedup": 1.00}]},
+  "fault_sim_wide": [
+    {"circuit": "c1355", "rows": [{"lanes": 1, "patterns_per_sec": 625825.2}]}
+  ],
   "bdd": {"speedup": 1.27},
   "analog": {"naive_speedup": 6.18}
 }"#,
         )
         .unwrap();
         assert_eq!(doc.path("bdd.speedup").and_then(Json::as_f64), Some(1.27));
-        assert_eq!(
-            doc.path("ppsfp_thread_scaling.floor_enforced")
-                .and_then(Json::as_bool),
-            Some(false)
-        );
         let rows = doc
-            .path("ppsfp_thread_scaling.rows")
+            .get("fault_sim_wide")
+            .and_then(|wide| wide.at(0))
+            .and_then(|entry| entry.get("rows"))
             .and_then(Json::as_array)
             .unwrap();
-        assert_eq!(rows[0].get("workers").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(rows[0].get("lanes").and_then(Json::as_f64), Some(1.0));
     }
 }

@@ -123,7 +123,7 @@ use msatpg_digital::random_tpg::RandomPatternGenerator;
 use msatpg_digital::region::RegionMap;
 use msatpg_digital::sim::Simulator;
 use msatpg_digital::DigitalError;
-use msatpg_exec::{CancelToken, ChaosEvent, ChaosInjector, ExecPolicy, PanicPolicy, WorkerPool};
+use msatpg_exec::{CancelToken, ChaosEvent, ChaosInjector, PanicPolicy, WorkerPool};
 
 use crate::constraint::{constraint_bdd, declare_input_variables};
 use crate::ordering::DvoMode;
@@ -291,7 +291,7 @@ impl AtpgReport {
 /// reported as [`TestOutcome::Aborted`] with [`AbortReason::Budget`].
 ///
 /// The fallback is a pure function of `(seed, fault)`, so degraded outcomes
-/// are byte-identical across thread counts and runs.
+/// are byte-identical across runs, widths and resumes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DegradePolicy {
     /// Base seed of the per-fault pattern generator (each fault derives its
@@ -310,11 +310,6 @@ impl Default for DegradePolicy {
         }
     }
 }
-
-/// Faults per work unit of the parallel derivation round (small, so the
-/// pool's chunk stealing balances the very uneven per-fault derivation
-/// cost).
-const GENERATE_CHUNK: usize = 8;
 
 /// The width-generic coverage store behind [`ReplayState`]: generated
 /// patterns accumulate in `64 * W`-wide good-value blocks, and a candidate
@@ -454,8 +449,7 @@ impl Dropping {
 
 /// The sequential fault-dropping replay: consumes per-fault outcomes in
 /// fault-list order and maintains the word-parallel coverage blocks
-/// ([`WideCoverage`]).  Every policy runs exactly this state machine on the
-/// driver, which is what keeps reports byte-identical across thread counts.
+/// ([`WideCoverage`]).
 struct ReplayState<'n> {
     netlist: &'n Netlist,
     dropping: Option<Dropping>,
@@ -568,7 +562,6 @@ pub struct DigitalAtpg<'a> {
     fc: Bdd,
     fault_dropping: bool,
     constrained: bool,
-    policy: ExecPolicy,
     width: WordWidth,
     /// The inputs of [`DigitalAtpg::with_constraints`], kept so the
     /// degradation fallback can draw patterns under the same codes.
@@ -698,7 +691,6 @@ impl<'a> DigitalAtpg<'a> {
             fc,
             fault_dropping: true,
             constrained: false,
-            policy: ExecPolicy::Serial,
             width: WordWidth::Auto,
             constraint_spec: None,
             budget: BddBudget::UNLIMITED,
@@ -761,18 +753,6 @@ impl<'a> DigitalAtpg<'a> {
         self
     }
 
-    /// Sets the execution policy of [`Self::run`].  It matters only with
-    /// fault dropping off: then `Threads(n)` derives every fault's test set
-    /// in parallel (each worker on its own copy of this engine) before the
-    /// replay decides them in fault-list order, so the report is
-    /// byte-identical to a serial run.  With dropping on, whether a fault
-    /// needs a derivation depends on the vectors of the faults before it,
-    /// so the run is serial under every policy.
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets the PPSFP block width used by the fault-dropping pre-screens
     /// and the degraded-fault verification (see
     /// [`WordWidth`]; the default
@@ -790,8 +770,7 @@ impl<'a> DigitalAtpg<'a> {
     /// convergence immediately — a deterministic construction-time safe
     /// point where the signal functions and `Fc` are the only protected
     /// roots — so apply this *after* [`Self::with_constraints`] for the
-    /// sift to see `Fc`.  The parallel worker engines are copies of this
-    /// one and share whatever order it ends with.  A sift interrupted by an
+    /// sift to see `Fc`.  A sift interrupted by an
     /// armed budget leaves the manager consistent and the outcome
     /// deterministic, so this method stays infallible.
     pub fn with_dvo(mut self, mode: DvoMode) -> Self {
@@ -811,7 +790,8 @@ impl<'a> DigitalAtpg<'a> {
     /// Budgeted outcomes are deterministic: with a budget armed the engine
     /// collects to its protected baseline and re-opens the step quota before
     /// every fault target, so each outcome is a pure function of the fault —
-    /// identical on the primary engine and on parallel worker engines.
+    /// identical whichever faults ran before it, which is what lets a
+    /// resumed campaign skip its journaled prefix.
     ///
     /// The quota is spent only on what a fault needs: the side-input
     /// conditions on the path from the fault site to its region's stem, the
@@ -839,9 +819,8 @@ impl<'a> DigitalAtpg<'a> {
 
     /// Arms a cooperative [`CancelToken`].  The replay driver charges one
     /// step of the token's quota per targeted fault **in fault-list order**,
-    /// so a step-quota token aborts at the identical fault on every thread
-    /// count; parallel workers only *observe* the token (wasted work, never
-    /// the report — see [`Self::run_on`]).  Once the token fires, every
+    /// so a step-quota token aborts at the identical fault on every run and
+    /// every width.  Once the token fires, every
     /// remaining fault is reported as [`TestOutcome::Aborted`] with
     /// [`AbortReason::Deadline`].
     /// Wall-clock deadlines cancel cooperatively too, but their abort point
@@ -857,11 +836,12 @@ impl<'a> DigitalAtpg<'a> {
 
     /// Installs a deterministic fault-injection harness: at each fault
     /// target the injector (a pure function of its seed and the fault
-    /// index) may simulate a budget exhaustion, a cancellation, or — under
-    /// [`PanicPolicy::Isolate`] — genuinely panic inside the generation job
-    /// to exercise the isolation machinery.  The *report* is decided by the
-    /// replay driver from the injector alone, so it is byte-identical across
-    /// thread counts for a given seed.
+    /// index) may simulate a budget exhaustion, a cancellation or a
+    /// generation panic: an [`AbortReason::Panic`] under
+    /// [`PanicPolicy::Isolate`], a real panic under
+    /// [`PanicPolicy::FailFast`].  The *report* is decided by the replay
+    /// driver from the injector alone, so it is byte-identical across runs
+    /// for a given seed.
     pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
         self.chaos = Some(chaos);
         self
@@ -871,7 +851,7 @@ impl<'a> DigitalAtpg<'a> {
     /// [`PanicPolicy::FailFast`]): under [`PanicPolicy::Isolate`] a panic
     /// while generating one fault's test set is confined to that fault
     /// (reported as [`TestOutcome::Aborted`] with [`AbortReason::Panic`])
-    /// and the run — including the worker pool and its sessions — continues.
+    /// and the run continues.
     pub fn with_panic_policy(mut self, panic_policy: PanicPolicy) -> Self {
         self.panic_policy = panic_policy;
         self
@@ -908,8 +888,8 @@ impl<'a> DigitalAtpg<'a> {
     /// armed *now*.
     ///
     /// An interrupted-then-resumed campaign reproduces the uninterrupted
-    /// report **byte for byte** (up to wall-clock `cpu`) at any thread
-    /// count: the replayed prefix rebuilds the exact fault-dropping state
+    /// report **byte for byte** (up to wall-clock `cpu`) at any width: the
+    /// replayed prefix rebuilds the exact fault-dropping state
     /// the original run had, and governed generation is a pure function of
     /// the fault.  The snapshot is validated against the campaign's circuit
     /// and fault list when the run starts; a mismatch is
@@ -1051,9 +1031,9 @@ impl<'a> DigitalAtpg<'a> {
             // Determinism of governed outcomes: drop the region caches,
             // collect to the protected baseline and re-open the step quota,
             // so the resources consumed by this target are a pure function
-            // of the fault — independent of which faults this particular
-            // engine processed before, and therefore identical on the
-            // primary and the worker engines.
+            // of the fault — independent of which faults this engine
+            // processed before, and therefore identical in a resumed
+            // campaign that skipped the journaled prefix.
             self.regions.clear(&mut self.manager);
             self.manager.gc();
             self.manager.reset_steps();
@@ -1138,63 +1118,40 @@ impl<'a> DigitalAtpg<'a> {
         Ok(derivative)
     }
 
-    /// Runs the generator over a whole fault list, with fault dropping
-    /// unless [`Self::with_fault_dropping`] turned it off.
-    ///
-    /// Under a threaded [`ExecPolicy`] (see [`Self::with_policy`]) a run
-    /// without fault dropping derives the test sets in parallel first (see
-    /// [`Self::run_on`]); a run with dropping is serial.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors from the fault-dropping pass (cannot
-    /// occur for well-formed vectors).
-    pub fn run(&mut self, faults: &FaultList) -> Result<AtpgReport, CoreError> {
-        let pool = WorkerPool::new(self.policy).with_panic_policy(self.panic_policy);
-        self.run_on(&pool, faults)
-    }
-
-    /// Like [`Self::run`], but rides a caller-provided [`WorkerPool`] so a
-    /// larger flow (the mixed-signal ATPG) shares one pool across stages.
-    /// The **pool's policy** decides the worker count here;
-    /// [`Self::with_policy`] only configures the pool that [`Self::run`]
-    /// builds internally.
-    ///
-    /// One replay loop decides every fault in fault-list order, under every
-    /// policy.  With fault dropping on, whether fault *k* needs a derivation
-    /// depends on the vectors of faults 0…k−1, so the loop derives inline
-    /// and the pool stays untouched.  With dropping off and a threaded pool,
-    /// one pool round first derives every fault that has no resume slot, on
-    /// worker engines that are copies of this one; the loop then consumes
-    /// those results in fault order.  A chunk that panicked under
-    /// [`PanicPolicy::Isolate`] leaves its faults to inline derivation.  The
-    /// report is **byte-identical** to a serial run: governed derivation is
-    /// a pure function of the fault, and copies of one manager share its
-    /// variable order, so they yield the same satisfying cube.
-    ///
-    /// A step-quota [`CancelToken`] is charged in fault order by the loop,
-    /// after the parallel round.  A threaded run without dropping may
-    /// therefore derive faults that the quota then aborts: wasted work,
-    /// never a different report (no production caller sets a step quota).
+    /// [`Self::run`] for a flow that threads one [`WorkerPool`] through
+    /// every stage (the mixed-signal ATPG).  The run does not use the pool:
+    /// a derivation costs microseconds, and deriving the faults of a
+    /// no-drop campaign on a 2-thread pool took longer than the serial
+    /// loop.
     ///
     /// # Errors
     ///
     /// Propagates simulation errors from the fault-dropping pass.
     pub fn run_on(
         &mut self,
-        pool: &WorkerPool,
+        _pool: &WorkerPool,
         faults: &FaultList,
     ) -> Result<AtpgReport, CoreError> {
+        self.run(faults)
+    }
+
+    /// Runs the generator over a whole fault list, with fault dropping
+    /// unless [`Self::with_fault_dropping`] turned it off.
+    ///
+    /// One replay loop decides every fault in fault-list order on the
+    /// calling thread.  With fault dropping on, a fault already covered by
+    /// an earlier vector is skipped without a derivation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors from the fault-dropping pass (cannot
+    /// occur for well-formed vectors).
+    pub fn run(&mut self, faults: &FaultList) -> Result<AtpgReport, CoreError> {
         let start = Instant::now();
         let mut replay = ReplayState::new(self.netlist, self.fault_dropping, faults, self.width);
         let mut slots = self.resume_slots(faults)?;
         let mut journal =
             CampaignJournal::new(self.checkpoint.clone(), self.chaos, self.netlist, faults);
-        let mut derived = if self.fault_dropping || pool.policy().is_serial() {
-            Vec::new()
-        } else {
-            self.derive_on(pool, faults, &slots)
-        };
         for (k, &fault) in faults.faults().iter().enumerate() {
             // A journaled non-aborted outcome is replayed verbatim: the
             // prefix replayed so far rebuilt the exact coverage state the
@@ -1210,7 +1167,7 @@ impl<'a> DigitalAtpg<'a> {
                 journal.record(&TestOutcome::PreviouslyDetected)?;
                 continue;
             }
-            let outcome = self.decide(k, fault, derived.get_mut(k).and_then(Option::take))?;
+            let outcome = self.decide(k, fault)?;
             journal.record(&outcome)?;
             replay.consume(fault, outcome)?;
         }
@@ -1276,26 +1233,14 @@ impl<'a> DigitalAtpg<'a> {
     /// schedule-independent (the chaos injector is a pure function of the
     /// fault index, the cancel token is charged only here, and governed
     /// generation is a pure function of the fault), so the report is
-    /// byte-identical across thread counts.
-    ///
-    /// `derived` carries a worker's result from the parallel round when one
-    /// exists; governed generation is a pure function of the fault, so
-    /// reusing it is indistinguishable from generating inline.
-    fn decide(
-        &mut self,
-        index: usize,
-        fault: StuckAtFault,
-        derived: Option<Result<TestOutcome, BddError>>,
-    ) -> Result<TestOutcome, CoreError> {
+    /// byte-identical across runs, widths and resumes.
+    fn decide(&mut self, index: usize, fault: StuckAtFault) -> Result<TestOutcome, CoreError> {
         if let Some(chaos) = self.chaos {
             match chaos.fires(index as u64) {
                 Some(ChaosEvent::Panic) => {
                     if self.panic_policy == PanicPolicy::Isolate {
                         return Ok(TestOutcome::Aborted(AbortReason::Panic));
                     }
-                    // FailFast means exactly that, serial or threaded (a
-                    // threaded run without dropping dies earlier, at the
-                    // barrier that relays the worker's injected panic).
                     panic!("chaos: injected panic at fault target {index}");
                 }
                 Some(ChaosEvent::Budget) => return self.degrade_or_abort(fault),
@@ -1307,17 +1252,13 @@ impl<'a> DigitalAtpg<'a> {
         }
         // One charge per targeted fault, strictly in replay order: the
         // token's step quota therefore fires at the identical fault on every
-        // thread count.
+        // run.
         if let Some(token) = &self.cancel {
             if !token.charge(1) {
                 return Ok(TestOutcome::Aborted(AbortReason::Deadline));
             }
         }
-        let result = match derived {
-            Some(result) => result.map_err(GenFailure::Bdd),
-            None => self.guarded_generate(fault),
-        };
-        match result {
+        match self.guarded_generate(fault) {
             Ok(outcome) => Ok(outcome),
             Err(GenFailure::Bdd(BddError::Cancelled)) => {
                 Ok(TestOutcome::Aborted(AbortReason::Deadline))
@@ -1441,92 +1382,6 @@ impl<'a> DigitalAtpg<'a> {
         Ok(None)
     }
 
-    /// The parallel round behind [`Self::run_on`] without fault dropping:
-    /// derives every fault that has no resume slot on worker engines
-    /// ([`Self::fork`]), in one pool round of `GENERATE_CHUNK`-fault chunks,
-    /// and returns one entry per fault in fault-list order.  `None` marks a
-    /// fault left to the replay loop: a resume slot, a simulated chaos event
-    /// (decided by the loop from the injector alone), or a chunk that
-    /// panicked under [`PanicPolicy::Isolate`].
-    fn derive_on(
-        &self,
-        pool: &WorkerPool,
-        faults: &FaultList,
-        slots: &[Option<TestOutcome>],
-    ) -> Vec<Option<Result<TestOutcome, BddError>>> {
-        let list = faults.faults();
-        let chaos = self.chaos;
-        let n_chunks = list.len().div_ceil(GENERATE_CHUNK);
-        let chunks = pool.session(
-            n_chunks,
-            || self.fork(),
-            |engine, _: &(), ci| {
-                let base = ci * GENERATE_CHUNK;
-                let end = (base + GENERATE_CHUNK).min(list.len());
-                (base..end)
-                    .map(|k| {
-                        if slots.get(k).is_some_and(Option::is_some) {
-                            return None;
-                        }
-                        match chaos.and_then(|c| c.fires(k as u64)) {
-                            // A genuine panic inside the job exercises the
-                            // pool's panic machinery (isolation or
-                            // fail-fast relay); the fault's outcome is
-                            // decided by the replay loop.
-                            Some(ChaosEvent::Panic) => {
-                                panic!("chaos: injected panic at fault target {k}")
-                            }
-                            Some(_) => None,
-                            None => Some(engine.try_generate(list[k])),
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            },
-            |session| session.run_results((), n_chunks),
-        );
-        let mut derived = Vec::with_capacity(list.len());
-        for chunk in chunks {
-            match chunk {
-                Ok(outcomes) => derived.extend(outcomes),
-                Err(_isolated_panic) => {
-                    let end = (derived.len() + GENERATE_CHUNK).min(list.len());
-                    derived.resize_with(end, || None);
-                }
-            }
-        }
-        derived
-    }
-
-    /// A worker engine for [`Self::derive_on`]: a copy of this engine's
-    /// manager (the signal functions built so far, `Fc`, variable order,
-    /// budget and cancel token), of the set of built signals and of its
-    /// governance, so worker results match inline derivation bit for bit.
-    /// Workers only *observe* the cancel token (the replay loop charges it)
-    /// and never journal or resume.
-    fn fork(&self) -> Self {
-        DigitalAtpg {
-            netlist: self.netlist,
-            manager: self.manager.clone(),
-            signals: self.signals.clone(),
-            pi_vars: self.pi_vars.clone(),
-            cone: self.cone.clone(),
-            regions: self.regions.clone(),
-            fc: self.fc,
-            fault_dropping: self.fault_dropping,
-            constrained: self.constrained,
-            policy: ExecPolicy::Serial,
-            width: self.width,
-            constraint_spec: self.constraint_spec.clone(),
-            budget: self.budget,
-            cancel: self.cancel.clone(),
-            chaos: self.chaos,
-            panic_policy: self.panic_policy,
-            degrade: self.degrade,
-            checkpoint: None,
-            resume: None,
-        }
-    }
-
     fn vector_from_cube(&self, cube: &Cube, fault: StuckAtFault, po_index: usize) -> TestVector {
         TestVector {
             assignment: self.pi_vars.iter().map(|&v| cube.get(v)).collect(),
@@ -1545,7 +1400,6 @@ impl<'a> DigitalAtpg<'a> {
 /// protects each function it builds, so a built function is part of the
 /// engine's baseline for the rest of its life.  [`SignalFunctions::fill`]
 /// builds the rest at once, in netlist order.
-#[derive(Clone)]
 struct SignalFunctions {
     /// `functions[s]` is the function of `s` iff `built[s]`.
     functions: Vec<Bdd>,
@@ -1675,7 +1529,6 @@ impl SignalFunctions {
 /// stamp of an earlier mark stale without clearing anything (a 64-bit epoch
 /// does not wrap).  The built differences are not protected, so the owner
 /// [`DifferenceCone::forget`]s the stem at every safe point.
-#[derive(Clone)]
 struct DifferenceCone {
     /// The stem of the current epoch, while its builds are usable.
     stem: Option<SignalId>,
@@ -1841,7 +1694,6 @@ impl DifferenceCone {
 /// per (stem, output).  They only save work, never change an outcome, and
 /// are dropped wherever `Fc` changes, at every governed target and by
 /// [`DigitalAtpg::collect_garbage`].
-#[derive(Clone)]
 struct Regions {
     /// Reader lists, single readers and stems.
     map: RegionMap,
@@ -2119,60 +1971,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runs_are_byte_identical_to_serial() {
-        // Unconstrained adder and constrained Figure-3: every report field
-        // except the wall-clock must match the serial run exactly, for both
-        // dropping modes.
-        let adder = circuits::adder4();
-        let adder_faults = FaultList::collapsed(&adder);
-        let figure3 = circuits::figure3_circuit();
-        let figure3_faults = FaultList::all(&figure3);
-        let l0 = figure3.find_signal("l0").unwrap();
-        let l2 = figure3.find_signal("l2").unwrap();
-        for dropping in [true, false] {
-            let reference = DigitalAtpg::new(&adder)
-                .with_fault_dropping(dropping)
-                .run(&adder_faults)
-                .unwrap();
-            let constrained_reference = DigitalAtpg::new(&figure3)
-                .with_constraints(&[l0, l2], &example2_constraint())
-                .unwrap()
-                .with_fault_dropping(dropping)
-                .run(&figure3_faults)
-                .unwrap();
-            for threads in [2usize, 8] {
-                let parallel = DigitalAtpg::new(&adder)
-                    .with_fault_dropping(dropping)
-                    .with_policy(ExecPolicy::Threads(threads))
-                    .run(&adder_faults)
-                    .unwrap();
-                assert_eq!(parallel.detected, reference.detected);
-                assert_eq!(parallel.untestable, reference.untestable);
-                assert_eq!(parallel.vectors, reference.vectors);
-                let parallel = DigitalAtpg::new(&figure3)
-                    .with_constraints(&[l0, l2], &example2_constraint())
-                    .unwrap()
-                    .with_fault_dropping(dropping)
-                    .with_policy(ExecPolicy::Threads(threads))
-                    .run(&figure3_faults)
-                    .unwrap();
-                assert_eq!(parallel.detected, constrained_reference.detected);
-                assert_eq!(parallel.untestable, constrained_reference.untestable);
-                assert_eq!(parallel.vectors, constrained_reference.vectors);
-                assert_eq!(parallel.constrained, constrained_reference.constrained);
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_runs_use_the_pool_only_without_fault_dropping() {
-        // With dropping on, the replay derives inline and never touches the
-        // pool; with dropping off, one worker set derives every fault in a
-        // single round.  Both reports equal the serial run's.
+    fn run_on_leaves_a_threaded_pool_untouched() {
+        // Digital ATPG is serial: a threaded pool handed to `run_on` spawns
+        // nothing and runs no round, with dropping on and off, and the
+        // report is `run`'s.
         let circuit = circuits::adder4();
         let faults = FaultList::collapsed(&circuit);
         for dropping in [true, false] {
-            let pool = WorkerPool::new(ExecPolicy::Threads(2));
+            let pool = WorkerPool::new(msatpg_exec::ExecPolicy::Threads(2));
             let report = DigitalAtpg::new(&circuit)
                 .with_fault_dropping(dropping)
                 .run_on(&pool, &faults)
@@ -2182,22 +1988,11 @@ mod tests {
                 .run(&faults)
                 .unwrap();
             assert_reports_identical(&report, &reference);
-            let stats = pool.stats();
-            if dropping {
-                assert_eq!(
-                    (stats.spawns, stats.jobs, stats.barriers),
-                    (0, 0, 0),
-                    "dropping on: the pool stays untouched"
-                );
-            } else {
-                assert_eq!(stats.spawns, 2, "one worker set for the run");
-                assert_eq!(stats.barriers, 1, "one derivation round");
-                assert_eq!(
-                    stats.jobs,
-                    faults.len().div_ceil(GENERATE_CHUNK) as u64,
-                    "one job per chunk"
-                );
-            }
+            assert_eq!(
+                pool.stats(),
+                msatpg_exec::PoolStats::default(),
+                "dropping={dropping}"
+            );
         }
     }
 
@@ -2360,7 +2155,8 @@ mod tests {
         // fallback takes over.  (A fault whose difference only passes
         // XOR/BUF/NOT gates from an input needs none and is still derived.)
         // The run must complete without panicking, account for every fault,
-        // and be byte-identical across thread counts.
+        // and be byte-identical across widths (the fallback verifies its
+        // patterns in width-sized blocks).
         let circuit = circuits::adder4();
         let faults = FaultList::collapsed(&circuit);
         let budget = BddBudget::UNLIMITED.with_max_steps(1);
@@ -2391,13 +2187,13 @@ mod tests {
                 .detects(vector.fault, &vector.concretize(false))
                 .unwrap());
         }
-        for threads in [2usize, 8] {
-            let parallel = DigitalAtpg::new(&circuit)
+        for width in [WordWidth::W1, WordWidth::W8] {
+            let rerun = DigitalAtpg::new(&circuit)
                 .with_budget(budget)
-                .with_policy(ExecPolicy::Threads(threads))
+                .with_word_width(width)
                 .run(&faults)
                 .unwrap();
-            assert_reports_identical(&parallel, &reference);
+            assert_reports_identical(&rerun, &reference);
         }
     }
 
@@ -2423,7 +2219,7 @@ mod tests {
         // The driver charges the token once per targeted fault in replay
         // order, and the charge that exhausts the quota itself fails, so a
         // quota of five decides exactly four faults and abandons the rest as
-        // Aborted(Deadline) — at the identical fault on every thread count.
+        // Aborted(Deadline) — at the identical fault at every width.
         let circuit = circuits::adder4();
         let faults = FaultList::collapsed(&circuit);
         let quota = 5u64;
@@ -2445,13 +2241,13 @@ mod tests {
             reference.detected + reference.untestable_count() + reference.aborted_count(),
             faults.len()
         );
-        for threads in [2usize, 8] {
-            let parallel = DigitalAtpg::new(&circuit)
+        for width in [WordWidth::W1, WordWidth::W8] {
+            let rerun = DigitalAtpg::new(&circuit)
                 .with_cancel_token(CancelToken::with_step_quota(quota))
-                .with_policy(ExecPolicy::Threads(threads))
+                .with_word_width(width)
                 .run(&faults)
                 .unwrap();
-            assert_reports_identical(&parallel, &reference);
+            assert_reports_identical(&rerun, &reference);
         }
     }
 
@@ -2496,13 +2292,7 @@ mod tests {
                 reference.detected + reference.untestable_count() + reference.aborted_count(),
                 faults.len()
             );
-            for threads in [2usize, 8] {
-                let parallel = build()
-                    .with_policy(ExecPolicy::Threads(threads))
-                    .run(&faults)
-                    .unwrap();
-                assert_reports_identical(&parallel, &reference);
-            }
+            assert_reports_identical(&build().run(&faults).unwrap(), &reference);
         }
     }
 
@@ -2513,21 +2303,6 @@ mod tests {
         let faults = FaultList::all(&circuit);
         // Rate 1: the very first targeted fault panics under FailFast.
         let chaos = ChaosInjector::new(1).with_panic_rate(1);
-        // Threaded without dropping, the worker's panic is relayed at the
-        // derivation barrier.
-        let threaded = catch_unwind(AssertUnwindSafe(|| {
-            DigitalAtpg::new(&circuit)
-                .with_fault_dropping(false)
-                .with_chaos(chaos)
-                .with_policy(ExecPolicy::Threads(2))
-                .run(&faults)
-        }));
-        let payload = threaded.expect_err("the threaded run must panic");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(message.contains("chaos: injected panic"), "{message}");
         let _ = DigitalAtpg::new(&circuit).with_chaos(chaos).run(&faults);
     }
 
@@ -2561,16 +2336,15 @@ mod tests {
 
     #[test]
     fn pool_survives_chaos_and_cancellation_and_stays_reusable() {
-        // One pool across three campaigns: injected worker panics
-        // (isolated), a mid-run cancellation, then a clean run that must be
-        // byte-identical to a fresh pool's.
+        // One pool across three campaigns: injected panics (isolated), a
+        // mid-run cancellation, then a clean run that must be
+        // byte-identical to a fresh engine's.
         let circuit = circuits::adder4();
         let faults = FaultList::collapsed(&circuit);
         for dropping in [true, false] {
             let engine = || DigitalAtpg::new(&circuit).with_fault_dropping(dropping);
             let clean_reference = engine().run(&faults).unwrap();
-            let pool =
-                WorkerPool::new(ExecPolicy::Threads(2)).with_panic_policy(PanicPolicy::Isolate);
+            let pool = WorkerPool::new(msatpg_exec::ExecPolicy::Serial);
             let chaotic = engine()
                 .with_chaos(ChaosInjector::new(0xBAD).with_panic_rate(4))
                 .with_panic_policy(PanicPolicy::Isolate)

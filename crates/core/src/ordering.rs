@@ -15,7 +15,7 @@
 //! * **dynamic reordering** ([`DvoMode`]): Rudell sifting on the live
 //!   arena (see `msatpg_bdd::reorder`), applied at deterministic
 //!   construction-time safe points so that reports stay byte-identical
-//!   across thread counts.  The default honors the [`DVO_ENV_VAR`]
+//!   across runs and resumes.  The default honors the [`DVO_ENV_VAR`]
 //!   environment variable, mirroring the `MSATPG_WORD_WIDTH` knob.
 //!
 //! Sifting preserves the paper's contract that the composite variable `D`
@@ -41,7 +41,7 @@ pub const DVO_ENV_VAR: &str = "MSATPG_DVO";
 /// is unaffected except for memory footprint.  Results are *equivalent*
 /// across modes (same coverage, same outcome taxonomy) but not
 /// byte-identical: a different order yields different satisfying cubes.
-/// Within one mode, reports remain byte-identical across thread counts.
+/// Within one mode, reports remain byte-identical across runs and resumes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DvoMode {
     /// Honor [`DVO_ENV_VAR`] (`MSATPG_DVO=never/until-convergence`); never

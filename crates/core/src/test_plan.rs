@@ -32,11 +32,11 @@ pub struct AtpgOptions {
     pub max_deviation: f64,
     /// Use the collapsed stuck-at fault list (true) or the full one (false).
     pub collapse_faults: bool,
-    /// Execution policy for the parallelizable stages (the analog element
-    /// tests and the deviation analysis).  The digital stages drop faults,
-    /// so their test generation is serial under every policy (see
-    /// [`DigitalAtpg::run_on`](crate::DigitalAtpg::run_on)).  Every policy
-    /// produces a byte-identical [`TestPlan`]; `Serial` is the default.
+    /// Execution policy of the analog deviation analysis, the one stage
+    /// that runs on the worker pool (one row per (parameter, element)
+    /// pair).  Every other stage is serial under every policy.  Every
+    /// policy produces a byte-identical [`TestPlan`]; `Serial` is the
+    /// default.
     pub exec: ExecPolicy,
     /// Resource budget for the digital OBDD engines.  Unlimited by default;
     /// arming it makes the stuck-at passes degrade gracefully instead of
@@ -54,7 +54,7 @@ pub struct AtpgOptions {
     /// produces an *equivalent* [`TestPlan`] (same coverage and outcome
     /// taxonomy, possibly different test cubes — see
     /// [`DigitalAtpg::with_dvo`](crate::DigitalAtpg::with_dvo)), and within
-    /// one mode the plan stays byte-identical across thread counts.
+    /// one mode the plan stays byte-identical across runs and policies.
     pub dvo: DvoMode,
 }
 
@@ -213,11 +213,13 @@ impl MixedSignalAtpg {
         self.digital_constrained_on(&WorkerPool::new(self.options.exec))
     }
 
-    /// [`MixedSignalAtpg::digital_constrained`] on a shared worker pool.
+    /// [`MixedSignalAtpg::digital_constrained`] with the shared worker pool
+    /// of the other `_on` stages.  The stage runs on the calling thread
+    /// (see [`DigitalAtpg::run_on`](crate::DigitalAtpg::run_on)).
     ///
-    /// On the `_on` paths the **pool's policy** governs execution —
-    /// `options.exec` only matters when the convenience wrappers build the
-    /// pool themselves.
+    /// On the `_on` paths the **pool's policy** governs execution where a
+    /// stage uses the pool — `options.exec` only matters when the
+    /// convenience wrappers build the pool themselves.
     ///
     /// # Errors
     ///
@@ -245,8 +247,9 @@ impl MixedSignalAtpg {
         self.digital_unconstrained_on(&WorkerPool::new(self.options.exec))
     }
 
-    /// [`MixedSignalAtpg::digital_unconstrained`] on a shared worker pool
-    /// (whose policy governs execution, as on every `_on` path).
+    /// [`MixedSignalAtpg::digital_unconstrained`] with the shared worker
+    /// pool of the other `_on` stages; like the constrained stage, it runs
+    /// on the calling thread.
     ///
     /// # Errors
     ///
@@ -327,7 +330,7 @@ impl MixedSignalAtpg {
         let analog = self.circuit.analog();
         // Slot per element: either a ready entry (nothing detects the
         // element — no simulation needed) or `None`, filled below from the
-        // pooled test of the request that names the slot.
+        // batch test of the request that names the slot.
         let mut slots: Vec<Option<AnalogTestEntry>> = Vec::new();
         let mut requests: Vec<ElementTestRequest> = Vec::new();
         let mut request_slots: Vec<usize> = Vec::new();
@@ -430,8 +433,8 @@ impl MixedSignalAtpg {
     /// Runs the complete flow and assembles the [`TestPlan`].
     ///
     /// One [`WorkerPool`] is threaded through every stage — the analog
-    /// element tests and deviation rows ride it, while the digital ATPG
-    /// (which drops faults) and the conversion stage run serially — so its
+    /// deviation rows ride it, while the digital ATPG, the analog element
+    /// tests and the conversion stage run serially — so its
     /// [`msatpg_exec::PoolStats`] describe the entire mixed-signal run.
     ///
     /// # Errors
@@ -554,9 +557,14 @@ mod tests {
             reference.analog_deviations.rows()
         );
         assert_eq!(plan.conversion, reference.conversion);
-        let stats = pool.stats();
-        assert!(stats.spawns > 0, "the threaded stages spawned worker sets");
-        assert!(stats.barriers > 0 && stats.jobs > 0);
+        // Only the deviation stage rides the pool: run alone on a fresh
+        // pool, it accounts for every spawn, job and barrier of the run.
+        let deviation_pool = WorkerPool::new(ExecPolicy::Threads(2));
+        MixedSignalAtpg::new(figure4())
+            .analog_deviation_report_on(&deviation_pool)
+            .unwrap();
+        assert!(deviation_pool.stats().spawns > 0);
+        assert_eq!(pool.stats(), deviation_pool.stats());
     }
 
     #[test]

@@ -33,28 +33,6 @@
 //! Both engines implement fault dropping and produce identical detected /
 //! undetected fault sets (property-tested in `tests/proptests.rs`).
 //!
-//! ## Parallel execution
-//!
-//! The PPSFP engine is embarrassingly parallel over faults: within one
-//! 64-pattern block every fault's detection word is independent.
-//! [`FaultSimulator::with_policy`] partitions the fault list into chunks
-//! executed on the [`msatpg_exec`] worker pool — each worker owns its own
-//! [`PpsfpScratch`] word buffers and [`ObsMemo`] — and the per-chunk
-//! detection results are merged back **in fault-list order**, so the
-//! detected / undetected vectors (and therefore every downstream report)
-//! are byte-identical to a serial run.
-//!
-//! A whole campaign runs inside **one pool session**
-//! ([`msatpg_exec::WorkerPool::session`]): the worker set is spawned once
-//! and the 64-pattern blocks become pool rounds separated by barriers, so
-//! fault dropping synchronizes through the shared dropped-fault flags
-//! between blocks — exactly where the serial engine consults its detected
-//! set — without respawning threads per block.  While the workers propagate
-//! one block, the driver thread simulates the *next* block's good-circuit
-//! words, overlapping the only serial stage of the loop.
-//! [`msatpg_exec::PoolStats`] exposes the amortization: one spawn set and
-//! one barrier per block for the whole campaign.
-//!
 //! ## Wide blocks
 //!
 //! The pattern word generalizes from a single `u64` to a block of `W`
@@ -69,18 +47,10 @@
 //! are ordered by `(first detecting lane, fault index)`, which reproduces
 //! the `W = 1` detected order bit for bit — the width knob changes
 //! wall-clock only, never results (property-tested across widths).
-//!
-//! In the pooled path the fault list is additionally partitioned by
-//! **cone affinity**: faults are greedily grouped into worker chunks by
-//! shared gate support (a 64-bucket signature of each stem cone), so
-//! one worker replays hot cache lines instead of striding the whole
-//! circuit.  The grouping is a pure permutation of the chunk layout; the
-//! lane-ordered merge above makes it invisible in the results.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 
-use msatpg_exec::{CancelToken, ExecPolicy, WorkerPool};
+use msatpg_exec::CancelToken;
 
 use crate::fault::{FaultList, StuckAtFault};
 use crate::gate::GateKind;
@@ -387,11 +357,6 @@ impl FaultCones {
     /// Panics if no requested site lies in that stem's region.
     fn cone(&self, slot: usize) -> &Cone {
         &self.cones[self.cone_of_slot[slot] as usize]
-    }
-
-    /// The cone of the stem closing `site`'s region.
-    fn cone_of(&self, site: SignalId) -> &Cone {
-        self.cone(self.regions.stem_slot(site))
     }
 }
 
@@ -811,84 +776,16 @@ fn first_hit_lane<const W: usize>(diff: &[u64; W]) -> Option<u32> {
 pub struct FaultSimulator<'a> {
     netlist: &'a Netlist,
     drop_detected: bool,
-    policy: ExecPolicy,
     width: WordWidth,
     cancel: Option<CancelToken>,
 }
 
-/// Number of faults per work unit handed to the pool; large enough that a
-/// chunk amortizes its scratch-buffer setup, small enough that stealing
-/// balances uneven cone sizes.
-const FAULT_CHUNK: usize = 64;
-
-/// Fault-cone affinity schedule for the pooled PPSFP path: a permutation of
-/// fault-list indices that greedily groups faults with overlapping gate
-/// support into the same [`FAULT_CHUNK`]-sized worker chunk.
-///
-/// Each fault's stem cone is summarized as a 64-bit signature (bit `b` set iff the cone
-/// touches a gate in the `b`-th of 64 equal spans of the topologically
-/// ordered gate list — cheap, and adjacency in topological order is exactly
-/// adjacency in the good-value arrays the walk reads).  Chunks are then
-/// built greedily: the lowest-index unassigned fault seeds a chunk and the
-/// unassigned faults with the largest signature overlap (ties by fault
-/// index) fill it.  Fully deterministic, and invisible in the results
-/// because the driver re-sorts hits into lane-major fault order.
-fn affinity_order(fault_list: &[StuckAtFault], cones: &FaultCones) -> Vec<u32> {
-    let n_gates = 1 + fault_list
-        .iter()
-        .flat_map(|f| cones.cone_of(f.signal).gates.iter())
-        .map(|&gi| gi as usize)
-        .max()
-        .unwrap_or(0);
-    let sigs: Vec<u64> = fault_list
-        .iter()
-        .map(|f| {
-            let mut sig = 0u64;
-            for &gi in &cones.cone_of(f.signal).gates {
-                sig |= 1u64 << (gi as usize * 64 / n_gates);
-            }
-            sig
-        })
-        .collect();
-    let n = fault_list.len();
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut assigned = vec![false; n];
-    let mut next_seed = 0usize;
-    let mut candidates: Vec<(u32, u32)> = Vec::with_capacity(n);
-    while order.len() < n {
-        while assigned[next_seed] {
-            next_seed += 1;
-        }
-        let seed = next_seed;
-        assigned[seed] = true;
-        order.push(seed as u32);
-        let seed_sig = sigs[seed];
-        // Rank the remaining faults by shared support with the seed; the
-        // complemented-overlap key makes a plain ascending sort yield
-        // (overlap desc, fault index asc).
-        candidates.clear();
-        for (i, &sig) in sigs.iter().enumerate() {
-            if !assigned[i] {
-                candidates.push((64 - (sig & seed_sig).count_ones(), i as u32));
-            }
-        }
-        candidates.sort_unstable();
-        for &(_, i) in candidates.iter().take(FAULT_CHUNK - 1) {
-            assigned[i as usize] = true;
-            order.push(i);
-        }
-    }
-    order
-}
-
 impl<'a> FaultSimulator<'a> {
-    /// Creates a fault simulator for `netlist` with fault dropping enabled
-    /// and serial execution.
+    /// Creates a fault simulator for `netlist` with fault dropping enabled.
     pub fn new(netlist: &'a Netlist) -> Self {
         FaultSimulator {
             netlist,
             drop_detected: true,
-            policy: ExecPolicy::Serial,
             width: WordWidth::Auto,
             cancel: None,
         }
@@ -898,13 +795,6 @@ impl<'a> FaultSimulator<'a> {
     /// once it has been detected — faster, same coverage answer).
     pub fn with_fault_dropping(mut self, enabled: bool) -> Self {
         self.drop_detected = enabled;
-        self
-    }
-
-    /// Sets the execution policy of the PPSFP engine.  Results are
-    /// byte-identical across policies; only the wall-clock changes.
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -926,8 +816,7 @@ impl<'a> FaultSimulator<'a> {
     /// every detection made so far and [`FaultSimResult::patterns_used`]
     /// reports how many patterns were actually simulated, so a
     /// deterministically triggered token yields a deterministic partial
-    /// result on every thread count.  Workers never consult the token —
-    /// block granularity keeps the detected order byte-identical.
+    /// result.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -1018,40 +907,20 @@ impl<'a> FaultSimulator<'a> {
         patterns: &[Vec<bool>],
         cones: &FaultCones,
     ) -> Result<FaultSimResult, DigitalError> {
-        let pool = WorkerPool::new(self.policy);
-        self.run_with_cones_on(&pool, faults, patterns, cones)
-    }
-
-    /// Like [`FaultSimulator::run_with_cones`], but rides a caller-provided
-    /// [`WorkerPool`], whose [`msatpg_exec::PoolStats`] then account for the
-    /// campaign: one worker-set spawn and one barrier per 64-pattern block.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any pattern width does not match, or panics if a
-    /// fault site is missing from `cones`.
-    pub fn run_with_cones_on(
-        &self,
-        pool: &WorkerPool,
-        faults: &FaultList,
-        patterns: &[Vec<bool>],
-        cones: &FaultCones,
-    ) -> Result<FaultSimResult, DigitalError> {
         // One monomorphized campaign loop per supported lane count; the
         // width knob only selects which instantiation runs.
         match self.width.lanes() {
-            8 => self.run_blocks_on::<8>(pool, faults, patterns, cones),
-            _ => self.run_blocks_on::<1>(pool, faults, patterns, cones),
+            8 => self.run_blocks::<8>(faults, patterns, cones),
+            _ => self.run_blocks::<1>(faults, patterns, cones),
         }
     }
 
     /// The width-generic campaign loop behind
-    /// [`FaultSimulator::run_with_cones_on`]: blocks of `64 * W` patterns,
-    /// hits ordered by `(first detecting lane, fault index)` so every
-    /// width, policy and chunk permutation yields the same detected vector.
-    fn run_blocks_on<const W: usize>(
+    /// [`FaultSimulator::run_with_cones`]: blocks of `64 * W` patterns,
+    /// hits ordered by `(first detecting lane, fault index)` so every width
+    /// yields the same detected vector.
+    fn run_blocks<const W: usize>(
         &self,
-        pool: &WorkerPool,
         faults: &FaultList,
         patterns: &[Vec<bool>],
         cones: &FaultCones,
@@ -1060,7 +929,6 @@ impl<'a> FaultSimulator<'a> {
         let mut detected: Vec<StuckAtFault> = Vec::new();
         let mut simulated = 0usize;
         let fault_list = faults.faults();
-        let n_chunks = fault_list.len().div_ceil(FAULT_CHUNK.max(1));
         // Detection is a property of the fault, not of its position: every
         // copy of a fault listed twice shares the flag of its first copy.
         let mut first: HashMap<StuckAtFault, u32> = HashMap::with_capacity(fault_list.len());
@@ -1068,158 +936,46 @@ impl<'a> FaultSimulator<'a> {
             .map(|k| *first.entry(fault_list[k as usize]).or_insert(k))
             .collect();
         let mut is_detected = vec![false; fault_list.len()];
-
-        if pool.policy().is_serial() || n_chunks <= 1 {
-            // Serial fast path: one scratch hoisted above the block loop, no
-            // pool bookkeeping.
-            let mut scratch: PpsfpScratch<W> = PpsfpScratch::new(self.netlist);
-            let mut memo = ObsMemo::new(cones);
-            let mut hits: Vec<(u32, u32)> = Vec::new();
-            for chunk in patterns.chunks(64 * W) {
-                // Cooperative cancellation at the block boundary: keep every
-                // detection made so far, stop consuming further blocks.
-                if self.cancelled() {
-                    break;
+        let mut scratch: PpsfpScratch<W> = PpsfpScratch::new(self.netlist);
+        let mut memo = ObsMemo::new(cones);
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        for chunk in patterns.chunks(64 * W) {
+            // Cooperative cancellation at the block boundary: keep every
+            // detection made so far, stop consuming further blocks.
+            if self.cancelled() {
+                break;
+            }
+            let good = simulator.run_parallel_blocks::<W>(chunk)?;
+            let valid_mask = block_mask::<W>(chunk.len());
+            simulated += chunk.len();
+            hits.clear();
+            memo.clear();
+            for (k, &fault) in fault_list.iter().enumerate() {
+                if self.drop_detected && is_detected[canonical[k] as usize] {
+                    continue;
                 }
-                let good = simulator.run_parallel_blocks::<W>(chunk)?;
-                let valid_mask = block_mask::<W>(chunk.len());
-                simulated += chunk.len();
-                hits.clear();
-                memo.clear();
-                for (k, &fault) in fault_list.iter().enumerate() {
-                    if self.drop_detected && is_detected[canonical[k] as usize] {
-                        continue;
-                    }
-                    let diff = scratch.detection_block(
-                        self.netlist,
-                        cones,
-                        &mut memo,
-                        fault,
-                        &good,
-                        valid_mask,
-                    );
-                    if let Some(lane) = first_hit_lane(&diff) {
-                        hits.push((lane, k as u32));
-                    }
-                }
-                // Lane-major order = the order a W = 1 run would discover
-                // these hits across its narrow sub-blocks.
-                hits.sort_unstable();
-                for &(_, k) in &hits {
-                    let flag = &mut is_detected[canonical[k as usize] as usize];
-                    if !*flag {
-                        *flag = true;
-                        detected.push(fault_list[k as usize]);
-                    }
+                let diff = scratch.detection_block(
+                    self.netlist,
+                    cones,
+                    &mut memo,
+                    fault,
+                    &good,
+                    valid_mask,
+                );
+                if let Some(lane) = first_hit_lane(&diff) {
+                    hits.push((lane, k as u32));
                 }
             }
-        } else {
-            // One pool session for the whole campaign: blocks are rounds,
-            // the barrier between them is where fault dropping syncs.
-            //
-            // Within one block every fault is independent: the serial engine
-            // consults the detected set only for faults caught in *earlier*
-            // blocks (each fault is visited once per block), so partitioning
-            // the fault list across workers — each with its own scratch —
-            // and sorting hits into lane-major fault order reproduces the
-            // serial detected order exactly, for any chunk permutation.
-            // The dropped flags are written by the driver strictly between
-            // rounds (the submit handshake publishes them), and
-            // `detection_block` results do not depend on prior scratch
-            // contents: each worker keeps its own stem memo and clears it
-            // when the block number changes, so per-worker scratch reuse is
-            // schedule-safe.
-            //
-            // `order` groups faults with overlapping cones into the same
-            // chunk, so one worker replays hot gate spans instead of
-            // striding the whole circuit; the sort above makes the
-            // permutation invisible in the results.
-            let order = affinity_order(fault_list, cones);
-            let dropped: Vec<AtomicBool> =
-                fault_list.iter().map(|_| AtomicBool::new(false)).collect();
-            let drop_detected = self.drop_detected;
-            pool.session(
-                n_chunks,
-                || {
-                    (
-                        PpsfpScratch::<W>::new(self.netlist),
-                        ObsMemo::new(cones),
-                        None,
-                    )
-                },
-                |(scratch, memo, memo_block), block: &(Vec<[u64; W]>, [u64; W], usize), ci| {
-                    let offset = ci * FAULT_CHUNK;
-                    let end = (offset + FAULT_CHUNK).min(order.len());
-                    let (good, valid_mask, number) = block;
-                    if *memo_block != Some(*number) {
-                        memo.clear();
-                        *memo_block = Some(*number);
-                    }
-                    let mut hits: Vec<(u32, u32)> = Vec::new();
-                    for &k in &order[offset..end] {
-                        let k = k as usize;
-                        if drop_detected && dropped[k].load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let diff = scratch.detection_block(
-                            self.netlist,
-                            cones,
-                            memo,
-                            fault_list[k],
-                            good,
-                            *valid_mask,
-                        );
-                        if let Some(lane) = first_hit_lane(&diff) {
-                            hits.push((lane, k as u32));
-                        }
-                    }
-                    hits
-                },
-                |session| -> Result<(), DigitalError> {
-                    let mut blocks = patterns.chunks(64 * W);
-                    let stage = |chunk: &[Vec<bool>]| -> Result<_, DigitalError> {
-                        Ok((
-                            simulator.run_parallel_blocks::<W>(chunk)?,
-                            block_mask::<W>(chunk.len()),
-                            chunk.len(),
-                        ))
-                    };
-                    // While the workers propagate block b, the driver
-                    // simulates the good circuit of block b+1.
-                    let mut staged = match blocks.next() {
-                        Some(chunk) => Some(stage(chunk)?),
-                        None => None,
-                    };
-                    let mut number = 0;
-                    while let Some((good, valid_mask, len)) = staged.take() {
-                        // The driver alone consults the cancel token, at the
-                        // same block boundary as the serial loop, so the
-                        // partial detected order stays byte-identical.
-                        if self.cancelled() {
-                            break;
-                        }
-                        simulated += len;
-                        session.submit((good, valid_mask, number), n_chunks);
-                        number += 1;
-                        staged = match blocks.next() {
-                            Some(chunk) => Some(stage(chunk)?),
-                            None => None,
-                        };
-                        let mut hits: Vec<(u32, u32)> =
-                            session.wait().into_iter().flatten().collect();
-                        hits.sort_unstable();
-                        for (_, k) in hits {
-                            let flag = &mut is_detected[canonical[k as usize] as usize];
-                            if !*flag {
-                                *flag = true;
-                                detected.push(fault_list[k as usize]);
-                                dropped[k as usize].store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    Ok(())
-                },
-            )?;
+            // Lane-major order = the order a W = 1 run would discover these
+            // hits across its narrow sub-blocks.
+            hits.sort_unstable();
+            for &(_, k) in &hits {
+                let flag = &mut is_detected[canonical[k as usize] as usize];
+                if !*flag {
+                    *flag = true;
+                    detected.push(fault_list[k as usize]);
+                }
+            }
         }
         let undetected = fault_list
             .iter()
@@ -1439,7 +1195,7 @@ mod tests {
                 assert_eq!(walked, gates_by_scan(netlist, site), "{at}: gates");
                 let stem = regions.stem(site);
                 let (w, s) = (
-                    cones.cone_of(site),
+                    cones.cone(regions.stem_slot(site)),
                     compiler.compile(netlist, stem, gates_by_scan(netlist, stem)),
                 );
                 assert_eq!(w.gates, s.gates, "{at}: stem gates");
@@ -1569,7 +1325,6 @@ mod tests {
 
     #[test]
     fn a_fault_listed_twice_shares_one_detection() {
-        // c432's collapsed list spans several pool chunks.
         let n = benchmarks::c432();
         let mut list = FaultList::collapsed(&n).faults().to_vec();
         list.insert(3, list[10]);
@@ -1581,15 +1336,12 @@ mod tests {
                 .with_fault_dropping(dropping)
                 .run_serial(&faults, &patterns)
                 .unwrap();
-            for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
-                let ppsfp = FaultSimulator::new(&n)
-                    .with_fault_dropping(dropping)
-                    .with_policy(policy)
-                    .run(&faults, &patterns)
-                    .unwrap();
-                assert_eq!(sorted(ppsfp.detected()), sorted(serial.detected()));
-                assert_eq!(ppsfp.undetected(), serial.undetected());
-            }
+            let ppsfp = FaultSimulator::new(&n)
+                .with_fault_dropping(dropping)
+                .run(&faults, &patterns)
+                .unwrap();
+            assert_eq!(sorted(ppsfp.detected()), sorted(serial.detected()));
+            assert_eq!(ppsfp.undetected(), serial.undetected());
         }
     }
 
@@ -1814,74 +1566,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_policies_match_serial_byte_for_byte() {
-        use msatpg_exec::ExecPolicy;
-        let n = benchmarks::by_name("c432").unwrap();
-        let faults = FaultList::collapsed(&n);
-        let patterns = random_patterns(n.primary_inputs().len(), 130, 0xFEED);
-        for dropping in [true, false] {
-            let reference = FaultSimulator::new(&n)
-                .with_fault_dropping(dropping)
-                .run(&faults, &patterns)
-                .unwrap();
-            for threads in [1usize, 2, 8] {
-                let parallel = FaultSimulator::new(&n)
-                    .with_fault_dropping(dropping)
-                    .with_policy(ExecPolicy::Threads(threads))
-                    .run(&faults, &patterns)
-                    .unwrap();
-                // Exact vectors, including order — not just equal sets.
-                assert_eq!(
-                    parallel.detected(),
-                    reference.detected(),
-                    "dropping={dropping} threads={threads}"
-                );
-                assert_eq!(parallel.undetected(), reference.undetected());
-                assert_eq!(parallel.patterns_used(), reference.patterns_used());
-            }
-        }
-    }
-
-    #[test]
-    fn campaign_spawns_one_worker_set_and_one_barrier_per_block() {
-        use msatpg_exec::{ExecPolicy, WorkerPool};
-        let n = benchmarks::by_name("c432").unwrap();
-        let faults = FaultList::collapsed(&n);
-        let cones = FaultCones::build(&n, faults.faults().iter().map(|f| f.signal));
-        // 150 patterns = 3 blocks of 64/64/22 — at W = 1, which this test
-        // pins explicitly because its barrier counts encode the block
-        // structure (a wide width would fold all 150 patterns into one
-        // block and one barrier).
-        let patterns = random_patterns(n.primary_inputs().len(), 150, 0xAB5);
-        let pool = WorkerPool::new(ExecPolicy::Threads(2));
-        let sim = FaultSimulator::new(&n)
-            .with_policy(ExecPolicy::Threads(2))
-            .with_word_width(WordWidth::W1);
-        let parallel = sim
-            .run_with_cones_on(&pool, &faults, &patterns, &cones)
-            .unwrap();
-        let stats = pool.stats();
-        let n_chunks = faults.len().div_ceil(FAULT_CHUNK);
-        assert!(n_chunks >= 2, "campaign must exercise multiple chunks");
-        assert_eq!(
-            stats.spawns, 2,
-            "exactly one 2-worker set for the whole campaign, not one per block"
-        );
-        assert_eq!(stats.barriers, 3, "one barrier per 64-pattern block");
-        assert_eq!(
-            stats.jobs,
-            3 * n_chunks as u64,
-            "every chunk of every block runs exactly once"
-        );
-        // The session-based campaign stays byte-identical to the serial run.
-        let reference = FaultSimulator::new(&n)
-            .run_with_cones(&faults, &patterns, &cones)
-            .unwrap();
-        assert_eq!(parallel.detected(), reference.detected());
-        assert_eq!(parallel.undetected(), reference.undetected());
-    }
-
-    #[test]
     fn empty_fault_list_has_full_coverage() {
         let n = circuits::figure3_circuit();
         let sim = FaultSimulator::new(&n);
@@ -1896,11 +1580,11 @@ mod tests {
         let n = benchmarks::c432();
         let faults = FaultList::collapsed(&n);
         let patterns = random_patterns(n.primary_inputs().len(), 256, 0xCAFE);
-        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
+        for width in [WordWidth::W1, WordWidth::W8] {
             let token = CancelToken::new();
             token.cancel();
             let sim = FaultSimulator::new(&n)
-                .with_policy(policy)
+                .with_word_width(width)
                 .with_cancel_token(token);
             let result = sim.run(&faults, &patterns).unwrap();
             assert_eq!(result.patterns_used(), 0, "no block was consumed");
@@ -1915,9 +1599,9 @@ mod tests {
         let faults = FaultList::collapsed(&n);
         let patterns = random_patterns(n.primary_inputs().len(), 192, 0xFEED);
         let reference = FaultSimulator::new(&n).run(&faults, &patterns).unwrap();
-        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
+        for width in [WordWidth::W1, WordWidth::W8] {
             let governed = FaultSimulator::new(&n)
-                .with_policy(policy)
+                .with_word_width(width)
                 .with_cancel_token(CancelToken::new())
                 .run(&faults, &patterns)
                 .unwrap();
@@ -1942,7 +1626,7 @@ mod tests {
     #[test]
     fn wide_widths_match_w1_byte_for_byte() {
         // W = 8 must reproduce the W = 1 detected vector exactly — order
-        // included — on every policy, with and without dropping.  600
+        // included — with and without dropping.  600
         // patterns: ten narrow blocks, two W = 8 blocks (the second one
         // partial), so cross-lane and cross-block first-detection ordering
         // are both exercised.
@@ -1955,18 +1639,15 @@ mod tests {
                 .with_fault_dropping(dropping)
                 .run(&faults, &patterns)
                 .unwrap();
-            for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
-                let wide = FaultSimulator::new(&n)
-                    .with_word_width(WordWidth::W8)
-                    .with_fault_dropping(dropping)
-                    .with_policy(policy)
-                    .run(&faults, &patterns)
-                    .unwrap();
-                let tag = format!("{policy:?} dropping={dropping}");
-                assert_eq!(wide.detected(), reference.detected(), "{tag}");
-                assert_eq!(wide.undetected(), reference.undetected(), "{tag}");
-                assert_eq!(wide.patterns_used(), reference.patterns_used(), "{tag}");
-            }
+            let wide = FaultSimulator::new(&n)
+                .with_word_width(WordWidth::W8)
+                .with_fault_dropping(dropping)
+                .run(&faults, &patterns)
+                .unwrap();
+            let tag = format!("dropping={dropping}");
+            assert_eq!(wide.detected(), reference.detected(), "{tag}");
+            assert_eq!(wide.undetected(), reference.undetected(), "{tag}");
+            assert_eq!(wide.patterns_used(), reference.patterns_used(), "{tag}");
         }
     }
 
@@ -1996,22 +1677,6 @@ mod tests {
                 assert_eq!(block[l], word, "{fault:?} lane {l}");
             }
         }
-    }
-
-    #[test]
-    fn affinity_order_is_a_permutation() {
-        let n = benchmarks::by_name("c432").unwrap();
-        let faults = FaultList::collapsed(&n);
-        let cones = FaultCones::build(&n, faults.faults().iter().map(|f| f.signal));
-        let order = affinity_order(faults.faults(), &cones);
-        assert_eq!(order.len(), faults.len());
-        let mut seen = vec![false; faults.len()];
-        for &k in &order {
-            assert!(!seen[k as usize], "fault {k} scheduled twice");
-            seen[k as usize] = true;
-        }
-        // Determinism: the schedule is a pure function of the inputs.
-        assert_eq!(order, affinity_order(faults.faults(), &cones));
     }
 
     #[test]

@@ -92,10 +92,6 @@ pub mod random_tpg;
 pub mod region;
 pub mod sim;
 
-/// Execution policy of the workspace worker pool (re-export of
-/// [`msatpg_exec::ExecPolicy`]).
-pub use msatpg_exec::ExecPolicy;
-
 pub use fault::{FaultList, StuckAtFault};
 pub use fault_sim::{FaultSimResult, FaultSimulator, WordWidth};
 pub use gate::GateKind;

@@ -1,11 +1,11 @@
 //! Cooperative cancellation for long-running ATPG campaigns.
 //!
 //! A [`CancelToken`] is a cheap, clonable handle shared between a driver and
-//! the workers (or single-threaded kernels) it governs.  Cancellation is
-//! **cooperative**: nothing is interrupted preemptively; instead the kernels
-//! poll [`CancelToken::is_cancelled`] at their natural safe points — pool
-//! chunk boundaries, BDD operation entry, PPSFP block loops, MNA sweep
-//! frequencies — and unwind cleanly (returning structured errors, never
+//! the kernels it governs.  Cancellation is **cooperative**: nothing is
+//! interrupted preemptively; instead the kernels poll
+//! [`CancelToken::is_cancelled`] at their natural safe points — BDD
+//! operation entry, PPSFP block loops, MNA sweep frequencies — and unwind
+//! cleanly (returning structured errors, never
 //! panicking) when the token has fired.
 //!
 //! Three triggers can fire a token:
@@ -17,10 +17,9 @@
 //!   [`CancelToken::charge`].  The *determinism contract* is that only the
 //!   driver charges the quota, at points whose order does not depend on
 //!   scheduling (per fault target in replay order, per pattern block, per
-//!   sweep frequency).  Workers merely *observe* the token at chunk
-//!   boundaries, which affects wasted speculative work but never the
-//!   report: once the quota fires, which faults are aborted is decided by
-//!   the driver's deterministic replay order.
+//!   sweep frequency).  The kernels merely *observe* the token: once the
+//!   quota fires, which faults are aborted is decided by the driver's
+//!   deterministic replay order.
 //! * **Wall-clock deadline** — [`CancelToken::with_deadline`].  This one is
 //!   inherently timing-dependent; use it for operational hard stops, not in
 //!   determinism-sensitive tests.

@@ -4,10 +4,10 @@
 //! whether a failure should be injected at a counted decision point.  Sites
 //! are stable identifiers chosen by the instrumented code — the workspace
 //! keys them by fault-target index in replay order — so for a given seed
-//! the exact same set of faults is hit regardless of thread count or
-//! scheduling.  That is what lets the chaos proptests assert byte-identical
-//! ATPG reports across `MSATPG_THREADS=1/2/8` *while* failures are being
-//! injected.
+//! the exact same set of faults is hit on every run, width and resume.
+//! That is what lets the chaos proptests assert byte-identical ATPG
+//! reports across runs and `MSATPG_WORD_WIDTH` settings *while* failures
+//! are being injected.
 //!
 //! Two families of failure classes are modeled.  The **process** classes
 //! mirror the real failure modes of the resource-governed ATPG and are

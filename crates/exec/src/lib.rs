@@ -1,57 +1,47 @@
 //! # msatpg-exec — the workspace's one concurrency story
 //!
-//! A std-only **persistent worker pool** with chunked, self-scheduling
-//! parallel iteration and block-boundary barriers.  The hot layers of the
-//! mixed-signal ATPG flow — PPSFP fault re-evaluation, per-fault test
-//! generation without fault dropping, per-parameter worst-case deviation
-//! rows, per-element analog tests — all run on one execution substrate
-//! instead of ad-hoc threading.
+//! A std-only **worker pool** with chunked, self-scheduling parallel
+//! iteration, plus the cooperative [`CancelToken`] and the deterministic
+//! [`ChaosInjector`] the governed ATPG uses.  One production stage runs on
+//! the pool: the per-(parameter, element) rows of the analog worst-case
+//! deviation analysis.  Digital test generation and fault simulation are
+//! serial; each fault costs microseconds there, and threads lost to the
+//! serial loop wherever they were tried.
 //!
 //! ## Design
 //!
 //! * **No external dependencies.**  The container builds offline, so the
 //!   pool is built on [`std::thread::scope`] (workers may borrow the
-//!   caller's data), a mutex/condvar round descriptor and an atomic claim
-//!   cursor.
-//! * **Persistent workers, round barriers.**  [`WorkerPool::session`]
-//!   spawns one worker set for a whole campaign; work is submitted in
-//!   rounds through a channel-free injector, and [`Session::wait`] is the
-//!   barrier at which the driver reads the round's results and updates
-//!   shared state (fault-dropping sets) before the next round.  [`PoolStats`] counts spawns, jobs and barriers so tests can
-//!   assert the amortization (one spawn set per campaign, not one per
-//!   64-pattern block).  See the [`pool`] module docs for the lifecycle.
+//!   caller's data) and an atomic claim cursor.
+//! * **One round per call.**  [`WorkerPool::run_chunks`] spawns
+//!   `min(workers, chunks)` workers, runs every chunk and joins them: the
+//!   one barrier of the round.  [`PoolStats`] counts spawns, jobs and
+//!   barriers.  See the [`pool`] module docs.
 //! * **Work stealing by chunk self-scheduling.**  Idle workers claim the
-//!   next unprocessed chunk of the current round with a compare-and-swap on
-//!   the shared cursor, so a worker that finishes early immediately steals
-//!   the next chunk instead of idling behind a static partition.
-//! * **Deterministic ordered reduction.**  Every chunk's result is slotted
-//!   by chunk index and merged in chunk order, so the output of
-//!   [`par_map_chunks`] / [`par_reduce`] / [`Session::wait`] is a pure
+//!   next unprocessed chunk from the shared cursor, so a worker that
+//!   finishes early takes the next chunk instead of idling behind a static
+//!   partition.
+//! * **Deterministic ordered results.**  Every chunk's result is slotted by
+//!   chunk index, so the output of [`WorkerPool::run_chunks`] is a pure
 //!   function of `(items, chunk_size, f)` — never of the scheduling order
-//!   or the worker count.  Callers that keep per-item work
-//!   schedule-independent (see [`par_map_chunks_with`]) therefore get
-//!   **byte-identical** results for [`ExecPolicy::Serial`], `Threads(2)`,
-//!   `Threads(8)`, … — the property the workspace's determinism suite
-//!   asserts.
+//!   or the worker count — and [`ExecPolicy::Serial`], `Threads(2)`,
+//!   `Threads(8)`, … give **byte-identical** results.
 //! * **One policy knob.**  [`ExecPolicy`] is plumbed through the public
-//!   options structs of the digital, analog and core crates; `Serial` runs
-//!   inline on the caller's thread with zero setup cost.  `Auto` honors the
+//!   options of the analog and core crates; `Serial` runs inline on the
+//!   caller's thread with zero setup cost.  `Auto` honors the
 //!   `MSATPG_THREADS` environment variable so CI can matrix thread counts
 //!   without code changes.
 //!
 //! ## Example
 //!
 //! ```
-//! use msatpg_exec::{par_map_chunks, ExecPolicy};
+//! use msatpg_exec::{ExecPolicy, WorkerPool};
 //!
 //! let items: Vec<u64> = (0..1000).collect();
-//! let serial = par_map_chunks(ExecPolicy::Serial, &items, 64, |_, _, c| {
-//!     c.iter().sum::<u64>()
-//! });
-//! let threaded = par_map_chunks(ExecPolicy::Threads(4), &items, 64, |_, _, c| {
-//!     c.iter().sum::<u64>()
-//! });
-//! assert_eq!(serial, threaded); // deterministic ordered reduction
+//! let sum = |_: &mut (), _, _, c: &[u64]| c.iter().sum::<u64>();
+//! let serial = WorkerPool::new(ExecPolicy::Serial).run_chunks(&items, 64, || (), sum);
+//! let threaded = WorkerPool::new(ExecPolicy::Threads(4)).run_chunks(&items, 64, || (), sum);
+//! assert_eq!(serial, threaded); // deterministic ordered results
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +53,7 @@ pub mod pool;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use chaos::{ChaosEvent, ChaosInjector};
-pub use pool::{ChunkPanic, PanicPolicy, PoolStats, Session, WorkerPool};
+pub use pool::{PanicPolicy, PoolStats, WorkerPool};
 
 /// Name of the environment variable [`ExecPolicy::Auto`] consults before
 /// falling back to [`std::thread::available_parallelism`].
@@ -135,96 +125,6 @@ fn parse_thread_override(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// Maps fixed-size chunks of `items` through `f`, possibly in parallel, and
-/// returns the chunk results **in chunk order**.
-///
-/// `f` receives `(chunk_index, item_offset, chunk)` where `item_offset` is
-/// the index of `chunk[0]` within `items`.  Because results are slotted by
-/// chunk index, the output is independent of the execution policy as long as
-/// `f` itself is a pure function of its arguments.
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero, or propagates a panic raised by `f` on
-/// any worker.
-pub fn par_map_chunks<T, R, F>(policy: ExecPolicy, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, usize, &[T]) -> R + Sync,
-{
-    par_map_chunks_with(
-        policy,
-        items,
-        chunk_size,
-        || (),
-        |(), ci, off, chunk| f(ci, off, chunk),
-    )
-}
-
-/// Like [`par_map_chunks`], but each worker carries a scratch state created
-/// by `init` and reused across every chunk that worker claims.
-///
-/// # Determinism contract
-///
-/// The scratch exists to avoid per-chunk allocations (simulation buffers, LU
-/// workspaces).  `f`'s **result** must not depend on what previous chunks
-/// left in the scratch — chunk-to-worker assignment is scheduling-dependent,
-/// so any result that reads stale scratch state would differ from run to
-/// run.  State that is invalidated wholesale between items (generation
-/// stamps, cleared buffers) satisfies the contract; state that accumulates
-/// numerical drift (e.g. an incrementally patched matrix) does not — create
-/// such state *inside* `f` instead.
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero, or propagates a panic raised by `f` on
-/// any worker.
-pub fn par_map_chunks_with<T, S, R, I, F>(
-    policy: ExecPolicy,
-    items: &[T],
-    chunk_size: usize,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, usize, &[T]) -> R + Sync,
-{
-    WorkerPool::new(policy).run_chunks(items, chunk_size, init, f)
-}
-
-/// Maps chunks in parallel with `map`, then folds the chunk results **in
-/// chunk order** on the caller's thread.
-///
-/// The fold is sequential and ordered, so non-commutative accumulators
-/// (ordered vectors, first-hit searches, floating-point sums) behave exactly
-/// as in a serial loop regardless of the policy.
-///
-/// # Panics
-///
-/// Same conditions as [`par_map_chunks`].
-pub fn par_reduce<T, R, A, M, F>(
-    policy: ExecPolicy,
-    items: &[T],
-    chunk_size: usize,
-    map: M,
-    acc: A,
-    fold: F,
-) -> A
-where
-    T: Sync,
-    R: Send,
-    M: Fn(usize, usize, &[T]) -> R + Sync,
-    F: FnMut(A, R) -> A,
-{
-    par_map_chunks(policy, items, chunk_size, map)
-        .into_iter()
-        .fold(acc, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,11 +162,21 @@ mod tests {
         assert_eq!(ExecPolicy::default(), ExecPolicy::Serial);
     }
 
+    /// One round of `f` over `items` on a fresh pool under `policy`.
+    fn map_chunks<T: Sync, R: Send>(
+        policy: ExecPolicy,
+        items: &[T],
+        chunk_size: usize,
+        f: impl Fn(usize, usize, &[T]) -> R + Sync,
+    ) -> Vec<R> {
+        WorkerPool::new(policy).run_chunks(items, chunk_size, || (), |(), ci, off, c| f(ci, off, c))
+    }
+
     #[test]
     fn chunk_indices_and_offsets_are_consistent() {
         let items: Vec<u32> = (0..103).collect();
         for policy in [ExecPolicy::Serial, ExecPolicy::Threads(3)] {
-            let spans = par_map_chunks(policy, &items, 10, |ci, off, chunk| {
+            let spans = map_chunks(policy, &items, 10, |ci, off, chunk| {
                 assert_eq!(off, ci * 10);
                 assert_eq!(chunk[0], off as u32);
                 (ci, off, chunk.len())
@@ -281,13 +191,10 @@ mod tests {
     #[test]
     fn results_are_ordered_and_policy_independent() {
         let items: Vec<u64> = (0..4096).map(|i| i * 7 + 3).collect();
-        let reference = par_map_chunks(ExecPolicy::Serial, &items, 33, |_, _, c| {
-            c.iter().map(|&x| x.wrapping_mul(x)).sum::<u64>()
-        });
+        let square_sum = |_, _, c: &[u64]| c.iter().map(|&x| x.wrapping_mul(x)).sum::<u64>();
+        let reference = map_chunks(ExecPolicy::Serial, &items, 33, square_sum);
         for threads in [2, 5, 8] {
-            let parallel = par_map_chunks(ExecPolicy::Threads(threads), &items, 33, |_, _, c| {
-                c.iter().map(|&x| x.wrapping_mul(x)).sum::<u64>()
-            });
+            let parallel = map_chunks(ExecPolicy::Threads(threads), &items, 33, square_sum);
             assert_eq!(parallel, reference, "{threads} threads");
         }
     }
@@ -296,7 +203,7 @@ mod tests {
     fn every_item_is_visited_exactly_once() {
         let items: Vec<usize> = (0..1000).collect();
         let visits = AtomicU64::new(0);
-        let chunks = par_map_chunks(ExecPolicy::Threads(7), &items, 13, |_, _, c| {
+        let chunks = map_chunks(ExecPolicy::Threads(7), &items, 13, |_, _, c| {
             visits.fetch_add(c.len() as u64, Ordering::Relaxed);
             c.to_vec()
         });
@@ -306,100 +213,71 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_matches_serial_fold() {
-        let items: Vec<i64> = (0..500).map(|i| i - 250).collect();
-        let expected: i64 = items.iter().map(|&x| x * 3).sum();
-        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(4), ExecPolicy::Auto] {
-            let got = par_reduce(
-                policy,
-                &items,
-                17,
-                |_, _, c| c.iter().map(|&x| x * 3).sum::<i64>(),
-                0i64,
-                |a, r| a + r,
-            );
-            assert_eq!(got, expected, "{policy:?}");
-        }
-    }
-
-    #[test]
     fn worker_state_is_initialized_per_worker_and_reused() {
         // Count init() calls: the serial path creates one state, a threaded
-        // run at most `workers` states (fewer if some workers never claim a
-        // chunk before the cursor drains).
+        // round exactly one per spawned worker.
         let items: Vec<u8> = vec![0; 64];
-        let inits = AtomicU64::new(0);
-        let _ = par_map_chunks_with(
-            ExecPolicy::Serial,
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<u8>::new()
-            },
-            |scratch, _, _, c| {
-                scratch.clear();
-                scratch.extend_from_slice(c);
-                scratch.len()
-            },
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 1);
-        inits.store(0, Ordering::Relaxed);
-        let _ = par_map_chunks_with(
-            ExecPolicy::Threads(3),
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<u8>::new()
-            },
-            |scratch, _, _, c| {
-                scratch.clear();
-                scratch.extend_from_slice(c);
-                scratch.len()
-            },
-        );
-        let n = inits.load(Ordering::Relaxed);
-        assert!((1..=3).contains(&n), "workers initialized {n} states");
+        for (policy, workers) in [(ExecPolicy::Serial, 1), (ExecPolicy::Threads(3), 3)] {
+            let inits = AtomicU64::new(0);
+            let lens = WorkerPool::new(policy).run_chunks(
+                &items,
+                4,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<u8>::new()
+                },
+                |scratch, _, _, c| {
+                    scratch.clear();
+                    scratch.extend_from_slice(c);
+                    scratch.len()
+                },
+            );
+            assert_eq!(lens, vec![4; 16]);
+            assert_eq!(inits.load(Ordering::Relaxed), workers, "{policy:?}");
+        }
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let items: [u8; 0] = [];
-        let out = par_map_chunks(ExecPolicy::Threads(4), &items, 8, |_, _, c| c.len());
+        let out = map_chunks(ExecPolicy::Threads(4), &items, 8, |_, _, c| c.len());
         assert!(out.is_empty());
     }
 
     #[test]
     fn worker_count_never_exceeds_chunk_count() {
-        // 2 chunks, 16 requested workers: must not deadlock or misbehave.
+        // 2 chunks, 16 requested workers: two workers, chunks in order.
         let items: Vec<u32> = (0..20).collect();
-        let out = par_map_chunks(ExecPolicy::Threads(16), &items, 10, |ci, _, c| {
-            (ci, c.iter().sum::<u32>())
-        });
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 0);
-        assert_eq!(out[1].0, 1);
+        let pool = WorkerPool::new(ExecPolicy::Threads(16));
+        let out = pool.run_chunks(
+            &items,
+            10,
+            || (),
+            |(), ci, _, c| (ci, c.iter().sum::<u32>()),
+        );
+        assert_eq!(out, vec![(0, 45), (1, 145)]);
+        assert_eq!(pool.stats().spawns, 2);
     }
 
     #[test]
     #[should_panic(expected = "chunk_size must be positive")]
     fn zero_chunk_size_panics() {
         let items = [1u8, 2, 3];
-        let _ = par_map_chunks(ExecPolicy::Serial, &items, 0, |_, _, c| c.len());
+        let _ = map_chunks(ExecPolicy::Serial, &items, 0, |_, _, c| c.len());
     }
 
     #[test]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..100).collect();
         let result = std::panic::catch_unwind(|| {
-            par_map_chunks(ExecPolicy::Threads(4), &items, 8, |_, off, _| {
+            map_chunks(ExecPolicy::Threads(4), &items, 8, |_, off, _| {
                 if off == 40 {
                     panic!("boom at 40");
                 }
                 off
             })
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("the job panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom at 40"));
     }
 }

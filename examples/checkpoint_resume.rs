@@ -3,8 +3,9 @@
 //! snapshot, and the resumed report is compared **byte for byte** against
 //! the uninterrupted one.  Exits non-zero on any divergence.
 //!
-//! Run with `cargo run --release --example checkpoint_resume`; the worker
-//! count follows `MSATPG_THREADS` (the CI matrix runs 1, 2 and 8).
+//! Run with `cargo run --release --example checkpoint_resume`; the PPSFP
+//! block width follows `MSATPG_WORD_WIDTH` (the CI matrix runs 1 and 8),
+//! and the printed lines are the same at every width.
 
 use std::time::Duration;
 
@@ -15,7 +16,7 @@ use msatpg::core::store::{load_checkpoint, save_report};
 use msatpg::core::{CheckpointPolicy, ConverterBlock};
 use msatpg::digital::benchmarks;
 use msatpg::digital::fault::FaultList;
-use msatpg::exec::{CancelToken, ExecPolicy};
+use msatpg::exec::CancelToken;
 use msatpg::MixedCircuit;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,9 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let codes = thermometer_codes(15);
 
     let engine = || -> Result<DigitalAtpg<'_>, Box<dyn std::error::Error>> {
-        Ok(DigitalAtpg::new(&digital)
-            .with_constraints(&lines, &codes)?
-            .with_policy(ExecPolicy::Auto))
+        Ok(DigitalAtpg::new(&digital).with_constraints(&lines, &codes)?)
     };
 
     let dir = std::env::temp_dir().join(format!("msatpg-resume-smoke-{}", std::process::id()));

@@ -28,8 +28,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 # lane with sifting to convergence) instead of a full product: both widths,
 # a serial and an oversubscribed thread count and both DVO modes are
 # exercised through the env knobs while the suite runs twice.  The suites
-# additionally cross widths, policies and DVO modes internally, so the
-# pairing loses no coverage.
+# additionally cross widths and DVO modes internally, so the pairing loses
+# no coverage.  MSATPG_THREADS reaches only the analog deviation rows
+# (through ExecPolicy::Auto): digital ATPG and fault simulation are serial,
+# so there is no threaded digital path left to sweep.
 echo "==> determinism matrix (proptests + dvo_equivalence at MSATPG_THREADS:MSATPG_WORD_WIDTH:MSATPG_DVO = 1:8:never/8:1:until-convergence)"
 for triple in 1:8:never 8:1:until-convergence; do
     threads=${triple%%:*}

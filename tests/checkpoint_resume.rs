@@ -2,7 +2,7 @@
 //! (this PR's headline scenario): the constrained c432 campaign is
 //! interrupted by a step-quota cancel token, checkpointed, and resumed —
 //! and the resumed report is identical to the uninterrupted one, down to
-//! the serialized bytes, at every thread count.  Deterministic store chaos
+//! the serialized bytes, at every pattern-block width.  Deterministic store chaos
 //! (crash, torn write, bit flip) during checkpoint writes never leaves a
 //! checkpoint behind that loads as anything but a valid snapshot or a
 //! structured [`StoreError`].
@@ -22,7 +22,7 @@ use msatpg::digital::circuits;
 use msatpg::digital::fault::FaultList;
 use msatpg::digital::fault_sim::WordWidth;
 use msatpg::digital::netlist::SignalId;
-use msatpg::exec::{CancelToken, ChaosInjector, ExecPolicy};
+use msatpg::exec::{CancelToken, ChaosInjector};
 use msatpg::{MixedCircuit, MixedSignalAtpg};
 
 /// A unique scratch path under the system temp directory.
@@ -63,7 +63,7 @@ fn report_bytes(netlist: &msatpg::digital::netlist::Netlist, report: &AtpgReport
 /// checkpoint behind, and the resumed campaign — journaled prefix replayed,
 /// aborted faults re-attempted under a fresh (quota-free) governor — is
 /// byte-identical on disk to the campaign that was never interrupted, at
-/// thread counts 1, 2 and 8, with fault dropping on and off.
+/// every pattern-block width, with fault dropping on and off.
 #[test]
 fn interrupted_c432_campaign_resumes_byte_identically() {
     let digital = benchmarks::c432();
@@ -91,9 +91,6 @@ fn interrupted_c432_campaign_resumes_byte_identically() {
     let baseline = engine(BddBudget::UNLIMITED).collect_garbage();
     let tight = BddBudget::UNLIMITED.with_max_live_nodes(baseline + baseline / 16);
 
-    // The grid crosses fault dropping with thread policies: without
-    // dropping, a threaded run derives the faults without a resume slot on
-    // the pool before the replay, so that round meets the snapshot too.
     for dropping in [true, false] {
         let engine = |budget: BddBudget| engine(budget).with_fault_dropping(dropping);
         let reference = engine(tight).run(&faults).unwrap();
@@ -123,23 +120,16 @@ fn interrupted_c432_campaign_resumes_byte_identically() {
             "final flush is complete"
         );
 
-        // The resume grid crosses thread policies with pattern-block
-        // widths: the checkpoint was written by a default-width campaign,
-        // and replaying it under 512-bit PPSFP verification must not move
-        // a single byte.
-        for (policy, width) in [
-            (ExecPolicy::Serial, WordWidth::W8),
-            (ExecPolicy::Threads(2), WordWidth::W8),
-            (ExecPolicy::Threads(8), WordWidth::W1),
-            (ExecPolicy::Auto, WordWidth::Auto),
-        ] {
+        // The checkpoint was written by a default-width campaign, and
+        // replaying it under either PPSFP block width must not move a
+        // single byte.
+        for width in [WordWidth::W8, WordWidth::W1, WordWidth::Auto] {
             let resumed = engine(tight)
                 .with_resume(snapshot.clone())
-                .with_policy(policy)
                 .with_word_width(width)
                 .run(&faults)
                 .unwrap();
-            let context = format!("resume dropping={dropping} {policy:?} {width:?}");
+            let context = format!("resume dropping={dropping} {width:?}");
             assert_reports_identical(&resumed, &reference, &context);
             assert_eq!(
                 report_bytes(&digital, &resumed),

@@ -2,8 +2,7 @@
 //! scenario): on the constrained c432 campaign, `DvoMode::Never` and
 //! `DvoMode::UntilConvergence` produce *equivalent* reports — identical
 //! fault coverage and outcome taxonomy, every vector re-verified through
-//! the PPSFP fault simulator — while within one mode the report stays
-//! byte-identical across thread counts.  A campaign checkpointed under one
+//! the PPSFP fault simulator.  A campaign checkpointed under one
 //! mode resumes byte-identically under the same mode and equivalently
 //! under the other (the journaled prefix replays verbatim; only the
 //! recomputed tail feels the order).
@@ -20,7 +19,7 @@ use msatpg::digital::benchmarks;
 use msatpg::digital::fault::FaultList;
 use msatpg::digital::fault_sim::FaultSimulator;
 use msatpg::digital::netlist::{Netlist, SignalId};
-use msatpg::exec::{CancelToken, ExecPolicy};
+use msatpg::exec::CancelToken;
 use msatpg::MixedCircuit;
 
 /// A unique scratch path under the system temp directory.
@@ -78,8 +77,7 @@ fn ppsfp_replayed_coverage(
 /// `MSATPG_DVO=never` vs `until-convergence` on the constrained c432
 /// campaign: identical covered-fault count, identical untestable set, no
 /// governed outcomes in either, identical PPSFP-replayed coverage sets,
-/// every vector of both campaigns confirmed by fault simulation — and the
-/// sifted campaign is byte-identical across thread counts 1, 2 and 8.
+/// every vector of both campaigns confirmed by fault simulation.
 #[test]
 fn dvo_modes_produce_equivalent_constrained_reports() {
     let (digital, lines, codes) = constrained_c432();
@@ -124,25 +122,10 @@ fn dvo_modes_produce_equivalent_constrained_reports() {
         ppsfp_replayed_coverage(&digital, &faults, &never),
         "PPSFP-replayed coverage diverges between DVO modes"
     );
-
-    // Within one mode the worker pool stays invisible: the sifted campaign
-    // is byte-identical at every thread count (workers rebuild the same
-    // order at the same construction-time safe point).
-    for policy in [
-        ExecPolicy::Threads(1),
-        ExecPolicy::Threads(2),
-        ExecPolicy::Threads(8),
-    ] {
-        let report = engine(DvoMode::UntilConvergence)
-            .with_policy(policy)
-            .run(&faults)
-            .unwrap();
-        assert_reports_identical(&report, &sifted, &format!("until-convergence {policy:?}"));
-    }
 }
 
 /// Checkpoint/resume crossover: a sifted campaign interrupted by a step
-/// quota resumes byte-identically under the same mode (threaded, too), and
+/// quota resumes byte-identically under the same mode, and
 /// resuming the same snapshot under `DvoMode::Never` still produces an
 /// equivalent report — the journaled prefix replays verbatim and the
 /// recomputed tail covers the same faults with different cubes.
@@ -174,10 +157,9 @@ fn dvo_checkpoint_resume_crossover() {
     let snapshot = load_checkpoint(&path, &digital, faults.faults()).unwrap();
     std::fs::remove_file(&path).ok();
 
-    // Same mode, threaded: byte-identical to the uninterrupted campaign.
+    // Same mode: byte-identical to the uninterrupted campaign.
     let resumed = engine(DvoMode::UntilConvergence)
         .with_resume(snapshot.clone())
-        .with_policy(ExecPolicy::Threads(2))
         .run(&faults)
         .unwrap();
     assert_reports_identical(&resumed, &reference, "same-mode resume");

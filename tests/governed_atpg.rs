@@ -2,8 +2,8 @@
 //! headline scenario): the constrained c432 campaign under a deliberately
 //! tiny BDD node budget completes without panicking or hanging, reports the
 //! affected faults as `Degraded` / `Aborted`, leaves the outcome of every
-//! other fault unchanged, and stays byte-identical across thread counts,
-//! with fault dropping on and off.
+//! other fault unchanged, and decides each fault independently of the
+//! faults targeted before it.
 
 use msatpg::bdd::BddBudget;
 use msatpg::conversion::constraints::{thermometer_codes, AllowedCodes};
@@ -14,7 +14,6 @@ use msatpg::digital::benchmarks;
 use msatpg::digital::fault::{FaultList, StuckAtFault};
 use msatpg::digital::fault_sim::FaultSimulator;
 use msatpg::digital::netlist::{Netlist, SignalId};
-use msatpg::exec::ExecPolicy;
 use msatpg::MixedCircuit;
 use std::collections::BTreeSet;
 
@@ -44,24 +43,23 @@ fn c432_constrained_under_a_tiny_node_budget_degrades_gracefully() {
     let faults = FaultList::collapsed(&digital);
     let (lines, codes) = table4_constraints(&digital);
 
-    let engine = |budget: BddBudget, policy: ExecPolicy| -> DigitalAtpg<'_> {
+    let engine = |budget: BddBudget| -> DigitalAtpg<'_> {
         DigitalAtpg::new(&digital)
             .with_constraints(&lines, &codes)
             .unwrap()
             .with_budget(budget)
-            .with_policy(policy)
     };
 
     // Ungoverned reference, and the protected baseline (signal functions
     // plus the constraint BDD) every governed target restarts from.
-    let mut reference_engine = engine(BddBudget::UNLIMITED, ExecPolicy::Serial);
+    let mut reference_engine = engine(BddBudget::UNLIMITED);
     let baseline = reference_engine.collect_garbage();
     let reference = reference_engine.run(&faults).unwrap();
 
     // A budget barely above the baseline: hard faults exhaust it while
     // shallow cones still fit.  The run must complete without panicking.
     let tiny = BddBudget::UNLIMITED.with_max_live_nodes(baseline + baseline / 16);
-    let governed = engine(tiny, ExecPolicy::Serial).run(&faults).unwrap();
+    let governed = engine(tiny).run(&faults).unwrap();
 
     // Every fault is accounted for, and the budget really fired.
     assert_eq!(
@@ -122,33 +120,23 @@ fn c432_constrained_under_a_tiny_node_budget_degrades_gracefully() {
         assert!(codes.allows(&constrained), "degraded vector violates Fc");
         assert!(sim.detects(vector.fault, &pattern).unwrap());
     }
-
-    // Byte-identical across thread counts.
-    for threads in [1usize, 2, 8] {
-        let parallel = engine(tiny, ExecPolicy::Threads(threads))
-            .run(&faults)
-            .unwrap();
-        assert_reports_identical(&parallel, &governed, &format!("threads={threads}"));
-    }
 }
 
-/// Without fault dropping, a threaded run derives the faults on worker
-/// engines that each see a different subset of the list.  Under a tight
-/// node budget every governed target must still cost what the fault alone
-/// costs, whatever ran before it on its engine, so the serial and threaded
-/// reports are byte-identical.
+/// Without fault dropping every fault is derived.  Under a tight node
+/// budget each governed target must cost what the fault alone costs,
+/// whatever ran before it on the engine, so the campaign over the reversed
+/// fault list decides every fault exactly as the forward campaign does.
 #[test]
-fn c432_without_dropping_under_a_tight_node_budget_is_identical_threaded() {
+fn c432_without_dropping_under_a_tight_node_budget_is_order_independent() {
     let digital = benchmarks::c432();
     let faults = FaultList::collapsed(&digital);
     let (lines, codes) = table4_constraints(&digital);
-    let engine = |budget: BddBudget, policy: ExecPolicy| -> DigitalAtpg<'_> {
+    let engine = |budget: BddBudget| -> DigitalAtpg<'_> {
         DigitalAtpg::new(&digital)
             .with_constraints(&lines, &codes)
             .unwrap()
             .with_fault_dropping(false)
             .with_budget(budget)
-            .with_policy(policy)
             // A handful of fallback patterns keeps the many budget-hit
             // faults cheap; the fallback itself is covered above.
             .with_degradation(DegradePolicy {
@@ -156,13 +144,20 @@ fn c432_without_dropping_under_a_tight_node_budget_is_identical_threaded() {
                 ..DegradePolicy::default()
             })
     };
-    let baseline = engine(BddBudget::UNLIMITED, ExecPolicy::Serial).collect_garbage();
+    let baseline = engine(BddBudget::UNLIMITED).collect_garbage();
     let tight = BddBudget::UNLIMITED.with_max_live_nodes(baseline + baseline / 16);
-    let serial = engine(tight, ExecPolicy::Serial).run(&faults).unwrap();
+    let forward = engine(tight).run(&faults).unwrap();
     assert!(
-        serial.degraded_count() + serial.aborted_count() > 0,
+        forward.degraded_count() + forward.aborted_count() > 0,
         "the tight budget must affect at least one fault"
     );
-    let threaded = engine(tight, ExecPolicy::Threads(2)).run(&faults).unwrap();
-    assert_reports_identical(&threaded, &serial, "threads=2, dropping off");
+    let reversed = FaultList::from_faults(faults.faults().iter().rev().copied().collect());
+    let mut backward = engine(tight).run(&reversed).unwrap();
+    // Without dropping every per-fault list follows the fault list, so
+    // reversing the backward lists must give the forward ones.
+    backward.untestable.reverse();
+    backward.degraded.reverse();
+    backward.aborted.reverse();
+    backward.vectors.reverse();
+    assert_reports_identical(&backward, &forward, "reversed fault list, dropping off");
 }

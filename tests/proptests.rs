@@ -1205,10 +1205,10 @@ fn assert_reports_identical(a: &AtpgReport, b: &AtpgReport, context: &str) {
     assert_eq!(a.constrained, b.constrained, "{context}: constrained");
 }
 
-/// The policy grid of the determinism suite.  `Auto` is included so the CI
-/// thread matrix (which sets `MSATPG_THREADS` to 1, 2 and 8 around the same
-/// test binary) exercises genuinely different worker counts without any
-/// code change.
+/// The policy grid of the determinism suite for the pooled analog
+/// deviation rows.  `Auto` is included so the CI thread matrix (which sets
+/// `MSATPG_THREADS` around the same test binary) exercises genuinely
+/// different worker counts without any code change.
 fn determinism_policies() -> [ExecPolicy; 4] {
     [
         ExecPolicy::Threads(1),
@@ -1218,49 +1218,11 @@ fn determinism_policies() -> [ExecPolicy; 4] {
     ]
 }
 
-/// Parallel PPSFP fault simulation detects exactly the same faults in
-/// exactly the same order as the serial engine, for thread counts 1, 2,
-/// 8 and `Auto` (whatever `MSATPG_THREADS` resolves it to), with and
-/// without fault dropping.
-#[test]
-fn parallel_ppsfp_is_byte_identical_to_serial() {
-    use msatpg::digital::benchmarks;
-    let mut rng = SplitMix64::new(0x3A11);
-    for name in ["c432", "c880"] {
-        let n = benchmarks::by_name(name).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let patterns: Vec<Vec<bool>> = (0..150)
-            .map(|_| random_pattern(&mut rng, n.primary_inputs().len()))
-            .collect();
-        for dropping in [true, false] {
-            let reference = FaultSimulator::new(&n)
-                .with_fault_dropping(dropping)
-                .run(&faults, &patterns)
-                .unwrap();
-            for policy in determinism_policies() {
-                let parallel = FaultSimulator::new(&n)
-                    .with_fault_dropping(dropping)
-                    .with_policy(policy)
-                    .run(&faults, &patterns)
-                    .unwrap();
-                // Order-sensitive comparison: the detected vector, not the
-                // detected set.
-                assert_eq!(
-                    parallel.detected(),
-                    reference.detected(),
-                    "{name} dropping={dropping} policy={policy:?}"
-                );
-                assert_eq!(parallel.undetected(), reference.undetected());
-            }
-        }
-    }
-}
-
 /// The widened PPSFP blocks (512-bit) are byte-identical to the
 /// one-lane engine on random netlists — same detected *vector* (order
 /// included), same undetected list, same pattern count — across pattern
 /// batches that straddle the wide block boundaries, with and without fault
-/// dropping, serial and pooled.  The serial per-pattern reference anchors
+/// dropping.  The serial per-pattern reference anchors
 /// the detected *set* so the whole word-level family cannot drift together.
 #[test]
 fn wide_ppsfp_is_byte_identical_to_one_lane_on_random_netlists() {
@@ -1293,59 +1255,15 @@ fn wide_ppsfp_is_byte_identical_to_one_lane_on_random_netlists() {
                 set, serial_set,
                 "case {case} dropping={dropping}: word engine vs serial"
             );
-            for policy in [ExecPolicy::Threads(1), ExecPolicy::Threads(3)] {
-                let wide = FaultSimulator::new(&n)
-                    .with_fault_dropping(dropping)
-                    .with_word_width(WordWidth::W8)
-                    .with_policy(policy)
-                    .run(&faults, &patterns)
-                    .unwrap();
-                let tag = format!("case {case} dropping={dropping} policy={policy:?}");
-                assert_eq!(wide.detected(), reference.detected(), "{tag}");
-                assert_eq!(wide.undetected(), reference.undetected(), "{tag}");
-                assert_eq!(wide.patterns_used(), reference.patterns_used(), "{tag}");
-            }
-        }
-    }
-}
-
-/// A whole PPSFP campaign spawns exactly one worker set, no matter how many
-/// 64-pattern blocks (pool rounds) it runs — the persistent-pool guarantee
-/// that replaced the spawn-per-block scoped pool.
-#[test]
-fn ppsfp_campaign_spawns_one_worker_set() {
-    use msatpg::digital::benchmarks;
-    use msatpg::digital::fault_sim::{FaultCones, WordWidth};
-    use msatpg::exec::WorkerPool;
-    let mut rng = SplitMix64::new(0x5EED);
-    let n = benchmarks::by_name("c880").unwrap();
-    let faults = FaultList::collapsed(&n);
-    let cones = FaultCones::build(&n, faults.faults().iter().map(|f| f.signal));
-    // 300 patterns = 5 blocks; every block is one barrier-separated round.
-    let patterns: Vec<Vec<bool>> = (0..300)
-        .map(|_| random_pattern(&mut rng, n.primary_inputs().len()))
-        .collect();
-    for policy in determinism_policies() {
-        let pool = WorkerPool::new(policy);
-        // The barrier count below encodes the 64-pattern (one-lane) block
-        // structure, so the width is pinned: under the CI width matrix a
-        // 512-bit block would fold the 5 rounds into 1.
-        let result = FaultSimulator::new(&n)
-            .with_policy(policy)
-            .with_word_width(WordWidth::W1)
-            .run_with_cones_on(&pool, &faults, &patterns, &cones)
-            .unwrap();
-        assert!(result.patterns_used() == 300);
-        let stats = pool.stats();
-        let workers = policy.workers() as u64;
-        if workers > 1 {
-            assert_eq!(
-                stats.spawns, workers,
-                "{policy:?}: one worker set for the whole campaign"
-            );
-            assert_eq!(stats.barriers, 5, "{policy:?}: one barrier per block");
-        } else {
-            assert_eq!(stats.spawns, 0, "{policy:?}: serial path spawns nothing");
+            let wide = FaultSimulator::new(&n)
+                .with_fault_dropping(dropping)
+                .with_word_width(WordWidth::W8)
+                .run(&faults, &patterns)
+                .unwrap();
+            let tag = format!("case {case} dropping={dropping}");
+            assert_eq!(wide.detected(), reference.detected(), "{tag}");
+            assert_eq!(wide.undetected(), reference.undetected(), "{tag}");
+            assert_eq!(wide.patterns_used(), reference.patterns_used(), "{tag}");
         }
     }
 }
@@ -1456,14 +1374,13 @@ fn mna_divider_matches_theory() {
 
 /// The seeded fault-injection harness: under injected panics (isolated),
 /// simulated budget exhaustion (degraded via random patterns) and injected
-/// cancellations, the governed ATPG report is still byte-identical across
-/// every thread count — including `Auto`, which the CI matrix pins to
-/// `MSATPG_THREADS=1/2/8` around this very binary — with fault dropping on
-/// (serial under every policy) and off (derived on the pool).  The
-/// injector is a pure function of `(seed, fault index)`, so the same faults
-/// are hit no matter how the work is scheduled.
+/// cancellations, the governed ATPG report accounts for every fault, every
+/// vector it emits — deterministic or degraded — detects its fault, and a
+/// second run reproduces it byte for byte, with fault dropping on and off.
+/// The injector is a pure function of `(seed, fault index)`, so the same
+/// faults are hit on every run.
 #[test]
-fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
+fn chaos_governed_atpg_reports_account_for_every_fault() {
     use msatpg::core::digital_atpg::DegradePolicy;
     use msatpg::exec::{ChaosInjector, PanicPolicy};
 
@@ -1500,14 +1417,11 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
                     "seed={seed:#x} dropping={dropping}: vector fails to detect its fault"
                 );
             }
-            for policy in determinism_policies() {
-                let report = build().with_policy(policy).run(&faults).unwrap();
-                assert_reports_identical(
-                    &report,
-                    &reference,
-                    &format!("chaos seed={seed:#x} dropping={dropping} policy={policy:?}"),
-                );
-            }
+            assert_reports_identical(
+                &build().run(&faults).unwrap(),
+                &reference,
+                &format!("chaos seed={seed:#x} dropping={dropping}"),
+            );
         }
     }
 }
@@ -1516,8 +1430,8 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
 /// chaos campaign — panics isolated, budgets exhausted into degraded
 /// random-pattern vectors (the code path where the width actually decides
 /// which patterns are batched per cone walk) — produces a byte-identical
-/// [`AtpgReport`] for every `MSATPG_WORD_WIDTH` × thread-count combination,
-/// with fault dropping on and off.
+/// [`AtpgReport`] for every `MSATPG_WORD_WIDTH`, with fault dropping on and
+/// off.
 #[test]
 fn governed_atpg_reports_are_byte_identical_across_word_widths() {
     use msatpg::core::digital_atpg::DegradePolicy;
@@ -1554,17 +1468,13 @@ fn governed_atpg_reports_are_byte_identical_across_word_widths() {
             !reference.degraded.is_empty(),
             "seed={seed:#x} dropping={dropping}: the chaos rates must actually degrade faults"
         );
-        for width in [WordWidth::W1, WordWidth::W8] {
-            for policy in determinism_policies() {
-                let report = build(width).with_policy(policy).run(&faults).unwrap();
-                assert_reports_identical(
-                    &report,
-                    &reference,
-                    &format!(
-                        "seed={seed:#x} dropping={dropping} width={width:?} policy={policy:?}"
-                    ),
-                );
-            }
+        for width in [WordWidth::W1, WordWidth::W8, WordWidth::Auto] {
+            let report = build(width).run(&faults).unwrap();
+            assert_reports_identical(
+                &report,
+                &reference,
+                &format!("seed={seed:#x} dropping={dropping} width={width:?}"),
+            );
         }
     }
 }
@@ -1594,9 +1504,8 @@ fn same_function(
 /// Building the signal functions on demand is invisible: on random
 /// netlists, constrained and unconstrained, with fault dropping on and off,
 /// an engine that builds each function the first time a derivation reads it
-/// reports byte for byte what an engine filled up front reports, under
-/// every thread policy (the worker engines are copies of a partly built
-/// one).  Every function the on-demand engine built is the function of the
+/// reports byte for byte what an engine filled up front reports.  Every
+/// function the on-demand engine built is the function of the
 /// full build, and the filled engine reads no new node afterwards.
 #[test]
 fn on_demand_signal_functions_match_the_full_build() {
@@ -1634,14 +1543,6 @@ fn on_demand_signal_functions_match_the_full_build() {
                 let mut on_demand = engine();
                 let report = on_demand.run(&faults).unwrap();
                 assert_reports_identical(&report, &full_report, &context);
-                for policy in determinism_policies() {
-                    let threaded = engine().with_policy(policy).run(&faults).unwrap();
-                    assert_reports_identical(
-                        &threaded,
-                        &full_report,
-                        &format!("{context} {policy:?}"),
-                    );
-                }
                 let created = full.manager().stats().created_nodes;
                 let mut seen = std::collections::HashSet::new();
                 for signal in circuit.signals() {
@@ -1947,9 +1848,9 @@ fn bdd_store_roundtrip_survives_gc_interleaving() {
     }
 }
 
-/// Robustness of the long-lived executors: a worker pool that has relayed
-/// injected job panics (isolated per chunk) and serviced a cancelled
-/// campaign still runs a clean campaign byte-identically to a fresh pool,
+/// Robustness of the long-lived executors: a worker pool that has carried
+/// campaigns with injected panics (isolated per fault) and a cancelled
+/// campaign still runs a clean campaign byte-identically to a fresh engine,
 /// and cancelled engines recover with a fresh token.
 #[test]
 fn pools_and_engines_stay_reusable_after_every_injected_failure() {
@@ -1966,34 +1867,32 @@ fn pools_and_engines_stay_reusable_after_every_injected_failure() {
     for dropping in [true, false] {
         let engine = || DigitalAtpg::new(&circuit).with_fault_dropping(dropping);
         let clean_reference = engine().run(&faults).unwrap();
-        for policy in determinism_policies() {
-            let pool = WorkerPool::new(policy).with_panic_policy(PanicPolicy::Isolate);
-            for seed in 0..3u64 {
-                // Injected worker panics, isolated to their fault targets.
-                let chaotic = engine()
-                    .with_chaos(ChaosInjector::new(seed).with_panic_rate(3))
-                    .with_panic_policy(PanicPolicy::Isolate)
-                    .run_on(&pool, &faults)
-                    .unwrap();
-                assert_eq!(
-                    chaotic.detected + chaotic.untestable.len() + chaotic.aborted.len(),
-                    faults.len()
-                );
-                // A campaign cancelled after a few targets.
-                let cancelled = engine()
-                    .with_cancel_token(CancelToken::with_step_quota(seed + 2))
-                    .run_on(&pool, &faults)
-                    .unwrap();
-                assert!(cancelled.aborted_count() > 0);
-                assert!(is_deadline(&cancelled.aborted));
-                // The same pool then runs a clean campaign: no residue.
-                let clean = engine().run_on(&pool, &faults).unwrap();
-                assert_reports_identical(
-                    &clean,
-                    &clean_reference,
-                    &format!("after chaos seed={seed} dropping={dropping} policy={policy:?}"),
-                );
-            }
+        let pool = WorkerPool::new(ExecPolicy::Threads(2));
+        for seed in 0..3u64 {
+            // Injected panics, isolated to their fault targets.
+            let chaotic = engine()
+                .with_chaos(ChaosInjector::new(seed).with_panic_rate(3))
+                .with_panic_policy(PanicPolicy::Isolate)
+                .run_on(&pool, &faults)
+                .unwrap();
+            assert_eq!(
+                chaotic.detected + chaotic.untestable.len() + chaotic.aborted.len(),
+                faults.len()
+            );
+            // A campaign cancelled after a few targets.
+            let cancelled = engine()
+                .with_cancel_token(CancelToken::with_step_quota(seed + 2))
+                .run_on(&pool, &faults)
+                .unwrap();
+            assert!(cancelled.aborted_count() > 0);
+            assert!(is_deadline(&cancelled.aborted));
+            // The same pool then runs a clean campaign: no residue.
+            let clean = engine().run_on(&pool, &faults).unwrap();
+            assert_reports_identical(
+                &clean,
+                &clean_reference,
+                &format!("after chaos seed={seed} dropping={dropping}"),
+            );
         }
     }
 }
