@@ -3,8 +3,8 @@
 //! This crate provides the reduced, ordered BDD package that the
 //! backtrack-free test generator of Ayari, BenHamida & Kaminska (DATE 1995)
 //! relies on.  The central type is [`BddManager`], a hash-consing node store
-//! with memoized `apply`/`ite` operations, cofactoring, quantification,
-//! Boolean difference, satisfying-assignment enumeration, and
+//! with memoized `apply`/`ite` operations, cofactoring, Boolean
+//! difference, satisfying-assignment enumeration, and
 //! [`BddManager::try_sat_one_and`], which reads `sat_one` of a product off
 //! its two operands without building it.
 //!
@@ -106,17 +106,13 @@
 pub mod budget;
 mod cube;
 mod dot;
-mod expr;
 mod manager;
 mod node;
 pub mod reorder;
-pub mod store;
 
 pub use budget::{BddBudget, BddError};
 pub use cube::{Assignment, Cube, CubeIter};
 pub use dot::{to_dot, to_text_tree};
-pub use expr::Expr;
 pub use manager::{BddManager, BddStats, CacheStats, GcReport};
 pub use node::{Bdd, VarId};
 pub use reorder::SiftReport;
-pub use store::{export_bdd, import_bdd, BddStoreError};

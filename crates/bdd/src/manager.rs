@@ -25,13 +25,13 @@
 //!   lossy caches: a colliding entry simply overwrites the previous one.
 //!   This bounds cache memory for arbitrarily long ATPG runs while keeping
 //!   the hit rate high for the clustered access patterns of `apply`/`ite`
-//!   recursions.  Restriction ([`BddManager::restrict`], and through it
-//!   composition and quantification) and the one-pass Boolean difference
-//!   ([`BddManager::boolean_difference`]) share the apply cache under
-//!   their own op codes, so every cofactoring recursion visits each node
-//!   once instead of each path.  [`BddManager::try_sat_one_and`] reads the
-//!   cache to answer operand pairs and stores each pair it proves disjoint
-//!   as `And(f, g) → 0`, a true AND fact.  Hit/miss counters are exposed
+//!   recursions.  Restriction ([`BddManager::restrict`]) and the one-pass
+//!   Boolean difference ([`BddManager::boolean_difference`]) share the
+//!   apply cache under their own op codes, so every cofactoring recursion
+//!   visits each node once instead of each path.
+//!   [`BddManager::try_sat_one_and`] reads the cache to answer operand
+//!   pairs and stores each pair it proves disjoint as `And(f, g) → 0`, a
+//!   true AND fact.  Hit/miss counters are exposed
 //!   through [`BddManager::stats`]; the caches are invalidated wholesale by
 //!   [`BddManager::gc`] (freed node indices may be reused) and can be reset
 //!   manually with [`BddManager::clear_caches`].
@@ -73,14 +73,6 @@ enum Op {
     Xor,
     Restrict,
     Diff,
-}
-
-/// How [`BddManager::cofactor_combine`] merges the two cofactors (the shared
-/// body of `forall` / `exists`).
-#[derive(Clone, Copy)]
-enum CofactorOp {
-    And,
-    Or,
 }
 
 /// log2 of the number of slots in the apply cache.
@@ -1044,16 +1036,6 @@ impl BddManager {
         Ok(!self.try_xor(f, g)?)
     }
 
-    /// Logical implication `f -> g`.
-    pub fn implies(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        !self.and(f, !g)
-    }
-
-    /// Fallible implication (see [`BddManager::try_and`]).
-    pub fn try_implies(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, BddError> {
-        Ok(!self.try_and(f, !g)?)
-    }
-
     /// Conjunction of an iterator of functions (`one()` for an empty input).
     pub fn and_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
         expect_ok(self.try_and_all(fs))
@@ -1307,7 +1289,7 @@ impl BddManager {
     }
 
     // ------------------------------------------------------------------
-    // Cofactors, composition, quantification
+    // Cofactors and the Boolean difference
     // ------------------------------------------------------------------
 
     /// Restriction (cofactor) of `f` with variable `var` fixed to `value`.
@@ -1371,54 +1353,6 @@ impl BddManager {
         Ok(acc)
     }
 
-    /// Functional composition: substitute function `g` for variable `var` in
-    /// `f`, i.e. `f[var := g]`.
-    pub fn compose(&mut self, f: Bdd, var: VarId, g: Bdd) -> Bdd {
-        expect_ok(self.try_compose(f, var, g))
-    }
-
-    /// Fallible composition (see [`BddManager::try_and`]).
-    pub fn try_compose(&mut self, f: Bdd, var: VarId, g: Bdd) -> Result<Bdd, BddError> {
-        let f1 = self.try_restrict(f, var, true)?;
-        let f0 = self.try_restrict(f, var, false)?;
-        self.try_ite(g, f1, f0)
-    }
-
-    /// Existential quantification over `var`: `f|var=0 OR f|var=1`.
-    pub fn exists(&mut self, f: Bdd, var: VarId) -> Bdd {
-        expect_ok(self.try_exists(f, var))
-    }
-
-    /// Fallible existential quantification (see [`BddManager::try_and`]).
-    pub fn try_exists(&mut self, f: Bdd, var: VarId) -> Result<Bdd, BddError> {
-        self.cofactor_combine(f, var, CofactorOp::Or)
-    }
-
-    /// Universal quantification over `var`: `f|var=0 AND f|var=1`.
-    pub fn forall(&mut self, f: Bdd, var: VarId) -> Bdd {
-        expect_ok(self.try_forall(f, var))
-    }
-
-    /// Fallible universal quantification (see [`BddManager::try_and`]).
-    pub fn try_forall(&mut self, f: Bdd, var: VarId) -> Result<Bdd, BddError> {
-        self.cofactor_combine(f, var, CofactorOp::And)
-    }
-
-    /// Existential quantification over a set of variables.
-    pub fn exists_all(&mut self, f: Bdd, vars: &[VarId]) -> Bdd {
-        expect_ok(self.try_exists_all(f, vars))
-    }
-
-    /// Fallible existential quantification over a set of variables (see
-    /// [`BddManager::try_and`]).
-    pub fn try_exists_all(&mut self, f: Bdd, vars: &[VarId]) -> Result<Bdd, BddError> {
-        let mut acc = f;
-        for &v in vars {
-            acc = self.try_exists(acc, v)?;
-        }
-        Ok(acc)
-    }
-
     /// Boolean difference of `f` with respect to `var`:
     /// `df/dvar = f|var=0 XOR f|var=1`.
     ///
@@ -1465,17 +1399,6 @@ impl BddManager {
         let result = self.mk_node(node.var, low, high)?;
         self.apply_store(slot, Op::Diff, f.0, var, result);
         Ok(result)
-    }
-
-    /// Shared body of the quantifiers: both cofactors of `f` at `var`,
-    /// combined with `op`.
-    fn cofactor_combine(&mut self, f: Bdd, var: VarId, op: CofactorOp) -> Result<Bdd, BddError> {
-        let f0 = self.try_restrict(f, var, false)?;
-        let f1 = self.try_restrict(f, var, true)?;
-        match op {
-            CofactorOp::And => self.try_and(f0, f1),
-            CofactorOp::Or => self.try_or(f0, f1),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1941,7 +1864,7 @@ mod tests {
     }
 
     #[test]
-    fn restrict_and_compose() {
+    fn restrict_fixes_one_variable() {
         let mut m = BddManager::new();
         let (a, b, c) = three_vars(&mut m);
         let f = {
@@ -1954,26 +1877,6 @@ mod tests {
         assert_eq!(f_a1, expected);
         let f_a0 = m.restrict(f, va, false);
         assert_eq!(f_a0, c);
-        // compose a := c  gives (c AND b) OR c = c OR (b AND c) = c... careful:
-        let composed = m.compose(f, va, c);
-        let expect2 = {
-            let cb = m.and(c, b);
-            m.or(cb, c)
-        };
-        assert_eq!(composed, expect2);
-    }
-
-    #[test]
-    fn quantification() {
-        let mut m = BddManager::new();
-        let (a, b, _) = three_vars(&mut m);
-        let f = m.and(a, b);
-        let va = m.var_index("a").unwrap();
-        assert_eq!(m.exists(f, va), b);
-        assert_eq!(m.forall(f, va), m.zero());
-        let g = m.or(a, b);
-        assert_eq!(m.exists(g, va), m.one());
-        assert_eq!(m.forall(g, va), b);
     }
 
     #[test]
@@ -2079,7 +1982,7 @@ mod tests {
 
     #[test]
     fn cache_stats_are_consistent_after_mixed_workload() {
-        // Build a 12-bit adder carry chain, negate, quantify, count — a mix
+        // Build a 12-bit adder carry chain, negate, restrict, count — a mix
         // of apply, ite and restrict traffic — then check the counters are
         // coherent with one another and with a cache clear.
         let mut m = BddManager::new();
@@ -2094,7 +1997,7 @@ mod tests {
         }
         let not_carry = m.not(carry);
         let v0 = m.var_index("a0").unwrap();
-        let _ = m.exists(carry, v0);
+        let _ = m.restrict(carry, v0, true);
         let _ = m.boolean_difference(carry, v0);
         // Distinct, non-coincident operands so the ternary recursion
         // actually probes the ite cache (operand coincidences reduce to
@@ -2404,9 +2307,7 @@ mod tests {
         m.set_budget(BddBudget::UNLIMITED.with_max_steps(3));
         let v = m.var_index("a3").unwrap();
         assert!(m.try_boolean_difference(f, v).is_err());
-        assert!(m.try_compose(f, v, Bdd::ONE).is_err());
-        assert!(m.try_exists(f, v).is_err());
-        assert!(m.try_forall(f, v).is_err());
+        assert!(m.try_restrict(f, v, true).is_err());
         m.set_budget(BddBudget::UNLIMITED);
         // Interrupted operations hold nothing: a GC reclaims everything
         // except the root.

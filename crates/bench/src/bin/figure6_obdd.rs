@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use msatpg_bdd::{to_dot, to_text_tree, BddManager};
+use msatpg_bdd::{to_dot, to_text_tree, BddManager, Cube};
 use msatpg_core::PropagationEngine;
 use msatpg_digital::circuits;
 use msatpg_digital::logic::Logic;
@@ -40,7 +40,8 @@ fn main() {
         let diff = m.boolean_difference(f, d_var);
         match m.sat_one(diff) {
             Some(cube) => println!(
-                "{name}: the fault effect is observable; one propagating assignment: {cube}"
+                "{name}: the fault effect is observable; one propagating assignment: {}",
+                named_literals(&m, &cube)
             ),
             None => println!("{name}: the fault effect cannot reach this output"),
         }
@@ -70,4 +71,20 @@ fn main() {
         }
         None => println!("\npropagation engine: no propagating assignment found"),
     }
+}
+
+/// Renders a cube over the manager's variable names (`!l1`), not the raw
+/// variable ids `Cube`'s `Display` prints (`!x0`).
+fn named_literals(m: &BddManager, cube: &Cube) -> String {
+    if cube.is_empty() {
+        return "(true)".to_owned();
+    }
+    let literals: Vec<String> = cube
+        .iter()
+        .map(|(var, value)| {
+            let negation = if value { "" } else { "!" };
+            format!("{negation}{}", m.var_name(var))
+        })
+        .collect();
+    literals.join(" & ")
 }

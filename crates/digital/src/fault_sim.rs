@@ -4,9 +4,9 @@
 //!
 //! * **PPSFP** (parallel-pattern single-fault propagation), the default used
 //!   by [`FaultSimulator::run`]: the good circuit is simulated once per
-//!   64-pattern word with [`crate::sim::Simulator::run_parallel_all`]; each
-//!   live fault's detection word is then read off its fanout-free region
-//!   ([`crate::region`]):
+//!   pattern block with [`crate::sim::Simulator::run_parallel_blocks`];
+//!   each live fault's detection word is then read off its fanout-free
+//!   region ([`crate::region`]):
 //!
 //!   ```text
 //!   detect(l) = (good_l ⊕ v) · sens(l) · obs(s)
@@ -37,9 +37,8 @@
 //!
 //! The pattern word generalizes from a single `u64` to a block of `W`
 //! lanes (`[u64; W]`, W ∈ {1, 8}) selected by [`WordWidth`]: one path
-//! word and one cone walk then decide up to `64 * W` patterns, the good
-//! circuit is batched the same way
-//! ([`crate::sim::Simulator::run_parallel_blocks`]), and the lane loops
+//! word, one good-circuit pass and one cone walk then decide up to
+//! `64 * W` patterns, and the lane loops
 //! are plain array iterations that auto-vectorize to 256/512-bit SIMD at
 //! `--release` with no `std::simd` dependency.  Pattern `p` lives
 //! in bit `p % 64` of lane `p / 64`, so lane `l` of a wide block is exactly
@@ -449,31 +448,6 @@ pub fn parse_width_override(value: &str) -> Option<usize> {
     }
 }
 
-/// Good-circuit storage served to the generic propagation core: either the
-/// flat `&[u64]` words of [`crate::sim::Simulator::run_parallel_all`]
-/// (`W = 1` only, via `std::array::from_ref`) or the wide `&[[u64; W]]`
-/// blocks of [`crate::sim::Simulator::run_parallel_blocks`].  Lookups
-/// return *references* so the cone walk folds straight out of the backing
-/// arrays — a by-value getter would memcpy 64 bytes per input per gate at
-/// `W = 8`, which costs more than the lane arithmetic itself.
-trait GoodWords<const W: usize> {
-    fn get(&self, i: usize) -> &[u64; W];
-}
-
-impl GoodWords<1> for [u64] {
-    #[inline]
-    fn get(&self, i: usize) -> &[u64; 1] {
-        std::array::from_ref(&self[i])
-    }
-}
-
-impl<const W: usize> GoodWords<W> for [[u64; W]] {
-    #[inline]
-    fn get(&self, i: usize) -> &[u64; W] {
-        &self[i]
-    }
-}
-
 /// The stem observability words of one pattern block, memoized per stem
 /// slot: bit `p % 64` of lane `p / 64` of `obs(s)` is set iff flipping the
 /// stem `s` under pattern `p` changes some primary output.
@@ -573,7 +547,14 @@ impl<const W: usize> PpsfpScratch<W> {
         good: &[[u64; W]],
         valid_mask: [u64; W],
     ) -> [u64; W] {
-        self.detection_core(netlist, cones, memo, fault, good, valid_mask)
+        // Patterns that activate the fault: site value != stuck value.
+        let stuck_word = if fault.stuck_at { u64::MAX } else { 0 };
+        let good_site = &good[fault.signal.index()];
+        let mut active = [0u64; W];
+        for l in 0..W {
+            active[l] = (good_site[l] ^ stuck_word) & valid_mask[l];
+        }
+        self.region_core(netlist, cones, memo, fault.signal, active, good, valid_mask)
     }
 
     /// The block whose bit `p` is set iff flipping `line` under pattern `p`
@@ -596,37 +577,18 @@ impl<const W: usize> PpsfpScratch<W> {
         self.region_core(netlist, cones, memo, line, valid_mask, good, valid_mask)
     }
 
-    fn detection_core<G: GoodWords<W> + ?Sized>(
-        &mut self,
-        netlist: &Netlist,
-        cones: &FaultCones,
-        memo: &mut ObsMemo<W>,
-        fault: StuckAtFault,
-        good: &G,
-        valid_mask: [u64; W],
-    ) -> [u64; W] {
-        // Patterns that activate the fault: site value != stuck value.
-        let stuck_word = if fault.stuck_at { u64::MAX } else { 0 };
-        let good_site = good.get(fault.signal.index());
-        let mut active = [0u64; W];
-        for l in 0..W {
-            active[l] = (good_site[l] ^ stuck_word) & valid_mask[l];
-        }
-        self.region_core(netlist, cones, memo, fault.signal, active, good, valid_mask)
-    }
-
     /// `word · sens(line) · obs(stem)`: narrows `word` by the side inputs of
     /// the single-reader path from `line` to its stem, stopping as soon as
     /// no pattern is left, then ANDs in the stem's observability.
     #[allow(clippy::too_many_arguments)]
-    fn region_core<G: GoodWords<W> + ?Sized>(
+    fn region_core(
         &mut self,
         netlist: &Netlist,
         cones: &FaultCones,
         memo: &mut ObsMemo<W>,
         line: SignalId,
         mut word: [u64; W],
-        good: &G,
+        good: &[[u64; W]],
         valid_mask: [u64; W],
     ) -> [u64; W] {
         let regions = &cones.regions;
@@ -647,7 +609,7 @@ impl<const W: usize> PpsfpScratch<W> {
             };
             // `at` is read on exactly one pin of this gate.
             for &input in gate.inputs.iter().filter(|&&i| i != at) {
-                let side = good.get(input.index());
+                let side = &good[input.index()];
                 for l in 0..W {
                     word[l] &= side[l] ^ complement;
                 }
@@ -658,7 +620,7 @@ impl<const W: usize> PpsfpScratch<W> {
         let obs = match memo.obs[slot] {
             Some(obs) => obs,
             None => {
-                let stem_good = good.get(at.index());
+                let stem_good = &good[at.index()];
                 let mut seed = [0u64; W];
                 for l in 0..W {
                     seed[l] = stem_good[l] ^ valid_mask[l];
@@ -677,11 +639,11 @@ impl<const W: usize> PpsfpScratch<W> {
     /// Propagates `seed`, the faulty value of the cone's site, through the
     /// compiled cone and returns the valid patterns at which some primary
     /// output differs from the good circuit.
-    fn walk_cone<G: GoodWords<W> + ?Sized>(
+    fn walk_cone(
         &mut self,
         cone: &Cone,
         seed: [u64; W],
-        good: &G,
+        good: &[[u64; W]],
         valid_mask: [u64; W],
     ) -> [u64; W] {
         debug_assert!(
@@ -712,12 +674,12 @@ impl<const W: usize> PpsfpScratch<W> {
                 if r & SLOT_TAG != 0 {
                     &faulty[(r ^ SLOT_TAG) as usize]
                 } else {
-                    good.get(r as usize)
+                    &good[r as usize]
                 }
             }));
             self.gates_evaluated += 1;
             self.faulty[op.out_slot as usize] = block;
-            if block != *good.get(op.out_signal as usize) {
+            if block != good[op.out_signal as usize] {
                 horizon = horizon.max(op.last_read as i64 - 1);
             }
             executed = pos as u32 + 1;
@@ -728,7 +690,7 @@ impl<const W: usize> PpsfpScratch<W> {
             // exit equals the good circuit and contributes no diff bits.
             if res.driver_pos_plus1 <= executed {
                 let value = &self.faulty[res.slot as usize];
-                let good_po = good.get(res.signal as usize);
+                let good_po = &good[res.signal as usize];
                 for l in 0..W {
                     diff[l] |= value[l] ^ good_po[l];
                 }
@@ -738,28 +700,6 @@ impl<const W: usize> PpsfpScratch<W> {
             diff[l] &= valid_mask[l];
         }
         diff
-    }
-}
-
-impl PpsfpScratch<1> {
-    /// [`PpsfpScratch::detection_block`] on the good-value words of one (up
-    /// to) 64-pattern block from
-    /// [`crate::sim::Simulator::run_parallel_all`]: bit *i* of the result
-    /// is set iff pattern *i* detects `fault` at a primary output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cones` has no cone for the fault site's stem.
-    pub fn detection_word(
-        &mut self,
-        netlist: &Netlist,
-        cones: &FaultCones,
-        memo: &mut ObsMemo<1>,
-        fault: StuckAtFault,
-        good: &[u64],
-        valid_mask: u64,
-    ) -> u64 {
-        self.detection_core(netlist, cones, memo, fault, good, [valid_mask])[0]
     }
 }
 
@@ -1514,9 +1454,11 @@ mod tests {
         let mut memo = ObsMemo::new(&cones);
         let sim = Simulator::new(&n);
         // One pattern: a = 0 (activates s-a-1), b = c = 0 (kill propagation).
-        let good = sim.run_parallel_all(&[vec![false, false, false]]).unwrap();
-        let diff = scratch.detection_word(&n, &cones, &mut memo, fault, &good, word_mask(1));
-        assert_eq!(diff, 0, "the fault effect dies at the AND gates");
+        let good = sim
+            .run_parallel_blocks::<1>(&[vec![false, false, false]])
+            .unwrap();
+        let diff = scratch.detection_block(&n, &cones, &mut memo, fault, &good, [1]);
+        assert_eq!(diff, [0], "the fault effect dies at the AND gates");
         assert_eq!(
             scratch.gates_evaluated(),
             2,
@@ -1524,16 +1466,18 @@ mod tests {
         );
         // The stem's observability is memoized for the block.
         assert_eq!(
-            scratch.detection_word(&n, &cones, &mut memo, fault, &good, 1),
-            0
+            scratch.detection_block(&n, &cones, &mut memo, fault, &good, [1]),
+            [0]
         );
         assert_eq!(scratch.gates_evaluated(), 2);
         // With b = 1 the effect propagates: the whole cone is walked and the
         // fault is detected.
-        let good = sim.run_parallel_all(&[vec![false, true, false]]).unwrap();
+        let good = sim
+            .run_parallel_blocks::<1>(&[vec![false, true, false]])
+            .unwrap();
         memo.clear();
-        let diff = scratch.detection_word(&n, &cones, &mut memo, fault, &good, word_mask(1));
-        assert_eq!(diff, 1);
+        let diff = scratch.detection_block(&n, &cones, &mut memo, fault, &good, [1]);
+        assert_eq!(diff, [1]);
         assert_eq!(scratch.gates_evaluated(), 14);
     }
 
@@ -1555,14 +1499,14 @@ mod tests {
         let mut scratch: PpsfpScratch = PpsfpScratch::new(&n);
         let mut memo = ObsMemo::new(&cones);
         let sim = Simulator::new(&n);
-        let good = sim.run_parallel_all(&[vec![false, false]]).unwrap();
-        let diff = scratch.detection_word(&n, &cones, &mut memo, StuckAtFault::sa1(a), &good, 1);
-        assert_eq!(diff, 0);
+        let good = sim.run_parallel_blocks::<1>(&[vec![false, false]]).unwrap();
+        let diff = scratch.detection_block(&n, &cones, &mut memo, StuckAtFault::sa1(a), &good, [1]);
+        assert_eq!(diff, [0]);
         assert_eq!(scratch.gates_evaluated(), 0);
-        let good = sim.run_parallel_all(&[vec![false, true]]).unwrap();
+        let good = sim.run_parallel_blocks::<1>(&[vec![false, true]]).unwrap();
         memo.clear();
-        let diff = scratch.detection_word(&n, &cones, &mut memo, StuckAtFault::sa1(a), &good, 1);
-        assert_eq!(diff, 1);
+        let diff = scratch.detection_block(&n, &cones, &mut memo, StuckAtFault::sa1(a), &good, [1]);
+        assert_eq!(diff, [1]);
     }
 
     #[test]
@@ -1652,7 +1596,7 @@ mod tests {
     }
 
     #[test]
-    fn detection_block_matches_detection_word_per_lane() {
+    fn wide_detection_blocks_match_narrow_blocks_per_lane() {
         let n = benchmarks::by_name("c432").unwrap();
         let faults = FaultList::collapsed(&n);
         let cones = FaultCones::build(&n, faults.faults().iter().map(|f| f.signal));
@@ -1670,11 +1614,11 @@ mod tests {
             let block =
                 wide.detection_block(&n, &cones, &mut wide_memo, fault, &good_wide, wide_mask);
             for (l, chunk) in patterns.chunks(64).enumerate() {
-                let good = sim.run_parallel_all(chunk).unwrap();
+                let good = sim.run_parallel_blocks::<1>(chunk).unwrap();
                 narrow_memo.clear();
-                let mask = word_mask(chunk.len());
-                let word = narrow.detection_word(&n, &cones, &mut narrow_memo, fault, &good, mask);
-                assert_eq!(block[l], word, "{fault:?} lane {l}");
+                let mask = block_mask::<1>(chunk.len());
+                let word = narrow.detection_block(&n, &cones, &mut narrow_memo, fault, &good, mask);
+                assert_eq!(block[l], word[0], "{fault:?} lane {l}");
             }
         }
     }

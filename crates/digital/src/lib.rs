@@ -23,8 +23,9 @@
 //! [`fault_sim::FaultSimulator::run`] implements **PPSFP**
 //! (parallel-pattern single-fault propagation) over fanout-free regions:
 //!
-//! 1. patterns are packed 64 to a machine word and the *good* circuit is
-//!    simulated once per word ([`sim::Simulator::run_parallel_all`]);
+//! 1. patterns are packed 64 to a machine word, `W` words to a block, and
+//!    the *good* circuit is simulated once per block
+//!    ([`sim::Simulator::run_parallel_blocks`]);
 //! 2. every line's fanout-free region is computed once ([`region`]): a
 //!    line read by exactly one gate pin, and not a primary output, passes
 //!    every change through that gate, and following such single readers

@@ -1,4 +1,5 @@
-//! Logic simulation: two-valued, 64-way parallel-pattern and five-valued.
+//! Logic simulation: two-valued, parallel-pattern (`64 * W` patterns per
+//! pass) and five-valued.
 
 use std::collections::HashMap;
 
@@ -6,8 +7,8 @@ use crate::logic::Logic;
 use crate::netlist::{Netlist, SignalId};
 use crate::DigitalError;
 
-/// Two-valued simulation of a netlist (convenience re-export of
-/// [`Netlist::evaluate_all`] plus pattern helpers).
+/// Two-valued parallel-pattern simulation of a netlist (one pattern at a
+/// time is [`Netlist::evaluate`]).
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
 }
@@ -18,75 +19,9 @@ impl<'a> Simulator<'a> {
         Simulator { netlist }
     }
 
-    /// Simulates one pattern and returns the primary-output values.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the pattern width does not match.
-    pub fn run(&self, pattern: &[bool]) -> Result<Vec<bool>, DigitalError> {
-        self.netlist.evaluate(pattern)
-    }
-
-    /// Simulates up to 64 patterns at once.  `patterns[i]` is the i-th
-    /// pattern; the returned vector contains, for each primary output, a word
-    /// whose bit *i* is that output's value under pattern *i*.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any pattern width does not match or more than 64
-    /// patterns are supplied.
-    pub fn run_parallel(&self, patterns: &[Vec<bool>]) -> Result<Vec<u64>, DigitalError> {
-        if patterns.len() > 64 {
-            return Err(DigitalError::TooManyPatterns {
-                max: 64,
-                actual: patterns.len(),
-            });
-        }
-        let words = self.run_parallel_all(patterns)?;
-        Ok(self
-            .netlist
-            .primary_outputs()
-            .iter()
-            .map(|o| words[o.index()])
-            .collect())
-    }
-
-    /// Parallel-pattern simulation returning a word per signal.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_parallel`].
-    pub fn run_parallel_all(&self, patterns: &[Vec<bool>]) -> Result<Vec<u64>, DigitalError> {
-        let n_inputs = self.netlist.primary_inputs().len();
-        for p in patterns {
-            if p.len() != n_inputs {
-                return Err(DigitalError::PatternWidthMismatch {
-                    expected: n_inputs,
-                    actual: p.len(),
-                });
-            }
-        }
-        let mut words = vec![0u64; self.netlist.signal_count()];
-        for (i, &sig) in self.netlist.primary_inputs().iter().enumerate() {
-            let mut w = 0u64;
-            for (p, pattern) in patterns.iter().enumerate() {
-                if pattern[i] {
-                    w |= 1 << p;
-                }
-            }
-            words[sig.index()] = w;
-        }
-        for gate in self.netlist.gates() {
-            let ins: Vec<u64> = gate.inputs.iter().map(|i| words[i.index()]).collect();
-            words[gate.output.index()] = gate.kind.eval_word(&ins);
-        }
-        Ok(words)
-    }
-
     /// Wide parallel-pattern simulation returning a `W`-lane block per
     /// signal: pattern `p` lives in bit `p % 64` of lane `p / 64`, so one
-    /// pass fills up to `64 * W` patterns.  `W = 1` is bit-identical to
-    /// [`Simulator::run_parallel_all`].
+    /// pass fills up to `64 * W` patterns.
     ///
     /// # Errors
     ///
@@ -263,11 +198,11 @@ mod tests {
         let patterns: Vec<Vec<bool>> = (0..8u32)
             .map(|i| vec![i & 1 != 0, i & 2 != 0, i & 4 != 0])
             .collect();
-        let words = sim.run_parallel(&patterns).unwrap();
-        assert_eq!(words.len(), 1);
+        let blocks = sim.run_parallel_blocks::<1>(&patterns).unwrap();
+        let out = n.primary_outputs()[0].index();
         for (p, pattern) in patterns.iter().enumerate() {
-            let serial = sim.run(pattern).unwrap()[0];
-            assert_eq!((words[0] >> p) & 1 == 1, serial, "pattern {p}");
+            let serial = n.evaluate(pattern).unwrap()[0];
+            assert_eq!((blocks[out][0] >> p) & 1 == 1, serial, "pattern {p}");
         }
     }
 
@@ -276,15 +211,15 @@ mod tests {
         let n = and_or_circuit();
         let sim = Simulator::new(&n);
         // 130 patterns fill three of the eight lanes at W = 8 (two full,
-        // one partial).
+        // one partial); lane `l` holds the `l`-th 64-pattern word.
         let patterns: Vec<Vec<bool>> = (0..130u32)
             .map(|i| vec![i & 1 != 0, i & 2 != 0, i & 4 != 0])
             .collect();
         let blocks = sim.run_parallel_blocks::<8>(&patterns).unwrap();
         for (start, chunk) in patterns.chunks(64).enumerate() {
-            let words = sim.run_parallel_all(chunk).unwrap();
-            for (i, &w) in words.iter().enumerate() {
-                assert_eq!(blocks[i][start], w, "signal {i} lane {start}");
+            let words = sim.run_parallel_blocks::<1>(chunk).unwrap();
+            for (i, w) in words.iter().enumerate() {
+                assert_eq!(blocks[i][start], w[0], "signal {i} lane {start}");
             }
         }
         for block in &blocks {
@@ -293,27 +228,24 @@ mod tests {
                 "lanes past the pattern count stay zero"
             );
         }
-        // W = 1 is exactly run_parallel_all.
-        let one = sim.run_parallel_blocks::<1>(&patterns[..64]).unwrap();
-        let flat = sim.run_parallel_all(&patterns[..64]).unwrap();
-        assert!(one.iter().map(|b| b[0]).eq(flat.iter().copied()));
-        // Over-wide inputs are a structured error, not a panic.
-        let many = vec![vec![false, false, false]; 65];
-        assert!(matches!(
-            sim.run_parallel_blocks::<1>(&many),
-            Err(DigitalError::TooManyPatterns { max: 64, .. })
-        ));
+        let out = n.primary_outputs()[0].index();
+        for (p, pattern) in patterns.iter().enumerate() {
+            let serial = n.evaluate(pattern).unwrap()[0];
+            assert_eq!((blocks[out][p / 64] >> (p % 64)) & 1 == 1, serial);
+        }
     }
 
     #[test]
     fn too_many_patterns_is_an_error() {
         let n = and_or_circuit();
         let sim = Simulator::new(&n);
+        // Over-wide inputs are a structured error, not a panic.
         let patterns = vec![vec![false, false, false]; 65];
         assert!(matches!(
-            sim.run_parallel(&patterns),
-            Err(DigitalError::TooManyPatterns { .. })
+            sim.run_parallel_blocks::<1>(&patterns),
+            Err(DigitalError::TooManyPatterns { max: 64, .. })
         ));
+        assert!(sim.run_parallel_blocks::<8>(&patterns).is_ok());
     }
 
     #[test]
@@ -364,6 +296,6 @@ mod tests {
         let sim = CompositeSimulator::new(&n);
         assert!(sim.run(&[Logic::One]).is_err());
         let s2 = Simulator::new(&n);
-        assert!(s2.run_parallel(&[vec![true]]).is_err());
+        assert!(s2.run_parallel_blocks::<1>(&[vec![true]]).is_err());
     }
 }
