@@ -4,12 +4,9 @@
 //!
 //! Run with `cargo run --release -p msatpg-bench --bin figure6_obdd`.
 
-use std::collections::HashMap;
-
 use msatpg_bdd::{to_dot, to_text_tree, BddManager, Cube};
-use msatpg_core::PropagationEngine;
+use msatpg_core::DigitalAtpg;
 use msatpg_digital::circuits;
-use msatpg_digital::logic::Logic;
 
 fn main() {
     let circuit = circuits::figure3_circuit();
@@ -47,26 +44,24 @@ fn main() {
         }
     }
 
-    // Cross-check with the propagation engine on the actual netlist, for the
-    // single-composite case the engine supports (D on l2, l0 fixed to 1).
+    // Cross-check with the digital block's OBDD engine on the actual netlist,
+    // for a single composite value (D on l2, l0 fixed to 1).
     let l0_sig = circuit.find_signal("l0").unwrap();
     let l2_sig = circuit.find_signal("l2").unwrap();
-    let mut engine = PropagationEngine::new(&circuit, &[l0_sig, l2_sig]);
-    let mut fixed = HashMap::new();
-    fixed.insert(l0_sig, true);
-    match engine
-        .find_propagating_assignment(&fixed, l2_sig, Logic::D)
-        .expect("engine runs")
+    match DigitalAtpg::new(&circuit)
+        .try_propagate(l2_sig, &[(l0_sig, true)])
+        .expect("an unbudgeted engine is never interrupted")
     {
-        Some(result) => {
+        Some((assignment, observed_output)) => {
+            let externals: Vec<_> = circuit
+                .primary_inputs()
+                .iter()
+                .zip(assignment)
+                .filter(|&(&pi, _)| pi != l0_sig && pi != l2_sig)
+                .map(|(&pi, value)| (circuit.signal_name(pi).to_owned(), value))
+                .collect();
             println!(
-                "\npropagation engine: D on l2 (l0 = 1) observed at output #{} with assignment {:?}",
-                result.observed_output,
-                result
-                    .external_assignment
-                    .iter()
-                    .map(|(s, v)| (circuit.signal_name(*s).to_owned(), *v))
-                    .collect::<Vec<_>>()
+                "\npropagation engine: D on l2 (l0 = 1) observed at output #{observed_output} with assignment {externals:?}"
             );
         }
         None => println!("\npropagation engine: no propagating assignment found"),

@@ -4,8 +4,9 @@
 //!
 //! Activation is the analog half of the mixed fault story: the composite
 //! `D`/`D̄` value a [`StimulusPlan`] places on a conversion-block output is
-//! what the symbolic half — the complement-edged OBDD engine driving
-//! [`crate::propagation`] — then pushes through the digital block.  The
+//! what the symbolic half — the complement-edged OBDD engine behind
+//! [`DigitalAtpg::try_propagate`](crate::DigitalAtpg::try_propagate) — then
+//! pushes through the digital block.  The
 //! Table-1 rows map one-to-one onto those composite values: a fault-free
 //! `1` that turns into a faulty `0` is a `D`, the opposite flip a `D̄`
 //! (with complement edges, literally the same BDD node behind a negated

@@ -2,8 +2,6 @@
 //! activation through the conversion block, then propagation through the
 //! digital block (§2.3 of the paper).
 
-use std::collections::HashMap;
-
 use msatpg_analog::fault::AnalogFault;
 use msatpg_analog::mna::Mna;
 use msatpg_analog::params::ParameterSpec;
@@ -13,12 +11,12 @@ use msatpg_digital::fault_sim::{FaultCones, ObsMemo, PpsfpScratch};
 use msatpg_digital::logic::Logic;
 use msatpg_digital::netlist::SignalId;
 use msatpg_digital::prng::SplitMix64;
-use msatpg_digital::sim::Simulator;
+use msatpg_digital::sim::{CompositeSimulator, Simulator};
 use msatpg_exec::WorkerPool;
 
 use crate::activation::{DeviationSign, StimulusTable};
+use crate::digital_atpg::DigitalAtpg;
 use crate::mixed_circuit::MixedCircuit;
-use crate::propagation::PropagationEngine;
 use crate::CoreError;
 
 /// Seed of the random external inputs of the comparator study's simulation
@@ -37,9 +35,9 @@ pub struct StudyPaths {
     pub proved: usize,
 }
 
-/// One element-test request for the batched entry point
-/// [`AnalogAtpg::test_elements_on`]: the element, the injected deviation and
-/// the parameter ranking to try (most sensitive first).
+/// One element-test request for [`AnalogAtpg::test_elements`]: the
+/// element, the injected deviation and the parameter ranking to try (most
+/// sensitive first).
 #[derive(Clone, Debug)]
 pub struct ElementTestRequest {
     /// The analog element under test.
@@ -134,35 +132,6 @@ impl<'a> AnalogAtpg<'a> {
         self
     }
 
-    /// Attempts to generate a test for a deviation of `deviation` (signed
-    /// fraction) on `element`, observed through `parameter`.
-    ///
-    /// The procedure follows the paper: choose a stimulus per Table 1 for
-    /// each conversion-block output in turn, check that the output actually
-    /// differs between the fault-free and the faulty circuit, then search for
-    /// an external-input assignment that propagates the composite value to a
-    /// primary output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors; "no test exists" is reported through
-    /// [`AnalogTestOutcome::Failed`], not as an error.
-    pub fn test_element_deviation(
-        &self,
-        element: ElementId,
-        deviation: f64,
-        parameter: &ParameterSpec,
-    ) -> Result<AnalogTestOutcome, CoreError> {
-        let table = self.stimulus_table([parameter]);
-        self.test_deviation_with(&mut None, &table, element, deviation, parameter)
-    }
-
-    /// The propagation engine of the digital block, with the lines the
-    /// conversion block drives as its constrained lines.
-    fn engine(&self) -> PropagationEngine<'a> {
-        PropagationEngine::new(self.circuit.digital(), &self.circuit.constrained_inputs())
-    }
-
     /// The Table-1 stimulus table of `parameters` at this generator's
     /// tolerance.
     fn stimulus_table<'p>(
@@ -172,17 +141,25 @@ impl<'a> AnalogAtpg<'a> {
         StimulusTable::measure(self.circuit.analog(), parameters, self.tolerance)
     }
 
-    /// [`AnalogAtpg::test_element_deviation`] on a caller-held engine slot,
-    /// filled by the first attempt that activates a comparator and reused
-    /// by every later one, with the stimuli planned from `table`.
+    /// Attempts to generate a test for a deviation of `deviation` (signed
+    /// fraction) on `element`, observed through `parameter`.
+    ///
+    /// The procedure follows the paper: choose a stimulus per Table 1 for
+    /// each conversion-block output in turn, check that the output actually
+    /// differs between the fault-free and the faulty circuit, then search for
+    /// an external-input assignment that propagates the composite value to a
+    /// primary output (see [`AnalogAtpg::propagate`]; `engine` is filled by
+    /// the first attempt that activates a comparator and reused by every
+    /// later one).
     ///
     /// Every (comparator, direction) attempt plans its stimulus from the
-    /// parameter's table entry and reads the fault-free output amplitude
-    /// from it; the faulty circuit is solved once, at the entry's
-    /// frequency, by the first attempt that has a plan.
+    /// parameter's entry in `table` and reads the fault-free output
+    /// amplitude from it; the faulty circuit is solved once, at the entry's
+    /// frequency, by the first attempt that has a plan.  "No test exists" is
+    /// reported through [`AnalogTestOutcome::Failed`], not as an error.
     fn test_deviation_with(
         &self,
-        engine: &mut Option<PropagationEngine<'a>>,
+        engine: &mut Option<DigitalAtpg<'a>>,
         table: &StimulusTable,
         element: ElementId,
         deviation: f64,
@@ -249,21 +226,23 @@ impl<'a> AnalogAtpg<'a> {
                 let composite =
                     Logic::from_pair(code_good[converter_output], code_faulty[converter_output]);
                 // Fix the other constrained lines to their fault-free values.
-                let mut fixed: HashMap<SignalId, bool> = HashMap::new();
-                for (other_output, other_line) in self.circuit.connections() {
-                    if other_output != converter_output {
-                        fixed.insert(other_line, code_good[other_output]);
-                    }
-                }
-                let engine = engine.get_or_insert_with(|| self.engine());
-                if let Some(prop) = engine.find_propagating_assignment(&fixed, line, composite)? {
+                let fixed: Vec<(SignalId, bool)> = self
+                    .circuit
+                    .connections()
+                    .into_iter()
+                    .filter(|&(other_output, _)| other_output != converter_output)
+                    .map(|(other_output, other_line)| (other_line, code_good[other_output]))
+                    .collect();
+                if let Some((external_assignment, observed_output)) =
+                    self.propagate(engine, line, composite, &fixed)?
+                {
                     return Ok(AnalogTestOutcome::Tested(AnalogTestVector {
                         stimulus: plan.stimulus,
                         comparator: converter_output,
                         composite,
                         constrained_code: code_good,
-                        external_assignment: prop.external_assignment,
-                        observed_output: prop.observed_output,
+                        external_assignment,
+                        observed_output,
                     }));
                 }
             }
@@ -291,28 +270,65 @@ impl<'a> AnalogAtpg<'a> {
             .map_err(|e| CoreError::Analog(e.to_string()))
     }
 
-    /// Tests an element deviation through every parameter of the analog
-    /// block (most-sensitive first according to `ranking`), returning the
-    /// first parameter that yields a test, or the last failure.
+    /// Propagates `composite` on `line` through the digital block with every
+    /// `fixed` line at its value: the external assignment (the primary
+    /// inputs neither fixed nor `line`, in primary-input order) and the
+    /// index of the output that observes the effect.
     ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn test_element(
+    /// The OBDD query is [`DigitalAtpg::try_propagate`] on `engine`, an
+    /// unconstrained generator of the digital block built on first need.
+    /// The five-valued simulator then checks the answer independently: with
+    /// don't-care externals at `0` and `composite` forced on `line`, the
+    /// output must carry a fault effect.
+    fn propagate(
         &self,
-        element: ElementId,
-        deviation: f64,
-        ranking: &[ParameterSpec],
-    ) -> Result<AnalogTestEntry, CoreError> {
-        let table = self.stimulus_table(ranking);
-        self.test_element_with(&mut None, &table, element, deviation, ranking)
+        engine: &mut Option<DigitalAtpg<'a>>,
+        line: SignalId,
+        composite: Logic,
+        fixed: &[(SignalId, bool)],
+    ) -> Result<Option<(Vec<(SignalId, Option<bool>)>, usize)>, CoreError> {
+        let netlist = self.circuit.digital();
+        let found = engine
+            .get_or_insert_with(|| DigitalAtpg::new(netlist))
+            .try_propagate(line, fixed)
+            .map_err(|e| CoreError::Digital(e.to_string()))?;
+        let Some((assignment, po_index)) = found else {
+            return Ok(None);
+        };
+        let mut inputs = Vec::with_capacity(assignment.len());
+        let mut external_assignment = Vec::new();
+        for (&pi, value) in netlist.primary_inputs().iter().zip(assignment) {
+            inputs.push(match fixed.iter().find(|&&(signal, _)| signal == pi) {
+                Some(&(_, fixed_value)) => Logic::from(fixed_value),
+                None if pi == line => Logic::X,
+                None => {
+                    external_assignment.push((pi, value));
+                    Logic::from(value.unwrap_or(false))
+                }
+            });
+        }
+        let mut sim = CompositeSimulator::new(netlist);
+        sim.force(line, composite);
+        let observed = sim
+            .run_outputs(&inputs)
+            .map_err(|e| CoreError::Digital(e.to_string()))?[po_index];
+        if !observed.is_fault_effect() {
+            return Err(CoreError::Propagation {
+                reason: format!(
+                    "BDD search claimed propagation to output {po_index} but simulation observes {observed}"
+                ),
+            });
+        }
+        Ok(Some((external_assignment, po_index)))
     }
 
-    /// [`AnalogAtpg::test_element`] on a caller-held engine slot and
-    /// stimulus table (see [`AnalogAtpg::test_deviation_with`]).
+    /// Tests an element deviation through every parameter of the analog
+    /// block (most-sensitive first according to `ranking`), returning the
+    /// first parameter that yields a test, or the last failure (see
+    /// [`AnalogAtpg::test_deviation_with`]).
     fn test_element_with(
         &self,
-        engine: &mut Option<PropagationEngine<'a>>,
+        engine: &mut Option<DigitalAtpg<'a>>,
         table: &StimulusTable,
         element: ElementId,
         deviation: f64,
@@ -357,28 +373,21 @@ impl<'a> AnalogAtpg<'a> {
     }
 
     /// Tests a batch of element deviations, in request order, on the
-    /// calling thread.
+    /// calling thread: for each request, the first parameter of its ranking
+    /// that yields a test, or the last failure.
     ///
     /// Table 1 is measured once per batch: one entry per distinct ranked
     /// parameter (measurement frequency, nominal and boundary gains,
     /// fault-free output gain), from which every stimulus and fault-free
     /// amplitude is planned.  Per (element, parameter), the faulty circuit
-    /// is solved once, at the parameter's frequency; the propagation engine
-    /// is built once, on the first activated comparator.  The result —
-    /// entries, or the first error — is byte-identical to calling
-    /// [`AnalogAtpg::test_element`] in a loop.
-    ///
-    /// The pool argument is kept for callers that thread one pool through
-    /// every stage.  The batch does not use it: after the stimulus table an
-    /// element is ≈ 0.1–0.2 ms of work, and spreading the Figure-8 board's
-    /// elements over a 2-thread pool took longer than this loop.
+    /// is solved once, at the parameter's frequency; the OBDD engine of the
+    /// digital block is built once, on the first activated comparator.
     ///
     /// # Errors
     ///
     /// Propagates the first simulator error in request order.
-    pub fn test_elements_on(
+    pub fn test_elements(
         &self,
-        _pool: &WorkerPool,
         requests: &[ElementTestRequest],
     ) -> Result<Vec<AnalogTestEntry>, CoreError> {
         let table = self.stimulus_table(requests.iter().flat_map(|r| &r.ranking));
@@ -414,14 +423,16 @@ impl<'a> AnalogAtpg<'a> {
     /// pattern under which flipping the line changes a primary output, that
     /// is, an external assignment under which an output depends on the
     /// line — exactly when the OBDD query finds a propagating assignment.
-    /// Only a line the block leaves unobserved goes to the OBDD query: one
-    /// build of the digital block, made on first need, plus one
-    /// restrict-then-differentiate query per such line, which proves it
-    /// usable or not.  The cones of the lines are compiled once per study.
+    /// Only a line the block leaves unobserved goes to the OBDD query
+    /// ([`DigitalAtpg::try_propagate`] on one generator of the digital
+    /// block, made on first need, which builds only the signal functions
+    /// the queries read), which proves it usable or not.  The cones of the
+    /// lines are compiled once per study.
     ///
     /// # Errors
     ///
-    /// Propagates propagation-engine errors.
+    /// [`CoreError::Propagation`] if the five-valued simulation does not
+    /// confirm an OBDD answer.
     pub fn comparator_propagation_study(&self) -> Result<Vec<(bool, bool)>, CoreError> {
         self.comparator_propagation_study_with_paths()
             .map(|(study, _)| study)
@@ -432,7 +443,7 @@ impl<'a> AnalogAtpg<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates propagation-engine errors.
+    /// As [`AnalogAtpg::comparator_propagation_study`].
     pub fn comparator_propagation_study_with_paths(
         &self,
     ) -> Result<(Vec<(bool, bool)>, StudyPaths), CoreError> {
@@ -486,15 +497,14 @@ impl<'a> AnalogAtpg<'a> {
                     return Ok((true, true));
                 }
                 paths.proved += 1;
-                let fixed: HashMap<SignalId, bool> = lines
+                let fixed: Vec<(SignalId, bool)> = lines
                     .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != idx)
                     .map(|(j, &other_line)| (other_line, j < idx))
                     .collect();
-                let propagates = engine
-                    .get_or_insert_with(|| self.engine())
-                    .find_propagating_assignment(&fixed, lines[idx], Logic::D)?
+                let propagates = self
+                    .propagate(&mut engine, lines[idx], Logic::D, &fixed)?
                     .is_some();
                 Ok((propagates, propagates))
             })
@@ -505,11 +515,11 @@ impl<'a> AnalogAtpg<'a> {
     /// [`AnalogAtpg::comparator_propagation_study`] with a pool argument
     /// kept for callers that thread one pool through every stage.  The
     /// study runs on the calling thread: one simulation block per
-    /// comparator and at most one OBDD build leave no work worth spreading.
+    /// comparator and at most one OBDD engine leave no work worth spreading.
     ///
     /// # Errors
     ///
-    /// Propagates propagation-engine errors.
+    /// As [`AnalogAtpg::comparator_propagation_study`].
     pub fn comparator_propagation_study_on(
         &self,
         _pool: &WorkerPool,
@@ -523,8 +533,6 @@ impl<'a> AnalogAtpg<'a> {
 /// measurements and solves the fault-free and the faulty circuit afresh.
 #[cfg(test)]
 mod oracle {
-    use std::collections::HashMap;
-
     use msatpg_analog::fault::AnalogFault;
     use msatpg_analog::mna::Mna;
     use msatpg_analog::netlist::{Circuit, NodeId};
@@ -539,7 +547,7 @@ mod oracle {
         AnalogAtpg, AnalogTestEntry, AnalogTestFailure, AnalogTestOutcome, AnalogTestVector,
     };
     use crate::activation::{DeviationSign, StimulusPlan};
-    use crate::propagation::PropagationEngine;
+    use crate::digital_atpg::DigitalAtpg;
     use crate::CoreError;
 
     pub(super) fn measurement_frequency(
@@ -641,7 +649,7 @@ mod oracle {
 
     fn test_deviation<'a>(
         atpg: &AnalogAtpg<'a>,
-        engine: &mut Option<PropagationEngine<'a>>,
+        engine: &mut Option<DigitalAtpg<'a>>,
         element: ElementId,
         deviation: f64,
         parameter: &ParameterSpec,
@@ -698,21 +706,23 @@ mod oracle {
                 any_activation = true;
                 let composite =
                     Logic::from_pair(code_good[converter_output], code_faulty[converter_output]);
-                let mut fixed: HashMap<SignalId, bool> = HashMap::new();
-                for (other_output, other_line) in atpg.circuit.connections() {
-                    if other_output != converter_output {
-                        fixed.insert(other_line, code_good[other_output]);
-                    }
-                }
-                let engine = engine.get_or_insert_with(|| atpg.engine());
-                if let Some(prop) = engine.find_propagating_assignment(&fixed, line, composite)? {
+                let fixed: Vec<(SignalId, bool)> = atpg
+                    .circuit
+                    .connections()
+                    .into_iter()
+                    .filter(|&(other_output, _)| other_output != converter_output)
+                    .map(|(other_output, other_line)| (other_line, code_good[other_output]))
+                    .collect();
+                if let Some((external_assignment, observed_output)) =
+                    atpg.propagate(engine, line, composite, &fixed)?
+                {
                     return Ok(AnalogTestOutcome::Tested(AnalogTestVector {
                         stimulus: plan.stimulus,
                         comparator: converter_output,
                         composite,
                         constrained_code: code_good,
-                        external_assignment: prop.external_assignment,
-                        observed_output: prop.observed_output,
+                        external_assignment,
+                        observed_output,
                     }));
                 }
             }
@@ -778,7 +788,6 @@ mod tests {
     use msatpg_analog::sensitivity::WorstCaseAnalysis;
     use msatpg_conversion::{FlashAdc, SarAdc};
     use msatpg_digital::{benchmarks, circuits};
-    use msatpg_exec::ExecPolicy;
 
     use crate::activation::{StimulusPlan, StimulusTable};
     use crate::mixed_circuit::ConverterBlock;
@@ -796,6 +805,25 @@ mod tests {
         mixed
     }
 
+    /// The entry of one element deviation tested through `ranking`.
+    fn test_element(
+        mixed: &MixedCircuit,
+        element: &str,
+        deviation: f64,
+        ranking: Vec<ParameterSpec>,
+    ) -> AnalogTestEntry {
+        let request = ElementTestRequest {
+            element: mixed.analog().circuit().find_element(element).unwrap(),
+            deviation,
+            ranking,
+        };
+        let mut entries = AnalogAtpg::new(mixed)
+            .test_elements(&[request])
+            .expect("simulation succeeds");
+        assert_eq!(entries.len(), 1);
+        entries.remove(0)
+    }
+
     #[test]
     fn rd_deviation_is_testable_through_the_mixed_circuit() {
         // The paper's walk-through: a deviation on Rd changes the
@@ -803,13 +831,9 @@ mod tests {
         // suitable amplitude flips a comparator, and setting l1 (or l1 and
         // l4) propagates the effect to the outputs.
         let mixed = figure4();
-        let atpg = AnalogAtpg::new(&mixed);
-        let rd = mixed.analog().circuit().find_element("Rd").unwrap();
         let a1 = mixed.analog().parameters()[0].clone(); // A1 = MaxGain
-        let outcome = atpg
-            .test_element_deviation(rd, -0.15, &a1)
-            .expect("simulation succeeds");
-        match outcome {
+        let entry = test_element(&mixed, "Rd", -0.15, vec![a1]);
+        match entry.outcome {
             AnalogTestOutcome::Tested(vector) => {
                 assert!(vector.stimulus.amplitude > 0.0);
                 assert!(vector.composite.is_fault_effect());
@@ -825,10 +849,8 @@ mod tests {
         // A deviation far below the detectable threshold does not flip any
         // comparator: activation fails.
         let mixed = figure4();
-        let atpg = AnalogAtpg::new(&mixed);
-        let rd = mixed.analog().circuit().find_element("Rd").unwrap();
         let a1 = mixed.analog().parameters()[0].clone();
-        let outcome = atpg.test_element_deviation(rd, 0.001, &a1).unwrap();
+        let outcome = test_element(&mixed, "Rd", 0.001, vec![a1]).outcome;
         assert_eq!(
             outcome,
             AnalogTestOutcome::Failed(AnalogTestFailure::ActivationFailed)
@@ -839,14 +861,48 @@ mod tests {
     #[test]
     fn test_element_tries_parameters_in_order() {
         let mixed = figure4();
-        let atpg = AnalogAtpg::new(&mixed);
-        let rg = mixed.analog().circuit().find_element("Rg").unwrap();
         let params = mixed.analog().parameters().to_vec();
-        let entry = atpg.test_element(rg, -0.2, &params).unwrap();
+        let entry = test_element(&mixed, "Rg", -0.2, params);
         assert_eq!(entry.element, "Rg");
         assert!(entry.deviation > 0.19);
         assert_eq!(entry.direction, DeviationSign::Below);
         assert!(entry.outcome.is_tested(), "Rg deviation of 20% is testable");
+    }
+
+    #[test]
+    fn dbar_composite_is_supported() {
+        // ∂g(¬D)/∂D = ∂g(D)/∂D: a D̄ on l2 (l0 = 1) propagates exactly as a
+        // D does, to Vo1 with l1 = 0 and l4 open, and the five-valued
+        // simulation confirms both polarities.
+        let mixed = figure4();
+        let atpg = AnalogAtpg::new(&mixed);
+        let [l0, l1, l2, l4] =
+            ["l0", "l1", "l2", "l4"].map(|name| mixed.digital().find_signal(name).unwrap());
+        let mut engine = None;
+        let d = atpg
+            .propagate(&mut engine, l2, Logic::D, &[(l0, true)])
+            .unwrap()
+            .expect("D propagates");
+        let dbar = atpg
+            .propagate(&mut engine, l2, Logic::Dbar, &[(l0, true)])
+            .unwrap()
+            .expect("D' propagates the same way");
+        assert_eq!(d, (vec![(l1, Some(false)), (l4, None)], 0));
+        assert_eq!(dbar, d);
+    }
+
+    #[test]
+    fn simulation_disagreement_is_a_propagation_error() {
+        // The OBDD query ignores the composite value, the simulation does
+        // not: a plain 1 on l2 reaches no output as a fault effect, so the
+        // cross-check refuses the OBDD answer.
+        let mixed = figure4();
+        let atpg = AnalogAtpg::new(&mixed);
+        let [l0, l2] = ["l0", "l2"].map(|name| mixed.digital().find_signal(name).unwrap());
+        let err = atpg
+            .propagate(&mut None, l2, Logic::One, &[(l0, true)])
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Propagation { .. }), "{err}");
     }
 
     #[test]
@@ -946,9 +1002,7 @@ mod tests {
     fn assert_table_matches_the_oracle(mixed: &MixedCircuit) {
         let atpg = AnalogAtpg::new(mixed);
         let requests = requests(mixed);
-        let tested = atpg
-            .test_elements_on(&WorkerPool::new(ExecPolicy::Serial), &requests)
-            .unwrap();
+        let tested = atpg.test_elements(&requests).unwrap();
         assert_eq!(tested.len(), requests.len());
         let mut tested_count = 0;
         for (request, entry) in requests.iter().zip(&tested) {

@@ -111,7 +111,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use msatpg_bdd::{Bdd, BddBudget, BddError, BddManager, Cube, VarId};
+use msatpg_bdd::{Bdd, BddBudget, BddError, BddManager, VarId};
 use msatpg_conversion::constraints::AllowedCodes;
 use msatpg_digital::fault::{FaultList, StuckAtFault};
 use msatpg_digital::fault_sim::{
@@ -998,25 +998,79 @@ impl<'a> DigitalAtpg<'a> {
         if effect.is_zero() {
             return Ok(TestOutcome::Untestable);
         }
-        // 2. For each primary output in the stem's cone, in order, the test
-        //    set is Δ · ∂PO/∂s · Fc, and its sat_one cube is read off the
-        //    operand pair without building the product.  Outputs outside the
-        //    cone equal their fault-free functions and are skipped; the cone
-        //    of the stem holds exactly the outputs of the fault site's cone.
-        let stem = self.regions.map.stem(fault.signal);
+        // 2. The first output whose test set Δ · ∂PO/∂s · Fc is not empty.
+        Ok(match self.observe(fault.signal, effect)? {
+            Some((assignment, observed_output)) => TestOutcome::Detected(TestVector {
+                assignment,
+                fault,
+                observed_output,
+            }),
+            None => TestOutcome::Untestable,
+        })
+    }
+
+    /// Searches for a primary-input assignment under which a change on
+    /// `line` reaches a primary output while every `(signal, value)` of
+    /// `fixed` holds, within the constraint `Fc` in force: the first output,
+    /// in output order, whose `∂PO/∂line · Fc · ∏ (f_signal ≡ value)` is not
+    /// empty.  This is the paper's propagation of a conversion-block
+    /// output's `D`/`D̄` through the digital block (§2.3, Figure 6), with
+    /// the other converter lines fixed; the polarity of the composite value
+    /// does not matter, since `∂g(¬D)/∂D = ∂g(D)/∂D`.
+    ///
+    /// Returns the assignment in primary-input order (`None` =
+    /// don't-care) and the output's index.  A primary-input `line` is left
+    /// open, and each fixed primary input carries its value.  When every
+    /// fixed signal is a primary input, the assignment on the other inputs
+    /// is the cube `sat_one` reads off the derivative restricted to the
+    /// fixed values: the walk forces each fixed literal where the
+    /// restriction removes its variable.
+    ///
+    /// # Errors
+    ///
+    /// [`BddError`] when the armed budget or cancel token interrupts the
+    /// search, as for [`DigitalAtpg::try_generate`].
+    pub fn try_propagate(
+        &mut self,
+        line: SignalId,
+        fixed: &[(SignalId, bool)],
+    ) -> Result<Option<(Vec<Option<bool>>, usize)>, BddError> {
+        self.safe_point();
+        let mut delta = self.sensitization(line)?;
+        for &(signal, value) in fixed {
+            let f = self.signals.get(&mut self.manager, self.netlist, signal)?;
+            let literal = if value { f } else { self.manager.not(f) };
+            delta = self.manager.try_and(delta, literal)?;
+        }
+        self.observe(line, delta)
+    }
+
+    /// The first output, in output order, at which a change on `line` is
+    /// observed where `delta` holds, with the assignment read off
+    /// `Δ · D(s, PO)` in primary-input order.  `delta` includes `sens(line)`,
+    /// so the change reaches the stem `s` of `line`'s fanout-free region.
+    ///
+    /// Each output's cube is read off the operand pair without building the
+    /// product.  Outputs outside the stem's cone equal their fault-free
+    /// functions and are skipped; the cone of the stem holds exactly the
+    /// outputs of `line`'s cone.
+    fn observe(
+        &mut self,
+        line: SignalId,
+        delta: Bdd,
+    ) -> Result<Option<(Vec<Option<bool>>, usize)>, BddError> {
+        let stem = self.regions.map.stem(line);
         for po_index in 0..self.netlist.primary_outputs().len() {
             if !self.regions.observes(stem, po_index) {
                 continue;
             }
             let derivative = self.stem_derivative(stem, po_index)?;
-            let Some(cube) = self.manager.try_sat_one_and(effect, derivative)? else {
-                continue;
-            };
-            return Ok(TestOutcome::Detected(
-                self.vector_from_cube(&cube, fault, po_index),
-            ));
+            if let Some(cube) = self.manager.try_sat_one_and(delta, derivative)? {
+                let assignment = self.pi_vars.iter().map(|&v| cube.get(v)).collect();
+                return Ok(Some((assignment, po_index)));
+            }
         }
-        Ok(TestOutcome::Untestable)
+        Ok(None)
     }
 
     /// The per-target safe point: no transient handle from a previous
@@ -1380,14 +1434,6 @@ impl<'a> DigitalAtpg<'a> {
             }
         }
         Ok(None)
-    }
-
-    fn vector_from_cube(&self, cube: &Cube, fault: StuckAtFault, po_index: usize) -> TestVector {
-        TestVector {
-            assignment: self.pi_vars.iter().map(|&v| cube.get(v)).collect(),
-            fault,
-            observed_output: po_index,
-        }
     }
 }
 
@@ -1754,8 +1800,8 @@ impl Regions {
 }
 
 /// Lowers one gate onto the OBDD manager: the single definition of how a
-/// [`GateKind`] becomes Boolean operations, shared by the test generator,
-/// the propagation engine and the `bdd_memory` benchmark.  That benchmark
+/// [`GateKind`] becomes Boolean operations, shared by the test generator
+/// and the `bdd_memory` benchmark.  That benchmark
 /// builds every signal function, which is the build of a governed or
 /// sifted engine; an ungoverned campaign builds only the functions its
 /// derivations read.
@@ -2751,5 +2797,94 @@ mod tests {
             moved += usize::from(outcome != *before);
         }
         assert!(moved > 0, "the constraint must move some outcome");
+    }
+
+    fn signal(circuit: &Netlist, name: &str) -> SignalId {
+        circuit.find_signal(name).unwrap()
+    }
+
+    /// The value `assignment` (primary-input order) gives `name`.
+    fn value_of(circuit: &Netlist, assignment: &[Option<bool>], name: &str) -> Option<bool> {
+        let pi = signal(circuit, name);
+        assignment[circuit
+            .primary_inputs()
+            .iter()
+            .position(|&p| p == pi)
+            .unwrap()]
+    }
+
+    /// The paper's Figure-6 walk-through with one composite value: a `D`
+    /// on l2 (through the comparator Co1) while l0 keeps its fault-free
+    /// value 1.  Then l6 = 1, Vo1 = l7 = l1 + l2 needs l1 = 0, and
+    /// Vo2 = l6·l4 = l4 never sees the effect, so it is observed at Vo1.
+    #[test]
+    fn figure6_propagation_is_observed_at_vo1() {
+        let circuit = circuits::figure3_circuit();
+        let (l0, l2) = (signal(&circuit, "l0"), signal(&circuit, "l2"));
+        let mut atpg = DigitalAtpg::new(&circuit);
+        let (assignment, observed) = atpg
+            .try_propagate(l2, &[(l0, true)])
+            .unwrap()
+            .expect("the fault effect must reach an output");
+        assert_eq!(observed, 0);
+        assert_eq!(value_of(&circuit, &assignment, "l1"), Some(false));
+        assert_eq!(value_of(&circuit, &assignment, "l0"), Some(true));
+        assert_eq!(value_of(&circuit, &assignment, "l2"), None, "open");
+        assert_eq!(value_of(&circuit, &assignment, "l4"), None);
+    }
+
+    /// The Figure-3 circuit with only `Vo2 = (l0 + l2)·l4` as an output.
+    fn figure3_vo2_only() -> Netlist {
+        let mut n = Netlist::new("figure3-vo2");
+        let l0 = n.input("l0");
+        let _l1 = n.input("l1");
+        let l2 = n.input("l2");
+        let l4 = n.input("l4");
+        let l3 = n.gate(GateKind::Buf, "l3", &[l2]);
+        let l6 = n.gate(GateKind::Or, "l6", &[l0, l3]);
+        let vo2 = n.gate(GateKind::And, "Vo2", &[l6, l4]);
+        n.mark_output(vo2);
+        n
+    }
+
+    #[test]
+    fn propagation_blocked_by_fixed_values() {
+        // Composite on l2.  With l0 = 0 the OR gate l6 = l0 + l3 passes
+        // l3 = l2, so the effect reaches Vo1 (first in output order) and
+        // also Vo2 = l6·l4, which needs l4 = 1.  With l0 = 1, l6 is stuck at
+        // 1: Vo2 = l4 is fault-free and only Vo1 (through l7) observes it.
+        let circuit = circuits::figure3_circuit();
+        let (l0, l2) = (signal(&circuit, "l0"), signal(&circuit, "l2"));
+        let mut atpg = DigitalAtpg::new(&circuit);
+        for l0_value in [false, true] {
+            let (_, observed) = atpg
+                .try_propagate(l2, &[(l0, l0_value)])
+                .unwrap()
+                .expect("Vo1 observes the composite");
+            assert_eq!(observed, 0, "l0 = {l0_value}");
+        }
+
+        let vo2_only = figure3_vo2_only();
+        let (l0, l2) = (signal(&vo2_only, "l0"), signal(&vo2_only, "l2"));
+        let mut atpg = DigitalAtpg::new(&vo2_only);
+        let (open, observed) = atpg
+            .try_propagate(l2, &[(l0, false)])
+            .unwrap()
+            .expect("Vo2 observes the composite when l0 = 0");
+        assert_eq!(observed, 0);
+        assert_eq!(value_of(&vo2_only, &open, "l4"), Some(true));
+        let masked = atpg.try_propagate(l2, &[(l0, true)]).unwrap();
+        assert_eq!(masked, None, "l0 = 1 masks the composite at Vo2");
+    }
+
+    #[test]
+    fn unpropagatable_effect_returns_none() {
+        // Composite on l1 with l2 = 1 forces l7 = 1, so Vo1 is insensitive
+        // to l1 and Vo2 never depends on l1.
+        let circuit = circuits::figure3_circuit();
+        let (l1, l2) = (signal(&circuit, "l1"), signal(&circuit, "l2"));
+        let mut atpg = DigitalAtpg::new(&circuit);
+        let result = atpg.try_propagate(l1, &[(l2, true)]).unwrap();
+        assert!(result.is_none(), "l7 = l1 + 1 masks the composite");
     }
 }

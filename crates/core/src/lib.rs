@@ -7,11 +7,11 @@
 //!
 //! * [`digital_atpg`] — backtrack-free OBDD stuck-at ATPG with the
 //!   constraint function `Fc` ([`constraint`]) imposed by the conversion
-//!   block;
+//!   block, whose OBDDs also answer the D/D̄ propagation from a
+//!   conversion-block output through the digital block (Figure 6,
+//!   [`DigitalAtpg::try_propagate`]);
 //! * [`activation`] — Table-1 stimulus selection for analog parametric
 //!   faults;
-//! * [`propagation`] — D/D̄ propagation from a conversion-block output
-//!   through the digital block (Figure 6);
 //! * [`analog_atpg`] / [`test_plan`] — the end-to-end flow producing a
 //!   [`TestPlan`];
 //! * [`report`] — plain-text tables used by the experiment binaries.
@@ -29,7 +29,6 @@ pub mod constraint;
 pub mod digital_atpg;
 pub mod mixed_circuit;
 pub mod ordering;
-pub mod propagation;
 pub mod report;
 pub mod store;
 pub mod test_plan;
@@ -49,7 +48,6 @@ pub use digital_atpg::{
 };
 pub use mixed_circuit::{ConverterBlock, MixedCircuit};
 pub use ordering::{pi_order, DvoMode, StaticOrder, DVO_ENV_VAR};
-pub use propagation::{PropagationEngine, PropagationResult};
 pub use store::{Checkpoint, CheckpointPolicy, StoreError};
 pub use test_plan::{AtpgOptions, MixedSignalAtpg, TestPlan};
 
@@ -75,7 +73,8 @@ pub enum CoreError {
         /// Explanation of the problem.
         reason: String,
     },
-    /// The propagation engine was used inconsistently.
+    /// The five-valued simulation of the digital block does not observe the
+    /// fault effect an OBDD propagation query claims at an output.
     Propagation {
         /// Explanation of the problem.
         reason: String,

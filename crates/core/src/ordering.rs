@@ -1,7 +1,7 @@
-//! Variable-ordering policy for the digital OBDD engines: the dynamic
-//! reordering (sifting) knob threaded through [`DigitalAtpg`] and honoured
-//! by [`PropagationEngine`], plus the static primary-input orders the
-//! benchmarks use to seed a deliberately bad order.
+//! Variable-ordering policy for the digital OBDD engine: the dynamic
+//! reordering (sifting) knob threaded through [`DigitalAtpg`], plus the
+//! static primary-input orders the benchmarks use to seed a deliberately
+//! bad order.
 //!
 //! OBDD size is notoriously order-sensitive — the paper's backtrack-free
 //! generator inherits whatever order the primary inputs were declared in,
@@ -18,12 +18,7 @@
 //!   across runs and resumes.  The default honors the [`DVO_ENV_VAR`]
 //!   environment variable, mirroring the `MSATPG_WORD_WIDTH` knob.
 //!
-//! Sifting preserves the paper's contract that the composite variable `D`
-//! sits *last* in the construction order: it happens before any per-fault
-//! work consumes the order.
-//!
 //! [`DigitalAtpg`]: crate::DigitalAtpg
-//! [`PropagationEngine`]: crate::PropagationEngine
 
 use msatpg_digital::netlist::{Netlist, SignalId};
 
@@ -31,7 +26,8 @@ use msatpg_digital::netlist::{Netlist, SignalId};
 /// (the default) or `until-convergence`.  Any other value is ignored.
 pub const DVO_ENV_VAR: &str = "MSATPG_DVO";
 
-/// Dynamic-variable-ordering knob of the digital OBDD engines.
+/// Dynamic-variable-ordering knob of the digital OBDD engine (see
+/// [`DigitalAtpg::with_dvo`](crate::DigitalAtpg::with_dvo)).
 ///
 /// When active, the engine runs sifting-until-convergence on its manager at
 /// a deterministic construction-time safe point (after every signal

@@ -49,12 +49,15 @@ pub struct AtpgOptions {
     /// byte-identical [`TestPlan`] (see
     /// [`DigitalAtpg::with_word_width`](crate::DigitalAtpg::with_word_width)).
     pub word_width: WordWidth,
-    /// Dynamic variable reordering of the digital OBDD engines.  The
-    /// default honors the `MSATPG_DVO` environment variable; every mode
-    /// produces an *equivalent* [`TestPlan`] (same coverage and outcome
-    /// taxonomy, possibly different test cubes — see
+    /// Dynamic variable reordering of the two stuck-at engines (the
+    /// constrained and the unconstrained pass).  The default honors the
+    /// `MSATPG_DVO` environment variable; every mode produces an
+    /// *equivalent* [`TestPlan`] (same coverage and outcome taxonomy,
+    /// possibly different test cubes — see
     /// [`DigitalAtpg::with_dvo`](crate::DigitalAtpg::with_dvo)), and within
     /// one mode the plan stays byte-identical across runs and policies.
+    /// The analog tests and the conversion stage never sift: their
+    /// propagation queries read the same cubes in every mode.
     pub dvo: DvoMode,
 }
 
@@ -308,12 +311,15 @@ impl MixedSignalAtpg {
         self.analog_tests_on(&WorkerPool::new(self.options.exec), deviations)
     }
 
-    /// [`MixedSignalAtpg::analog_tests`] on a shared worker pool: the cheap
+    /// [`MixedSignalAtpg::analog_tests`] with the shared worker pool of the
+    /// other `_on` stages.  The stage runs on the calling thread: the cheap
     /// per-element parameter ranking happens inline, then
-    /// [`AnalogAtpg::test_elements_on`] measures the Table-1 stimulus table
+    /// [`AnalogAtpg::test_elements`] measures the Table-1 stimulus table
     /// once for the whole batch (one entry per ranked parameter) and runs
-    /// the stimulus/propagation searches element by element on the calling
-    /// thread, solving the faulty circuit once per (element, parameter).
+    /// the stimulus/propagation searches element by element, solving the
+    /// faulty circuit once per (element, parameter).  After the stimulus
+    /// table an element is ≈ 0.1–0.2 ms of work, and spreading the Figure-8
+    /// board's elements over a 2-thread pool took longer than this loop.
     /// Each result fills the slot of its request, so entries come back in
     /// element order.
     ///
@@ -322,7 +328,7 @@ impl MixedSignalAtpg {
     /// Propagates simulation errors.
     pub fn analog_tests_on(
         &self,
-        pool: &WorkerPool,
+        _pool: &WorkerPool,
         deviations: &DeviationReport,
     ) -> Result<Vec<AnalogTestEntry>, CoreError> {
         let atpg = AnalogAtpg::new(&self.circuit).with_tolerance(self.options.parameter_tolerance);
@@ -373,7 +379,7 @@ impl MixedSignalAtpg {
                 ranking,
             });
         }
-        let tested = atpg.test_elements_on(pool, &requests)?;
+        let tested = atpg.test_elements(&requests)?;
         for (slot, entry) in request_slots.into_iter().zip(tested) {
             slots[slot] = Some(entry);
         }
@@ -394,9 +400,10 @@ impl MixedSignalAtpg {
 
     /// [`MixedSignalAtpg::conversion_tests`] with the shared worker pool of
     /// the other `_on` stages.  The stage runs on the calling thread: the
-    /// comparator study is one OBDD build of the digital block queried once
-    /// per comparator (no longer one build per comparator), and the ladder
-    /// thresholds are solved in closed form.
+    /// comparator study asks a simulation witness first and the digital
+    /// block's OBDD engine ([`DigitalAtpg::try_propagate`], one unconstrained
+    /// engine built on first need) only for the lines the witness leaves
+    /// open, and the ladder thresholds are solved in closed form.
     ///
     /// # Errors
     ///

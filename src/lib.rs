@@ -15,8 +15,8 @@
 //! 3. analog faults are activated by choosing a sine stimulus `(A, f)` that
 //!    flips at least one comparator of the conversion block, and the
 //!    resulting composite `D`/`D̄` value is propagated to a primary output
-//!    through the digital block ([`core::activation`],
-//!    [`core::propagation`]).
+//!    through the digital block by the same OBDD engine
+//!    ([`core::activation`], [`core::DigitalAtpg::try_propagate`]).
 //!
 //! This facade crate re-exports the whole workspace under one name.  See the
 //! `examples/` directory for runnable end-to-end scenarios and the

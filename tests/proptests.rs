@@ -1647,8 +1647,8 @@ fn random_netlist_sized(
 }
 
 /// The Table-5 comparator study (a simulation witness first, then one
-/// restrict-then-differentiate OBDD query per line the simulation leaves
-/// open) agrees with an exhaustive five-valued sweep: comparator `i`
+/// `DigitalAtpg::try_propagate` query per line the simulation leaves open)
+/// agrees with an exhaustive five-valued sweep: comparator `i`
 /// propagates iff, with the other lines at the thermometer code of `i + 1`
 /// ones and a `D` (or `D̄`) forced on its own line, some external-input
 /// assignment drives a fault effect to a primary output.  Both polarities
@@ -1736,6 +1736,128 @@ fn comparator_study_matches_exhaustive_composite_simulation() {
     assert!(
         witnessed > 0 && proved >= blocked && witnessed + proved == propagating + blocked,
         "{witnessed} lines by simulation witness, {proved} by OBDD query"
+    );
+}
+
+/// The propagation query the comparator study and the analog tests ran
+/// before they moved onto the stuck-at generator, kept as an oracle: the
+/// primary-output OBDDs built over the external inputs first (declaration
+/// order) and the constrained lines after them, the fixed lines restricted
+/// away, the Boolean difference with respect to `line` and its `sat_one`
+/// cube, for the first output whose fanin holds `line`.  Returns the
+/// external assignment and the output index.
+fn restrict_then_differentiate(
+    netlist: &msatpg::digital::netlist::Netlist,
+    constrained: &[msatpg::digital::netlist::SignalId],
+    line: msatpg::digital::netlist::SignalId,
+    fixed: &[(msatpg::digital::netlist::SignalId, bool)],
+) -> Option<(Vec<Option<bool>>, usize)> {
+    use msatpg::core::digital_atpg::try_apply_gate;
+
+    let pis = netlist.primary_inputs();
+    let (constrained_pis, externals): (Vec<_>, Vec<_>) =
+        pis.iter().copied().partition(|pi| constrained.contains(pi));
+    let mut m = BddManager::new();
+    let mut values = vec![None; netlist.signal_count()];
+    let mut vars = vec![None; netlist.signal_count()];
+    for &pi in externals.iter().chain(&constrained_pis) {
+        let var = m.var_id(netlist.signal_name(pi));
+        vars[pi.index()] = Some(var);
+        values[pi.index()] = Some(m.literal(var, true));
+    }
+    for gate in netlist.gates() {
+        let inputs: Vec<_> = gate
+            .inputs
+            .iter()
+            .map(|i| values[i.index()].unwrap())
+            .collect();
+        values[gate.output.index()] = Some(try_apply_gate(&mut m, gate.kind, &inputs).unwrap());
+    }
+    let restriction: Assignment = fixed
+        .iter()
+        .map(|&(signal, value)| (vars[signal.index()].unwrap(), value))
+        .collect();
+    let d = vars[line.index()].unwrap();
+    for (po_index, &po) in netlist.primary_outputs().iter().enumerate() {
+        if !netlist.fanin_support(po).contains(&line) {
+            continue;
+        }
+        let f = m.restrict_all(values[po.index()].unwrap(), &restriction);
+        let diff = m.boolean_difference(f, d);
+        if let Some(cube) = m.sat_one(diff) {
+            let assignment = externals
+                .iter()
+                .map(|&pi| cube.get(vars[pi.index()].unwrap()))
+                .collect();
+            return Some((assignment, po_index));
+        }
+    }
+    None
+}
+
+/// `DigitalAtpg::try_propagate` with every other constrained line fixed
+/// reads, on the inputs outside the constrained set, the cube the
+/// restrict-then-differentiate query reads, at the same output, or both
+/// find none.  Random netlists, random constrained subsets and random fixed
+/// values, every query of a netlist on one engine; the fixed lines carry
+/// their values and the composite line stays open.  Five-valued simulation
+/// with a `D` forced on the line sees a fault effect at the output.  Both
+/// outcomes must occur.
+#[test]
+fn propagation_matches_restrict_then_differentiate() {
+    let mut rng = SplitMix64::new(0xD1FF_0B5E);
+    let (mut propagated, mut blocked) = (0, 0);
+    for case in 0..CASES {
+        let inputs = 2 + rng.below(6);
+        let gates = 1 + rng.below(20);
+        let netlist = random_netlist_sized(&mut rng, case, inputs, gates);
+        let pis = netlist.primary_inputs();
+        let mut engine = DigitalAtpg::new(&netlist);
+        for _ in 0..3 {
+            let mut constrained: Vec<_> = pis.iter().copied().filter(|_| rng.bool()).collect();
+            if constrained.is_empty() {
+                constrained.push(pis[rng.below(pis.len())]);
+            }
+            for &line in &constrained {
+                let fixed: Vec<_> = constrained
+                    .iter()
+                    .filter(|&&other| other != line)
+                    .map(|&other| (other, rng.bool()))
+                    .collect();
+                let context = format!("case {case}: line {}, fixed {fixed:?}", line.index());
+                let expected = restrict_then_differentiate(&netlist, &constrained, line, &fixed);
+                let Some((assignment, observed)) = engine.try_propagate(line, &fixed).unwrap()
+                else {
+                    assert_eq!(expected, None, "{context}");
+                    blocked += 1;
+                    continue;
+                };
+                propagated += 1;
+                let mut external_assignment = Vec::new();
+                let mut sim_inputs = Vec::new();
+                for (pi, &value) in pis.iter().zip(&assignment) {
+                    if *pi == line {
+                        assert_eq!(value, None, "{context}: the composite line stays open");
+                        sim_inputs.push(Logic::X);
+                    } else if let Some(&(_, fixed_value)) = fixed.iter().find(|(s, _)| s == pi) {
+                        assert_eq!(value, Some(fixed_value), "{context}: fixed line");
+                        sim_inputs.push(Logic::from(fixed_value));
+                    } else {
+                        external_assignment.push(value);
+                        sim_inputs.push(Logic::from(value.unwrap_or(false)));
+                    }
+                }
+                assert_eq!(Some((external_assignment, observed)), expected, "{context}");
+                let mut sim = CompositeSimulator::new(&netlist);
+                sim.force(line, Logic::D);
+                let outputs = sim.run_outputs(&sim_inputs).unwrap();
+                assert!(outputs[observed].is_fault_effect(), "{context}");
+            }
+        }
+    }
+    assert!(
+        propagated > 0 && blocked > 0,
+        "{propagated} propagated, {blocked} blocked"
     );
 }
 
